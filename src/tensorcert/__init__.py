@@ -6,8 +6,6 @@ rational arithmetic, so a PASS in a certificate is a proof, not a
 numerical observation.
 """
 
-from . import certify as _certify
-from . import geometry as _geometry
 from .certify import (
     ASSERTED,
     CLAIM_CACTUS_BOUND,
@@ -23,22 +21,17 @@ from .certify import (
     BoundReport,
     Certificate,
     Hypothesis,
+    InstanceParseError,
     PartitionEntry,
     bound_cactus_rank,
+    certificate_from_json,
+    certificate_to_json,
     certify_exact_rank,
     certify_identifiability,
     check_non_redundant,
     check_span_intersection_identity,
     obstruct_alt_decompositions,
     pin_projections,
-)
-from .cli import (
-    InstanceParseError,
-    certificate_from_json,
-    certificate_to_json,
-    emit_certificate,
-    load_instance,
-    run,
 )
 from .construct import (
     AugmentationError,
@@ -62,11 +55,8 @@ from .geometry import (
     decomposition_weights,
     factor_matrix,
     factor_projection_sizes,
-    factor_rank,
     flattening_rank,
     has_different_coordinates,
-    is_degenerate,
-    segre_function,
     segre_matrix,
     segre_vector,
 )
@@ -80,9 +70,9 @@ from .kruskal import (
 from .linalg import (
     RatMatrix,
     format_rational,
-    in_row_span,
     parse_rational,
     rat_rank,
+    row_combination,
     solve_row_combination,
     span_intersection_dim,
 )
@@ -102,10 +92,13 @@ from .symmetric import (
 __version__ = "0.1.0"
 
 
-def clear_caches() -> None:
-    """Reset every internal memoization cache."""
-    _geometry.clear_caches()
-    _certify.check_non_redundant.cache_clear()
+def __getattr__(name: str):
+    # the CLI imports argparse, so it loads only when one of its names is used
+    if name in ("emit_certificate", "load_instance", "run"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -151,7 +144,6 @@ __all__ = [
     "certify_identifiability",
     "check_non_redundant",
     "check_span_intersection_identity",
-    "clear_caches",
     "cohomology",
     "comon_certify",
     "compare_criteria",
@@ -160,13 +152,10 @@ __all__ = [
     "emit_certificate",
     "factor_matrix",
     "factor_projection_sizes",
-    "factor_rank",
     "flattening_rank",
     "format_rational",
     "generic_symmetric_rank",
     "has_different_coordinates",
-    "in_row_span",
-    "is_degenerate",
     "is_exceptional",
     "kruskal_certificate",
     "kruskal_rank",
@@ -176,8 +165,8 @@ __all__ = [
     "pin_projections",
     "random_decomposition",
     "rat_rank",
+    "row_combination",
     "run",
-    "segre_function",
     "segre_matrix",
     "segre_vector",
     "solve_row_combination",

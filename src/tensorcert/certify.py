@@ -12,7 +12,6 @@ them invariant under rescaling of the input representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 from .geometry import (
@@ -28,7 +27,7 @@ from .geometry import (
     segre_matrix,
     segre_vector,
 )
-from .linalg import RatMatrix, rat_rank
+from .linalg import RatMatrix, rat_rank, row_combination, span_intersection_dim
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -81,23 +80,48 @@ class Certificate:
         return [h for h in self.hypotheses if h.name == name]
 
 
+class InstanceParseError(Exception):
+    """Structural problem with an instance or certificate object (exit code 3)."""
+
+
+def certificate_to_json(cert: Certificate) -> dict:
+    return {
+        "claim": cert.claim,
+        "theorem_ref": cert.theorem_ref,
+        "hypotheses": [
+            {"name": h.name, "status": h.status, "witness": h.witness}
+            for h in cert.hypotheses
+        ],
+        "conclusion": cert.conclusion,
+    }
+
+
+def certificate_from_json(data: dict) -> Certificate:
+    try:
+        hyps = tuple(
+            Hypothesis(h["name"], h["status"], h["witness"]) for h in data["hypotheses"]
+        )
+        return Certificate(data["claim"], data["theorem_ref"], hyps, data["conclusion"])
+    except (KeyError, TypeError) as exc:
+        raise InstanceParseError(f"malformed certificate object: {exc}") from None
+
+
 def _require_matching(tensor: AmbientTensor, s: PointSet) -> None:
     if tensor.shape != s.shape:
         raise ValueError("tensor and point set have different shapes")
 
 
-def non_redundancy_hypotheses(
-    coords: tuple, rows: list[tuple], label: str = "point"
-) -> tuple[list[Hypothesis], bool]:
+def non_redundancy_hypotheses(coords: tuple, rows: list[tuple]) -> tuple[list[Hypothesis], bool]:
     """Shared span checks behind non-redundancy, over any evaluation rows.
 
     Checks that the rows are independent, that ``coords`` lies in their
     span, and that it leaves the span when any single row is removed.
+    All three come from one solve for the coefficients x of ``coords``:
+    with independent rows, ``coords`` lies in the span of the rows other
+    than j exactly when x_j = 0.
     """
-    width = len(coords)
     r = len(rows)
-    full = RatMatrix.from_rows(rows, cols=width)
-    rank = rat_rank(full)
+    rank, coeffs = row_combination(coords, RatMatrix.from_rows(rows, cols=len(coords)))
     hyps = [
         Hypothesis(
             "evaluation_vectors_independent",
@@ -107,43 +131,37 @@ def non_redundancy_hypotheses(
     ]
     if rank != r:
         return hyps, False
-    rank_with_t = rat_rank(full.with_row(coords))
-    in_span = rank_with_t == rank
+    in_span = coeffs is not None
     hyps.append(
         Hypothesis(
             "tensor_in_span",
             PASS if in_span else FAIL,
-            {"span_rank": rank, "rank_with_tensor": rank_with_t},
+            {"span_rank": rank, "rank_with_tensor": rank if in_span else rank + 1},
         )
     )
     if not in_span:
         return hyps, False
-    ok = True
-    for j in range(r):
-        reduced = RatMatrix.from_rows(rows[:j] + rows[j + 1:], cols=width)
-        # the rows are independent here, so the reduced rank is r - 1 and
-        # membership is a single extra rank computation
-        inside = rat_rank(reduced.with_row(coords)) == r - 1
+    for j, x in enumerate(coeffs):
         hyps.append(
             Hypothesis(
                 "tensor_outside_span_of_proper_subset",
-                FAIL if inside else PASS,
-                {f"{label}_removed": j},
+                PASS if x else FAIL,
+                {"point_removed": j},
             )
         )
-        if inside:
-            ok = False
-    return hyps, ok
+    return hyps, all(coeffs)
 
 
-@lru_cache(maxsize=4096)
 def check_non_redundant(tensor: AmbientTensor, s: PointSet) -> Certificate:
     """Certify that S decomposes the tensor and no proper subset does."""
     _require_matching(tensor, s)
-    rows = [segre_vector(p) for p in s.points]
-    hyps, ok = non_redundancy_hypotheses(tensor.coords, rows)
-    conclusion = {"cardinality": len(s)} if ok else None
-    return Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
+    key = ("non_redundant", tensor)
+    if key not in s.memo:
+        rows = [segre_vector(p) for p in s.points]
+        hyps, ok = non_redundancy_hypotheses(tensor.coords, rows)
+        conclusion = {"cardinality": len(s)} if ok else None
+        s.memo[key] = Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
+    return s.memo[key]
 
 
 ASSUMED_NOTE = "assumed, certify separately with check_non_redundant"
@@ -175,8 +193,6 @@ class BoundReport:
     certificate: Certificate
 
     def as_json(self) -> dict:
-        from .cli import certificate_to_json  # local import, no cycle at module load
-
         return {
             "best_bound": self.best_bound,
             "best_partition": self.best_partition.as_json() if self.best_partition else None,
@@ -364,7 +380,7 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
         ok = ok and h1 == 0
     if not ok:
         return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), None)
-    lhs = _span_intersection(a, b)
+    lhs = span_intersection_dim(segre_matrix(a), segre_matrix(b))
     common = [p for p in a.points if p in set(b.points)]
     if common:
         common_dim = rat_rank(RatMatrix.from_rows([segre_vector(p) for p in common])) - 1
@@ -390,12 +406,6 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     )
     conclusion = {"intersection_dim": lhs, "rhs": rhs} if lhs == rhs else None
     return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), conclusion)
-
-
-def _span_intersection(a: PointSet, b: PointSet) -> int:
-    from .linalg import span_intersection_dim
-
-    return span_intersection_dim(segre_matrix(a), segre_matrix(b))
 
 
 def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:

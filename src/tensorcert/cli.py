@@ -30,8 +30,9 @@ from .certify import (
     CLAIM_PINNING,
     CLAIM_SPAN_IDENTITY,
     Certificate,
-    Hypothesis,
+    InstanceParseError,
     bound_cactus_rank,
+    certificate_to_json,
     certify_exact_rank,
     certify_identifiability,
     check_non_redundant,
@@ -65,10 +66,6 @@ EXIT_CERTIFIED = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
-
-
-class InstanceParseError(Exception):
-    """Structural problem with an instance file (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +123,8 @@ def instance_from_json(data: dict) -> Instance:
     tensor = None
     if "dims" in data:
         dims = data["dims"]
-        if not isinstance(dims, list) or not dims or not all(isinstance(d, int) for d in dims):
+        # bool is a subclass of int, so JSON true/false would pass isinstance
+        if not isinstance(dims, list) or not dims or not all(type(d) is int for d in dims):
             raise InstanceParseError("dims must be a nonempty array of integers")
         if any(d < 1 for d in dims):
             raise ValueError("every entry of dims must be at least 1")
@@ -171,7 +169,7 @@ def instance_from_json(data: dict) -> Instance:
             if key not in sym:
                 raise InstanceParseError(f"symmetric stanza is missing {key!r}")
         n, degree = sym["n"], sym["k"]
-        if not isinstance(n, int) or not isinstance(degree, int):
+        if type(n) is not int or type(degree) is not int:
             raise InstanceParseError("symmetric n and k must be integers")
         raw_pts = sym["points"]
         if not isinstance(raw_pts, list) or not raw_pts:
@@ -214,28 +212,6 @@ def pointset_to_json(s: PointSet, weights: Sequence[Fraction] | None = None) -> 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    return {
-        "claim": cert.claim,
-        "theorem_ref": cert.theorem_ref,
-        "hypotheses": [
-            {"name": h.name, "status": h.status, "witness": h.witness}
-            for h in cert.hypotheses
-        ],
-        "conclusion": cert.conclusion,
-    }
-
-
-def certificate_from_json(data: dict) -> Certificate:
-    try:
-        hyps = tuple(
-            Hypothesis(h["name"], h["status"], h["witness"]) for h in data["hypotheses"]
-        )
-        return Certificate(data["claim"], data["theorem_ref"], hyps, data["conclusion"])
-    except (KeyError, TypeError) as exc:
-        raise InstanceParseError(f"malformed certificate object: {exc}") from None
 
 
 def _conclusion_line(cert: Certificate) -> str:

@@ -25,7 +25,7 @@ from .geometry import (
     segre_vector,
 )
 from .kruskal import compare_criteria
-from .linalg import in_row_span, rat_rank
+from .linalg import rat_rank, solve_row_combination
 
 DEFAULT_BOX = 9
 _RESAMPLE_CAP = 512
@@ -73,6 +73,8 @@ def random_decomposition(
     nonzero integer weights.  Deterministic for a given seed."""
     if r < 1:
         raise ValueError("need at least one point")
+    if box < 1:
+        raise ValueError(f"box must be at least 1, got {box}")
     rng = random.Random(seed)
     for _ in range(_RESAMPLE_CAP):
         points = [_random_point(shape, rng, box) for _ in range(r)]
@@ -115,7 +117,7 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
             candidate = pivot.replace_factor(i, b)
             if candidate == pivot or not _distinct_from(candidate, others):
                 continue
-            if not in_row_span(segre_vector(candidate), base):
+            if solve_row_combination(segre_vector(candidate), base) is None:
                 # split: pivot sits on the line between the perturbed factor
                 # vector b and c = pivot_i - t * b, so its Segre vector is an
                 # exact combination of the two new points
@@ -159,6 +161,8 @@ def augment_decomposition(
     shape = a.shape
     if tensor.shape != shape:
         raise ValueError("tensor and point set have different shapes")
+    if box < 1:
+        raise ValueError(f"box must be at least 1, got {box}")
     if all(n == 0 for n in shape.dims):
         raise ValueError("augmentation needs a factor of positive dimension")
     if len(a) > shape.ambient_dim:

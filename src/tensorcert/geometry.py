@@ -20,22 +20,12 @@ the workhorse hypothesis of every certificate downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import RatMatrix, in_row_span, rat_rank, solve_row_combination
-
-
-def _proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    if len(u) != len(v):
-        return False
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
+from .linalg import RatMatrix, rat_rank, solve_row_combination
 
 
 def _canonical(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -73,10 +63,6 @@ class MultiShape:
     def ambient_dim(self) -> int:
         """Dimension M of the Segre target projective space."""
         return reduce(lambda a, b: a * b, self.sizes, 1) - 1
-
-    @property
-    def max_dim(self) -> int:
-        return max(self.dims)
 
     @property
     def min_dim(self) -> int:
@@ -126,9 +112,6 @@ class FactorPartition:
     @property
     def k(self) -> int:
         return len(self.E) + len(self.F)
-
-    def swapped(self) -> "FactorPartition":
-        return FactorPartition(self.F, self.E)
 
     def as_json(self) -> dict:
         return {"E": list(self.E), "F": list(self.F)}
@@ -197,10 +180,17 @@ class MultiPoint:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite set of distinct points of a fixed shape, in a fixed order."""
+    """Finite set of distinct points of a fixed shape, in a fixed order.
+
+    ``memo`` holds what has been computed for this set (flattening ranks
+    by factor subset, non-redundancy certificates by tensor), so repeated
+    questions within one run are answered once and the memory goes with
+    the set.
+    """
 
     shape: MultiShape
     points: tuple[MultiPoint, ...]
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = tuple(self.points)
@@ -246,14 +236,16 @@ class AmbientTensor:
             )
         if not any(coords):
             raise ValueError("the zero tensor has no projective class")
+        object.__setattr__(self, "_canonical", _canonical(coords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmbientTensor):
             return NotImplemented
-        return self.shape == other.shape and _proportional(self.coords, other.coords)
+        same_class = self._canonical == other._canonical  # type: ignore[attr-defined]
+        return self.shape == other.shape and same_class
 
     def __hash__(self) -> int:
-        return hash((self.shape, _canonical(self.coords)))
+        return hash((self.shape, self._canonical))  # type: ignore[attr-defined]
 
 
 class Cohomology(NamedTuple):
@@ -281,9 +273,11 @@ def segre_matrix(s: PointSet, subset: Sequence[int] | None = None) -> RatMatrix:
     return RatMatrix.from_rows([segre_vector(p, subset) for p in s.points])
 
 
-@lru_cache(maxsize=None)
 def _flattening_rank(s: PointSet, members: tuple[int, ...] | None) -> int:
-    return rat_rank(segre_matrix(s, members))
+    key = ("rank", members)
+    if key not in s.memo:
+        s.memo[key] = rat_rank(segre_matrix(s, members))
+    return s.memo[key]
 
 
 def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
@@ -300,22 +294,11 @@ def cohomology(s: PointSet, subset: Sequence[int] | None = None) -> Cohomology:
     return Cohomology(m_u - rank, len(s) - rank)
 
 
-def segre_function(s: PointSet) -> tuple[int, ...]:
-    """Ranks of the prefix flattenings u = {1}, {1,2}, ..., {1..k}."""
-    k = s.shape.k
-    return tuple(flattening_rank(s, tuple(range(1, i + 1))) for i in range(1, k + 1))
-
-
 def factor_matrix(s: PointSet, index: int) -> RatMatrix:
     """Matrix of factor-``index`` coordinate vectors, one row per point."""
     if index < 1 or index > s.shape.k:
         raise ValueError(f"factor index {index} out of range")
     return RatMatrix.from_rows([p.factors[index - 1] for p in s.points])
-
-
-@lru_cache(maxsize=None)
-def factor_rank(s: PointSet, index: int) -> int:
-    return rat_rank(factor_matrix(s, index))
 
 
 def different_coordinates_violation(s: PointSet) -> tuple[int, int, int] | None:
@@ -341,18 +324,6 @@ def factor_projection_sizes(s: PointSet) -> tuple[int, ...]:
     return tuple(len({c[i] for c in canon}) for i in range(s.shape.k))
 
 
-def is_degenerate(s: PointSet) -> tuple[bool, int | None]:
-    """Whether some factor projection fails to span its projective space.
-
-    Returns (True, i) with the first failing 1-based factor, else
-    (False, None).
-    """
-    for i in range(1, s.shape.k + 1):
-        if factor_rank(s, i) < s.shape.dims[i - 1] + 1:
-            return True, i
-    return False, None
-
-
 def assemble_tensor(weights: Sequence, s: PointSet) -> AmbientTensor:
     """The weighted sum of the Segre vectors of S as an ambient tensor."""
     ws = tuple(Fraction(w) for w in weights)
@@ -374,13 +345,3 @@ def decomposition_weights(tensor: AmbientTensor, s: PointSet) -> tuple[Fraction,
     if tensor.shape != s.shape:
         raise ValueError("tensor and point set have different shapes")
     return solve_row_combination(tensor.coords, segre_matrix(s))
-
-
-def tensor_in_span(tensor: AmbientTensor, rows: RatMatrix) -> bool:
-    return in_row_span(tensor.coords, rows)
-
-
-def clear_caches() -> None:
-    """Drop memoized flattening and factor ranks (used by invariance tests)."""
-    _flattening_rank.cache_clear()
-    factor_rank.cache_clear()

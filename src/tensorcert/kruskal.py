@@ -24,9 +24,9 @@ KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
 def kruskal_rank(m: RatMatrix) -> int:
     """Largest kappa with every kappa-subset of columns independent.
 
-    Exhaustive subset enumeration, descending from the rank, skipping
-    subsets already known to sit inside an independent one.  Raises on a
-    zero column and on matrices with more than 20 columns.
+    Exhaustive subset enumeration, descending from the rank; each level
+    stops at its first dependent subset.  Raises on a zero column and on
+    matrices with more than 20 columns.
     """
     if m.cols == 0:
         raise ValueError("Kruskal rank of a matrix with no columns is undefined")
@@ -38,20 +38,11 @@ def kruskal_rank(m: RatMatrix) -> int:
     for j, col in enumerate(columns):
         if not any(col):
             raise ValueError(f"column {j} is zero, Kruskal rank undefined")
-    known_independent: list[frozenset] = []
     for kappa in range(min(rat_rank(m), m.cols), 0, -1):
-        all_independent = True
-        for combo in combinations(range(m.cols), kappa):
-            picked = frozenset(combo)
-            if any(picked <= known for known in known_independent):
-                continue
-            sub = RatMatrix.from_rows([columns[j] for j in combo])
-            if rat_rank(sub) == kappa:
-                known_independent.append(picked)
-            else:
-                all_independent = False
-                break
-        if all_independent:
+        if all(
+            rat_rank(RatMatrix.from_rows([columns[j] for j in combo])) == kappa
+            for combo in combinations(range(m.cols), kappa)
+        ):
             return kappa
     return 0
 

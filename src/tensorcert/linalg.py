@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that certifies anything reduces to ranks of
-matrices with Fraction entries.  Ranks are computed by fraction-free
-elimination on gcd-reduced integer rows, so results are exact and
-deterministic: the pivot is always the first nonzero entry scanning
-columns left to right and rows top to bottom.  There is no floating
-point anywhere in the certification path.
+matrices with Fraction entries.  Ranks and span coefficients both come
+from one fraction-free elimination on gcd-reduced integer rows, so
+results are exact and deterministic: the pivot is always the first
+nonzero entry scanning columns left to right and rows top to bottom.
+There is no floating point anywhere in the certification path.
 """
 
 from __future__ import annotations
@@ -90,21 +90,10 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix.from_rows([self.column(j) for j in range(self.cols)], cols=self.rows)
 
-    def with_row(self, row: Iterable) -> "RatMatrix":
-        extra = _fraction_row(row)
-        if len(extra) != self.cols:
-            raise ValueError(f"row of length {len(extra)} appended to {self.cols}-column matrix")
-        return RatMatrix(self.rows + 1, self.cols, self.entries + extra)
-
     def stack(self, other: "RatMatrix") -> "RatMatrix":
         if other.cols != self.cols:
             raise ValueError("stacked matrices must share a column count")
         return RatMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def take_columns(self, indices: Sequence[int]) -> "RatMatrix":
-        picked = [self.column(j) for j in indices]
-        # columns become rows; every rank computed from this is unaffected
-        return RatMatrix.from_rows(picked, cols=self.rows)
 
 
 def _primitive_int_row(row: Sequence[Fraction]) -> list[int]:
@@ -122,22 +111,40 @@ def _primitive_int_row(row: Sequence[Fraction]) -> list[int]:
     return ints
 
 
-def _int_rank(work: list[list[int]], cols: int) -> int:
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Primitive integer rows, zero rows dropped; neither changes the row space."""
+    out = []
+    for row in rows:
+        ints = _primitive_int_row(row)
+        if any(ints):
+            out.append(ints)
+    return out
+
+
+def _echelon(work: list[list[int]], cols: int) -> list[int]:
+    """Bring integer rows to row echelon form in place; return the pivot columns.
+
+    The single elimination kernel of the package.  A row below the pivot
+    row p becomes p[col] * row - row[col] * p, divided by its content, so
+    no fraction is ever formed.  Afterwards row i has its pivot in the
+    i-th returned column, and every row past the rank is zero.
+    """
     nrows = len(work)
-    rank = 0
-    col = 0
-    while rank < nrows and col < cols:
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         pivot = None
         for i in range(rank, nrows):
             if work[i][col]:
                 pivot = i
                 break
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
         prow = work[rank]
+        pv = prow[col]
         for i in range(rank + 1, nrows):
             xi = work[i][col]
             if not xi:
@@ -149,28 +156,13 @@ def _int_rank(work: list[list[int]], cols: int) -> int:
             if g > 1:
                 merged = [v // g for v in merged]
             work[i] = merged
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 def rat_rank(m: RatMatrix) -> int:
     """Exact rank of ``m`` over the rationals."""
-    work = []
-    for i in range(m.rows):
-        row = _primitive_int_row(m.row(i))
-        if any(row):
-            work.append(row)
-    return _int_rank(work, m.cols)
-
-
-def in_row_span(vector: Sequence, m: RatMatrix) -> bool:
-    """Whether ``vector`` lies in the row span of ``m``."""
-    v = _fraction_row(vector)
-    if len(v) != m.cols:
-        raise ValueError(f"vector of length {len(v)} against {m.cols}-column matrix")
-    base = rat_rank(m)
-    return rat_rank(m.with_row(v)) == base
+    return len(_echelon(_integer_rows(m.row_list()), m.cols))
 
 
 def span_intersection_dim(m1: RatMatrix, m2: RatMatrix) -> int:
@@ -188,44 +180,29 @@ def span_intersection_dim(m1: RatMatrix, m2: RatMatrix) -> int:
     return r1 + r2 - rs - 1
 
 
-def solve_row_combination(target: Sequence, m: RatMatrix) -> tuple[Fraction, ...] | None:
-    """Coefficients ``x`` with ``sum x_i * row_i = target``, or None.
+def row_combination(target: Sequence, m: RatMatrix) -> tuple[int, tuple[Fraction, ...] | None]:
+    """The rank of ``m`` and coefficients ``x`` with sum x_i * row_i = target.
 
-    Plain Gaussian elimination over Fractions on the transposed system.
-    When the rows are dependent any one solution is returned (free
-    coefficients are set to zero).
+    One elimination of the transposed system [m^T | target], then back
+    substitution over the pivot columns.  The coefficients are None when
+    target lies outside the row span.  When the rows are dependent any
+    one solution is returned (free coefficients are set to zero).
     """
     v = _fraction_row(target)
     if len(v) != m.cols:
         raise ValueError(f"vector of length {len(v)} against {m.cols}-column matrix")
-    nrows = m.cols        # equations, one per coordinate
-    ncols = m.rows        # unknowns, one per row of m
-    aug = [[m.entries[j * m.cols + i] for j in range(ncols)] + [v[i]] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(nrows):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for i in range(row, nrows):
-        if aug[i][ncols]:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for r, c in pivots:
-        coeffs[c] = aug[r][ncols]
-    return tuple(coeffs)
+    n = m.rows
+    work = _integer_rows(m.column(j) + (v[j],) for j in range(m.cols))
+    pivots = _echelon(work, n + 1)
+    if pivots and pivots[-1] == n:
+        return len(pivots) - 1, None
+    coeffs = [Fraction(0)] * n
+    for row, col in reversed(list(zip(work, pivots))):
+        rest = sum((row[j] * coeffs[j] for j in range(col + 1, n)), Fraction(0))
+        coeffs[col] = (row[n] - rest) / row[col]
+    return len(pivots), tuple(coeffs)
+
+
+def solve_row_combination(target: Sequence, m: RatMatrix) -> tuple[Fraction, ...] | None:
+    """Coefficients ``x`` with ``sum x_i * row_i = target``, or None."""
+    return row_combination(target, m)[1]

@@ -25,6 +25,7 @@ from .certify import (
     Hypothesis,
     non_redundancy_hypotheses,
 )
+from .geometry import _canonical
 from .linalg import RatMatrix, rat_rank
 
 TAG_SYMMETRIC = "symmetric-rank-agreement"
@@ -52,13 +53,6 @@ class SymShape:
         return self.k // 2
 
 
-def _canonical_vec(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    for x in vec:
-        if x:
-            return tuple(y / x for y in vec)
-    raise ValueError("zero coordinate vector")
-
-
 @dataclass(frozen=True)
 class SymPointSet:
     """Distinct points of P^n given by nonzero coordinate vectors."""
@@ -77,7 +71,7 @@ class SymPointSet:
         for idx, p in enumerate(points):
             if not any(p):
                 raise ValueError(f"point {idx} is the zero vector")
-            canon.append(_canonical_vec(p))
+            canon.append(_canonical(p))
         for idx, c in enumerate(canon):
             if c in canon[:idx]:
                 raise ValueError(f"duplicate point at position {idx}")

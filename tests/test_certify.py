@@ -2,12 +2,13 @@
 span identities, obstructions and pinning."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gauss_rank, matrix_of_two_factor_tensor
+from oracles import gauss_rank, in_span, matrix_of_two_factor_tensor
 from tensorcert.certify import (
     ASSERTED,
     CLAIM_CACTUS_BOUND,
@@ -20,11 +21,13 @@ from tensorcert.certify import (
     CLAIM_SPAN_IDENTITY,
     FAIL,
     PASS,
+    Hypothesis,
     bound_cactus_rank,
     certify_exact_rank,
     certify_identifiability,
     check_non_redundant,
     check_span_intersection_identity,
+    non_redundancy_hypotheses,
     obstruct_alt_decompositions,
     pin_projections,
 )
@@ -36,9 +39,10 @@ from tensorcert.geometry import (
     MultiShape,
     PointSet,
     assemble_tensor,
-    factor_rank,
+    factor_matrix,
     segre_vector,
 )
+from tensorcert.linalg import rat_rank
 
 
 def pt(*factors):
@@ -114,6 +118,63 @@ def test_non_redundant_rejects_shape_mismatch():
         check_non_redundant(tensor, IDENTITY_PAIR)
 
 
+def oracle_non_redundancy(coords, rows):
+    """The same hypotheses from the oracle: plain ranks and one span test
+    per proper subset S minus p_j."""
+    r = len(rows)
+    rank = gauss_rank(rows)
+    hyps = [
+        Hypothesis(
+            "evaluation_vectors_independent",
+            PASS if rank == r else FAIL,
+            {"rank": rank, "cardinality": r},
+        )
+    ]
+    if rank != r:
+        return hyps, False
+    with_t = gauss_rank(rows + [coords])
+    hyps.append(
+        Hypothesis(
+            "tensor_in_span",
+            PASS if with_t == rank else FAIL,
+            {"span_rank": rank, "rank_with_tensor": with_t},
+        )
+    )
+    if with_t != rank:
+        return hyps, False
+    inside = [in_span(coords, rows[:j] + rows[j + 1:]) for j in range(r)]
+    for j, x in enumerate(inside):
+        hyps.append(
+            Hypothesis(
+                "tensor_outside_span_of_proper_subset",
+                FAIL if x else PASS,
+                {"point_removed": j},
+            )
+        )
+    return hyps, not any(inside)
+
+
+@pytest.mark.parametrize("case", ["valid", "zeroed_weight", "off_span", "dependent_row"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_non_redundancy_hypotheses_match_the_oracle(case, seed):
+    rng = random.Random(seed)
+    dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
+    r = rng.randint(1, 5)
+    s, weights = random_decomposition(MultiShape(dims), r, seed=derive_seed(seed, 4))
+    rows = [segre_vector(p) for p in s.points]
+    weights = list(weights)
+    if case == "zeroed_weight":
+        weights[rng.randrange(r)] = Fraction(0)
+    coords = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(len(rows[0]))]
+    if case == "off_span":
+        coords = [c + rng.randint(-3, 3) for c in coords]
+    if case == "dependent_row":
+        a, b = rng.randrange(r), rng.randrange(r)
+        rows.append(tuple(2 * x - y for x, y in zip(rows[a], rows[b])))
+    assert non_redundancy_hypotheses(tuple(coords), rows) == oracle_non_redundancy(coords, rows)
+
+
 # -- cactus rank lower bounds
 
 
@@ -172,7 +233,7 @@ def test_two_factor_bound_matches_the_matrix_rank_oracle(seed):
     dims = (rng.randint(1, 3), rng.randint(1, 4))
     r = rng.randint(1, max(dims) + 1)
     tensor, s = sample(dims, r, seed=derive_seed(seed, 3))
-    if max(factor_rank(s, 1), factor_rank(s, 2)) < len(s):
+    if max(rat_rank(factor_matrix(s, 1)), rat_rank(factor_matrix(s, 2))) < len(s):
         return
     oracle = gauss_rank(matrix_of_two_factor_tensor(tensor.coords, dims))
     assert bound_cactus_rank(s).best_bound == oracle

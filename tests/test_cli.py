@@ -1,19 +1,21 @@
 """Command line interface: instance files, serialization, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tensorcert import clear_caches
-from tensorcert.certify import check_non_redundant
+from tensorcert.certify import certificate_from_json, check_non_redundant
 from tensorcert.cli import (
     EXIT_CERTIFIED,
     EXIT_INVALID,
     EXIT_NOT_CERTIFIED,
     EXIT_PARSE,
     InstanceParseError,
-    certificate_from_json,
     certificate_to_json,
     emit_certificate,
     instance_from_json,
@@ -104,6 +106,13 @@ def test_instance_structural_errors_are_parse_errors():
         instance_from_json({"dims": [2], "tensor": [1, 0]})
     with pytest.raises(InstanceParseError):
         instance_from_json({"symmetric": {"n": 1, "k": 2}})
+    # JSON booleans are not integers, although Python's bool subclasses int
+    with pytest.raises(InstanceParseError):
+        instance_from_json({"dims": [True, 2]})
+    with pytest.raises(InstanceParseError):
+        instance_from_json({"symmetric": {"n": True, "k": 2, "points": [["1", "0"]]}})
+    with pytest.raises(InstanceParseError):
+        instance_from_json({"symmetric": {"n": 1, "k": True, "points": [["1", "0"]]}})
 
 
 def test_instance_semantic_errors_are_value_errors():
@@ -343,7 +352,6 @@ def test_augment_respects_the_seed_env_var(three_factor_file, capsys, monkeypatc
     code = run(["augment", "--input", three_factor_file, "--format", "json"])
     assert code == EXIT_CERTIFIED
     from_env = json.loads(capsys.readouterr().out)
-    clear_caches()
     code = run(
         ["augment", "--input", three_factor_file, "--seed", "7", "--format", "json"]
     )
@@ -477,6 +485,38 @@ def test_random_subcommand_emits_a_loadable_instance(capsys):
     code = run(["random", "--shape", "2x3,2x2", "--r", "2"])
     assert code == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--shape", "2x2", "--r", "1"],
+        ["survey", "--shapes", "2x2", "--r", "1", "--trials", "1"],
+        ["augment"],
+    ],
+    ids=["random", "survey", "augment"],
+)
+def test_box_below_one_is_invalid(argv, three_factor_file, capsys):
+    # a box of 0 leaves no nonzero coordinate to draw, so sampling would loop
+    if argv == ["augment"]:
+        argv = ["augment", "--input", three_factor_file]
+    assert run([*argv, "--box", "0"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "box must be at least 1" in err
+
+
+def test_running_the_cli_module_raises_no_runpy_warning():
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tensorcert.cli", "--help"],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: tensorcert")
 
 
 def test_subcommands_requiring_points_reject_symmetric_instances(tmp_path, capsys):

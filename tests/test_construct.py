@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import in_span
 from tensorcert.certify import check_non_redundant
 from tensorcert.construct import (
     AugmentationError,
@@ -20,8 +21,6 @@ from tensorcert.geometry import (
     assemble_tensor,
     has_different_coordinates,
     segre_vector,
-    tensor_in_span,
-    segre_matrix,
 )
 
 
@@ -88,7 +87,7 @@ def test_augment_a_singleton():
     assert len(s) == 2
     assert cert.certified
     assert check_non_redundant(tensor, s).certified
-    assert tensor_in_span(tensor, segre_matrix(s))
+    assert in_span(tensor.coords, [segre_vector(p) for p in s.points])
 
 
 def test_augment_the_seeded_three_factor_sample():

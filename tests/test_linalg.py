@@ -10,9 +10,9 @@ from oracles import gauss_rank
 from tensorcert.linalg import (
     RatMatrix,
     format_rational,
-    in_row_span,
     parse_rational,
     rat_rank,
+    row_combination,
     solve_row_combination,
     span_intersection_dim,
 )
@@ -100,21 +100,12 @@ def test_transpose_is_an_involution():
     assert m.transpose().row(0) == (1, 4)
 
 
-def test_with_row_and_stack():
+def test_stack_checks_column_counts():
     m = RatMatrix.from_rows([[1, 0]])
-    assert m.with_row([0, 1]).rows == 2
-    with pytest.raises(ValueError):
-        m.with_row([1, 2, 3])
     stacked = m.stack(RatMatrix.from_rows([[2, 2], [3, 3]]))
     assert stacked.rows == 3
     with pytest.raises(ValueError):
         m.stack(RatMatrix.from_rows([[1, 2, 3]]))
-
-
-def test_take_columns_returns_picked_columns_as_rows():
-    m = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    picked = m.take_columns([2, 0])
-    assert picked.row_list() == [(3, 6), (1, 4)]
 
 
 # -- rank
@@ -164,10 +155,12 @@ def test_rank_is_invariant_under_row_scaling(rows, scale):
 
 def test_in_row_span_hand_cases():
     base = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    assert in_row_span((2, -3, 0), base)
-    assert not in_row_span((0, 0, 1), base)
+    assert row_combination((2, -3, 0), base) == (2, (2, -3))
+    assert row_combination((0, 0, 1), base) == (2, None)
+    # dependent rows: the rank drops and the free coefficients are zero
+    assert row_combination((0, 2, 0), base.stack(base)) == (2, (0, 2, 0, 0))
     with pytest.raises(ValueError):
-        in_row_span((1, 0), base)
+        row_combination((1, 0), base)
 
 
 def test_span_intersection_dim_hand_cases():
