@@ -94,7 +94,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # the CLI imports argparse, so it loads only when one of its names is used
-    if name in ("emit_certificate", "load_instance", "run"):
+    if name in ("load_instance", "run"):
         from . import cli
 
         return getattr(cli, name)
@@ -149,7 +149,6 @@ __all__ = [
     "compare_criteria",
     "decomposition_weights",
     "derive_seed",
-    "emit_certificate",
     "factor_matrix",
     "factor_projection_sizes",
     "flattening_rank",

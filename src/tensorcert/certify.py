@@ -381,14 +381,14 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     if not ok:
         return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), None)
     lhs = span_intersection_dim(segre_matrix(a), segre_matrix(b))
-    common = [p for p in a.points if p in set(b.points)]
+    b_points = set(b.points)
+    common = [p for p in a.points if p in b_points]
     if common:
         common_dim = rat_rank(RatMatrix.from_rows([segre_vector(p) for p in common])) - 1
     else:
         common_dim = -1
-    union_points = list(a.points)
-    union_points.extend(p for p in b.points if p not in set(a.points))
-    union = PointSet(a.shape, tuple(union_points))
+    a_points = set(a.points)
+    union = PointSet(a.shape, a.points + tuple(p for p in b.points if p not in a_points))
     h1_union = cohomology(union).h1
     rhs = common_dim + h1_union
     hyps.append(

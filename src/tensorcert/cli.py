@@ -261,12 +261,6 @@ def format_certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def emit_certificate(cert: Certificate, fmt: str = "text") -> str:
-    if fmt == "json":
-        return json.dumps(certificate_to_json(cert), indent=2)
-    return format_certificate_text(cert)
-
-
 def format_bound_report_text(report: BoundReport) -> str:
     lines = []
     for entry in report.per_partition:

@@ -16,6 +16,15 @@ For a finite set S and subset u we report the pair
 where rank is the exact rank of the #S x M_u evaluation matrix.  h1 = 0
 says the points impose independent conditions in the u-flattening and is
 the workhorse hypothesis of every certificate downstream.
+
+That rank is never taken from the evaluation matrix itself.  Its Gram
+matrix is the elementwise (Hadamard) product of the per-factor Grams
+A_i A_i^T over the factors i in u, because <a (x) b, c (x) d> =
+<a, c><b, d> (the face-splitting identity of the Khatri-Rao product).
+Over the rationals, which sit inside the reals, rank(A A^T) = rank(A),
+so the #S x #S integer Hadamard product has exactly the rank wanted, for
+any M_u.  The per-factor Grams are built once per point set and shared
+by every subset u.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import RatMatrix, rat_rank, solve_row_combination
+from .linalg import RatMatrix, _echelon, _primitive_int_row, solve_row_combination
 
 
 def _canonical(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -182,10 +191,10 @@ class MultiPoint:
 class PointSet:
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
-    ``memo`` holds what has been computed for this set (flattening ranks
-    by factor subset, non-redundancy certificates by tensor), so repeated
-    questions within one run are answered once and the memory goes with
-    the set.
+    ``memo`` holds what has been computed for this set (integer Grams by
+    factor, flattening ranks by factor subset, non-redundancy certificates
+    by tensor), so repeated questions within one run are answered once and
+    the memory goes with the set.
     """
 
     shape: MultiShape
@@ -215,9 +224,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def without(self, index: int) -> tuple[MultiPoint, ...]:
-        return self.points[:index] + self.points[index + 1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +279,27 @@ def segre_matrix(s: PointSet, subset: Sequence[int] | None = None) -> RatMatrix:
     return RatMatrix.from_rows([segre_vector(p, subset) for p in s.points])
 
 
+def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
+    """Integer Gram matrix A_i A_i^T of the factor-``index`` vectors of S.
+
+    Each vector is first made a primitive integer row; that rescales a
+    point, which scales one row and column of the Gram and no rank.
+    """
+    key = ("gram", index)
+    if key not in s.memo:
+        rows = [_primitive_int_row(p.factors[index - 1]) for p in s.points]
+        s.memo[key] = [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+    return s.memo[key]
+
+
 def _flattening_rank(s: PointSet, members: tuple[int, ...] | None) -> int:
     key = ("rank", members)
     if key not in s.memo:
-        s.memo[key] = rat_rank(segre_matrix(s, members))
+        # _echelon works in place, so start from ones, not a memoized Gram
+        work = [[1] * len(s) for _ in s.points]
+        for i in members or range(1, s.shape.k + 1):
+            work = [[x * y for x, y in zip(w, g)] for w, g in zip(work, _factor_gram(s, i))]
+        s.memo[key] = len(_echelon(work, len(s)))
     return s.memo[key]
 
 
@@ -287,7 +310,11 @@ def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
 
 def cohomology(s: PointSet, subset: Sequence[int] | None = None) -> Cohomology:
     """The pair (h0, h1) of the u-flattening of S; h1 = 0 means the points
-    impose independent conditions there."""
+    impose independent conditions there.
+
+    The rank behind both is that of the Hadamard product of the factor
+    Grams over u, which equals the rank of the Segre rows for u exactly.
+    """
     members = factor_subset(subset, s.shape.k) if subset is not None else None
     rank = _flattening_rank(s, members)
     m_u = s.shape.segre_length(members)

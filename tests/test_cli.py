@@ -17,7 +17,7 @@ from tensorcert.cli import (
     EXIT_PARSE,
     InstanceParseError,
     certificate_to_json,
-    emit_certificate,
+    format_certificate_text,
     instance_from_json,
     load_instance,
     parse_partition_flag,
@@ -163,15 +163,15 @@ def test_certificate_json_round_trip():
     cert = check_non_redundant(assemble_tensor(weights, s), s)
     payload = certificate_to_json(cert)
     assert certificate_from_json(payload) == cert
-    assert json.loads(emit_certificate(cert, "json")) == payload
+    assert certificate_from_json(json.loads(json.dumps(payload))) == cert
     with pytest.raises(InstanceParseError):
         certificate_from_json({"claim": "X"})
 
 
-def test_emit_certificate_text_lines():
+def test_format_certificate_text_lines():
     data, s, weights = seeded_instance((1, 1), 2, seed=3)
     cert = check_non_redundant(assemble_tensor(weights, s), s)
-    text = emit_certificate(cert)
+    text = format_certificate_text(cert)
     assert text.splitlines()[0] == "claim: NonRedundant"
     assert "conclusion: non-redundant decomposition of cardinality 2" in text
 
@@ -505,16 +505,26 @@ def test_box_below_one_is_invalid(argv, three_factor_file, capsys):
     assert err.count("\n") == 1 and "box must be at least 1" in err
 
 
-def test_running_the_cli_module_raises_no_runpy_warning():
+def run_module_help(module):
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tensorcert.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
         capture_output=True,
         env=env,
         text=True,
         timeout=60,
     )
+
+
+def test_running_the_cli_module_raises_no_runpy_warning():
+    proc = run_module_help("tensorcert.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: tensorcert")
+
+
+def test_running_the_package_as_a_module_prints_the_cli_help():
+    proc = run_module_help("tensorcert")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: tensorcert")
 

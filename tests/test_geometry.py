@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import gauss_rank, outer_product_flat, permute_flat_coords, rescaled_point_set
@@ -140,12 +141,6 @@ def test_point_set_rejects_projective_duplicates():
         pset((1, 1), pt((1, 0), (1, 2)), pt((0, 1), (1, 2)), pt((2, 0), (2, 4)))
 
 
-def test_point_set_without():
-    s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
-    assert s.without(0) == (s.points[1],)
-    assert len(s) == 2
-
-
 # -- Segre vectors and evaluation matrices
 
 
@@ -273,6 +268,51 @@ def test_flattening_rank_matches_gauss_oracle_on_a_sample():
     for subset in [(1,), (2, 3), (1, 2, 3)]:
         rows = [outer_product_flat([p.factors[i - 1] for i in subset]) for p in s.points]
         assert flattening_rank(s, subset) == gauss_rank(rows)
+
+
+@st.composite
+def point_sets(draw):
+    """Point sets with signed fractional coordinates drawn from small
+    per-factor pools, so that points often share a factor."""
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    coord = st.fractions(-3, 3, max_denominator=3)
+    vectors = [st.lists(coord, min_size=n + 1, max_size=n + 1).filter(any) for n in dims]
+    pools = [draw(st.lists(v, min_size=1, max_size=6)) for v in vectors]
+    r = draw(st.integers(1, 8))
+    points = {pt(*(draw(st.sampled_from(pool)) for pool in pools)): None for _ in range(r)}
+    return PointSet(MultiShape(dims), tuple(points))
+
+
+# singletons and pairs have M_u < r = 5 and the full set M_u = 8 > r;
+# the first point shares factor 1 with the second and factor 2 with the last
+SHARED_FACTORS = pset(
+    (1, 1, 1),
+    pt((1, Fraction(-1, 2)), (2, 3), (1, 0)),
+    pt((1, Fraction(-1, 2)), (0, 1), (Fraction(-1, 3), 1)),
+    pt((3, 1), (1, 1), (1, 2)),
+    pt((-2, Fraction(5, 3)), (1, -1), (0, 1)),
+    pt((0, 1), (2, 3), (1, 1)),
+)
+# every subset has M_u > r = 2
+WIDE = pset((3, 2), pt((1, 0, -2, 1), (0, 1, 1)), pt((Fraction(1, 2), 1, 0, 3), (2, 0, -1)))
+# factor 1 has rank 2 only through its signs; the second factors are proportional
+SIGNS_ONLY = pset((1, 1), pt((1, 1), (1, 2)), pt((1, -1), (-1, -2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.randoms(use_true_random=False))
+@example(SHARED_FACTORS, random.Random(0))
+@example(WIDE, random.Random(1))
+@example(SIGNS_ONLY, random.Random(2))
+def test_flattening_rank_matches_gauss_oracle_on_every_subset(s, rng):
+    k = s.shape.k
+    subsets = [u for n in range(1, k + 1) for u in combinations(range(1, k + 1), n)]
+    rescaled = rescaled_point_set(s, rng)
+    for u in subsets:
+        rank = gauss_rank([outer_product_flat([p.factors[i - 1] for i in u]) for p in s.points])
+        assert flattening_rank(s, u) == rank, u
+        assert flattening_rank(rescaled, u) == rank, u
+    assert flattening_rank(s) == flattening_rank(rescaled) == rank
 
 
 # -- factor projections
