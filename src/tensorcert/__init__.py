@@ -53,7 +53,6 @@ from .geometry import (
     assemble_tensor,
     cohomology,
     decomposition_weights,
-    factor_matrix,
     factor_projection_sizes,
     flattening_rank,
     has_different_coordinates,
@@ -73,7 +72,6 @@ from .linalg import (
     parse_rational,
     rat_rank,
     row_combination,
-    solve_row_combination,
     span_intersection_dim,
 )
 from .symmetric import (
@@ -85,7 +83,6 @@ from .symmetric import (
     generic_symmetric_rank,
     is_exceptional,
     symmetric_bounds,
-    veronese_matrix,
     veronese_vector,
 )
 
@@ -149,7 +146,6 @@ __all__ = [
     "compare_criteria",
     "decomposition_weights",
     "derive_seed",
-    "factor_matrix",
     "factor_projection_sizes",
     "flattening_rank",
     "format_rational",
@@ -168,10 +164,8 @@ __all__ = [
     "run",
     "segre_matrix",
     "segre_vector",
-    "solve_row_combination",
     "span_intersection_dim",
     "survey",
     "symmetric_bounds",
-    "veronese_matrix",
     "veronese_vector",
 ]

@@ -27,7 +27,7 @@ from .geometry import (
     segre_matrix,
     segre_vector,
 )
-from .linalg import RatMatrix, rat_rank, row_combination, span_intersection_dim
+from .linalg import RatMatrix, row_combination, span_intersection_dim
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -383,10 +383,7 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     lhs = span_intersection_dim(segre_matrix(a), segre_matrix(b))
     b_points = set(b.points)
     common = [p for p in a.points if p in b_points]
-    if common:
-        common_dim = rat_rank(RatMatrix.from_rows([segre_vector(p) for p in common])) - 1
-    else:
-        common_dim = -1
+    common_dim = flattening_rank(PointSet(a.shape, tuple(common))) - 1 if common else -1
     a_points = set(a.points)
     union = PointSet(a.shape, a.points + tuple(p for p in b.points if p not in a_points))
     h1_union = cohomology(union).h1

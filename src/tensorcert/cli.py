@@ -56,7 +56,7 @@ from .geometry import (
     assemble_tensor,
     decomposition_weights,
 )
-from .kruskal import ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
+from .kruskal import MAX_EXHAUSTIVE_COLUMNS, ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
 from .linalg import format_rational, parse_rational
 from .symmetric import SymPointSet, assemble_symmetric, comon_certify, symmetric_bounds
 
@@ -281,7 +281,9 @@ def format_bound_report_text(report: BoundReport) -> str:
     return "\n".join(lines)
 
 
-def format_kruskal_text(report: KruskalReport) -> str:
+def format_kruskal_text(report: KruskalReport | None) -> str:
+    if report is None:
+        return f"Kruskal baseline not computed (more than {MAX_EXHAUSTIVE_COLUMNS} points)"
     ranks = ", ".join(map(str, report.per_factor))
     lines = [
         f"factor Kruskal ranks: {ranks}",
@@ -304,7 +306,7 @@ def comparison_to_json(record: ComparisonRecord) -> dict:
         "cactus_bound": record.bound.as_json(),
         "exact_rank": certificate_to_json(record.exact_rank),
         "identifiability": certificate_to_json(record.identifiability),
-        "kruskal": record.kruskal.as_json(),
+        "kruskal": record.kruskal.as_json() if record.kruskal else None,
         "flattening_applies": record.flattening_applies,
         "kruskal_applies": record.kruskal_applies,
         "flattening_without_kruskal": record.flattening_without_kruskal,

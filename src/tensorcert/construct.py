@@ -21,11 +21,8 @@ from .geometry import (
     assemble_tensor,
     cohomology,
     has_different_coordinates,
-    segre_matrix,
-    segre_vector,
 )
 from .kruskal import compare_criteria
-from .linalg import rat_rank, solve_row_combination
 
 DEFAULT_BOX = 9
 _RESAMPLE_CAP = 512
@@ -90,10 +87,6 @@ def random_decomposition(
     )
 
 
-def _distinct_from(candidate: MultiPoint, others: Sequence[MultiPoint]) -> bool:
-    return all(candidate != q for q in others)
-
-
 def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
     """One pass of the augmentation construction; None when sampling fails.
 
@@ -102,22 +95,23 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
     leaves the current span, P splits into two points on the line of the
     perturbation and the new set is returned.  Otherwise the perturbed
     point replaces P (the span is unchanged) and the walk continues.
+    The current points stay independent, so the perturbed point leaves
+    their span exactly when adding it keeps them independent.
     """
     shape = a.shape
     current = list(a.points)
     p_idx = 0
     eligible = [i for i in range(1, shape.k + 1) if shape.dims[i - 1] > 0]
     for i in eligible:
-        base = segre_matrix(PointSet(shape, tuple(current)))
         pivot = current[p_idx]
         others = current[:p_idx] + current[p_idx + 1:]
         stepped = False
         for _ in range(_FACTOR_DRAWS):
             b = _random_factor(rng, shape.sizes[i - 1], box)
             candidate = pivot.replace_factor(i, b)
-            if candidate == pivot or not _distinct_from(candidate, others):
+            if candidate == pivot or candidate in others:
                 continue
-            if solve_row_combination(segre_vector(candidate), base) is None:
+            if cohomology(PointSet(shape, tuple(current + [candidate]))).h1 == 0:
                 # split: pivot sits on the line between the perturbed factor
                 # vector b and c = pivot_i - t * b, so its Segre vector is an
                 # exact combination of the two new points
@@ -127,12 +121,12 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
                     if not any(c):
                         continue
                     split = pivot.replace_factor(i, c)
-                    if split == candidate or not _distinct_from(split, others):
+                    if split == candidate or split in others:
                         continue
                     return PointSet(shape, tuple(others + [candidate, split]))
                 return None
             replacement = current[:p_idx] + [candidate] + current[p_idx + 1:]
-            if rat_rank(segre_matrix(PointSet(shape, tuple(replacement)))) == len(replacement):
+            if cohomology(PointSet(shape, tuple(replacement))).h1 == 0:
                 current = replacement
                 stepped = True
                 break

@@ -17,14 +17,12 @@ where rank is the exact rank of the #S x M_u evaluation matrix.  h1 = 0
 says the points impose independent conditions in the u-flattening and is
 the workhorse hypothesis of every certificate downstream.
 
-That rank is never taken from the evaluation matrix itself.  Its Gram
-matrix is the elementwise (Hadamard) product of the per-factor Grams
-A_i A_i^T over the factors i in u, because <a (x) b, c (x) d> =
-<a, c><b, d> (the face-splitting identity of the Khatri-Rao product).
-Over the rationals, which sit inside the reals, rank(A A^T) = rank(A),
-so the #S x #S integer Hadamard product has exactly the rank wanted, for
-any M_u.  The per-factor Grams are built once per point set and shared
-by every subset u.
+That rank is taken from the #S x #S Gram matrix of the evaluation rows
+instead (see ``linalg``), which is the elementwise (Hadamard) product of
+the per-factor Grams A_i A_i^T over the factors i in u, because
+<a (x) b, c (x) d> = <a, c><b, d> (the face-splitting identity of the
+Khatri-Rao product).  The per-factor Grams are built once per point set
+and shared by every subset u.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import RatMatrix, _echelon, _primitive_int_row, solve_row_combination
+from .linalg import RatMatrix, _echelon, integer_gram, row_combination
 
 
 def _canonical(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -280,15 +278,11 @@ def segre_matrix(s: PointSet, subset: Sequence[int] | None = None) -> RatMatrix:
 
 
 def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
-    """Integer Gram matrix A_i A_i^T of the factor-``index`` vectors of S.
-
-    Each vector is first made a primitive integer row; that rescales a
-    point, which scales one row and column of the Gram and no rank.
-    """
+    """Integer Gram matrix A_i A_i^T of the factor-``index`` vectors of S,
+    memoized on S; callers must not modify it."""
     key = ("gram", index)
     if key not in s.memo:
-        rows = [_primitive_int_row(p.factors[index - 1]) for p in s.points]
-        s.memo[key] = [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+        s.memo[key] = integer_gram(p.factors[index - 1] for p in s.points)
     return s.memo[key]
 
 
@@ -319,13 +313,6 @@ def cohomology(s: PointSet, subset: Sequence[int] | None = None) -> Cohomology:
     rank = _flattening_rank(s, members)
     m_u = s.shape.segre_length(members)
     return Cohomology(m_u - rank, len(s) - rank)
-
-
-def factor_matrix(s: PointSet, index: int) -> RatMatrix:
-    """Matrix of factor-``index`` coordinate vectors, one row per point."""
-    if index < 1 or index > s.shape.k:
-        raise ValueError(f"factor index {index} out of range")
-    return RatMatrix.from_rows([p.factors[index - 1] for p in s.points])
 
 
 def different_coordinates_violation(s: PointSet) -> tuple[int, int, int] | None:
@@ -371,4 +358,4 @@ def decomposition_weights(tensor: AmbientTensor, s: PointSet) -> tuple[Fraction,
     """Exact weights expressing ``tensor`` over the Segre vectors of S."""
     if tensor.shape != s.shape:
         raise ValueError("tensor and point set have different shapes")
-    return solve_row_combination(tensor.coords, segre_matrix(s))
+    return row_combination(tensor.coords, segre_matrix(s))[1]

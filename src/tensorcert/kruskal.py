@@ -1,7 +1,9 @@
 """Kruskal rank and the k-way Kruskal uniqueness baseline.
 
 The Kruskal rank of a matrix is the largest kappa such that every
-kappa-subset of columns is linearly independent.  The baseline
+kappa-subset of columns is linearly independent, that is, every kappa x
+kappa principal submatrix of the integer column Gram is nonsingular.  A
+point set reuses the factor Grams of its flattening ranks.  The baseline
 uniqueness condition for a decomposition with r points compares the sum
 of the factor-matrix Kruskal ranks against 2r + k - 1.  This module also
 bundles the side-by-side comparison against the flattening certificates.
@@ -13,38 +15,49 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .certify import BoundReport, Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
-from .geometry import AmbientTensor, PointSet, factor_matrix
-from .linalg import RatMatrix, rat_rank
+from .geometry import AmbientTensor, PointSet, _factor_gram
+from .linalg import RatMatrix, _echelon, integer_gram
 
 MAX_EXHAUSTIVE_COLUMNS = 20
 
 KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
 
 
-def kruskal_rank(m: RatMatrix) -> int:
-    """Largest kappa with every kappa-subset of columns independent.
+def _check_column_cap(cols: int) -> None:
+    if cols > MAX_EXHAUSTIVE_COLUMNS:
+        raise ValueError(
+            f"exhaustive Kruskal rank is capped at {MAX_EXHAUSTIVE_COLUMNS} columns, got {cols}"
+        )
+
+
+def _gram_kruskal_rank(gram: list[list[int]]) -> int:
+    """Kruskal rank of the columns whose Gram matrix is ``gram``.
 
     Exhaustive subset enumeration, descending from the rank; each level
-    stops at its first dependent subset.  Raises on a zero column and on
-    matrices with more than 20 columns.
+    stops at its first singular principal submatrix.
     """
-    if m.cols == 0:
-        raise ValueError("Kruskal rank of a matrix with no columns is undefined")
-    if m.cols > MAX_EXHAUSTIVE_COLUMNS:
-        raise ValueError(
-            f"exhaustive Kruskal rank is capped at {MAX_EXHAUSTIVE_COLUMNS} columns, got {m.cols}"
-        )
-    columns = [m.column(j) for j in range(m.cols)]
-    for j, col in enumerate(columns):
-        if not any(col):
+    n = len(gram)
+    for j in range(n):
+        if not gram[j][j]:
             raise ValueError(f"column {j} is zero, Kruskal rank undefined")
-    for kappa in range(min(rat_rank(m), m.cols), 0, -1):
+    for kappa in range(len(_echelon([row[:] for row in gram], n)), 0, -1):
         if all(
-            rat_rank(RatMatrix.from_rows([columns[j] for j in combo])) == kappa
-            for combo in combinations(range(m.cols), kappa)
+            len(_echelon([[gram[a][b] for b in combo] for a in combo], kappa)) == kappa
+            for combo in combinations(range(n), kappa)
         ):
             return kappa
     return 0
+
+
+def kruskal_rank(m: RatMatrix) -> int:
+    """Largest kappa with every kappa-subset of columns independent.
+
+    Raises on a zero column and on matrices with more than 20 columns.
+    """
+    if m.cols == 0:
+        raise ValueError("Kruskal rank of a matrix with no columns is undefined")
+    _check_column_cap(m.cols)
+    return _gram_kruskal_rank(integer_gram(m.column(j) for j in range(m.cols)))
 
 
 @dataclass(frozen=True)
@@ -72,11 +85,13 @@ def kruskal_certificate(s: PointSet) -> KruskalReport:
     """Evaluate the k-way Kruskal condition on the factor matrices of S.
 
     Factor matrices have one column per point, so their Kruskal ranks
-    speak about subsets of the decomposition.
+    speak about subsets of the decomposition; they come from the factor
+    Grams memoized on S.  Raises when S has more than 20 points.
     """
     k = s.shape.k
     r = len(s)
-    per_factor = tuple(kruskal_rank(factor_matrix(s, i).transpose()) for i in range(1, k + 1))
+    _check_column_cap(r)
+    per_factor = tuple(_gram_kruskal_rank(_factor_gram(s, i)) for i in range(1, k + 1))
     lhs = sum(per_factor)
     rhs = 2 * r + k - 1
     return KruskalReport(per_factor, r, lhs, rhs, lhs >= rhs)
@@ -84,13 +99,14 @@ def kruskal_certificate(s: PointSet) -> KruskalReport:
 
 @dataclass(frozen=True)
 class ComparisonRecord:
-    """Flattening certificates next to the Kruskal baseline."""
+    """Flattening certificates next to the Kruskal baseline, which is
+    None when S has too many points to compute it."""
 
     non_redundant: Certificate
     bound: BoundReport
     exact_rank: Certificate
     identifiability: Certificate
-    kruskal: KruskalReport
+    kruskal: KruskalReport | None
 
     @property
     def flattening_applies(self) -> bool:
@@ -100,7 +116,7 @@ class ComparisonRecord:
     def kruskal_applies(self) -> bool:
         # the baseline condition is a statement about an actual decomposition
         # of the tensor, so a redundant S gives it nothing to conclude about
-        return self.kruskal.applies and self.non_redundant.certified
+        return self.kruskal is not None and self.kruskal.applies and self.non_redundant.certified
 
     @property
     def flattening_without_kruskal(self) -> bool:
@@ -108,11 +124,12 @@ class ComparisonRecord:
 
 
 def compare_criteria(tensor: AmbientTensor, s: PointSet) -> ComparisonRecord:
-    """Run every criterion on one decomposition and collect the outcomes."""
+    """Run every criterion on one decomposition and collect the outcomes;
+    past MAX_EXHAUSTIVE_COLUMNS points the Kruskal baseline is skipped."""
     return ComparisonRecord(
         non_redundant=check_non_redundant(tensor, s),
         bound=bound_cactus_rank(s),
         exact_rank=certify_exact_rank(tensor, s),
         identifiability=certify_identifiability(tensor, s),
-        kruskal=kruskal_certificate(s),
+        kruskal=kruskal_certificate(s) if len(s) <= MAX_EXHAUSTIVE_COLUMNS else None,
     )

@@ -6,6 +6,12 @@ from one fraction-free elimination on gcd-reduced integer rows, so
 results are exact and deterministic: the pivot is always the first
 nonzero entry scanning columns left to right and rows top to bottom.
 There is no floating point anywhere in the certification path.
+
+Independence of a point set is asked of the integer Gram matrix of its
+evaluation vectors (``integer_gram``): over Q, inside R, rank(A A^T) =
+rank(A), and rows are independent exactly when their principal Gram
+submatrix is nonsingular.  Segre flattenings, Kruskal column subsets and
+Veronese degrees are all ranked that way, by ``_echelon``.
 """
 
 from __future__ import annotations
@@ -87,9 +93,6 @@ class RatMatrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix.from_rows([self.column(j) for j in range(self.cols)], cols=self.rows)
-
     def stack(self, other: "RatMatrix") -> "RatMatrix":
         if other.cols != self.cols:
             raise ValueError("stacked matrices must share a column count")
@@ -109,6 +112,17 @@ def _primitive_int_row(row: Sequence[Fraction]) -> list[int]:
     if g > 1:
         ints = [v // g for v in ints]
     return ints
+
+
+def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Gram matrix of the primitive integer forms of ``rows``.
+
+    Making a row primitive multiplies it by a nonzero rational, which
+    scales one row and the matching column of the Gram, so neither its
+    rank nor the rank of any principal submatrix changes.
+    """
+    ints = [_primitive_int_row(row) for row in rows]
+    return [[sum(x * y for x, y in zip(a, b)) for b in ints] for a in ints]
 
 
 def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
@@ -183,7 +197,7 @@ def span_intersection_dim(m1: RatMatrix, m2: RatMatrix) -> int:
 def row_combination(target: Sequence, m: RatMatrix) -> tuple[int, tuple[Fraction, ...] | None]:
     """The rank of ``m`` and coefficients ``x`` with sum x_i * row_i = target.
 
-    One elimination of the transposed system [m^T | target], then back
+    One elimination of the system [m^T | target], then back
     substitution over the pivot columns.  The coefficients are None when
     target lies outside the row span.  When the rows are dependent any
     one solution is returned (free coefficients are set to zero).
@@ -201,8 +215,3 @@ def row_combination(target: Sequence, m: RatMatrix) -> tuple[int, tuple[Fraction
         rest = sum((row[j] * coeffs[j] for j in range(col + 1, n)), Fraction(0))
         coeffs[col] = (row[n] - rest) / row[col]
     return len(pivots), tuple(coeffs)
-
-
-def solve_row_combination(target: Sequence, m: RatMatrix) -> tuple[Fraction, ...] | None:
-    """Coefficients ``x`` with ``sum x_i * row_i = target``, or None."""
-    return row_combination(target, m)[1]

@@ -7,6 +7,11 @@ that a presented symmetric decomposition of r distinct points is the
 actual rank of the tensor, and that rank and symmetric rank agree for
 it, by checking independence at some degree e <= k/2 together with
 non-redundancy at degree k.
+
+Independence at degree e is not read off the C(n + e, e)-wide Veronese
+rows V: weighted by multinomial coefficients, their Gram is <p, q>^e, so
+the Hadamard power G^e of the point Gram G is V W V^T with W positive
+diagonal and has the rank of V (at e = 0 it is all ones, of rank 1).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .certify import (
@@ -26,7 +31,7 @@ from .certify import (
     non_redundancy_hypotheses,
 )
 from .geometry import _canonical
-from .linalg import RatMatrix, rat_rank
+from .linalg import _echelon, integer_gram
 
 TAG_SYMMETRIC = "symmetric-rank-agreement"
 
@@ -96,17 +101,10 @@ def veronese_vector(point: Sequence, degree: int) -> tuple[Fraction, ...]:
     coords = tuple(Fraction(x) for x in point)
     if not coords:
         raise ValueError("empty coordinate vector")
-    out = []
-    for combo in combinations_with_replacement(range(len(coords)), degree):
-        value = Fraction(1)
-        for i in combo:
-            value *= coords[i]
-        out.append(value)
-    return tuple(out)
-
-
-def veronese_matrix(a: SymPointSet, degree: int) -> RatMatrix:
-    return RatMatrix.from_rows([veronese_vector(p, degree) for p in a.points])
+    return tuple(
+        prod((coords[i] for i in combo), start=Fraction(1))
+        for combo in combinations_with_replacement(range(len(coords)), degree)
+    )
 
 
 def assemble_symmetric(weights: Sequence, a: SymPointSet, degree: int) -> tuple[Fraction, ...]:
@@ -129,8 +127,8 @@ def comon_certify(coords: Sequence, a: SymPointSet, degree: int) -> Certificate:
     """Certify rank = cactus rank = symmetric rank = #A for a symmetric
     tensor presented by the decomposition A.
 
-    Searches e descending from floor(degree/2) for an evaluation matrix
-    of full row rank (h1 = 0), then checks non-redundancy of the
+    Searches e descending from floor(degree/2) for a degree-e Veronese
+    Gram of full rank (h1 = 0), then checks non-redundancy of the
     decomposition at degree ``degree``.  On success the presented number
     of points is the rank of the tensor both as a symmetric tensor and
     as a general one, so the two ranks agree.
@@ -146,8 +144,9 @@ def comon_certify(coords: Sequence, a: SymPointSet, degree: int) -> Certificate:
         raise ValueError("the zero tensor has no projective class")
     attempts = []
     found_e: int | None = None
+    gram = integer_gram(a.points)
     for e in range(shape.half_degree, -1, -1):
-        rank = rat_rank(veronese_matrix(a, e))
+        rank = len(_echelon([[g**e for g in row] for row in gram], len(a)))
         attempts.append({"e": e, "rank": rank, "h1": len(a) - rank})
         if rank == len(a):
             found_e = e

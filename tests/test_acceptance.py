@@ -38,10 +38,9 @@ from tensorcert.geometry import (
     MultiShape,
     PointSet,
     assemble_tensor,
-    factor_matrix,
 )
 from tensorcert.kruskal import kruskal_certificate, kruskal_rank
-from tensorcert.linalg import RatMatrix, rat_rank
+from tensorcert.linalg import RatMatrix
 from tensorcert.symmetric import (
     SymPointSet,
     assemble_symmetric,
@@ -114,8 +113,8 @@ def test_criterion_2_two_factor_matrix_oracle():
                 shape, r, box=9, seed=derive_seed(202, t * 1000 + bump)
             )
             if all(
-                rat_rank(factor_matrix(s, i)) == min(r, d + 1)
-                for i, d in enumerate(shape.dims, start=1)
+                gauss_rank([p.factors[i] for p in s.points]) == min(r, d + 1)
+                for i, d in enumerate(shape.dims)
             ):
                 break
             bump += 1

@@ -32,6 +32,7 @@ from tensorcert.geometry import (
     MultiShape,
     assemble_tensor,
 )
+from tensorcert.kruskal import MAX_EXHAUSTIVE_COLUMNS
 from tensorcert.linalg import format_rational
 
 
@@ -333,6 +334,28 @@ def test_compare_text_flags_line(three_factor_file, capsys):
     )
 
 
+def test_compare_past_the_kruskal_column_cap_skips_only_the_baseline(tmp_path, capsys):
+    # exhaustive Kruskal ranks stop at the column cap, the flattening
+    # criteria do not, so compare reports the baseline as not computed
+    r = MAX_EXHAUSTIVE_COLUMNS + 1
+    data, _, _ = seeded_instance((2, 2, 2), r, seed=29)
+    path = write_instance(tmp_path, data)
+    code = run(["compare", "--input", path, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED)
+    assert payload["kruskal"] is None
+    assert payload["kruskal_applies"] is False
+    assert payload["non_redundant"]["conclusion"] == {"cardinality": r}
+    assert run(["compare", "--input", path]) == code
+    out = capsys.readouterr().out
+    assert "== kruskal baseline ==\nKruskal baseline not computed (" in out
+    assert "Kruskal applies: no;" in out
+    # the kruskal subcommand itself still refuses
+    assert run(["kruskal", "--input", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == f"error: exhaustive Kruskal rank is capped at 20 columns, got {r}\n"
+
+
 def test_augment_subcommand(three_factor_file, capsys):
     code = run(
         ["augment", "--input", three_factor_file, "--seed", "7", "--format", "json"]
@@ -473,6 +496,16 @@ def test_survey_subcommand(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_CERTIFIED
     assert "shape" in out and "advantage" in out
+
+
+def test_survey_past_the_kruskal_column_cap_counts_no_kruskal_wins(capsys):
+    argv = ["survey", "--shapes", "3x3x3", "--r", "21", "--trials", "1", "--format", "json"]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CERTIFIED, captured.err
+    (row,) = json.loads(captured.out)["rows"]
+    assert row["r"] == 21 and row["trials"] == 1
+    assert row["kruskal_applies"] == 0
 
 
 def test_random_subcommand_emits_a_loadable_instance(capsys):

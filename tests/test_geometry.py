@@ -21,7 +21,6 @@ from tensorcert.geometry import (
     cohomology,
     decomposition_weights,
     different_coordinates_violation,
-    factor_matrix,
     factor_projection_sizes,
     factor_subset,
     flattening_rank,
@@ -29,7 +28,6 @@ from tensorcert.geometry import (
     segre_matrix,
     segre_vector,
 )
-from tensorcert.linalg import rat_rank
 
 
 def pt(*factors):
@@ -316,14 +314,6 @@ def test_flattening_rank_matches_gauss_oracle_on_every_subset(s, rng):
 
 
 # -- factor projections
-
-
-def test_factor_matrix_and_rank():
-    s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)), pt((1, 1), (1, 2)))
-    assert factor_matrix(s, 1).row_list() == [(1, 0), (0, 1), (1, 1)]
-    assert rat_rank(factor_matrix(s, 1)) == 2
-    with pytest.raises(ValueError):
-        factor_matrix(s, 3)
 
 
 def test_different_coordinates_violation_reports_first_collision():

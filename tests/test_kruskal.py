@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import kruskal_rank_exhaustive
@@ -17,7 +17,6 @@ from tensorcert.geometry import (
     MultiShape,
     PointSet,
     assemble_tensor,
-    factor_matrix,
     segre_vector,
 )
 from tensorcert.kruskal import (
@@ -31,7 +30,7 @@ from tensorcert.linalg import RatMatrix, rat_rank
 
 def columns_matrix(*columns):
     """Matrix whose columns are the given vectors."""
-    return RatMatrix.from_rows(list(columns)).transpose()
+    return RatMatrix.from_rows(list(zip(*columns)))
 
 
 def random_matrix(rng, rows, cols, box=4):
@@ -118,6 +117,52 @@ def test_kruskal_rank_never_exceeds_the_rank(seed):
     assert 1 <= kruskal_rank(m) <= rat_rank(m)
 
 
+pool_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def pooled_columns(draw):
+    """Nonzero columns that are sparse small integer combinations of at
+    most four signed, fractional pool vectors, so subsets of fewer
+    columns than the rank are often dependent."""
+    height = draw(st.integers(2, 4))
+    vectors = st.lists(pool_entries, min_size=height, max_size=height).filter(any)
+    pool = draw(st.lists(vectors, min_size=2, max_size=4))
+    coefficients = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+    columns = []
+    for j in range(draw(st.integers(2, 7))):
+        coeffs = draw(st.lists(coefficients, min_size=len(pool), max_size=len(pool)))
+        col = [sum(c * v[i] for c, v in zip(coeffs, pool)) for i in range(height)]
+        columns.append(col if any(col) else pool[j % len(pool)])
+    scales = draw(
+        st.lists(pool_entries.filter(bool), min_size=len(columns), max_size=len(columns))
+    )
+    return columns, scales
+
+
+@settings(max_examples=80, deadline=None)
+@given(pooled_columns())
+# a repeated column: kappa 1 below rank 2
+@example(([[1, 0], [0, 1], [1, 0]], [1, 1, 1]))
+# three columns in a plane of R^3 with every pair independent: kappa 2 = rank
+@example(([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [Fraction(-1, 2), 3, Fraction(2, 3)]))
+# rank 3, but the first two of four columns are proportional after a sign: kappa 1
+@example(([[1, -1, 0], [-2, 2, 0], [0, 0, 1], [1, 1, 1]], [1, Fraction(1, 3), -2, 1]))
+# rank 3 with three columns in a plane whose Gram has entries of both signs: kappa 2
+@example(([[1, 0, 0], [1, 1, 0], [-1, 2, 0], [0, 0, 1]], [1, 1, 1, 1]))
+def test_kruskal_rank_matches_the_oracle_on_pooled_columns(data):
+    columns, scales = data
+    oracle = kruskal_rank_exhaustive(columns)
+    assert kruskal_rank(columns_matrix(*columns)) == oracle
+    rescaled = [[scale * x for x in col] for scale, col in zip(scales, columns)]
+    assert kruskal_rank(columns_matrix(*rescaled)) == oracle
+    # the same columns as the first factor of a point set, ranked from
+    # the factor Gram that kruskal_certificate reads from the set's memo
+    points = tuple(MultiPoint.of(col, (1, j)) for j, col in enumerate(rescaled))
+    s = PointSet(MultiShape((len(columns[0]) - 1, 1)), points)
+    assert kruskal_certificate(s).per_factor[0] == oracle
+
+
 # -- the k-way baseline
 
 
@@ -138,7 +183,7 @@ def test_kruskal_certificate_factor_ranks_are_capped_by_geometry():
         assert 1 <= kappa <= min(len(s), n + 1)
     oracle = tuple(
         kruskal_rank_exhaustive(
-            [factor_matrix(s, i).row(j) for j in range(len(s))]
+            [p.factors[i - 1] for p in s.points]
         )
         for i in range(1, s.shape.k + 1)
     )

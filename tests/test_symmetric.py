@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import exponents_desc_lex, gauss_rank, monomial_values
 from tensorcert.certify import FAIL, PASS
-from tensorcert.geometry import MultiPoint, MultiShape, PointSet, flattening_rank
-from tensorcert.linalg import rat_rank
+from tensorcert.geometry import MultiPoint, MultiShape, PointSet, _canonical, flattening_rank
 from tensorcert.symmetric import (
     SymPointSet,
     SymShape,
@@ -19,7 +18,6 @@ from tensorcert.symmetric import (
     generic_symmetric_rank,
     is_exceptional,
     symmetric_bounds,
-    veronese_matrix,
     veronese_vector,
 )
 
@@ -116,7 +114,8 @@ def test_veronese_rank_agrees_with_the_diagonal_segre_rank(n, degree, seed):
     diag = PointSet(
         shape, tuple(MultiPoint((p,) * degree) for p in pts.points)
     )
-    assert rat_rank(veronese_matrix(pts, degree)) == flattening_rank(diag)
+    rows = [veronese_vector(p, degree) for p in pts.points]
+    assert gauss_rank(rows) == flattening_rank(diag)
 
 
 # -- assembling symmetric tensors
@@ -206,6 +205,58 @@ def test_comon_certify_detects_redundant_presentations():
     failing = [h for h in cert.hypotheses if h.status == FAIL]
     assert failing
     assert failing[0].name == "tensor_outside_span_of_proper_subset"
+
+
+coordinates = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def projective_point_sets(draw):
+    """(degree, distinct points of P^n, a nonzero scale per point), n <= 2;
+    up to eight points, so r often exceeds C(n + e, e)."""
+    n = draw(st.integers(0, 2))
+    degree = draw(st.integers(1, 6))
+    vectors = st.lists(coordinates, min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(vectors, min_size=1, max_size=8, unique_by=lambda v: _canonical(v)))
+    scales = draw(st.lists(coordinates.filter(bool), min_size=len(points), max_size=len(points)))
+    return degree, points, scales
+
+
+def veronese_attempts(points, degree):
+    """The attempts comon_certify should report, from ranks of explicit
+    Veronese rows: e descending from degree // 2, stopping at full rank."""
+    attempts = []
+    for e in range(degree // 2, -1, -1):
+        rank = gauss_rank([veronese_vector(p, e) for p in points])
+        attempts.append({"e": e, "rank": rank, "h1": len(points) - rank})
+        if rank == len(points):
+            break
+    return attempts
+
+
+@settings(max_examples=80, deadline=None)
+@given(projective_point_sets())
+# degree 1 only tries e = 0, where every set has rank 1
+@example((1, [[1, 0], [0, 1]], [1, 1]))
+@example((3, [[2]], [Fraction(-1, 2)]))
+# four points on P^1 against C(1 + 2, 2) = 3 quadrics: every e fails
+@example((4, [[1, 0], [0, 1], [1, 1], [1, -1]], [1, 2, -3, Fraction(1, 2)]))
+# five points in the plane, the first three on a line: e = 2 passes
+@example((5, [[1, 0, 0], [1, 1, 0], [1, 2, 0], [0, 0, 1], [1, 1, 1]], [1, -1, 2, 3, 1]))
+# rescaled, the first point is (1/2, 1/3), whose numerators alone would
+# name the second point
+@example((2, [[3, 2], [1, 1]], [Fraction(1, 6), 1]))
+def test_comon_attempt_ranks_match_explicit_veronese_rows(data):
+    degree, points, scales = data
+    expected = veronese_attempts(points, degree)
+    rescaled = [[scale * x for x in p] for scale, p in zip(scales, points)]
+    for pts in (points, rescaled):
+        cert = comon_certify(veronese_vector(pts[0], degree), sym_points(*pts), degree)
+        interp = cert.find("half_degree_interpolation")[0]
+        assert interp.witness["attempts"] == expected
+        full = expected[-1]["h1"] == 0
+        assert interp.status == (PASS if full else FAIL)
+        assert interp.witness["chosen_e"] == (expected[-1]["e"] if full else None)
 
 
 # -- bounds
