@@ -56,7 +56,6 @@ from .geometry import (
     factor_projection_sizes,
     flattening_rank,
     has_different_coordinates,
-    segre_matrix,
     segre_vector,
 )
 from .kruskal import (
@@ -67,7 +66,6 @@ from .kruskal import (
     kruskal_rank,
 )
 from .linalg import (
-    RatMatrix,
     format_rational,
     parse_rational,
     rat_rank,
@@ -80,7 +78,6 @@ from .symmetric import (
     SymShape,
     assemble_symmetric,
     comon_certify,
-    generic_symmetric_rank,
     is_exceptional,
     symmetric_bounds,
     veronese_vector,
@@ -124,7 +121,6 @@ __all__ = [
     "PASS",
     "PartitionEntry",
     "PointSet",
-    "RatMatrix",
     "SurveyReport",
     "SurveyRow",
     "SymPointSet",
@@ -149,7 +145,6 @@ __all__ = [
     "factor_projection_sizes",
     "flattening_rank",
     "format_rational",
-    "generic_symmetric_rank",
     "has_different_coordinates",
     "is_exceptional",
     "kruskal_certificate",
@@ -162,7 +157,6 @@ __all__ = [
     "rat_rank",
     "row_combination",
     "run",
-    "segre_matrix",
     "segre_vector",
     "span_intersection_dim",
     "survey",

@@ -18,16 +18,15 @@ from .geometry import (
     AmbientTensor,
     FactorPartition,
     PointSet,
+    _outer,
     all_partitions,
     cohomology,
     different_coordinates_violation,
     factor_projection_sizes,
     factor_subset,
     flattening_rank,
-    segre_matrix,
-    segre_vector,
 )
-from .linalg import RatMatrix, row_combination, span_intersection_dim
+from .linalg import row_combination, span_intersection_dim
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -41,6 +40,26 @@ CLAIM_IDENTIFIABLE = "Identifiable"
 CLAIM_OBSTRUCTION = "DifferentCoordinatesObstruction"
 CLAIM_PINNING = "ProjectionPinning"
 CLAIM_SPAN_IDENTITY = "SpanIntersectionIdentity"
+
+# text form of a certified conclusion, filled in from its conclusion dict
+CONCLUSION_TEXT = {
+    CLAIM_EXACT_RANK: "rank = cactus rank = {rank}",
+    CLAIM_NON_REDUNDANT: "non-redundant decomposition of cardinality {cardinality}",
+    CLAIM_CACTUS_BOUND: "cactus rank >= {cactus_rank_at_least}, hence rank >= {cactus_rank_at_least}",
+    CLAIM_IDENTIFIABLE: "rank = {rank}, the decomposition is minimal and unique",
+    CLAIM_MINIMAL_RANK: "rank = {rank}, the decomposition is minimal",
+    CLAIM_OBSTRUCTION: (
+        "alternative decompositions with at most {alternative_max_cardinality} points "
+        "cannot have injective projections"
+    ),
+    CLAIM_PINNING: (
+        "projections on factors {pinned_factors} are pinned for "
+        "alternatives with at most {cardinality} points"
+    ),
+    CLAIM_SPAN_IDENTITY: (
+        "span intersection dimension {intersection_dim} matches the cohomology side {rhs}"
+    ),
+}
 
 TAG_NON_REDUNDANT = "span-membership-non-redundancy"
 TAG_CACTUS_BOUND = "flattening-cactus-lower-bound"
@@ -75,9 +94,6 @@ class Certificate:
 
     def failed(self) -> list[str]:
         return [h.name for h in self.hypotheses if not h.satisfied]
-
-    def find(self, name: str) -> list[Hypothesis]:
-        return [h for h in self.hypotheses if h.name == name]
 
 
 class InstanceParseError(Exception):
@@ -121,7 +137,7 @@ def non_redundancy_hypotheses(coords: tuple, rows: list[tuple]) -> tuple[list[Hy
     than j exactly when x_j = 0.
     """
     r = len(rows)
-    rank, coeffs = row_combination(coords, RatMatrix.from_rows(rows, cols=len(coords)))
+    rank, coeffs = row_combination(coords, rows)
     hyps = [
         Hypothesis(
             "evaluation_vectors_independent",
@@ -157,7 +173,9 @@ def check_non_redundant(tensor: AmbientTensor, s: PointSet) -> Certificate:
     _require_matching(tensor, s)
     key = ("non_redundant", tensor)
     if key not in s.memo:
-        rows = [segre_vector(p) for p in s.points]
+        # integer Segre rows of the primitive factor forms: rescaling a row
+        # changes no rank and no zero pattern of the coefficients
+        rows = [_outer(p.canonical()) for p in s.points]
         hyps, ok = non_redundancy_hypotheses(tensor.coords, rows)
         conclusion = {"cardinality": len(s)} if ok else None
         s.memo[key] = Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
@@ -380,7 +398,9 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
         ok = ok and h1 == 0
     if not ok:
         return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), None)
-    lhs = span_intersection_dim(segre_matrix(a), segre_matrix(b))
+    lhs = span_intersection_dim(
+        [_outer(p.canonical()) for p in a.points], [_outer(p.canonical()) for p in b.points]
+    )
     b_points = set(b.points)
     common = [p for p in a.points if p in b_points]
     common_dim = flattening_rank(PointSet(a.shape, tuple(common))) - 1 if common else -1

@@ -21,14 +21,7 @@ from typing import Sequence
 from .certify import (
     ASSERTED,
     BoundReport,
-    CLAIM_CACTUS_BOUND,
-    CLAIM_EXACT_RANK,
-    CLAIM_IDENTIFIABLE,
-    CLAIM_MINIMAL_RANK,
-    CLAIM_NON_REDUNDANT,
-    CLAIM_OBSTRUCTION,
-    CLAIM_PINNING,
-    CLAIM_SPAN_IDENTITY,
+    CONCLUSION_TEXT,
     Certificate,
     InstanceParseError,
     bound_cactus_rank,
@@ -218,37 +211,8 @@ def _conclusion_line(cert: Certificate) -> str:
     if cert.conclusion is None:
         failed = ", ".join(cert.failed()) or "none listed"
         return f"conclusion: NOT CERTIFIED (unsatisfied hypotheses: {failed})"
-    c = cert.conclusion
-    tag = f" [{cert.theorem_ref}]"
-    if cert.claim == CLAIM_EXACT_RANK:
-        return f"conclusion: rank = cactus rank = {c['rank']}{tag}"
-    if cert.claim == CLAIM_NON_REDUNDANT:
-        return f"conclusion: non-redundant decomposition of cardinality {c['cardinality']}{tag}"
-    if cert.claim == CLAIM_CACTUS_BOUND:
-        b = c["cactus_rank_at_least"]
-        return f"conclusion: cactus rank >= {b}, hence rank >= {b}{tag}"
-    if cert.claim == CLAIM_IDENTIFIABLE:
-        return (
-            f"conclusion: rank = {c['rank']}, the decomposition is minimal and unique{tag}"
-        )
-    if cert.claim == CLAIM_MINIMAL_RANK:
-        return f"conclusion: rank = {c['rank']}, the decomposition is minimal{tag}"
-    if cert.claim == CLAIM_OBSTRUCTION:
-        return (
-            "conclusion: alternative decompositions with at most "
-            f"{c['alternative_max_cardinality']} points cannot have injective projections{tag}"
-        )
-    if cert.claim == CLAIM_PINNING:
-        return (
-            f"conclusion: projections on factors {c['pinned_factors']} are pinned for "
-            f"alternatives with at most {c['cardinality']} points{tag}"
-        )
-    if cert.claim == CLAIM_SPAN_IDENTITY:
-        return (
-            f"conclusion: span intersection dimension {c['intersection_dim']} matches the "
-            f"cohomology side {c['rhs']}{tag}"
-        )
-    return f"conclusion: certified{tag}"
+    text = CONCLUSION_TEXT[cert.claim].format(**cert.conclusion)
+    return f"conclusion: {text} [{cert.theorem_ref}]"
 
 
 def format_certificate_text(cert: Certificate) -> str:

@@ -2,11 +2,12 @@
 
 A shape (n_1, ..., n_k) stands for the product of projective spaces
 P^{n_1} x ... x P^{n_k}.  Points carry one integer-or-rational
-coordinate vector per factor; two points are the same exactly when all
-factor vectors are pairwise proportional.  The Segre coordinates of a
-point for a factor subset u are the entries of the outer product of the
-selected factor vectors, flattened row-major so the last selected
-factor's index varies fastest.
+coordinate vector per factor, and the primitive integer form of each
+(``linalg.primitive``), computed once; two points are the same exactly
+when those forms agree, that is, when all factor vectors are pairwise
+proportional.  The Segre coordinates of a point for a factor subset u
+are the entries of the outer product of the selected factor vectors,
+flattened row-major so the last selected factor's index varies fastest.
 
 For a finite set S and subset u we report the pair
 
@@ -22,7 +23,7 @@ instead (see ``linalg``), which is the elementwise (Hadamard) product of
 the per-factor Grams A_i A_i^T over the factors i in u, because
 <a (x) b, c (x) d> = <a, c><b, d> (the face-splitting identity of the
 Khatri-Rao product).  The per-factor Grams are built once per point set
-and shared by every subset u.
+from the primitive factor forms and shared by every subset u.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import RatMatrix, _echelon, integer_gram, row_combination
-
-
-def _canonical(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale so the first nonzero coordinate is 1."""
-    for x in vec:
-        if x:
-            return tuple(y / x for y in vec)
-    raise ValueError("zero coordinate vector")
+from .linalg import _echelon, integer_gram, primitive, row_combination, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -141,8 +134,9 @@ class MultiPoint:
     """A point of the product, one nonzero coordinate vector per factor.
 
     Equality is projective: points compare equal when every factor pair
-    is proportional.  The stored vectors keep the caller's scaling, so
-    weighted sums over them are meaningful.
+    is proportional, that is, when the primitive integer forms of the
+    factors (``canonical``) agree.  The stored vectors keep the caller's
+    scaling, so weighted sums over them are meaningful.
     """
 
     factors: tuple[tuple[Fraction, ...], ...]
@@ -155,15 +149,14 @@ class MultiPoint:
         for i, f in enumerate(factors, start=1):
             if not f or not any(f):
                 raise ValueError(f"factor {i} of a point must be a nonzero vector")
-        canon = tuple(_canonical(f) for f in factors)
-        object.__setattr__(self, "_canonical", canon)
+        object.__setattr__(self, "_ints", tuple(primitive(f) for f in factors))
 
     @classmethod
     def of(cls, *factors: Iterable) -> "MultiPoint":
         return cls(tuple(tuple(Fraction(x) for x in f) for f in factors))
 
-    def canonical(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._canonical  # type: ignore[attr-defined]
+    def canonical(self) -> tuple[tuple[int, ...], ...]:
+        return self._ints  # type: ignore[attr-defined]
 
     def replace_factor(self, index: int, vector: Iterable) -> "MultiPoint":
         """New point with 1-based factor ``index`` swapped out."""
@@ -240,16 +233,15 @@ class AmbientTensor:
             )
         if not any(coords):
             raise ValueError("the zero tensor has no projective class")
-        object.__setattr__(self, "_canonical", _canonical(coords))
+        object.__setattr__(self, "_ints", primitive(coords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmbientTensor):
             return NotImplemented
-        same_class = self._canonical == other._canonical  # type: ignore[attr-defined]
-        return self.shape == other.shape and same_class
+        return self.shape == other.shape and self._ints == other._ints  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((self.shape, self._canonical))  # type: ignore[attr-defined]
+        return hash((self.shape, self._ints))  # type: ignore[attr-defined]
 
 
 class Cohomology(NamedTuple):
@@ -257,32 +249,28 @@ class Cohomology(NamedTuple):
     h1: int
 
 
-def segre_vector(point: MultiPoint, subset: Sequence[int] | None = None) -> tuple[Fraction, ...]:
-    """Segre coordinates of ``point`` for the factor subset (default: all).
-
-    Outer product of the selected factor vectors, flattened with the last
-    selected factor's index varying fastest.
-    """
-    k = len(point.factors)
-    members = factor_subset(subset, k) if subset is not None else tuple(range(1, k + 1))
-    acc: tuple[Fraction, ...] = (Fraction(1),)
-    for i in members:
-        f = point.factors[i - 1]
+def _outer(vectors: Iterable[Sequence]) -> tuple:
+    """Outer product of ``vectors``, flattened with the last index varying
+    fastest.  Of the primitive factor forms of a point (``canonical``) it
+    is an integer multiple of the Segre vector, which is all a rank needs."""
+    acc: tuple = (1,)
+    for f in vectors:
         acc = tuple(a * b for a in acc for b in f)
     return acc
 
 
-def segre_matrix(s: PointSet, subset: Sequence[int] | None = None) -> RatMatrix:
-    """Evaluation matrix, one row of Segre coordinates per point of S."""
-    return RatMatrix.from_rows([segre_vector(p, subset) for p in s.points])
+def segre_vector(point: MultiPoint) -> tuple[Fraction, ...]:
+    """Segre coordinates of ``point``: the outer product of its factor
+    vectors, flattened with the last factor's index varying fastest."""
+    return _outer(point.factors)
 
 
 def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
-    """Integer Gram matrix A_i A_i^T of the factor-``index`` vectors of S,
-    memoized on S; callers must not modify it."""
+    """Integer Gram matrix A_i A_i^T of the primitive factor-``index``
+    vectors of S, memoized on S; callers must not modify it."""
     key = ("gram", index)
     if key not in s.memo:
-        s.memo[key] = integer_gram(p.factors[index - 1] for p in s.points)
+        s.memo[key] = integer_gram(p.canonical()[index - 1] for p in s.points)
     return s.memo[key]
 
 
@@ -340,22 +328,12 @@ def factor_projection_sizes(s: PointSet) -> tuple[int, ...]:
 
 def assemble_tensor(weights: Sequence, s: PointSet) -> AmbientTensor:
     """The weighted sum of the Segre vectors of S as an ambient tensor."""
-    ws = tuple(Fraction(w) for w in weights)
-    if len(ws) != len(s):
-        raise ValueError(f"{len(ws)} weights for {len(s)} points")
-    if any(w == 0 for w in ws):
-        raise ValueError("weights must be nonzero")
-    total = [Fraction(0)] * (s.shape.ambient_dim + 1)
-    for w, p in zip(ws, s.points):
-        for j, x in enumerate(segre_vector(p)):
-            total[j] += w * x
-    if not any(total):
-        raise ValueError("the weighted sum of the decomposition vanishes")
-    return AmbientTensor(s.shape, tuple(total))
+    total = weighted_sum(weights, s.points, segre_vector, s.shape.ambient_dim + 1)
+    return AmbientTensor(s.shape, total)
 
 
 def decomposition_weights(tensor: AmbientTensor, s: PointSet) -> tuple[Fraction, ...] | None:
     """Exact weights expressing ``tensor`` over the Segre vectors of S."""
     if tensor.shape != s.shape:
         raise ValueError("tensor and point set have different shapes")
-    return row_combination(tensor.coords, segre_matrix(s))[1]
+    return row_combination(tensor.coords, [segre_vector(p) for p in s.points])[1]

@@ -2,11 +2,13 @@
 
 The Kruskal rank of a matrix is the largest kappa such that every
 kappa-subset of columns is linearly independent, that is, every kappa x
-kappa principal submatrix of the integer column Gram is nonsingular.  A
-point set reuses the factor Grams of its flattening ranks.  The baseline
-uniqueness condition for a decomposition with r points compares the sum
-of the factor-matrix Kruskal ranks against 2r + k - 1.  This module also
-bundles the side-by-side comparison against the flattening certificates.
+kappa principal submatrix of the integer column Gram is nonsingular, so
+``kruskal_rank`` takes that Gram (``linalg.integer_gram`` of the
+columns).  A point set passes the factor Grams of its flattening ranks.
+The baseline uniqueness condition for a decomposition with r points
+compares the sum of the factor-matrix Kruskal ranks against 2r + k - 1.
+This module also bundles the side-by-side comparison against the
+flattening certificates.
 """
 
 from __future__ import annotations
@@ -16,27 +18,27 @@ from itertools import combinations
 
 from .certify import BoundReport, Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
 from .geometry import AmbientTensor, PointSet, _factor_gram
-from .linalg import RatMatrix, _echelon, integer_gram
+from .linalg import _echelon
 
 MAX_EXHAUSTIVE_COLUMNS = 20
 
 KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
 
 
-def _check_column_cap(cols: int) -> None:
-    if cols > MAX_EXHAUSTIVE_COLUMNS:
-        raise ValueError(
-            f"exhaustive Kruskal rank is capped at {MAX_EXHAUSTIVE_COLUMNS} columns, got {cols}"
-        )
-
-
-def _gram_kruskal_rank(gram: list[list[int]]) -> int:
-    """Kruskal rank of the columns whose Gram matrix is ``gram``.
+def kruskal_rank(gram: list[list[int]]) -> int:
+    """Kruskal rank of the columns whose integer Gram matrix is ``gram``.
 
     Exhaustive subset enumeration, descending from the rank; each level
-    stops at its first singular principal submatrix.
+    stops at its first singular principal submatrix.  Raises on no
+    columns, on more than 20 columns and on a zero column.
     """
     n = len(gram)
+    if n == 0:
+        raise ValueError("Kruskal rank of a matrix with no columns is undefined")
+    if n > MAX_EXHAUSTIVE_COLUMNS:
+        raise ValueError(
+            f"exhaustive Kruskal rank is capped at {MAX_EXHAUSTIVE_COLUMNS} columns, got {n}"
+        )
     for j in range(n):
         if not gram[j][j]:
             raise ValueError(f"column {j} is zero, Kruskal rank undefined")
@@ -47,17 +49,6 @@ def _gram_kruskal_rank(gram: list[list[int]]) -> int:
         ):
             return kappa
     return 0
-
-
-def kruskal_rank(m: RatMatrix) -> int:
-    """Largest kappa with every kappa-subset of columns independent.
-
-    Raises on a zero column and on matrices with more than 20 columns.
-    """
-    if m.cols == 0:
-        raise ValueError("Kruskal rank of a matrix with no columns is undefined")
-    _check_column_cap(m.cols)
-    return _gram_kruskal_rank(integer_gram(m.column(j) for j in range(m.cols)))
 
 
 @dataclass(frozen=True)
@@ -90,8 +81,7 @@ def kruskal_certificate(s: PointSet) -> KruskalReport:
     """
     k = s.shape.k
     r = len(s)
-    _check_column_cap(r)
-    per_factor = tuple(_gram_kruskal_rank(_factor_gram(s, i)) for i in range(1, k + 1))
+    per_factor = tuple(kruskal_rank(_factor_gram(s, i)) for i in range(1, k + 1))
     lhs = sum(per_factor)
     rhs = 2 * r + k - 1
     return KruskalReport(per_factor, r, lhs, rhs, lhs >= rhs)

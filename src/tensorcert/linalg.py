@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that certifies anything reduces to ranks of
-matrices with Fraction entries.  Ranks and span coefficients both come
-from one fraction-free elimination on gcd-reduced integer rows, so
-results are exact and deterministic: the pivot is always the first
-nonzero entry scanning columns left to right and rows top to bottom.
-There is no floating point anywhere in the certification path.
+rational matrices, given as plain sequences of rows.  Ranks and span
+coefficients both come from one fraction-free elimination on primitive
+integer rows, so results are exact and deterministic: the pivot is
+always the first nonzero entry scanning columns left to right and rows
+top to bottom.  There is no floating point anywhere in the
+certification path.
+
+``primitive`` is also the one projective normal form of the package:
+two nonzero vectors name the same projective point exactly when their
+primitive integer forms are equal.
 
 Independence of a point set is asked of the integer Gram matrix of its
 evaluation vectors (``integer_gram``): over Q, inside R, rank(A A^T) =
@@ -17,10 +22,9 @@ Veronese degrees are all ranked that way, by ``_echelon``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -50,68 +54,37 @@ def format_rational(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fraction_row(row: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in row)
+def primitive(row: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """The primitive integer vector on the line of ``row``.
 
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense row-major matrix of Fractions."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows x cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Iterable], cols: int | None = None) -> "RatMatrix":
-        data = [_fraction_row(r) for r in rows]
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("an empty matrix needs an explicit column count")
-        else:
-            width = cols
-        if cols is not None and cols != width:
-            raise ValueError("explicit column count disagrees with the rows")
-        flat = tuple(x for r in data for x in r)
-        return cls(len(data), width, flat)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_list(self) -> list[tuple[Fraction, ...]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def stack(self, other: "RatMatrix") -> "RatMatrix":
-        if other.cols != self.cols:
-            raise ValueError("stacked matrices must share a column count")
-        return RatMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-
-def _primitive_int_row(row: Sequence[Fraction]) -> list[int]:
-    """Clear denominators and divide by the content, keeping the sign."""
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // gcd(den, d)
+    Clears denominators, divides out the content and makes the first
+    nonzero entry positive, so two nonzero vectors are proportional over
+    Q exactly when their primitive forms are equal.  A zero row stays zero.
+    """
+    den = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (den // x.denominator) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    g = gcd(*ints)
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints) if g else tuple(ints)
+
+
+def weighted_sum(
+    weights: Sequence, points: Sequence, vector: Callable, length: int
+) -> tuple[Fraction, ...]:
+    """The sum of w * vector(p), ``length`` long, over points p with nonzero weights w."""
+    ws = tuple(Fraction(w) for w in weights)
+    if len(ws) != len(points):
+        raise ValueError(f"{len(ws)} weights for {len(points)} points")
+    if any(w == 0 for w in ws):
+        raise ValueError("weights must be nonzero")
+    total = [Fraction(0)] * length
+    for w, p in zip(ws, points):
+        for j, x in enumerate(vector(p)):
+            total[j] += w * x
+    if not any(total):
+        raise ValueError("the weighted sum of the decomposition vanishes")
+    return tuple(total)
 
 
 def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
@@ -121,21 +94,21 @@ def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     scales one row and the matching column of the Gram, so neither its
     rank nor the rank of any principal submatrix changes.
     """
-    ints = [_primitive_int_row(row) for row in rows]
+    ints = [primitive(row) for row in rows]
     return [[sum(x * y for x, y in zip(a, b)) for b in ints] for a in ints]
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[tuple[int, ...]]:
     """Primitive integer rows, zero rows dropped; neither changes the row space."""
     out = []
     for row in rows:
-        ints = _primitive_int_row(row)
+        ints = primitive(row)
         if any(ints):
             out.append(ints)
     return out
 
 
-def _echelon(work: list[list[int]], cols: int) -> list[int]:
+def _echelon(work: list[Sequence[int]], cols: int) -> list[int]:
     """Bring integer rows to row echelon form in place; return the pivot columns.
 
     The single elimination kernel of the package.  A row below the pivot
@@ -174,39 +147,38 @@ def _echelon(work: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def rat_rank(m: RatMatrix) -> int:
-    """Exact rank of ``m`` over the rationals."""
-    return len(_echelon(_integer_rows(m.row_list()), m.cols))
+def rat_rank(rows: Iterable[Sequence], cols: int) -> int:
+    """Exact rank over the rationals of ``rows``, each ``cols`` long."""
+    return len(_echelon(_integer_rows(rows), cols))
 
 
-def span_intersection_dim(m1: RatMatrix, m2: RatMatrix) -> int:
+def span_intersection_dim(rows1: Sequence[Sequence], rows2: Sequence[Sequence]) -> int:
     """Projective dimension of the intersection of the two row spans.
 
     Computed from the Grassmann formula: with r1, r2 the ranks and rs the
-    rank of the stacked matrix, the result is r1 + r2 - rs - 1.  An empty
+    rank of the stacked rows, the result is r1 + r2 - rs - 1.  An empty
     intersection comes out as -1.
     """
-    if m1.cols != m2.cols:
-        raise ValueError("span intersection needs matrices with equal column counts")
-    r1 = rat_rank(m1)
-    r2 = rat_rank(m2)
-    rs = rat_rank(m1.stack(m2))
-    return r1 + r2 - rs - 1
+    widths = {len(row) for row in (*rows1, *rows2)}
+    if len(widths) != 1:
+        raise ValueError("span intersection needs rows of one common length")
+    cols = widths.pop()
+    return rat_rank(rows1, cols) + rat_rank(rows2, cols) - rat_rank((*rows1, *rows2), cols) - 1
 
 
-def row_combination(target: Sequence, m: RatMatrix) -> tuple[int, tuple[Fraction, ...] | None]:
-    """The rank of ``m`` and coefficients ``x`` with sum x_i * row_i = target.
+def row_combination(target: Sequence, rows: Sequence) -> tuple[int, tuple[Fraction, ...] | None]:
+    """The rank of ``rows`` and coefficients ``x`` with sum x_i * row_i = target.
 
-    One elimination of the system [m^T | target], then back
+    One elimination of the system [rows^T | target], then back
     substitution over the pivot columns.  The coefficients are None when
     target lies outside the row span.  When the rows are dependent any
     one solution is returned (free coefficients are set to zero).
     """
-    v = _fraction_row(target)
-    if len(v) != m.cols:
-        raise ValueError(f"vector of length {len(v)} against {m.cols}-column matrix")
-    n = m.rows
-    work = _integer_rows(m.column(j) + (v[j],) for j in range(m.cols))
+    for row in rows:
+        if len(row) != len(target):
+            raise ValueError(f"vector of length {len(target)} against rows of length {len(row)}")
+    n = len(rows)
+    work = _integer_rows(zip(*rows, target))
     pivots = _echelon(work, n + 1)
     if pivots and pivots[-1] == n:
         return len(pivots) - 1, None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .certify import (
     CLAIM_EXACT_RANK,
@@ -30,8 +30,7 @@ from .certify import (
     Hypothesis,
     non_redundancy_hypotheses,
 )
-from .geometry import _canonical
-from .linalg import _echelon, integer_gram
+from .linalg import _echelon, integer_gram, primitive, weighted_sum
 
 TAG_SYMMETRIC = "symmetric-rank-agreement"
 
@@ -76,7 +75,7 @@ class SymPointSet:
         for idx, p in enumerate(points):
             if not any(p):
                 raise ValueError(f"point {idx} is the zero vector")
-            canon.append(_canonical(p))
+            canon.append(primitive(p))
         for idx, c in enumerate(canon):
             if c in canon[:idx]:
                 raise ValueError(f"duplicate point at position {idx}")
@@ -109,18 +108,8 @@ def veronese_vector(point: Sequence, degree: int) -> tuple[Fraction, ...]:
 
 def assemble_symmetric(weights: Sequence, a: SymPointSet, degree: int) -> tuple[Fraction, ...]:
     """Weighted sum of degree-``degree`` Veronese vectors of the points."""
-    ws = tuple(Fraction(w) for w in weights)
-    if len(ws) != len(a):
-        raise ValueError(f"{len(ws)} weights for {len(a)} points")
-    if any(w == 0 for w in ws):
-        raise ValueError("weights must be nonzero")
-    total = [Fraction(0)] * comb(degree + a.n, a.n)
-    for w, p in zip(ws, a.points):
-        for j, x in enumerate(veronese_vector(p, degree)):
-            total[j] += w * x
-    if not any(total):
-        raise ValueError("the weighted sum of the decomposition vanishes")
-    return tuple(total)
+    length = comb(degree + a.n, a.n)
+    return weighted_sum(weights, a.points, lambda p: veronese_vector(p, degree), length)
 
 
 def comon_certify(coords: Sequence, a: SymPointSet, degree: int) -> Certificate:
@@ -206,14 +195,3 @@ def symmetric_bounds(n: int, k: int) -> SymmetricBounds:
     r0 = comb(n + e, e) + (0 if k % 2 == 0 else 1)
     rg = -(-comb(n + k, k) // (n + 1))
     return SymmetricBounds(r0, rg, is_exceptional(n, k))
-
-
-def generic_symmetric_rank(n: int, k: int) -> int:
-    """Generic symmetric rank, correcting the expected value on the
-    exceptional list (quadrics need n + 1, the other cases one extra)."""
-    bounds = symmetric_bounds(n, k)
-    if k == 2 and n >= 2:
-        return n + 1
-    if bounds.exceptional:
-        return bounds.rg + 1
-    return bounds.rg

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certs import find
 from oracles import gauss_rank, in_span, matrix_of_two_factor_tensor
 from tensorcert.certify import (
     ASSERTED,
@@ -105,7 +106,7 @@ def test_non_redundant_fails_when_tensor_is_outside_the_span():
     tensor = AmbientTensor(s.shape, (0, 1, 1, 0))
     cert = check_non_redundant(tensor, s)
     assert not cert.certified
-    span = cert.find("tensor_in_span")[0]
+    span = find(cert, "tensor_in_span")[0]
     assert span.status == FAIL
     assert span.witness == {"span_rank": 1, "rank_with_tensor": 2}
 
@@ -186,7 +187,7 @@ def test_bound_identity_pair_from_both_orientations():
     assert cert.certified
     assert cert.conclusion["cactus_rank_at_least"] == 2
     assert cert.conclusion["rank_at_least"] == 2
-    assumed = cert.find("non_redundant_decomposition")[0]
+    assumed = find(cert, "non_redundant_decomposition")[0]
     assert assumed.status == ASSERTED
 
 
@@ -214,7 +215,7 @@ def test_bound_reports_why_partitions_fail():
         "h1 of the E-flattening is nonzero",
     }
     assert not report.certificate.certified
-    assert report.certificate.find("e_flattening_independent")[0].status == FAIL
+    assert find(report.certificate, "e_flattening_independent")[0].status == FAIL
 
 
 def test_bound_rejects_partition_of_the_wrong_arity():
@@ -293,7 +294,7 @@ def test_exact_rank_seeded_sample_with_a_pinned_partition():
     cert = certify_exact_rank(tensor, s, part)
     assert cert.certified
     assert cert.conclusion["rank"] == 6
-    attempts = cert.find("partition_with_both_flattenings_independent")[0]
+    attempts = find(cert, "partition_with_both_flattenings_independent")[0]
     assert attempts.witness["attempts"] == [
         {"partition": {"E": [1, 2], "F": [3]}, "h1_E": 0, "h1_F": 0}
     ]
@@ -310,7 +311,7 @@ def test_exact_rank_records_failed_partitions():
     tensor = assemble_tensor((1, 1, 1), s)
     cert = certify_exact_rank(tensor, s)
     assert not cert.certified
-    attempts = cert.find("partition_with_both_flattenings_independent")[0]
+    attempts = find(cert, "partition_with_both_flattenings_independent")[0]
     assert attempts.status == FAIL
     assert len(attempts.witness["attempts"]) == 2
     assert all(
@@ -323,7 +324,7 @@ def test_exact_rank_requires_non_redundancy_first():
     tensor = AmbientTensor(s.shape, segre_vector(s.points[0]))
     cert = certify_exact_rank(tensor, s)
     assert not cert.certified
-    assert not cert.find("partition_with_both_flattenings_independent")
+    assert not find(cert, "partition_with_both_flattenings_independent")
 
 
 @settings(max_examples=30, deadline=None)
@@ -359,7 +360,7 @@ def test_identifiability_rejects_a_collapsing_shared_factor_family():
     cert = certify_identifiability(tensor, s)
     assert not cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
-    proj = cert.find("factor_projections_injective_or_constant")[0]
+    proj = find(cert, "factor_projections_injective_or_constant")[0]
     assert proj.status == FAIL
     assert proj.witness["violating_factors"] == [1, 2, 3, 4]
     assert proj.witness["projection_sizes"] == [2, 2, 2, 2, 3]
@@ -377,7 +378,7 @@ def test_identifiability_certifies_rank_two_on_four_factors():
     assert cert.certified
     assert cert.claim == CLAIM_IDENTIFIABLE
     assert cert.conclusion == {"rank": 2, "minimal": True, "identifiable": True}
-    card = cert.find("cardinality_within_range")[0]
+    card = find(cert, "cardinality_within_range")[0]
     assert card.witness == {
         "two_r": 4,
         "k_effective": 4,
@@ -400,7 +401,7 @@ def test_identifiability_singleton_is_always_identifiable():
     cert = certify_identifiability(tensor, s)
     assert cert.certified
     assert cert.claim == CLAIM_IDENTIFIABLE
-    assert cert.find("singleton_decomposition")[0].status == PASS
+    assert find(cert, "singleton_decomposition")[0].status == PASS
     assert cert.conclusion == {"rank": 1, "minimal": True, "identifiable": True}
 
 
@@ -416,7 +417,7 @@ def test_identifiability_drops_constant_factors_soundly():
     cert = certify_identifiability(tensor, s)
     assert cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
-    proj = cert.find("factor_projections_injective_or_constant")[0]
+    proj = find(cert, "factor_projections_injective_or_constant")[0]
     assert proj.witness["constant_factors"] == [3]
     assert proj.witness["k_effective"] == 2
     assert cert.conclusion == {"rank": 2, "minimal": True, "identifiable": False}
@@ -438,7 +439,7 @@ def test_identifiability_gives_up_beyond_the_cardinality_range():
         pytest.skip("seed produced a redundant sample")
     assert not cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
-    card = cert.find("cardinality_within_range")[0]
+    card = find(cert, "cardinality_within_range")[0]
     assert card.status == FAIL
 
 
@@ -447,7 +448,7 @@ def test_identifiability_requires_non_redundancy():
     tensor = AmbientTensor(s.shape, segre_vector(s.points[0]))
     cert = certify_identifiability(tensor, s)
     assert not cert.certified
-    assert not cert.find("factor_projections_injective_or_constant")
+    assert not find(cert, "factor_projections_injective_or_constant")
 
 
 # -- span intersection identity
@@ -476,7 +477,7 @@ def test_span_identity_with_one_common_point():
     b = pset(shape, q, r)
     cert = check_span_intersection_identity(a, b)
     assert cert.certified
-    witness = cert.find("identity_holds")[0].witness
+    witness = find(cert, "identity_holds")[0].witness
     assert witness["common_points"] == 1
     assert witness["common_span_dim"] == 0
     assert witness["h1_union"] == 0
@@ -496,7 +497,7 @@ def test_span_identity_sees_excess_intersection_through_h1():
     )
     cert = check_span_intersection_identity(a, b)
     assert cert.certified
-    witness = cert.find("identity_holds")[0].witness
+    witness = find(cert, "identity_holds")[0].witness
     assert witness["common_points"] == 0
     assert witness["h1_union"] == 1
     assert cert.conclusion == {"intersection_dim": 0, "rhs": 0}
@@ -512,8 +513,8 @@ def test_span_identity_precondition_failure_is_not_certified():
     b = IDENTITY_PAIR
     cert = check_span_intersection_identity(a, b)
     assert not cert.certified
-    assert cert.find("first_set_independent")[0].status == FAIL
-    assert not cert.find("identity_holds")
+    assert find(cert, "first_set_independent")[0].status == FAIL
+    assert not find(cert, "identity_holds")
 
 
 def test_span_identity_rejects_shape_mismatch():
@@ -543,7 +544,7 @@ def test_span_identity_holds_on_random_independent_pairs(seed):
     a = PointSet(s.shape, tuple(a_pts))
     b = PointSet(s.shape, tuple(b_pts))
     cert = check_span_intersection_identity(a, b)
-    hyp = cert.find("identity_holds")
+    hyp = find(cert, "identity_holds")
     if hyp:
         assert hyp[0].status == PASS
 
@@ -558,14 +559,14 @@ def test_obstruct_seeded_sample_budget_one():
     assert cert.claim == CLAIM_OBSTRUCTION
     assert cert.conclusion["alternative_max_cardinality"] == 1
     assert cert.conclusion["cardinality"] == 6
-    capacity = cert.find("projection_capacity")[0]
+    capacity = find(cert, "projection_capacity")[0]
     assert capacity.witness == {
         "capacity": 9,
         "cardinality": 6,
         "min_dim": 2,
         "exponent": 2,
     }
-    checks = cert.find("independent_conditions_on_all_subsets")[0]
+    checks = find(cert, "independent_conditions_on_all_subsets")[0]
     assert checks.witness["subset_size"] == 2
     assert [c["h1"] for c in checks.witness["checks"]] == [0, 0, 0]
 
@@ -574,7 +575,7 @@ def test_obstruct_seeded_sample_budget_two_fails():
     _, s = sample((2, 3, 5), 6, seed=11)
     cert = obstruct_alt_decompositions(s, 2)
     assert not cert.certified
-    capacity = cert.find("projection_capacity")[0]
+    capacity = find(cert, "projection_capacity")[0]
     assert capacity.status == FAIL
     assert capacity.witness["capacity"] == 3
 
@@ -587,7 +588,7 @@ def test_obstruct_flags_non_injective_projections():
     )
     cert = obstruct_alt_decompositions(s, 1)
     assert not cert.certified
-    bad = cert.find("different_coordinates")[0]
+    bad = find(cert, "different_coordinates")[0]
     assert bad.status == FAIL
     assert bad.witness == {"factor": 1, "points": [0, 1]}
 
@@ -612,10 +613,10 @@ def test_pin_projections_on_the_seeded_sample():
     assert cert.conclusion["usable_families"] == [1, 2]
     assert cert.conclusion["pinned_factors"] == [1, 2]
     assert "caveat" in cert.conclusion
-    asserted = cert.find("quasi-general")
+    asserted = find(cert, "quasi-general")
     assert [h.status for h in asserted] == [ASSERTED, ASSERTED, ASSERTED]
     # the third family fails on r < M_F since M_{3} equals the cardinality
-    conditions = cert.find("family_projection_conditions")
+    conditions = find(cert, "family_projection_conditions")
     assert [h.status for h in conditions] == [PASS, PASS, FAIL]
     assert conditions[2].witness["M_F"] == 6
 
@@ -625,7 +626,7 @@ def test_pin_projections_needs_the_assertion():
     families = [(1, 2), (1, 2), (3,)]
     cert = pin_projections(tensor, s, families)
     assert not cert.certified
-    assert all(h.status == FAIL for h in cert.find("quasi-general"))
+    assert all(h.status == FAIL for h in find(cert, "quasi-general"))
 
 
 def test_pin_projections_per_family_flags():
@@ -644,7 +645,7 @@ def test_pin_projections_fails_when_the_cardinality_is_too_big():
     families = [(1,), (2,), (3,)]
     cert = pin_projections(tensor, s, families, quasi_general_asserted=True)
     assert not cert.certified
-    conditions = cert.find("family_projection_conditions")
+    conditions = find(cert, "family_projection_conditions")
     assert all(h.status == FAIL for h in conditions)
     assert conditions[0].witness["M_F"] == 2
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from tensorcert.certify import certificate_from_json, check_non_redundant
+from tensorcert import certify
+from tensorcert.certify import Certificate, certificate_from_json, check_non_redundant
 from tensorcert.cli import (
     EXIT_CERTIFIED,
     EXIT_INVALID,
@@ -175,6 +176,52 @@ def test_format_certificate_text_lines():
     text = format_certificate_text(cert)
     assert text.splitlines()[0] == "claim: NonRedundant"
     assert "conclusion: non-redundant decomposition of cardinality 2" in text
+
+
+CONCLUSION_LINES = {
+    "NonRedundant": (
+        {"cardinality": 2},
+        "conclusion: non-redundant decomposition of cardinality 2 [t]",
+    ),
+    "CactusRankLowerBound": (
+        {"cactus_rank_at_least": 5, "rank_at_least": 5, "partition": {"E": [1], "F": [2]}},
+        "conclusion: cactus rank >= 5, hence rank >= 5 [t]",
+    ),
+    "ExactRank": (
+        {"rank": 6, "cactus_rank": 6, "partition": {"E": [1], "F": [2, 3]}},
+        "conclusion: rank = cactus rank = 6 [t]",
+    ),
+    "MinimalRank": (
+        {"rank": 3, "minimal": True, "identifiable": False},
+        "conclusion: rank = 3, the decomposition is minimal [t]",
+    ),
+    "Identifiable": (
+        {"rank": 2, "minimal": True, "identifiable": True},
+        "conclusion: rank = 2, the decomposition is minimal and unique [t]",
+    ),
+    "DifferentCoordinatesObstruction": (
+        {"cardinality": 4, "alternative_max_cardinality": 2, "statement": "s"},
+        "conclusion: alternative decompositions with at most 2 points cannot have "
+        "injective projections [t]",
+    ),
+    "ProjectionPinning": (
+        {"cardinality": 3, "usable_families": [1, 3], "pinned_factors": [1, 2, 3]},
+        "conclusion: projections on factors [1, 2, 3] are pinned for alternatives with "
+        "at most 3 points [t]",
+    ),
+    "SpanIntersectionIdentity": (
+        {"intersection_dim": 1, "rhs": 1},
+        "conclusion: span intersection dimension 1 matches the cohomology side 1 [t]",
+    ),
+}
+
+
+def test_every_claim_has_its_conclusion_line():
+    claims = {v for k, v in vars(certify).items() if k.startswith("CLAIM_")}
+    assert claims == set(CONCLUSION_LINES)
+    for claim, (conclusion, line) in CONCLUSION_LINES.items():
+        cert = Certificate(claim, "t", (), conclusion)
+        assert format_certificate_text(cert).splitlines()[-1] == line
 
 
 # -- flag parsing

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import kruskal_rank_exhaustive
 from tensorcert.certify import check_non_redundant
-from tensorcert.construct import derive_seed, random_decomposition
+from tensorcert.construct import random_decomposition
 from tensorcert.geometry import (
     AmbientTensor,
     MultiPoint,
@@ -25,63 +25,52 @@ from tensorcert.kruskal import (
     kruskal_certificate,
     kruskal_rank,
 )
-from tensorcert.linalg import RatMatrix, rat_rank
+from tensorcert.linalg import integer_gram, rat_rank
 
 
-def columns_matrix(*columns):
-    """Matrix whose columns are the given vectors."""
-    return RatMatrix.from_rows(list(zip(*columns)))
-
-
-def random_matrix(rng, rows, cols, box=4):
+def random_columns(rng, rows, cols, box=4):
     entries = [[Fraction(rng.randint(-box, box)) for _ in range(cols)] for _ in range(rows)]
     for j in range(cols):
         if all(entries[i][j] == 0 for i in range(rows)):
             entries[rng.randrange(rows)][j] = Fraction(1)
-    return RatMatrix.from_rows(entries)
+    return [list(col) for col in zip(*entries)]
 
 
 # -- kruskal_rank
 
 
 def test_kruskal_rank_identity():
-    m = columns_matrix((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert kruskal_rank(m) == 3
+    assert kruskal_rank(integer_gram([(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == 3
 
 
 def test_kruskal_rank_proportional_columns():
-    m = columns_matrix((1, 2), (2, 4), (0, 1))
-    assert kruskal_rank(m) == 1
+    assert kruskal_rank(integer_gram([(1, 2), (2, 4), (0, 1)])) == 1
 
 
 def test_kruskal_rank_generic_wide_matrix():
     rng = random.Random(7)
-    m = random_matrix(rng, 3, 6)
-    assert kruskal_rank(m) == kruskal_rank_exhaustive(
-        [m.column(j) for j in range(m.cols)]
-    )
+    columns = random_columns(rng, 3, 6)
+    assert kruskal_rank(integer_gram(columns)) == kruskal_rank_exhaustive(columns)
 
 
 def test_kruskal_rank_full_spark_short_of_rank():
     # four columns in general position in the plane: every 2 independent,
     # some 3 dependent, so kappa = 2 = rank
-    m = columns_matrix((1, 0), (0, 1), (1, 1), (1, 2))
-    assert kruskal_rank(m) == 2
+    assert kruskal_rank(integer_gram([(1, 0), (0, 1), (1, 1), (1, 2)])) == 2
 
 
 def test_kruskal_rank_rejects_zero_columns():
-    m = columns_matrix((1, 0), (0, 0))
     with pytest.raises(ValueError, match="column 1 is zero"):
-        kruskal_rank(m)
+        kruskal_rank(integer_gram([(1, 0), (0, 0)]))
 
 
 def test_kruskal_rank_rejects_empty_matrices():
     with pytest.raises(ValueError, match="no columns"):
-        kruskal_rank(RatMatrix.from_rows([[], []], cols=0))
+        kruskal_rank(integer_gram([]))
 
 
 def test_kruskal_rank_enforces_the_column_cap():
-    wide = RatMatrix.from_rows([[1] * (MAX_EXHAUSTIVE_COLUMNS + 1)])
+    wide = integer_gram([(1,)] * (MAX_EXHAUSTIVE_COLUMNS + 1))
     with pytest.raises(ValueError, match="capped"):
         kruskal_rank(wide)
 
@@ -90,31 +79,28 @@ def test_kruskal_rank_enforces_the_column_cap():
 @given(st.integers(0, 10_000))
 def test_kruskal_rank_matches_the_exhaustive_oracle(seed):
     rng = random.Random(seed)
-    m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
-    assert kruskal_rank(m) == kruskal_rank_exhaustive(
-        [m.column(j) for j in range(m.cols)]
-    )
+    columns = random_columns(rng, rng.randint(1, 4), rng.randint(1, 6))
+    assert kruskal_rank(integer_gram(columns)) == kruskal_rank_exhaustive(columns)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_kruskal_rank_invariant_under_column_scaling_and_order(seed):
     rng = random.Random(seed)
-    m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-    cols = [list(m.column(j)) for j in range(m.cols)]
+    columns = random_columns(rng, rng.randint(1, 4), rng.randint(1, 5))
+    cols = list(columns)
     rng.shuffle(cols)
     scales = [Fraction(rng.choice([1, 2, -3, 5])) for _ in cols]
     scaled = [[scale * x for x in col] for scale, col in zip(scales, cols)]
-    reshuffled = columns_matrix(*scaled)
-    assert kruskal_rank(reshuffled) == kruskal_rank(m)
+    assert kruskal_rank(integer_gram(scaled)) == kruskal_rank(integer_gram(columns))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_kruskal_rank_never_exceeds_the_rank(seed):
     rng = random.Random(seed)
-    m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-    assert 1 <= kruskal_rank(m) <= rat_rank(m)
+    columns = random_columns(rng, rng.randint(1, 4), rng.randint(1, 5))
+    assert 1 <= kruskal_rank(integer_gram(columns)) <= rat_rank(columns, len(columns[0]))
 
 
 pool_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -153,9 +139,9 @@ def pooled_columns(draw):
 def test_kruskal_rank_matches_the_oracle_on_pooled_columns(data):
     columns, scales = data
     oracle = kruskal_rank_exhaustive(columns)
-    assert kruskal_rank(columns_matrix(*columns)) == oracle
+    assert kruskal_rank(integer_gram(columns)) == oracle
     rescaled = [[scale * x for x in col] for scale, col in zip(scales, columns)]
-    assert kruskal_rank(columns_matrix(*rescaled)) == oracle
+    assert kruskal_rank(integer_gram(rescaled)) == oracle
     # the same columns as the first factor of a point set, ranked from
     # the factor Gram that kruskal_certificate reads from the set's memo
     points = tuple(MultiPoint.of(col, (1, j)) for j, col in enumerate(rescaled))

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certs import find
 from oracles import exponents_desc_lex, gauss_rank, monomial_values
 from tensorcert.certify import FAIL, PASS
-from tensorcert.geometry import MultiPoint, MultiShape, PointSet, _canonical, flattening_rank
+from tensorcert.geometry import MultiPoint, MultiShape, PointSet, flattening_rank
+from tensorcert.linalg import primitive
 from tensorcert.symmetric import (
     SymPointSet,
     SymShape,
     assemble_symmetric,
     comon_certify,
-    generic_symmetric_rank,
     is_exceptional,
     symmetric_bounds,
     veronese_vector,
@@ -152,7 +153,7 @@ def test_comon_certify_ten_generic_plane_points_degree_six():
         "ranks_agree": True,
         "vanishing_degree": 3,
     }
-    interp = cert.find("half_degree_interpolation")[0]
+    interp = find(cert, "half_degree_interpolation")[0]
     assert interp.status == PASS
     assert interp.witness["attempts"] == [{"e": 3, "rank": 10, "h1": 0}]
 
@@ -175,7 +176,7 @@ def test_comon_certify_collinear_points_fail_interpolation():
     coords = assemble_symmetric((1, 1, 1, 1), pts, 4)
     cert = comon_certify(coords, pts, 4)
     assert not cert.certified
-    interp = cert.find("half_degree_interpolation")[0]
+    interp = find(cert, "half_degree_interpolation")[0]
     assert interp.status == FAIL
     assert [a["e"] for a in interp.witness["attempts"]] == [2, 1, 0]
     assert interp.witness["chosen_e"] is None
@@ -194,7 +195,7 @@ def test_comon_certify_fails_when_the_tensor_is_outside_the_span():
     outside = veronese_vector((1, 1), 4)
     cert = comon_certify(outside, pts, 4)
     assert not cert.certified
-    assert cert.find("tensor_in_span")[0].status == FAIL
+    assert find(cert, "tensor_in_span")[0].status == FAIL
 
 
 def test_comon_certify_detects_redundant_presentations():
@@ -217,7 +218,7 @@ def projective_point_sets(draw):
     n = draw(st.integers(0, 2))
     degree = draw(st.integers(1, 6))
     vectors = st.lists(coordinates, min_size=n + 1, max_size=n + 1).filter(any)
-    points = draw(st.lists(vectors, min_size=1, max_size=8, unique_by=lambda v: _canonical(v)))
+    points = draw(st.lists(vectors, min_size=1, max_size=8, unique_by=primitive))
     scales = draw(st.lists(coordinates.filter(bool), min_size=len(points), max_size=len(points)))
     return degree, points, scales
 
@@ -252,7 +253,7 @@ def test_comon_attempt_ranks_match_explicit_veronese_rows(data):
     rescaled = [[scale * x for x in p] for scale, p in zip(scales, points)]
     for pts in (points, rescaled):
         cert = comon_certify(veronese_vector(pts[0], degree), sym_points(*pts), degree)
-        interp = cert.find("half_degree_interpolation")[0]
+        interp = find(cert, "half_degree_interpolation")[0]
         assert interp.witness["attempts"] == expected
         full = expected[-1]["h1"] == 0
         assert interp.status == (PASS if full else FAIL)
@@ -282,23 +283,12 @@ def test_exceptional_list():
     assert not is_exceptional(5, 4)
 
 
-def test_generic_symmetric_rank_classical_values():
-    assert generic_symmetric_rank(1, 2) == 2
-    assert generic_symmetric_rank(1, 5) == 3
-    assert generic_symmetric_rank(2, 2) == 3
-    assert generic_symmetric_rank(2, 4) == 6
-    assert generic_symmetric_rank(3, 4) == 10
-    assert generic_symmetric_rank(4, 3) == 8
-    assert generic_symmetric_rank(2, 6) == 10
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 4), st.integers(1, 9))
 def test_bounds_are_internally_consistent(n, k):
     bounds = symmetric_bounds(n, k)
     assert 1 <= bounds.r0
     assert bounds.rg >= 1
-    assert generic_symmetric_rank(n, k) >= bounds.rg
     # odd degrees certify one point beyond the half-degree interpolation cap
     from math import comb
 
