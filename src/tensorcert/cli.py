@@ -164,6 +164,8 @@ def instance_from_json(data: dict) -> Instance:
         n, degree = sym["n"], sym["k"]
         if type(n) is not int or type(degree) is not int:
             raise InstanceParseError("symmetric n and k must be integers")
+        if degree < 1:
+            raise ValueError("symmetric k must be at least 1")
         raw_pts = sym["points"]
         if not isinstance(raw_pts, list) or not raw_pts:
             raise InstanceParseError("symmetric points must be a nonempty array")

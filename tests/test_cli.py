@@ -126,6 +126,16 @@ def test_instance_semantic_errors_are_value_errors():
         )
 
 
+@pytest.mark.parametrize("k", [0, -1, -5])
+@pytest.mark.parametrize("command", ["comon", "certify"])
+def test_symmetric_degree_below_one_is_rejected_at_parse_time(tmp_path, capsys, command, k):
+    path = write_instance(tmp_path, {"symmetric": {"n": 1, "k": k, "points": [["1", "2"]]}})
+    assert run([command, "--input", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symmetric k must be at least 1\n"
+
+
 def test_symmetric_stanza_parsing():
     inst = instance_from_json(
         {
