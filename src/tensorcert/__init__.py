@@ -43,7 +43,6 @@ from .construct import (
     survey,
 )
 from .geometry import (
-    AmbientTensor,
     Cohomology,
     FactorPartition,
     MultiPoint,
@@ -69,18 +68,15 @@ from .linalg import (
     format_rational,
     parse_rational,
     rat_rank,
-    row_combination,
     span_intersection_dim,
 )
 from .symmetric import (
     SymmetricBounds,
     SymPointSet,
     SymShape,
-    assemble_symmetric,
     comon_certify,
     is_exceptional,
     symmetric_bounds,
-    veronese_vector,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +93,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "ASSERTED",
-    "AmbientTensor",
     "AugmentationError",
     "BoundReport",
     "CLAIM_CACTUS_BOUND",
@@ -127,7 +122,6 @@ __all__ = [
     "SymShape",
     "SymmetricBounds",
     "all_partitions",
-    "assemble_symmetric",
     "assemble_tensor",
     "augment_decomposition",
     "bound_cactus_rank",
@@ -155,11 +149,9 @@ __all__ = [
     "pin_projections",
     "random_decomposition",
     "rat_rank",
-    "row_combination",
     "run",
     "segre_vector",
     "span_intersection_dim",
     "survey",
     "symmetric_bounds",
-    "veronese_vector",
 ]

@@ -7,15 +7,22 @@ that is present only when the checked hypotheses hold.  Witnesses are
 plain JSON-friendly values (ranks, indices, bounds) so certificates can
 be serialized and compared; they never echo coordinates, which keeps
 them invariant under rescaling of the input representatives.
+
+A tensor is given by its decomposition, the points S and weights w, as
+t = sum_j w_j S_j.  When the evaluation rows S_j are independent the
+coefficients of t over them are unique, so they are the weights: t lies
+in the span of S, and leaves the span of S without p_j exactly when
+w_j != 0.  Non-redundancy is therefore the rank of S plus the zero
+pattern of w, and no certificate needs the M coordinates of t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Sequence
 
 from .geometry import (
-    AmbientTensor,
     FactorPartition,
     PointSet,
     _outer,
@@ -26,7 +33,7 @@ from .geometry import (
     factor_subset,
     flattening_rank,
 )
-from .linalg import row_combination, span_intersection_dim
+from .linalg import span_intersection_dim
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -122,22 +129,18 @@ def certificate_from_json(data: dict) -> Certificate:
         raise InstanceParseError(f"malformed certificate object: {exc}") from None
 
 
-def _require_matching(tensor: AmbientTensor, s: PointSet) -> None:
-    if tensor.shape != s.shape:
-        raise ValueError("tensor and point set have different shapes")
+def non_redundancy_hypotheses(
+    rank: int, r: int, weights: Sequence
+) -> tuple[list[Hypothesis], bool]:
+    """Non-redundancy of t = sum_j w_j v_j over r evaluation rows v_j of
+    rank ``rank``, for any kind of evaluation row.
 
-
-def non_redundancy_hypotheses(coords: tuple, rows: list[tuple]) -> tuple[list[Hypothesis], bool]:
-    """Shared span checks behind non-redundancy, over any evaluation rows.
-
-    Checks that the rows are independent, that ``coords`` lies in their
-    span, and that it leaves the span when any single row is removed.
-    All three come from one solve for the coefficients x of ``coords``:
-    with independent rows, ``coords`` lies in the span of the rows other
-    than j exactly when x_j = 0.
+    The rows must be independent.  Then t lies in their span, and by the
+    uniqueness of its coefficients it leaves the span of the rows other
+    than j exactly when w_j != 0, so nothing is solved.
     """
-    r = len(rows)
-    rank, coeffs = row_combination(coords, rows)
+    if len(weights) != r:
+        raise ValueError(f"{len(weights)} weights for {r} points")
     hyps = [
         Hypothesis(
             "evaluation_vectors_independent",
@@ -147,39 +150,24 @@ def non_redundancy_hypotheses(coords: tuple, rows: list[tuple]) -> tuple[list[Hy
     ]
     if rank != r:
         return hyps, False
-    in_span = coeffs is not None
-    hyps.append(
-        Hypothesis(
-            "tensor_in_span",
-            PASS if in_span else FAIL,
-            {"span_rank": rank, "rank_with_tensor": rank if in_span else rank + 1},
-        )
-    )
-    if not in_span:
-        return hyps, False
-    for j, x in enumerate(coeffs):
+    hyps.append(Hypothesis("tensor_in_span", PASS, {"span_rank": r, "rank_with_tensor": r}))
+    for j, w in enumerate(weights):
         hyps.append(
             Hypothesis(
                 "tensor_outside_span_of_proper_subset",
-                PASS if x else FAIL,
+                PASS if w else FAIL,
                 {"point_removed": j},
             )
         )
-    return hyps, all(coeffs)
+    return hyps, all(weights)
 
 
-def check_non_redundant(tensor: AmbientTensor, s: PointSet) -> Certificate:
-    """Certify that S decomposes the tensor and no proper subset does."""
-    _require_matching(tensor, s)
-    key = ("non_redundant", tensor)
-    if key not in s.memo:
-        # integer Segre rows of the primitive factor forms: rescaling a row
-        # changes no rank and no zero pattern of the coefficients
-        rows = [_outer(p.canonical()) for p in s.points]
-        hyps, ok = non_redundancy_hypotheses(tensor.coords, rows)
-        conclusion = {"cardinality": len(s)} if ok else None
-        s.memo[key] = Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
-    return s.memo[key]
+def check_non_redundant(s: PointSet, weights: Sequence) -> Certificate:
+    """Certify that S with ``weights`` decomposes sum_j w_j Segre(p_j) and
+    no proper subset of S does; the rank of S is that of the full set."""
+    hyps, ok = non_redundancy_hypotheses(flattening_rank(s), len(s), weights)
+    conclusion = {"cardinality": len(s)} if ok else None
+    return Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
 
 
 ASSUMED_NOTE = "assumed, certify separately with check_non_redundant"
@@ -276,12 +264,11 @@ def bound_cactus_rank(s: PointSet, partition: FactorPartition | None = None) -> 
 
 
 def certify_exact_rank(
-    tensor: AmbientTensor, s: PointSet, partition: FactorPartition | None = None
+    s: PointSet, weights: Sequence, partition: FactorPartition | None = None
 ) -> Certificate:
     """Certify rank = cactus rank = #S via a bipartition with h1 = 0 on
     both flattenings, on top of a non-redundancy certificate."""
-    _require_matching(tensor, s)
-    nr = check_non_redundant(tensor, s)
+    nr = check_non_redundant(s, weights)
     hyps = list(nr.hypotheses)
     if not nr.certified:
         return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), None)
@@ -312,7 +299,7 @@ def certify_exact_rank(
     return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), conclusion)
 
 
-def certify_identifiability(tensor: AmbientTensor, s: PointSet) -> Certificate:
+def certify_identifiability(s: PointSet, weights: Sequence) -> Certificate:
     """Certify minimality, and uniqueness when stronger, of a small
     non-redundant decomposition.
 
@@ -335,8 +322,7 @@ def certify_identifiability(tensor: AmbientTensor, s: PointSet) -> Certificate:
     minimally dependent set of at most k'+1 points in the union, forcing
     two points of S to share a coordinate.
     """
-    _require_matching(tensor, s)
-    nr = check_non_redundant(tensor, s)
+    nr = check_non_redundant(s, weights)
     hyps = list(nr.hypotheses)
     if not nr.certified:
         return Certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, tuple(hyps), None)
@@ -489,8 +475,8 @@ def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:
 
 
 def pin_projections(
-    tensor: AmbientTensor,
     s: PointSet,
+    weights: Sequence,
     families,
     quasi_general_asserted=False,
 ) -> Certificate:
@@ -506,7 +492,6 @@ def pin_projections(
     F_i-projection as S, hence the same factor-j projections for j in
     F_i.  Equality of the decompositions themselves is not implied.
     """
-    _require_matching(tensor, s)
     k = s.shape.k
     fams = [factor_subset(f, k) for f in families]
     if len(fams) != k:
@@ -522,7 +507,7 @@ def pin_projections(
         flags = [bool(f) for f in quasi_general_asserted]
         if len(flags) != k:
             raise ValueError("one quasi-generality flag per family required")
-    nr = check_non_redundant(tensor, s)
+    nr = check_non_redundant(s, weights)
     hyps = list(nr.hypotheses)
     r = len(s)
     pinned: set[int] = set()

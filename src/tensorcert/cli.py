@@ -41,17 +41,18 @@ from .construct import (
     survey,
 )
 from .geometry import (
-    AmbientTensor,
     FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
+    _outer,
     assemble_tensor,
-    decomposition_weights,
+    segre_gram,
+    segre_scale,
 )
 from .kruskal import MAX_EXHAUSTIVE_COLUMNS, ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
-from .linalg import format_rational, parse_rational
-from .symmetric import SymPointSet, assemble_symmetric, comon_certify, symmetric_bounds
+from .linalg import format_rational, multiple, parse_rational, primitive
+from .symmetric import SymPointSet, comon_certify, symmetric_bounds, veronese_gram
 
 ENV_SEED = "TENSORCERT_SEED"
 
@@ -71,15 +72,18 @@ class SymmetricInstance:
     degree: int
     points: SymPointSet
     weights: tuple[Fraction, ...]
-    coords: tuple[Fraction, ...]
 
 
 @dataclass
 class Instance:
+    """A parsed instance file.  ``tensor`` is the tensor the file gives, if
+    any; it has been checked to be a nonzero multiple of the weighted sum
+    of the points, so the points and weights stand for it."""
+
     shape: MultiShape | None
     points: PointSet | None
     weights: tuple[Fraction, ...] | None
-    tensor: AmbientTensor | None
+    tensor: tuple[Fraction, ...] | None
     symmetric: SymmetricInstance | None
 
 
@@ -109,11 +113,46 @@ def load_instance(path: str) -> Instance:
     return instance_from_json(data)
 
 
+def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[Fraction, ...] | None:
+    if "tensor" not in data:
+        return None
+    if shape is None:
+        raise InstanceParseError("tensor given without dims")
+    coords = _parse_vector(data["tensor"], "tensor")
+    if len(coords) != shape.ambient_dim + 1:
+        raise ValueError(f"tensor has {len(coords)} coordinates, shape wants {shape.ambient_dim + 1}")
+    if not any(coords):
+        raise ValueError("the zero tensor has no projective class")
+    return coords
+
+
+def _check_weights(weights, gram, scales, mismatch: str, read_tensor=lambda: None):
+    """Check the weights of a presented decomposition; return the integer
+    weights u over the primitive rows and what ``read_tensor`` returns.
+
+    The checks run in input order: one weight per point (else
+    ``mismatch``), then ``read_tensor``, which reads the tensor the input
+    gives, then every weight nonzero and a nonzero weighted sum.  With
+    row_j = scales_j * P_j for the primitive rows P_j, the sum is
+    sum_j u_j P_j, u_j = w_j * scales_j up to one common factor.  Its
+    squared length is u^T H u for the Gram H of the P_j, and H is positive
+    semidefinite, so the sum vanishes exactly when H u = 0.
+    """
+    if len(weights) != len(gram):
+        raise ValueError(mismatch)
+    tensor = read_tensor()
+    if any(w == 0 for w in weights):
+        raise ValueError("weights must be nonzero")
+    u = primitive([w * c for w, c in zip(weights, scales)])
+    if not any(sum(h * x for h, x in zip(row, u)) for row in gram):
+        raise ValueError("the weighted sum of the decomposition vanishes")
+    return u, tensor
+
+
 def instance_from_json(data: dict) -> Instance:
     shape = None
     points = None
     weights = None
-    tensor = None
     if "dims" in data:
         dims = data["dims"]
         # bool is a subclass of int, so JSON true/false would pass isinstance
@@ -137,22 +176,21 @@ def instance_from_json(data: dict) -> Instance:
         points = PointSet(shape, tuple(parsed_points))
         if "weights" in data:
             weights = _parse_vector(data["weights"], "weights")
-            if len(weights) != len(points):
-                raise ValueError(f"{len(weights)} weights for {len(points)} points")
         else:
             weights = tuple(Fraction(1) for _ in range(len(points)))
-    if "tensor" in data:
-        if shape is None:
-            raise InstanceParseError("tensor given without dims")
-        coords = _parse_vector(data["tensor"], "tensor")
-        tensor = AmbientTensor(shape, coords)
-    if points is not None:
-        assembled = assemble_tensor(weights, points)
+        u, tensor = _check_weights(
+            weights,
+            segre_gram(points),
+            [segre_scale(p) for p in points.points],
+            f"{len(weights)} weights for {len(points)} points",
+            lambda: _read_tensor(data, shape),
+        )
         if tensor is not None:
-            if tensor != assembled:
+            rows = ([x * v for v in _outer(p.canonical())] for x, p in zip(u, points.points))
+            if primitive(tensor) != primitive(list(map(sum, zip(*rows)))):
                 raise ValueError("tensor disagrees with the weighted sum of the points")
-        else:
-            tensor = assembled
+    else:
+        tensor = _read_tensor(data, shape)
     symmetric = None
     if "symmetric" in data:
         sym = data["symmetric"]
@@ -178,19 +216,22 @@ def instance_from_json(data: dict) -> Instance:
             )
         if "weights" in sym:
             sym_weights = _parse_vector(sym["weights"], "symmetric weights")
-            if len(sym_weights) != len(sym_points):
-                raise ValueError("symmetric weights and points disagree in length")
         else:
             sym_weights = tuple(Fraction(1) for _ in range(len(sym_points)))
-        coords = assemble_symmetric(sym_weights, sym_points, degree)
-        symmetric = SymmetricInstance(n, degree, sym_points, sym_weights, coords)
+        _check_weights(
+            sym_weights,
+            veronese_gram(sym_points, degree),
+            [multiple(p, primitive(p)) ** degree for p in sym_points.points],
+            "symmetric weights and points disagree in length",
+        )
+        symmetric = SymmetricInstance(n, degree, sym_points, sym_weights)
     return Instance(shape, points, weights, tensor, symmetric)
 
 
-def _need_points(inst: Instance) -> tuple[AmbientTensor, PointSet]:
-    if inst.points is None or inst.tensor is None:
+def _need_points(inst: Instance) -> tuple[PointSet, tuple[Fraction, ...]]:
+    if inst.points is None:
         raise ValueError("this subcommand needs dims and points in the instance file")
-    return inst.tensor, inst.points
+    return inst.points, inst.weights
 
 
 def pointset_to_json(s: PointSet, weights: Sequence[Fraction] | None = None) -> dict:
@@ -403,13 +444,13 @@ def _emit(args: argparse.Namespace, payload_json: dict, payload_text: str) -> No
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    tensor, points = _need_points(load_instance(args.input))
+    points, weights = _need_points(load_instance(args.input))
     partition = (
         parse_partition_flag(args.partition, points.shape.k) if args.partition else None
     )
-    nr = check_non_redundant(tensor, points)
+    nr = check_non_redundant(points, weights)
     report = bound_cactus_rank(points, partition)
-    exact = certify_exact_rank(tensor, points, partition)
+    exact = certify_exact_rank(points, weights, partition)
     _emit(
         args,
         {
@@ -432,22 +473,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_identifiability(args: argparse.Namespace) -> int:
-    tensor, points = _need_points(load_instance(args.input))
-    cert = certify_identifiability(tensor, points)
+    cert = certify_identifiability(*_need_points(load_instance(args.input)))
     _emit(args, certificate_to_json(cert), format_certificate_text(cert))
     return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
 
 
 def cmd_kruskal(args: argparse.Namespace) -> int:
-    _, points = _need_points(load_instance(args.input))
+    points, _ = _need_points(load_instance(args.input))
     report = kruskal_certificate(points)
     _emit(args, report.as_json(), format_kruskal_text(report))
     return EXIT_CERTIFIED if report.applies else EXIT_NOT_CERTIFIED
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    tensor, points = _need_points(load_instance(args.input))
-    record = compare_criteria(tensor, points)
+    record = compare_criteria(*_need_points(load_instance(args.input)))
     _emit(args, comparison_to_json(record), format_comparison_text(record))
     applies = record.flattening_applies or record.kruskal_applies
     return EXIT_CERTIFIED if applies else EXIT_NOT_CERTIFIED
@@ -455,14 +494,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     inst = load_instance(args.input)
-    tensor, points = _need_points(inst)
+    points, weights = _need_points(inst)
     seed = resolve_seed(args)
-    bigger, cert = augment_decomposition(
-        tensor, points, inst.weights, seed=seed, box=args.box
+    # the tensor the instance names: the one it gives, else the weighted sum
+    tensor = inst.tensor if inst.tensor is not None else assemble_tensor(weights, points)
+    bigger, new_weights, cert = augment_decomposition(
+        tensor, points, weights, seed=seed, box=args.box
     )
-    new_weights = decomposition_weights(tensor, bigger)
     out = pointset_to_json(bigger, new_weights)
-    out["tensor"] = [format_rational(x) for x in tensor.coords]
+    out["tensor"] = [format_rational(x) for x in tensor]
     _emit(
         args,
         {"decomposition": out, "certificate": certificate_to_json(cert)},
@@ -477,8 +517,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_obstruct(args: argparse.Namespace) -> int:
-    tensor, points = _need_points(load_instance(args.input))
-    nr = check_non_redundant(tensor, points)
+    points, weights = _need_points(load_instance(args.input))
+    nr = check_non_redundant(points, weights)
     cert = obstruct_alt_decompositions(points, args.x)
     _emit(
         args,
@@ -496,10 +536,10 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_pin(args: argparse.Namespace) -> int:
-    tensor, points = _need_points(load_instance(args.input))
+    points, weights = _need_points(load_instance(args.input))
     families = parse_families_flag(args.families, points.shape.k)
     cert = pin_projections(
-        tensor, points, families, quasi_general_asserted=args.assert_quasi_general
+        points, weights, families, quasi_general_asserted=args.assert_quasi_general
     )
     _emit(args, certificate_to_json(cert), format_certificate_text(cert))
     return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
@@ -510,7 +550,7 @@ def cmd_comon(args: argparse.Namespace) -> int:
     if inst.symmetric is None:
         raise ValueError("this subcommand needs a symmetric stanza in the instance file")
     sym = inst.symmetric
-    cert = comon_certify(sym.coords, sym.points, sym.degree)
+    cert = comon_certify(sym.points, sym.weights, sym.degree)
     bounds = symmetric_bounds(sym.n, sym.degree)
     payload = {
         "certificate": certificate_to_json(cert),
@@ -567,8 +607,7 @@ def cmd_random(args: argparse.Namespace) -> int:
     seed = resolve_seed(args)
     s, weights = random_decomposition(shapes[0], args.r, box=args.box, seed=seed)
     out = pointset_to_json(s, weights)
-    tensor = assemble_tensor(weights, s)
-    out["tensor"] = [format_rational(x) for x in tensor.coords]
+    out["tensor"] = [format_rational(x) for x in assemble_tensor(weights, s)]
     print(json.dumps(out, indent=2))
     return EXIT_CERTIFIED
 

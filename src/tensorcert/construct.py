@@ -14,15 +14,16 @@ from typing import Sequence
 
 from .certify import Certificate, check_non_redundant
 from .geometry import (
-    AmbientTensor,
     MultiPoint,
     MultiShape,
     PointSet,
     assemble_tensor,
     cohomology,
+    decomposition_weights,
     has_different_coordinates,
 )
 from .kruskal import compare_criteria
+from .linalg import primitive
 
 DEFAULT_BOX = 9
 _RESAMPLE_CAP = 512
@@ -136,25 +137,26 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
 
 
 def augment_decomposition(
-    tensor: AmbientTensor,
+    tensor: Sequence,
     a: PointSet,
     weights: Sequence,
     *,
     seed: int = 0,
     box: int = DEFAULT_BOX,
     retries: int = 32,
-) -> tuple[PointSet, Certificate]:
+) -> tuple[PointSet, tuple[Fraction, ...], Certificate]:
     """Extend a non-redundant decomposition by one point.
 
     Requires #A <= M, independent Segre vectors, at least one factor of
-    positive dimension, and tensor = assemble_tensor(weights, A).  The
-    result is re-certified with check_non_redundant; when the budget of
-    ``retries`` construction passes runs out the last failing certificate
-    rides along on the raised AugmentationError.
+    positive dimension, and ``tensor``, the M coordinates of the tensor,
+    a nonzero multiple of assemble_tensor(weights, A).  Returns the new
+    points, their weights against ``tensor`` (from the one M-wide solve,
+    ``decomposition_weights``) and the check_non_redundant certificate of
+    the two; when the budget of ``retries`` construction passes runs out
+    the last failing certificate rides along on the raised
+    AugmentationError.
     """
     shape = a.shape
-    if tensor.shape != shape:
-        raise ValueError("tensor and point set have different shapes")
     if box < 1:
         raise ValueError(f"box must be at least 1, got {box}")
     if all(n == 0 for n in shape.dims):
@@ -165,7 +167,7 @@ def augment_decomposition(
         )
     if cohomology(a).h1 != 0:
         raise ValueError("the Segre vectors of the input points must be independent")
-    if assemble_tensor(weights, a) != tensor:
+    if primitive(assemble_tensor(weights, a)) != primitive(tensor):
         raise ValueError("tensor does not equal the weighted sum of the decomposition")
     rng = random.Random(seed)
     last: Certificate | None = None
@@ -173,9 +175,10 @@ def augment_decomposition(
         s = _try_augment(a, rng, box)
         if s is None:
             continue
-        cert = check_non_redundant(tensor, s)
+        new_weights = decomposition_weights(tensor, s)
+        cert = check_non_redundant(s, new_weights)
         if cert.certified:
-            return s, cert
+            return s, new_weights, cert
         last = cert
     raise AugmentationError(
         f"augmentation failed after {retries} attempts", certificate=last
@@ -230,8 +233,7 @@ def survey(
                 child = derive_seed(seed, counter)
                 counter += 1
                 s, weights = random_decomposition(shape, r, box=box, seed=child)
-                tensor = assemble_tensor(weights, s)
-                record = compare_criteria(tensor, s)
+                record = compare_criteria(s, weights)
                 exact += record.exact_rank.certified
                 ident += record.identifiability.certified
                 krusk += record.kruskal_applies

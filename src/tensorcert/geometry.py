@@ -31,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import _echelon, integer_gram, primitive, row_combination, weighted_sum
+from .linalg import _echelon, _integer_rows, integer_gram, multiple, primitive
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,8 @@ class PointSet:
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
     ``memo`` holds what has been computed for this set (integer Grams by
-    factor, flattening ranks by factor subset, non-redundancy certificates
-    by tensor), so repeated questions within one run are answered once and
+    factor and flattening ranks by factor subset, the full set's rank
+    included), so repeated questions within one run are answered once and
     the memory goes with the set.
     """
 
@@ -217,33 +218,6 @@ class PointSet:
         return len(self.points)
 
 
-@dataclass(frozen=True, eq=False)
-class AmbientTensor:
-    """A nonzero point of the Segre target space, compared projectively."""
-
-    shape: MultiShape
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(Fraction(x) for x in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != self.shape.ambient_dim + 1:
-            raise ValueError(
-                f"tensor has {len(coords)} coordinates, shape wants {self.shape.ambient_dim + 1}"
-            )
-        if not any(coords):
-            raise ValueError("the zero tensor has no projective class")
-        object.__setattr__(self, "_ints", primitive(coords))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AmbientTensor):
-            return NotImplemented
-        return self.shape == other.shape and self._ints == other._ints  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self._ints))  # type: ignore[attr-defined]
-
-
 class Cohomology(NamedTuple):
     h0: int
     h1: int
@@ -265,6 +239,11 @@ def segre_vector(point: MultiPoint) -> tuple[Fraction, ...]:
     return _outer(point.factors)
 
 
+def segre_scale(point: MultiPoint) -> Fraction:
+    """The c with segre_vector(point) = c * _outer(point.canonical())."""
+    return prod(multiple(f, q) for f, q in zip(point.factors, point.canonical()))
+
+
 def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
     """Integer Gram matrix A_i A_i^T of the primitive factor-``index``
     vectors of S, memoized on S; callers must not modify it."""
@@ -274,14 +253,21 @@ def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
     return s.memo[key]
 
 
+def segre_gram(s: PointSet, members: tuple[int, ...] | None = None) -> list[list[int]]:
+    """Integer Gram of the primitive Segre rows of S for the factors in
+    ``members`` (all when None): the Hadamard product of their factor
+    Grams.  A fresh matrix, which the caller may modify."""
+    # start from ones, not a memoized Gram, since _echelon works in place
+    out = [[1] * len(s) for _ in s.points]
+    for i in members or range(1, s.shape.k + 1):
+        out = [[x * y for x, y in zip(w, g)] for w, g in zip(out, _factor_gram(s, i))]
+    return out
+
+
 def _flattening_rank(s: PointSet, members: tuple[int, ...] | None) -> int:
     key = ("rank", members)
     if key not in s.memo:
-        # _echelon works in place, so start from ones, not a memoized Gram
-        work = [[1] * len(s) for _ in s.points]
-        for i in members or range(1, s.shape.k + 1):
-            work = [[x * y for x, y in zip(w, g)] for w, g in zip(work, _factor_gram(s, i))]
-        s.memo[key] = len(_echelon(work, len(s)))
+        s.memo[key] = len(_echelon(segre_gram(s, members), len(s)))
     return s.memo[key]
 
 
@@ -326,14 +312,35 @@ def factor_projection_sizes(s: PointSet) -> tuple[int, ...]:
     return tuple(len({c[i] for c in canon}) for i in range(s.shape.k))
 
 
-def assemble_tensor(weights: Sequence, s: PointSet) -> AmbientTensor:
-    """The weighted sum of the Segre vectors of S as an ambient tensor."""
-    total = weighted_sum(weights, s.points, segre_vector, s.shape.ambient_dim + 1)
-    return AmbientTensor(s.shape, total)
+def assemble_tensor(weights: Sequence, s: PointSet) -> tuple[Fraction, ...]:
+    """Coordinates of the weighted sum of the Segre vectors of S.
+
+    M = prod(sizes) long; only ``random`` and ``augment`` need it, since
+    their output carries the tensor.  Certificates work from the points
+    and weights alone.
+    """
+    rows = ([w * x for x in segre_vector(p)] for w, p in zip(weights, s.points))
+    return tuple(map(sum, zip(*rows)))
 
 
-def decomposition_weights(tensor: AmbientTensor, s: PointSet) -> tuple[Fraction, ...] | None:
-    """Exact weights expressing ``tensor`` over the Segre vectors of S."""
-    if tensor.shape != s.shape:
-        raise ValueError("tensor and point set have different shapes")
-    return row_combination(tensor.coords, [segre_vector(p) for p in s.points])[1]
+def decomposition_weights(tensor: Sequence, s: PointSet) -> tuple[Fraction, ...] | None:
+    """Exact weights w with tensor = sum_j w_j segre_vector(p_j), or None
+    when the tensor lies outside the span of the Segre vectors of S.
+
+    One fraction-free elimination of the system [rows^T | tensor], then
+    back substitution over the pivot columns.  When the rows are
+    dependent the free weights are set to zero.
+    """
+    rows = [segre_vector(p) for p in s.points]
+    if len(tensor) != len(rows[0]):
+        raise ValueError(f"tensor has {len(tensor)} coordinates, shape wants {len(rows[0])}")
+    n = len(rows)
+    work = _integer_rows(zip(*rows, tensor))
+    pivots = _echelon(work, n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    coeffs = [Fraction(0)] * n
+    for row, col in reversed(list(zip(work, pivots))):
+        rest = sum((row[j] * coeffs[j] for j in range(col + 1, n)), Fraction(0))
+        coeffs[col] = (row[n] - rest) / row[col]
+    return tuple(coeffs)

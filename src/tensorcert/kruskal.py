@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .certify import BoundReport, Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
-from .geometry import AmbientTensor, PointSet, _factor_gram
+from .geometry import PointSet, _factor_gram
 from .linalg import _echelon
 
 MAX_EXHAUSTIVE_COLUMNS = 20
@@ -113,13 +114,13 @@ class ComparisonRecord:
         return self.flattening_applies and not self.kruskal_applies
 
 
-def compare_criteria(tensor: AmbientTensor, s: PointSet) -> ComparisonRecord:
+def compare_criteria(s: PointSet, weights: Sequence) -> ComparisonRecord:
     """Run every criterion on one decomposition and collect the outcomes;
     past MAX_EXHAUSTIVE_COLUMNS points the Kruskal baseline is skipped."""
     return ComparisonRecord(
-        non_redundant=check_non_redundant(tensor, s),
+        non_redundant=check_non_redundant(s, weights),
         bound=bound_cactus_rank(s),
-        exact_rank=certify_exact_rank(tensor, s),
-        identifiability=certify_identifiability(tensor, s),
+        exact_rank=certify_exact_rank(s, weights),
+        identifiability=certify_identifiability(s, weights),
         kruskal=kruskal_certificate(s) if len(s) <= MAX_EXHAUSTIVE_COLUMNS else None,
     )

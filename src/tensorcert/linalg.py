@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that certifies anything reduces to ranks of
-rational matrices, given as plain sequences of rows.  Ranks and span
-coefficients both come from one fraction-free elimination on primitive
-integer rows, so results are exact and deterministic: the pivot is
+rational matrices, given as plain sequences of rows.  Ranks come from
+one fraction-free elimination on primitive integer rows, so results are
+exact and deterministic: the pivot is
 always the first nonzero entry scanning columns left to right and rows
 top to bottom.  There is no floating point anywhere in the
 certification path.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -69,22 +69,10 @@ def primitive(row: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(v // g for v in ints) if g else tuple(ints)
 
 
-def weighted_sum(
-    weights: Sequence, points: Sequence, vector: Callable, length: int
-) -> tuple[Fraction, ...]:
-    """The sum of w * vector(p), ``length`` long, over points p with nonzero weights w."""
-    ws = tuple(Fraction(w) for w in weights)
-    if len(ws) != len(points):
-        raise ValueError(f"{len(ws)} weights for {len(points)} points")
-    if any(w == 0 for w in ws):
-        raise ValueError("weights must be nonzero")
-    total = [Fraction(0)] * length
-    for w, p in zip(ws, points):
-        for j, x in enumerate(vector(p)):
-            total[j] += w * x
-    if not any(total):
-        raise ValueError("the weighted sum of the decomposition vanishes")
-    return tuple(total)
+def multiple(row: Sequence[Fraction], prim: Sequence[int]) -> Fraction:
+    """The c with row = c * prim, for a nonzero row and its primitive form."""
+    i = next(i for i, v in enumerate(prim) if v)
+    return row[i] / prim[i]
 
 
 def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
@@ -164,26 +152,3 @@ def span_intersection_dim(rows1: Sequence[Sequence], rows2: Sequence[Sequence]) 
         raise ValueError("span intersection needs rows of one common length")
     cols = widths.pop()
     return rat_rank(rows1, cols) + rat_rank(rows2, cols) - rat_rank((*rows1, *rows2), cols) - 1
-
-
-def row_combination(target: Sequence, rows: Sequence) -> tuple[int, tuple[Fraction, ...] | None]:
-    """The rank of ``rows`` and coefficients ``x`` with sum x_i * row_i = target.
-
-    One elimination of the system [rows^T | target], then back
-    substitution over the pivot columns.  The coefficients are None when
-    target lies outside the row span.  When the rows are dependent any
-    one solution is returned (free coefficients are set to zero).
-    """
-    for row in rows:
-        if len(row) != len(target):
-            raise ValueError(f"vector of length {len(target)} against rows of length {len(row)}")
-    n = len(rows)
-    work = _integer_rows(zip(*rows, target))
-    pivots = _echelon(work, n + 1)
-    if pivots and pivots[-1] == n:
-        return len(pivots) - 1, None
-    coeffs = [Fraction(0)] * n
-    for row, col in reversed(list(zip(work, pivots))):
-        rest = sum((row[j] * coeffs[j] for j in range(col + 1, n)), Fraction(0))
-        coeffs[col] = (row[n] - rest) / row[col]
-    return len(pivots), tuple(coeffs)

@@ -1,8 +1,8 @@
-"""Symmetric tensors: Veronese evaluation, rank certificates and bounds.
+"""Symmetric tensors: rank certificates and bounds.
 
-A degree-k symmetric tensor in n + 1 variables is a vector of
-C(k + n, n) coefficients indexed by the degree-k monomials in graded
-lexicographic order of exponent vectors.  The certificate here shows
+A degree-k symmetric tensor in n + 1 variables is presented as a
+weighted sum of k-th powers of r distinct points of P^n, that is, of
+their degree-k Veronese rows.  The certificate here shows
 that a presented symmetric decomposition of r distinct points is the
 actual rank of the tensor, and that rank and symmetric rank agree for
 it, by checking independence at some degree e <= k/2 together with
@@ -12,14 +12,18 @@ Independence at degree e is not read off the C(n + e, e)-wide Veronese
 rows V: weighted by multinomial coefficients, their Gram is <p, q>^e, so
 the Hadamard power G^e of the point Gram G is V W V^T with W positive
 diagonal and has the rank of V (at e = 0 it is all ones, of rank 1).
+
+The tensor itself is never built.  Its decomposition is sum_j w_j V_j
+over the degree-k rows, and when those are independent its coefficients
+are unique and equal the weights, so non-redundancy at degree k is the
+rank of G^k plus the zero pattern of the weights (see ``certify``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, prod
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .certify import (
@@ -30,7 +34,7 @@ from .certify import (
     Hypothesis,
     non_redundancy_hypotheses,
 )
-from .linalg import _echelon, integer_gram, primitive, weighted_sum
+from .linalg import _echelon, integer_gram, primitive
 
 TAG_SYMMETRIC = "symmetric-rank-agreement"
 
@@ -47,10 +51,6 @@ class SymShape:
             raise ValueError("n must be nonnegative")
         if self.k < 1:
             raise ValueError("the degree must be positive")
-
-    @property
-    def num_coords(self) -> int:
-        return comb(self.k + self.n, self.n)
 
     @property
     def half_degree(self) -> int:
@@ -88,33 +88,15 @@ class SymPointSet:
         return len(self.points)
 
 
-def veronese_vector(point: Sequence, degree: int) -> tuple[Fraction, ...]:
-    """All degree-``degree`` monomials of the coordinates, graded lex order.
-
-    Graded lex on exponent vectors means the exponent of the first
-    coordinate drops last: for (x, y, z) and degree 2 the order is
-    x2, xy, xz, y2, yz, z2.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    coords = tuple(Fraction(x) for x in point)
-    if not coords:
-        raise ValueError("empty coordinate vector")
-    return tuple(
-        prod((coords[i] for i in combo), start=Fraction(1))
-        for combo in combinations_with_replacement(range(len(coords)), degree)
-    )
+def veronese_gram(a: SymPointSet, degree: int) -> list[list[int]]:
+    """G^degree, elementwise, for the integer Gram G of the primitive points:
+    up to positive multinomial weights, the Gram of their Veronese rows."""
+    return [[g**degree for g in row] for row in integer_gram(a.points)]
 
 
-def assemble_symmetric(weights: Sequence, a: SymPointSet, degree: int) -> tuple[Fraction, ...]:
-    """Weighted sum of degree-``degree`` Veronese vectors of the points."""
-    length = comb(degree + a.n, a.n)
-    return weighted_sum(weights, a.points, lambda p: veronese_vector(p, degree), length)
-
-
-def comon_certify(coords: Sequence, a: SymPointSet, degree: int) -> Certificate:
-    """Certify rank = cactus rank = symmetric rank = #A for a symmetric
-    tensor presented by the decomposition A.
+def comon_certify(a: SymPointSet, weights: Sequence, degree: int) -> Certificate:
+    """Certify rank = cactus rank = symmetric rank = #A for the symmetric
+    tensor sum_j w_j p_j^degree presented by A and ``weights``.
 
     Searches e descending from floor(degree/2) for a degree-e Veronese
     Gram of full rank (h1 = 0), then checks non-redundancy of the
@@ -122,20 +104,11 @@ def comon_certify(coords: Sequence, a: SymPointSet, degree: int) -> Certificate:
     of points is the rank of the tensor both as a symmetric tensor and
     as a general one, so the two ranks agree.
     """
-    n = a.n
-    shape = SymShape(n, degree)
-    vec = tuple(Fraction(x) for x in coords)
-    if len(vec) != shape.num_coords:
-        raise ValueError(
-            f"symmetric tensor has {len(vec)} coordinates, expected {shape.num_coords}"
-        )
-    if not any(vec):
-        raise ValueError("the zero tensor has no projective class")
+    shape = SymShape(a.n, degree)
     attempts = []
     found_e: int | None = None
-    gram = integer_gram(a.points)
     for e in range(shape.half_degree, -1, -1):
-        rank = len(_echelon([[g**e for g in row] for row in gram], len(a)))
+        rank = len(_echelon(veronese_gram(a, e), len(a)))
         attempts.append({"e": e, "rank": rank, "h1": len(a) - rank})
         if rank == len(a):
             found_e = e
@@ -149,8 +122,8 @@ def comon_certify(coords: Sequence, a: SymPointSet, degree: int) -> Certificate:
     ]
     if found_e is None:
         return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), None)
-    rows = [veronese_vector(p, degree) for p in a.points]
-    span_hyps, ok = non_redundancy_hypotheses(vec, rows)
+    rank = len(_echelon(veronese_gram(a, degree), len(a)))
+    span_hyps, ok = non_redundancy_hypotheses(rank, len(a), weights)
     hyps.extend(span_hyps)
     if not ok:
         return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), None)

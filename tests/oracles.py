@@ -11,7 +11,8 @@ the package is wrong.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 
 def gauss_rank(rows) -> int:
@@ -125,6 +126,25 @@ def exponents_desc_lex(n: int, degree: int):
 
     rec([], degree, n + 1)
     return out
+
+
+def veronese_vector(point, degree: int) -> tuple:
+    """All degree-``degree`` monomials of the coordinates, graded lex order.
+
+    Graded lex on exponent vectors means the exponent of the first
+    coordinate drops last: for (x, y, z) and degree 2 the order is
+    x2, xy, xz, y2, yz, z2.  The explicit Veronese row of a point; the
+    package itself only ranks Gram matrices of such rows.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    coords = tuple(Fraction(x) for x in point)
+    if not coords:
+        raise ValueError("empty coordinate vector")
+    return tuple(
+        prod((coords[i] for i in combo), start=Fraction(1))
+        for combo in combinations_with_replacement(range(len(coords)), degree)
+    )
 
 
 def monomial_values(point, exponents):

@@ -3,13 +3,21 @@ span identities, obstructions and pinning."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certs import find
-from oracles import gauss_rank, in_span, matrix_of_two_factor_tensor
+from oracles import (
+    exponents_desc_lex,
+    gauss_rank,
+    in_span,
+    matrix_of_two_factor_tensor,
+    monomial_values,
+    outer_product_flat,
+)
 from tensorcert.certify import (
     ASSERTED,
     CLAIM_CACTUS_BOUND,
@@ -28,20 +36,19 @@ from tensorcert.certify import (
     certify_identifiability,
     check_non_redundant,
     check_span_intersection_identity,
-    non_redundancy_hypotheses,
     obstruct_alt_decompositions,
     pin_projections,
 )
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert.geometry import (
-    AmbientTensor,
     FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
     assemble_tensor,
-    segre_vector,
 )
+from tensorcert.linalg import primitive
+from tensorcert.symmetric import SymPointSet, comon_certify
 
 
 def pt(*factors):
@@ -53,8 +60,7 @@ def pset(dims, *points):
 
 
 def sample(dims, r, seed, box=9):
-    s, weights = random_decomposition(MultiShape(tuple(dims)), r, box=box, seed=seed)
-    return assemble_tensor(weights, s), s
+    return random_decomposition(MultiShape(tuple(dims)), r, box=box, seed=seed)
 
 
 IDENTITY_PAIR = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
@@ -64,8 +70,7 @@ IDENTITY_PAIR = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
 
 
 def test_non_redundant_identity_pair():
-    tensor = assemble_tensor((1, 1), IDENTITY_PAIR)
-    cert = check_non_redundant(tensor, IDENTITY_PAIR)
+    cert = check_non_redundant(IDENTITY_PAIR, (1, 1))
     assert cert.certified
     assert cert.claim == CLAIM_NON_REDUNDANT
     assert cert.conclusion == {"cardinality": 2}
@@ -75,9 +80,9 @@ def test_non_redundant_identity_pair():
 
 
 def test_non_redundant_fails_when_a_point_is_superfluous():
+    # the tensor is the first point's Segre vector alone
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
-    tensor = AmbientTensor(s.shape, segre_vector(s.points[0]))
-    cert = check_non_redundant(tensor, s)
+    cert = check_non_redundant(s, (1, 0))
     assert not cert.certified
     assert cert.conclusion is None
     failing = [h for h in cert.hypotheses if h.status == FAIL]
@@ -92,8 +97,7 @@ def test_non_redundant_fails_on_dependent_evaluation_vectors():
         pt((1, 0), (0, 1)),
         pt((1, 0), (1, 1)),
     )
-    tensor = assemble_tensor((1, 1, 1), s)
-    cert = check_non_redundant(tensor, s)
+    cert = check_non_redundant(s, (1, 1, 1))
     assert not cert.certified
     first = cert.hypotheses[0]
     assert first.name == "evaluation_vectors_independent"
@@ -101,20 +105,10 @@ def test_non_redundant_fails_on_dependent_evaluation_vectors():
     assert first.witness == {"rank": 2, "cardinality": 3}
 
 
-def test_non_redundant_fails_when_tensor_is_outside_the_span():
-    s = pset((1, 1), pt((1, 0), (1, 0)))
-    tensor = AmbientTensor(s.shape, (0, 1, 1, 0))
-    cert = check_non_redundant(tensor, s)
-    assert not cert.certified
-    span = find(cert, "tensor_in_span")[0]
-    assert span.status == FAIL
-    assert span.witness == {"span_rank": 1, "rank_with_tensor": 2}
-
-
 def test_non_redundant_rejects_shape_mismatch():
-    tensor = AmbientTensor(MultiShape((1, 2)), tuple([1] * 6))
-    with pytest.raises(ValueError):
-        check_non_redundant(tensor, IDENTITY_PAIR)
+    # one weight per point
+    with pytest.raises(ValueError, match="^3 weights for 2 points$"):
+        check_non_redundant(IDENTITY_PAIR, (1, 1, 1))
 
 
 def oracle_non_redundancy(coords, rows):
@@ -153,25 +147,61 @@ def oracle_non_redundancy(coords, rows):
     return hyps, not any(inside)
 
 
-@pytest.mark.parametrize("case", ["valid", "zeroed_weight", "off_span", "dependent_row"])
+def dependent_point_set(rng, seed):
+    """A random point set plus two points p', p'' that share all factors
+    but the last with its first point p, where p'' = p + p' in that
+    factor, so Segre(p'') = Segre(p) + Segre(p') and the rows are dependent."""
+    dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
+    s, _ = sample(dims, rng.randint(1, 3), seed=derive_seed(seed, 4))
+    p = s.points[0]
+    c = tuple(Fraction(rng.randint(-3, 3)) for _ in p.factors[-1])
+    last = tuple(x + y for x, y in zip(p.factors[-1], c))
+    assume(any(c) and any(last))
+    extra = (p.replace_factor(len(dims), c), p.replace_factor(len(dims), last))
+    assume(len(set(s.points + extra)) == len(s) + 2)
+    return PointSet(s.shape, s.points + extra)
+
+
+@pytest.mark.parametrize("case", ["valid", "zeroed_weight", "dependent_row"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_non_redundancy_hypotheses_match_the_oracle(case, seed):
+    """check_non_redundant and comon's degree-k non-redundancy, which read
+    ranks off Grams and the zero pattern of the weights, against plain
+    span tests on the explicit Segre and Veronese rows."""
     rng = random.Random(seed)
-    dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
-    r = rng.randint(1, 5)
-    s, weights = random_decomposition(MultiShape(dims), r, seed=derive_seed(seed, 4))
-    rows = [segre_vector(p) for p in s.points]
-    weights = list(weights)
-    if case == "zeroed_weight":
-        weights[rng.randrange(r)] = Fraction(0)
-    coords = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(len(rows[0]))]
-    if case == "off_span":
-        coords = [c + rng.randint(-3, 3) for c in coords]
     if case == "dependent_row":
-        a, b = rng.randrange(r), rng.randrange(r)
-        rows.append(tuple(2 * x - y for x, y in zip(rows[a], rows[b])))
-    assert non_redundancy_hypotheses(tuple(coords), rows) == oracle_non_redundancy(coords, rows)
+        s = dependent_point_set(rng, seed)
+    else:
+        dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
+        s, _ = sample(dims, rng.randint(1, 5), seed=derive_seed(seed, 4))
+    weights = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in s.points]
+    if case == "zeroed_weight":
+        weights[rng.randrange(len(s))] = Fraction(0)
+    rows = [outer_product_flat(p.factors) for p in s.points]
+    coords = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(len(rows[0]))]
+    hyps, ok = oracle_non_redundancy(coords, rows)
+    cert = check_non_redundant(s, weights)
+    assert list(cert.hypotheses) == hyps
+    assert cert.certified == ok
+
+    # symmetric: r points of P^n at degree k, few enough to be independent
+    # at degree floor(k/2) in general, which comon checks first
+    n, k = rng.randint(1, 2), rng.randint(1, 5)
+    r = rng.randint(1, comb(n + k // 2, n) + k % 2)
+    points = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(r)]
+    points = [p for p in points if any(p)] or [[1] + [0] * n]
+    a = SymPointSet(tuple({primitive(p): p for p in points}.values()))
+    weights = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in a.points]
+    if case == "zeroed_weight":
+        weights[rng.randrange(len(a))] = Fraction(0)
+    rows = [monomial_values(p, exponents_desc_lex(n, k)) for p in a.points]
+    coords = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(len(rows[0]))]
+    hyps, ok = oracle_non_redundancy(coords, rows)
+    cert = comon_certify(a, weights, k)
+    if cert.hypotheses[0].status == PASS:
+        assert list(cert.hypotheses[1:]) == hyps
+        assert cert.certified == ok
 
 
 # -- cactus rank lower bounds
@@ -192,7 +222,7 @@ def test_bound_identity_pair_from_both_orientations():
 
 
 def test_bound_on_the_seeded_three_factor_sample():
-    _, s = sample((2, 3, 5), 6, seed=11)
+    s, _ = sample((2, 3, 5), 6, seed=11)
     part = FactorPartition((1, 2), (3,))
     report = bound_cactus_rank(s, part)
     assert report.best_bound == 6
@@ -231,11 +261,11 @@ def test_two_factor_bound_matches_the_matrix_rank_oracle(seed):
     rng = random.Random(seed)
     dims = (rng.randint(1, 3), rng.randint(1, 4))
     r = rng.randint(1, max(dims) + 1)
-    tensor, s = sample(dims, r, seed=derive_seed(seed, 3))
+    s, weights = sample(dims, r, seed=derive_seed(seed, 3))
     factor_ranks = [gauss_rank([p.factors[i] for p in s.points]) for i in (0, 1)]
     if max(factor_ranks) < len(s):
         return
-    oracle = gauss_rank(matrix_of_two_factor_tensor(tensor.coords, dims))
+    oracle = gauss_rank(matrix_of_two_factor_tensor(assemble_tensor(weights, s), dims))
     assert bound_cactus_rank(s).best_bound == oracle
 
 
@@ -250,12 +280,12 @@ def test_two_factor_bound_can_undershoot_without_an_applicable_partition():
         pt((0, 0, 1, 0), (1, 1)),
         pt((1, 1, 1, 0), (1, 2)),
     )
-    tensor = assemble_tensor((1, 1, 1, 1), s)
-    assert check_non_redundant(tensor, s).certified
+    weights = (1, 1, 1, 1)
+    assert check_non_redundant(s, weights).certified
     report = bound_cactus_rank(s)
     assert report.best_bound == 1
     assert all(not e.applicable for e in report.per_partition)
-    oracle = gauss_rank(matrix_of_two_factor_tensor(tensor.coords, (3, 1)))
+    oracle = gauss_rank(matrix_of_two_factor_tensor(assemble_tensor(weights, s), (3, 1)))
     assert oracle == 2
     assert report.best_bound <= oracle
 
@@ -266,7 +296,7 @@ def test_applicable_bounds_never_exceed_the_cardinality(seed):
     rng = random.Random(seed)
     dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
     r = rng.randint(1, 4)
-    _, s = sample(dims, r, seed=derive_seed(seed, 4))
+    s, _ = sample(dims, r, seed=derive_seed(seed, 4))
     report = bound_cactus_rank(s)
     for entry in report.per_partition:
         if entry.applicable:
@@ -277,8 +307,8 @@ def test_applicable_bounds_never_exceed_the_cardinality(seed):
 
 
 def test_exact_rank_identity_pair():
-    tensor = assemble_tensor((1, 1), IDENTITY_PAIR)
-    cert = certify_exact_rank(tensor, IDENTITY_PAIR)
+    weights = (1, 1)
+    cert = certify_exact_rank(IDENTITY_PAIR, weights)
     assert cert.certified
     assert cert.claim == CLAIM_EXACT_RANK
     assert cert.conclusion == {
@@ -289,9 +319,9 @@ def test_exact_rank_identity_pair():
 
 
 def test_exact_rank_seeded_sample_with_a_pinned_partition():
-    tensor, s = sample((2, 3, 5), 6, seed=11)
+    s, weights = sample((2, 3, 5), 6, seed=11)
     part = FactorPartition((1, 2), (3,))
-    cert = certify_exact_rank(tensor, s, part)
+    cert = certify_exact_rank(s, weights, part)
     assert cert.certified
     assert cert.conclusion["rank"] == 6
     attempts = find(cert, "partition_with_both_flattenings_independent")[0]
@@ -308,8 +338,8 @@ def test_exact_rank_records_failed_partitions():
         pt((0, 1), (0, 1)),
         pt((1, 1), (1, 2)),
     )
-    tensor = assemble_tensor((1, 1, 1), s)
-    cert = certify_exact_rank(tensor, s)
+    weights = (1, 1, 1)
+    cert = certify_exact_rank(s, weights)
     assert not cert.certified
     attempts = find(cert, "partition_with_both_flattenings_independent")[0]
     assert attempts.status == FAIL
@@ -321,8 +351,8 @@ def test_exact_rank_records_failed_partitions():
 
 def test_exact_rank_requires_non_redundancy_first():
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
-    tensor = AmbientTensor(s.shape, segre_vector(s.points[0]))
-    cert = certify_exact_rank(tensor, s)
+    weights = (1, 0)  # the tensor is the first point's Segre vector alone
+    cert = certify_exact_rank(s, weights)
     assert not cert.certified
     assert not find(cert, "partition_with_both_flattenings_independent")
 
@@ -333,11 +363,11 @@ def test_exact_rank_certificates_are_consistent_with_the_bound(seed):
     rng = random.Random(seed)
     dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
     r = rng.randint(1, 3)
-    tensor, s = sample(dims, r, seed=derive_seed(seed, 5))
-    cert = certify_exact_rank(tensor, s)
+    s, weights = sample(dims, r, seed=derive_seed(seed, 5))
+    cert = certify_exact_rank(s, weights)
     if cert.certified:
         assert bound_cactus_rank(s).best_bound == len(s)
-        assert check_non_redundant(tensor, s).certified
+        assert check_non_redundant(s, weights).certified
 
 
 # -- identifiability
@@ -355,9 +385,9 @@ def test_identifiability_rejects_a_collapsing_shared_factor_family():
         pt(a, a, a, a, q_last),
         pt(b, b, b, b, r_last),
     )
-    tensor = assemble_tensor((1, 1, 1), s)
-    assert check_non_redundant(tensor, s).certified
-    cert = certify_identifiability(tensor, s)
+    weights = (1, 1, 1)
+    assert check_non_redundant(s, weights).certified
+    cert = certify_identifiability(s, weights)
     assert not cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
     proj = find(cert, "factor_projections_injective_or_constant")[0]
@@ -369,12 +399,12 @@ def test_identifiability_rejects_a_collapsing_shared_factor_family():
     # what refusing to certify minimality at cardinality 3 protects
     collapsed = pt(a, a, a, a, (1, 1))
     two_points = pset((1, 1, 1, 1, 1), collapsed, pt(b, b, b, b, r_last))
-    assert assemble_tensor((1, 1), two_points) == tensor
+    assert assemble_tensor((1, 1), two_points) == assemble_tensor(weights, s)
 
 
 def test_identifiability_certifies_rank_two_on_four_factors():
-    tensor, s = sample((2, 1, 1, 1), 2, seed=21)
-    cert = certify_identifiability(tensor, s)
+    s, weights = sample((2, 1, 1, 1), 2, seed=21)
+    cert = certify_identifiability(s, weights)
     assert cert.certified
     assert cert.claim == CLAIM_IDENTIFIABLE
     assert cert.conclusion == {"rank": 2, "minimal": True, "identifiable": True}
@@ -388,8 +418,8 @@ def test_identifiability_certifies_rank_two_on_four_factors():
 
 
 def test_identifiability_certifies_only_minimality_for_rank_three():
-    tensor, s = sample((2, 1, 1, 1), 3, seed=22)
-    cert = certify_identifiability(tensor, s)
+    s, weights = sample((2, 1, 1, 1), 3, seed=22)
+    cert = certify_identifiability(s, weights)
     assert cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
     assert cert.conclusion == {"rank": 3, "minimal": True, "identifiable": False}
@@ -397,8 +427,8 @@ def test_identifiability_certifies_only_minimality_for_rank_three():
 
 def test_identifiability_singleton_is_always_identifiable():
     s = pset((1, 1), pt((1, 2), (3, 4)))
-    tensor = assemble_tensor((5,), s)
-    cert = certify_identifiability(tensor, s)
+    weights = (5,)
+    cert = certify_identifiability(s, weights)
     assert cert.certified
     assert cert.claim == CLAIM_IDENTIFIABLE
     assert find(cert, "singleton_decomposition")[0].status == PASS
@@ -413,8 +443,8 @@ def test_identifiability_drops_constant_factors_soundly():
         pt((1, 0), (1, 0), c),
         pt((0, 1), (0, 1), c),
     )
-    tensor = assemble_tensor((1, 1), s)
-    cert = certify_identifiability(tensor, s)
+    weights = (1, 1)
+    cert = certify_identifiability(s, weights)
     assert cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
     proj = find(cert, "factor_projections_injective_or_constant")[0]
@@ -424,8 +454,8 @@ def test_identifiability_drops_constant_factors_soundly():
 
 
 def test_identifiability_two_factors_certifies_minimality_only():
-    tensor = assemble_tensor((1, 1), IDENTITY_PAIR)
-    cert = certify_identifiability(tensor, IDENTITY_PAIR)
+    weights = (1, 1)
+    cert = certify_identifiability(IDENTITY_PAIR, weights)
     assert cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
     assert cert.conclusion["identifiable"] is False
@@ -433,9 +463,9 @@ def test_identifiability_two_factors_certifies_minimality_only():
 
 def test_identifiability_gives_up_beyond_the_cardinality_range():
     # five generic points on three factors: 2r = 10 > k_eff + 2 = 5
-    tensor, s = sample((2, 2, 2), 5, seed=23)
-    cert = certify_identifiability(tensor, s)
-    if not check_non_redundant(tensor, s).certified:
+    s, weights = sample((2, 2, 2), 5, seed=23)
+    cert = certify_identifiability(s, weights)
+    if not check_non_redundant(s, weights).certified:
         pytest.skip("seed produced a redundant sample")
     assert not cert.certified
     assert cert.claim == CLAIM_MINIMAL_RANK
@@ -445,8 +475,8 @@ def test_identifiability_gives_up_beyond_the_cardinality_range():
 
 def test_identifiability_requires_non_redundancy():
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
-    tensor = AmbientTensor(s.shape, segre_vector(s.points[0]))
-    cert = certify_identifiability(tensor, s)
+    weights = (1, 0)  # the tensor is the first point's Segre vector alone
+    cert = certify_identifiability(s, weights)
     assert not cert.certified
     assert not find(cert, "factor_projections_injective_or_constant")
 
@@ -553,7 +583,7 @@ def test_span_identity_holds_on_random_independent_pairs(seed):
 
 
 def test_obstruct_seeded_sample_budget_one():
-    _, s = sample((2, 3, 5), 6, seed=11)
+    s, _ = sample((2, 3, 5), 6, seed=11)
     cert = obstruct_alt_decompositions(s, 1)
     assert cert.certified
     assert cert.claim == CLAIM_OBSTRUCTION
@@ -572,7 +602,7 @@ def test_obstruct_seeded_sample_budget_one():
 
 
 def test_obstruct_seeded_sample_budget_two_fails():
-    _, s = sample((2, 3, 5), 6, seed=11)
+    s, _ = sample((2, 3, 5), 6, seed=11)
     cert = obstruct_alt_decompositions(s, 2)
     assert not cert.certified
     capacity = find(cert, "projection_capacity")[0]
@@ -594,7 +624,7 @@ def test_obstruct_flags_non_injective_projections():
 
 
 def test_obstruct_budget_out_of_range():
-    _, s = sample((2, 3, 5), 6, seed=11)
+    s, _ = sample((2, 3, 5), 6, seed=11)
     with pytest.raises(ValueError):
         obstruct_alt_decompositions(s, 0)
     with pytest.raises(ValueError):
@@ -605,9 +635,9 @@ def test_obstruct_budget_out_of_range():
 
 
 def test_pin_projections_on_the_seeded_sample():
-    tensor, s = sample((2, 2, 5), 6, seed=31)
+    s, weights = sample((2, 2, 5), 6, seed=31)
     families = [(1, 2), (1, 2), (3,)]
-    cert = pin_projections(tensor, s, families, quasi_general_asserted=True)
+    cert = pin_projections(s, weights, families, quasi_general_asserted=True)
     assert cert.certified
     assert cert.claim == CLAIM_PINNING
     assert cert.conclusion["usable_families"] == [1, 2]
@@ -622,18 +652,18 @@ def test_pin_projections_on_the_seeded_sample():
 
 
 def test_pin_projections_needs_the_assertion():
-    tensor, s = sample((2, 2, 5), 6, seed=31)
+    s, weights = sample((2, 2, 5), 6, seed=31)
     families = [(1, 2), (1, 2), (3,)]
-    cert = pin_projections(tensor, s, families)
+    cert = pin_projections(s, weights, families)
     assert not cert.certified
     assert all(h.status == FAIL for h in find(cert, "quasi-general"))
 
 
 def test_pin_projections_per_family_flags():
-    tensor, s = sample((2, 2, 5), 6, seed=31)
+    s, weights = sample((2, 2, 5), 6, seed=31)
     families = [(1, 2), (1, 2), (3,)]
     cert = pin_projections(
-        tensor, s, families, quasi_general_asserted=(True, False, False)
+        s, weights, families, quasi_general_asserted=(True, False, False)
     )
     assert cert.certified
     assert cert.conclusion["usable_families"] == [1]
@@ -641,9 +671,9 @@ def test_pin_projections_per_family_flags():
 
 
 def test_pin_projections_fails_when_the_cardinality_is_too_big():
-    tensor, s = sample((1, 1, 1), 2, seed=32)
+    s, weights = sample((1, 1, 1), 2, seed=32)
     families = [(1,), (2,), (3,)]
-    cert = pin_projections(tensor, s, families, quasi_general_asserted=True)
+    cert = pin_projections(s, weights, families, quasi_general_asserted=True)
     assert not cert.certified
     conditions = find(cert, "family_projection_conditions")
     assert all(h.status == FAIL for h in conditions)
@@ -651,25 +681,25 @@ def test_pin_projections_fails_when_the_cardinality_is_too_big():
 
 
 def test_pin_projections_single_point_pins_every_factor():
-    tensor, s = sample((1, 1, 1), 1, seed=33)
+    s, weights = sample((1, 1, 1), 1, seed=33)
     families = [(1,), (2,), (3,)]
-    cert = pin_projections(tensor, s, families, quasi_general_asserted=True)
+    cert = pin_projections(s, weights, families, quasi_general_asserted=True)
     assert cert.certified
     assert cert.conclusion["usable_families"] == [1, 2, 3]
     assert cert.conclusion["pinned_factors"] == [1, 2, 3]
 
 
 def test_pin_projections_validates_the_families():
-    tensor, s = sample((1, 1, 1), 2, seed=34)
+    s, weights = sample((1, 1, 1), 2, seed=34)
     with pytest.raises(ValueError):
-        pin_projections(tensor, s, [(1,), (2,)], quasi_general_asserted=True)
+        pin_projections(s, weights, [(1,), (2,)], quasi_general_asserted=True)
     with pytest.raises(ValueError):
-        pin_projections(tensor, s, [(2,), (2,), (3,)], quasi_general_asserted=True)
+        pin_projections(s, weights, [(2,), (2,), (3,)], quasi_general_asserted=True)
     with pytest.raises(ValueError):
         pin_projections(
-            tensor, s, [(1, 2, 3), (2,), (3,)], quasi_general_asserted=True
+            s, weights, [(1, 2, 3), (2,), (3,)], quasi_general_asserted=True
         )
     with pytest.raises(ValueError):
         pin_projections(
-            tensor, s, [(1,), (2,), (3,)], quasi_general_asserted=(True,)
+            s, weights, [(1,), (2,), (3,)], quasi_general_asserted=(True,)
         )

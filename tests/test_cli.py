@@ -66,7 +66,8 @@ def test_load_instance_round_trips_points_and_weights(tmp_path):
     assert inst.shape == s.shape
     assert inst.points == s
     assert inst.weights == weights
-    assert inst.tensor == assemble_tensor(weights, s)
+    # no tensor is given, and none is built: the points and weights stand for it
+    assert inst.tensor is None
     assert inst.symmetric is None
 
 
@@ -74,14 +75,15 @@ def test_instance_accepts_a_consistent_explicit_tensor():
     data, s, weights = seeded_instance((1, 1), 2, seed=3)
     tensor = assemble_tensor(weights, s)
     # any nonzero rescaling of the coordinates names the same tensor
-    data["tensor"] = [format_rational(3 * x) for x in tensor.coords]
+    data["tensor"] = [format_rational(-3 * x) for x in tensor]
     inst = instance_from_json(data)
-    assert inst.tensor == tensor
+    assert inst.tensor == tuple(-3 * x for x in tensor)
+    assert inst.weights == weights
 
 
 def test_instance_rejects_a_contradictory_tensor():
     data, s, weights = seeded_instance((1, 1), 2, seed=3)
-    coords = list(assemble_tensor(weights, s).coords)
+    coords = list(assemble_tensor(weights, s))
     coords[0] += 1
     data["tensor"] = [format_rational(x) for x in coords]
     with pytest.raises(ValueError, match="disagrees"):
@@ -150,8 +152,62 @@ def test_symmetric_stanza_parsing():
     sym = inst.symmetric
     assert sym.n == 1 and sym.degree == 4
     assert len(sym.points) == 2
-    assert sym.coords == (2, 0, 0, 0, 3)
+    assert sym.weights == (2, 3)
     assert inst.points is None
+
+
+def test_given_tensor_validation_and_projective_equality():
+    # one point, whose Segre vector is (1, 2, 0, 0)
+    base = {"dims": [2, 2], "points": [[["1", "0"], ["1", "2"]]]}
+    with pytest.raises(ValueError, match="^tensor has 3 coordinates, shape wants 4$"):
+        instance_from_json(dict(base, tensor=["1", "2", "0"]))
+    with pytest.raises(ValueError, match="^the zero tensor has no projective class$"):
+        instance_from_json(dict(base, tensor=["0"] * 4))
+    # a tensor given without points is checked the same way
+    with pytest.raises(ValueError, match="^tensor has 3 coordinates, shape wants 4$"):
+        instance_from_json({"dims": [2, 2], "tensor": ["1", "2", "0"]})
+    with pytest.raises(InstanceParseError, match="^tensor given without dims$"):
+        instance_from_json({"tensor": ["1"]})
+    for given in (["3", "6", "0", "0"], ["-1/2", "-1", "0", "0"]):
+        inst = instance_from_json(dict(base, tensor=given))
+        assert inst.tensor == tuple(Fraction(x) for x in given)
+    for given in (["1", "2", "0", "1"], ["2", "1", "0", "0"]):
+        with pytest.raises(ValueError, match="^tensor disagrees with the weighted sum of the points$"):
+            instance_from_json(dict(base, tensor=given))
+
+
+def test_instance_weight_checks_run_in_input_order():
+    # the third point's Segre vector is the sum of the first two's
+    points = [[["1", "0"], ["1", "0"]], [["1", "0"], ["0", "1"]], [["1", "0"], ["1", "1"]]]
+    seg = {"dims": [2, 2], "points": points}
+    e11 = ["1", "0", "0", "0"]
+    cases = [
+        # one weight per point, checked before the tensor is read
+        (dict(seg, weights=["1", "1"], tensor=[1]), ValueError, "^2 weights for 3 points$"),
+        (dict(seg, weights=["1", "0", "1"], tensor=[1]), InstanceParseError, "^tensor: "),
+        (dict(seg, weights=["1", "0", "1"], tensor=["1"]), ValueError, "^tensor has 1 coordinates"),
+        (dict(seg, weights=["1", "0", "1"], tensor=["0"] * 4), ValueError, "^the zero tensor"),
+        # then the weights themselves, then the tensor against their sum
+        (dict(seg, weights=["1", "0", "1"], tensor=e11), ValueError, "^weights must be nonzero$"),
+        (dict(seg, weights=["1", "1", "-1"], tensor=e11), ValueError, "vanishes$"),
+        (dict(seg, weights=["2", "2", "-2"]), ValueError, "vanishes$"),
+        (dict(seg, weights=["1", "1", "1"], tensor=e11), ValueError, "^tensor disagrees"),
+    ]
+    sym = {"n": 1, "k": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}
+    cases += [
+        ({"symmetric": dict(sym, weights=["1"])}, ValueError, "^symmetric weights and points disagree in length$"),
+        ({"symmetric": dict(sym, weights=["1", "0", "1"])}, ValueError, "^weights must be nonzero$"),
+        ({"symmetric": dict(sym, weights=["1", "1", "-1"])}, ValueError, "vanishes$"),
+        # rescaled points: p^k scales by c^k, so -1/2 * (2, 2) cancels (1, 0) + (0, 1) at k = 1
+        ({"symmetric": dict(sym, points=[["1", "0"], ["0", "1"], ["2", "2"]], weights=["1", "1", "-1/2"])}, ValueError, "vanishes$"),
+        ({"symmetric": dict(sym, k=2, points=[["1", "0"], ["0", "1"], ["2", "2"]], weights=["1", "1", "-1/2"])}, None, None),
+    ]
+    for data, error, message in cases:
+        if error is None:
+            instance_from_json(data)
+            continue
+        with pytest.raises(error, match=message):
+            instance_from_json(data)
 
 
 def test_load_instance_missing_file_and_bad_json(tmp_path):
@@ -172,7 +228,7 @@ def test_load_instance_missing_file_and_bad_json(tmp_path):
 
 def test_certificate_json_round_trip():
     data, s, weights = seeded_instance((1, 1), 2, seed=3)
-    cert = check_non_redundant(assemble_tensor(weights, s), s)
+    cert = check_non_redundant(s, weights)
     payload = certificate_to_json(cert)
     assert certificate_from_json(payload) == cert
     assert certificate_from_json(json.loads(json.dumps(payload))) == cert
@@ -182,7 +238,7 @@ def test_certificate_json_round_trip():
 
 def test_format_certificate_text_lines():
     data, s, weights = seeded_instance((1, 1), 2, seed=3)
-    cert = check_non_redundant(assemble_tensor(weights, s), s)
+    cert = check_non_redundant(s, weights)
     text = format_certificate_text(cert)
     assert text.splitlines()[0] == "claim: NonRedundant"
     assert "conclusion: non-redundant decomposition of cardinality 2" in text

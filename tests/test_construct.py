@@ -14,7 +14,6 @@ from tensorcert.construct import (
     survey,
 )
 from tensorcert.geometry import (
-    AmbientTensor,
     MultiPoint,
     MultiShape,
     PointSet,
@@ -82,19 +81,30 @@ def test_random_decomposition_fails_on_impossible_injectivity():
 def test_augment_a_singleton():
     shape = MultiShape((1, 1))
     a = PointSet(shape, (MultiPoint.of((1, 2), (3, 1)),))
-    tensor = AmbientTensor(shape, segre_vector(a.points[0]))
-    s, cert = augment_decomposition(tensor, a, (1,), seed=3)
+    tensor = segre_vector(a.points[0])
+    s, weights, cert = augment_decomposition(tensor, a, (1,), seed=3)
     assert len(s) == 2
     assert cert.certified
-    assert check_non_redundant(tensor, s).certified
-    assert in_span(tensor.coords, [segre_vector(p) for p in s.points])
+    assert check_non_redundant(s, weights).certified
+    assert in_span(tensor, [segre_vector(p) for p in s.points])
+    assert assemble_tensor(weights, s) == tensor
+
+
+def test_augment_solves_the_new_weights_against_the_given_tensor():
+    # any nonzero multiple of the weighted sum names the same tensor, and
+    # the new weights are those of the multiple
+    a, weights = random_decomposition(MultiShape((1, 2)), 2, seed=4)
+    tensor = tuple(-3 * x for x in assemble_tensor(weights, a))
+    s, new_weights, cert = augment_decomposition(tensor, a, weights, seed=2)
+    assert cert.certified
+    assert assemble_tensor(new_weights, s) == tensor
 
 
 def test_augment_the_seeded_three_factor_sample():
     shape = MultiShape((2, 3, 5))
     a, weights = random_decomposition(shape, 6, seed=11)
     tensor = assemble_tensor(weights, a)
-    s, cert = augment_decomposition(tensor, a, weights, seed=7)
+    s, _, cert = augment_decomposition(tensor, a, weights, seed=7)
     assert len(s) == 7
     assert cert.certified
     # the walk only ever splits the working point, the others survive
@@ -106,9 +116,10 @@ def test_augment_is_deterministic_in_the_seed():
     shape = MultiShape((1, 1))
     a, weights = random_decomposition(shape, 2, seed=9)
     tensor = assemble_tensor(weights, a)
-    s1, _ = augment_decomposition(tensor, a, weights, seed=5)
-    s2, _ = augment_decomposition(tensor, a, weights, seed=5)
-    s3, _ = augment_decomposition(tensor, a, weights, seed=6)
+    s1, w1, _ = augment_decomposition(tensor, a, weights, seed=5)
+    s2, w2, _ = augment_decomposition(tensor, a, weights, seed=5)
+    s3, _, _ = augment_decomposition(tensor, a, weights, seed=6)
+    assert w1 == w2
     assert canonical_set(s1) == canonical_set(s2)
     assert canonical_set(s1) != canonical_set(s3)
 
@@ -131,7 +142,7 @@ def test_augment_rejects_an_overfull_set():
 def test_augment_needs_a_positive_dimension_somewhere():
     shape = MultiShape((0, 0))
     a = PointSet(shape, (MultiPoint.of((1,), (2,)),))
-    tensor = AmbientTensor(shape, (2,))
+    tensor = (2,)
     with pytest.raises(ValueError, match="positive dimension"):
         augment_decomposition(tensor, a, (2,))
 
@@ -152,12 +163,11 @@ def test_augment_needs_independent_evaluation_vectors():
 def test_augment_needs_the_tensor_to_match():
     shape = MultiShape((1, 1))
     a = PointSet(shape, (MultiPoint.of((1, 0), (1, 0)),))
-    other = AmbientTensor(shape, (0, 0, 0, 1))
     with pytest.raises(ValueError, match="weighted sum"):
-        augment_decomposition(other, a, (1,))
-    wrong_shape = AmbientTensor(MultiShape((1, 2)), (1, 0, 0, 0, 0, 1))
-    with pytest.raises(ValueError, match="different shapes"):
-        augment_decomposition(wrong_shape, a, (1,))
+        augment_decomposition((0, 0, 0, 1), a, (1,))
+    # a tensor of another shape has another number of coordinates
+    with pytest.raises(ValueError, match="weighted sum"):
+        augment_decomposition((1, 0, 0, 0, 0, 1), a, (1,))
 
 
 @settings(max_examples=20, deadline=None)
@@ -168,7 +178,7 @@ def test_augment_grows_by_exactly_one_and_recertifies(seed):
     a, weights = random_decomposition(shape, r, seed=derive_seed(seed, 8))
     tensor = assemble_tensor(weights, a)
     try:
-        s, cert = augment_decomposition(tensor, a, weights, seed=derive_seed(seed, 9))
+        s, new_weights, cert = augment_decomposition(tensor, a, weights, seed=derive_seed(seed, 9))
     except AugmentationError as exc:
         # the retry budget carries the last failing certificate when any
         # construction pass completed
@@ -176,6 +186,7 @@ def test_augment_grows_by_exactly_one_and_recertifies(seed):
         return
     assert len(s) == len(a) + 1
     assert cert.certified
+    assert assemble_tensor(new_weights, s) == tensor
 
 
 # -- surveys

@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 from oracles import kruskal_rank_exhaustive
 from tensorcert.certify import check_non_redundant
 from tensorcert.construct import random_decomposition
-from tensorcert.geometry import (
-    AmbientTensor,
-    MultiPoint,
-    MultiShape,
-    PointSet,
-    assemble_tensor,
-    segre_vector,
-)
+from tensorcert.geometry import MultiPoint, MultiShape, PointSet
 from tensorcert.kruskal import (
     MAX_EXHAUSTIVE_COLUMNS,
     compare_criteria,
@@ -193,8 +186,7 @@ def test_compare_flattening_wins_on_two_factors():
         MultiShape((1, 1)),
         (MultiPoint.of((1, 0), (1, 0)), MultiPoint.of((0, 1), (0, 1))),
     )
-    tensor = assemble_tensor((1, 1), s)
-    record = compare_criteria(tensor, s)
+    record = compare_criteria(s, (1, 1))
     assert record.exact_rank.certified
     assert record.flattening_applies
     # 2 + 2 < 2r + k - 1 = 5, so the baseline says nothing for matrices
@@ -205,8 +197,7 @@ def test_compare_flattening_wins_on_two_factors():
 
 def test_compare_both_apply_on_a_generic_three_factor_pair():
     s, weights = random_decomposition(MultiShape((1, 1, 1)), 2, seed=17)
-    tensor = assemble_tensor(weights, s)
-    record = compare_criteria(tensor, s)
+    record = compare_criteria(s, weights)
     assert record.exact_rank.certified
     assert record.identifiability.certified
     assert record.kruskal.applies
@@ -218,11 +209,10 @@ def test_compare_redundant_set_applies_nowhere():
     # the tensor is a single product vector, so the two-point set is a
     # redundant presentation and neither criterion concludes anything
     s, _ = random_decomposition(MultiShape((1, 1, 1)), 2, seed=19)
-    tensor = AmbientTensor(s.shape, segre_vector(s.points[0]))
-    record = compare_criteria(tensor, s)
+    record = compare_criteria(s, (1, 0))
     assert not record.non_redundant.certified
     assert record.kruskal.applies
     assert not record.kruskal_applies
     assert not record.flattening_applies
     assert not record.flattening_without_kruskal
-    assert not check_non_redundant(tensor, s).certified
+    assert not check_non_redundant(s, (1, 0)).certified

@@ -8,15 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import gauss_rank
+from tensorcert.geometry import MultiPoint, MultiShape, PointSet, decomposition_weights
 from tensorcert.linalg import (
     format_rational,
     integer_gram,
+    multiple,
     parse_rational,
     primitive,
     rat_rank,
-    row_combination,
     span_intersection_dim,
-    weighted_sum,
 )
 
 rationals = st.fractions(
@@ -73,9 +73,7 @@ def test_format_parse_round_trip(x):
 
 def test_empty_matrix_needs_explicit_columns():
     assert rat_rank([], 4) == 0
-    # no rows span only the zero vector
-    assert row_combination((1, 2), []) == (0, None)
-    assert row_combination((0, 0), []) == (0, ())
+    assert rat_rank([], 0) == 0
 
 
 # -- rank
@@ -117,18 +115,24 @@ def test_rank_is_invariant_under_row_scaling(rows, scale):
 
 
 # -- span tests
+#
+# Row combinations are solved by geometry.decomposition_weights.  On a
+# one-factor point set the Segre vectors are the rows themselves.
+
+
+def rows_as_points(rows) -> PointSet:
+    return PointSet(MultiShape((len(rows[0]) - 1,)), tuple(MultiPoint.of(row) for row in rows))
 
 
 def test_in_row_span_hand_cases():
-    base = [[1, 0, 0], [0, 1, 0]]
-    assert row_combination((2, -3, 0), base) == (2, (2, -3))
-    assert row_combination((0, 0, 1), base) == (2, None)
-    # dependent rows: the rank drops and the free coefficients are zero
-    assert row_combination((0, 2, 0), base + base) == (2, (0, 2, 0, 0))
-    with pytest.raises(ValueError):
-        row_combination((1, 0), base)
-    with pytest.raises(ValueError):
-        row_combination((1, 0), [[1, 0], [1]])
+    base = rows_as_points([[1, 0, 0], [0, 1, 0]])
+    assert decomposition_weights((2, -3, 0), base) == (2, -3)
+    assert decomposition_weights((0, 0, 1), base) is None
+    # dependent rows: the free coefficients are zero
+    dependent = rows_as_points([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    assert decomposition_weights((0, 2, 0), dependent) == (0, 2, 0)
+    with pytest.raises(ValueError, match="^tensor has 2 coordinates, shape wants 3$"):
+        decomposition_weights((1, 0), base)
 
 
 def test_span_intersection_dim_hand_cases():
@@ -147,22 +151,27 @@ def test_span_intersection_dim_hand_cases():
 
 
 def test_solve_row_combination_recovers_coefficients():
-    base = [[1, 0, 2], [0, 1, 1]]
+    base = rows_as_points([[1, 0, 2], [0, 1, 1]])
     target = (2, -1, 3)
-    coeffs = row_combination(target, base)[1]
+    coeffs = decomposition_weights(target, base)
     assert coeffs == (2, -1)
 
 
 def test_solve_row_combination_inconsistent_returns_none():
-    base = [[1, 0, 0]]
-    assert row_combination((0, 1, 0), base)[1] is None
+    base = rows_as_points([[1, 0, 0]])
+    assert decomposition_weights((0, 1, 0), base) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
         lambda w: st.tuples(
-            st.lists(st.lists(rationals, min_size=w, max_size=w), min_size=1, max_size=4),
+            st.lists(
+                st.lists(rationals, min_size=w, max_size=w).filter(any),
+                min_size=1,
+                max_size=4,
+                unique_by=primitive,
+            ),
             st.lists(rationals, min_size=4, max_size=4),
         )
     )
@@ -174,7 +183,7 @@ def test_solve_row_combination_recombines_to_the_target(data):
         sum(c * x for c, x in zip(coeffs, col))
         for col in zip(*rows)
     ]
-    solved = row_combination(target, rows)[1]
+    solved = decomposition_weights(target, rows_as_points(rows))
     assert solved is not None
     rebuilt = [
         sum(c * x for c, x in zip(solved, col))
@@ -187,22 +196,6 @@ def test_solve_row_combination_recombines_to_the_target(data):
 @given(small_matrices())
 def test_rank_bounded_by_dimensions(rows):
     assert 0 <= rat_rank(rows, len(rows[0])) <= min(len(rows), len(rows[0]))
-
-
-# -- weighted sums
-
-
-def test_weighted_sum_of_vectors_and_its_checks():
-    def double(p):
-        return (p, 2 * p)
-
-    assert weighted_sum((Fraction(1, 2), -3), (4, 1), double, 2) == (-1, -2)
-    with pytest.raises(ValueError, match="^1 weights for 2 points$"):
-        weighted_sum((1,), (4, 1), double, 2)
-    with pytest.raises(ValueError, match="^weights must be nonzero$"):
-        weighted_sum((1, 0), (4, 1), double, 2)
-    with pytest.raises(ValueError, match="vanishes"):
-        weighted_sum((1, -4), (4, 1), double, 2)
 
 
 # -- integer Grams
@@ -263,3 +256,12 @@ def test_primitive_is_a_coprime_form_unchanged_by_rescaling(vector, scale):
 def test_primitive_forms_agree_exactly_on_proportional_vectors(pair):
     v, w = pair
     assert (primitive(v) == primitive(w)) == (gauss_rank([v, w]) == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.lists(rationals, min_size=w, max_size=w).filter(any)))
+@example([0, Fraction(-4, 3), Fraction(2, 5)])
+def test_multiple_recovers_the_row_from_its_primitive_form(vector):
+    form = primitive(vector)
+    c = multiple(vector, form)
+    assert [c * v for v in form] == vector
