@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .certify import (
     ASSERTED,
@@ -126,7 +126,13 @@ def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[Fraction, ...] |
     return coords
 
 
-def _check_weights(weights, gram, scales, mismatch: str, read_tensor=lambda: None):
+def _check_weights(
+    weights: Sequence[Fraction],
+    gram: list[list[int]],
+    scales: Sequence[Fraction],
+    mismatch: str,
+    read_tensor: Callable[[], tuple[Fraction, ...] | None] = lambda: None,
+) -> tuple[tuple[int, ...], tuple[Fraction, ...] | None]:
     """Check the weights of a presented decomposition; return the integer
     weights u over the primitive rows and what ``read_tensor`` returns.
 

@@ -6,9 +6,9 @@ code, stdout and stderr it produced.  A JSON stdout is stored as the
 object it prints, and the test prints that object back the way the CLI
 does before comparing bytes, so key order and layout still count.  The
 runs cover every subcommand that reads an instance, in text and JSON, on
-valid decompositions and on malformed inputs.  After an intended change of output, rewrite the
-expected values with ``PYTHONPATH=src python tests/test_golden.py
---record`` and review the diff.
+valid decompositions and on malformed inputs.  After an intended change
+of output, rewrite the expected values with ``PYTHONPATH=src python
+tests/test_golden.py --record`` and review the diff.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -60,8 +61,6 @@ def test_cli_transcript_matches_the_recording(entry, tmp_path):
 
 
 def record() -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         for entry in DATA["runs"]:
             got = transcript(DATA["instances"][entry["instance"]], entry["argv"], Path(tmp))
