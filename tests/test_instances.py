@@ -183,7 +183,7 @@ SEGRE = {
     "tensor": ["-1", "1", "-4", "1/3", "13/3", "-10/3"],
 }
 SYMMETRIC = {"symmetric": {"n": 1, "k": 3, "points": [["1", "2"], ["3", "-1"]], "weights": ["1", "-2"]}}
-# every value below is the wrong type wherever it lands
+# every value below is the wrong type wherever it lands, except 7 for an integer field
 WRONG_TYPES = [None, True, 2.5, 7, "x", {}, [], [[]], {"a": 1}, [1.5]]
 
 
@@ -199,7 +199,10 @@ def malformed_instances(draw):
             del sym[draw(st.sampled_from(("n", "k", "points")))]
         elif kind == "type":
             key = draw(st.sampled_from(("n", "k", "points", "weights")))
-            sym[key] = wrong if key in ("n", "k") or wrong != [] else [["1", "x"]]
+            if key in ("n", "k"):
+                sym[key] = wrong if type(wrong) is not int else 2.5
+            else:
+                sym[key] = wrong if wrong != [] else [["1", "x"]]
         elif kind == "k":
             sym["k"] = draw(st.sampled_from((0, -1, -5, True, "3", 3.0)))
         elif kind == "n":
