@@ -180,14 +180,6 @@ class PartitionEntry:
     bound: int | None
     reason: str | None
 
-    def as_json(self) -> dict:
-        return {
-            "partition": self.partition.as_json(),
-            "applicable": self.applicable,
-            "bound": self.bound,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -197,14 +189,6 @@ class BoundReport:
     best_partition: FactorPartition | None
     per_partition: tuple[PartitionEntry, ...]
     certificate: Certificate
-
-    def as_json(self) -> dict:
-        return {
-            "best_bound": self.best_bound,
-            "best_partition": self.best_partition.as_json() if self.best_partition else None,
-            "per_partition": [e.as_json() for e in self.per_partition],
-            "certificate": certificate_to_json(self.certificate),
-        }
 
 
 def bound_cactus_rank(s: PointSet, partition: FactorPartition | None = None) -> BoundReport:

@@ -6,6 +6,9 @@ file; rationals are strings "p" or "p/q" with the sign on the numerator.
 Exit codes: 0 claim certified, 1 hypotheses not satisfied, 2 validation
 or precondition failure, 3 parse error.  The default seed comes from the
 TENSORCERT_SEED environment variable when set.
+
+Each subcommand returns its result as sections (JSON key, text title,
+value), and ``render`` turns them into the one requested format.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .certify import (
 from .construct import (
     DEFAULT_BOX,
     AugmentationError,
+    SurveyReport,
     augment_decomposition,
     random_decomposition,
     survey,
@@ -52,7 +56,7 @@ from .geometry import (
 )
 from .kruskal import MAX_EXHAUSTIVE_COLUMNS, ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
 from .linalg import format_rational, multiple, parse_rational, primitive
-from .symmetric import SymPointSet, comon_certify, symmetric_bounds, veronese_gram
+from .symmetric import SymmetricBounds, SymPointSet, comon_certify, symmetric_bounds, veronese_gram
 
 ENV_SEED = "TENSORCERT_SEED"
 
@@ -240,7 +244,11 @@ def _need_points(inst: Instance) -> tuple[PointSet, tuple[Fraction, ...]]:
     return inst.points, inst.weights
 
 
-def pointset_to_json(s: PointSet, weights: Sequence[Fraction] | None = None) -> dict:
+def pointset_to_json(
+    s: PointSet,
+    weights: Sequence[Fraction] | None = None,
+    tensor: Sequence[Fraction] | None = None,
+) -> dict:
     out: dict = {
         "dims": [n + 1 for n in s.shape.dims],
         "points": [
@@ -249,11 +257,17 @@ def pointset_to_json(s: PointSet, weights: Sequence[Fraction] | None = None) -> 
     }
     if weights is not None:
         out["weights"] = [format_rational(w) for w in weights]
+    if tensor is not None:
+        out["tensor"] = [format_rational(x) for x in tensor]
     return out
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# output: the JSON and text form of each kind of section value
+
+# (JSON key, text title, value); a section without a key merges into the
+# top-level JSON object, one without a title prints without a header
+Section = tuple[str | None, str | None, object]
 
 
 def _conclusion_line(cert: Certificate) -> str:
@@ -274,24 +288,59 @@ def format_certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
+def _partition_label(part: FactorPartition) -> str:
+    return "{" + ",".join(map(str, part.E)) + "}/{" + ",".join(map(str, part.F)) + "}"
+
+
+def bound_report_to_json(report: BoundReport) -> dict:
+    return {
+        "best_bound": report.best_bound,
+        "best_partition": report.best_partition.as_json() if report.best_partition else None,
+        "per_partition": [
+            {
+                "partition": entry.partition.as_json(),
+                "applicable": entry.applicable,
+                "bound": entry.bound,
+                "reason": entry.reason,
+            }
+            for entry in report.per_partition
+        ],
+        "certificate": certificate_to_json(report.certificate),
+    }
+
+
 def format_bound_report_text(report: BoundReport) -> str:
     lines = []
     for entry in report.per_partition:
-        part = entry.partition
-        label = "{" + ",".join(map(str, part.E)) + "}/{" + ",".join(map(str, part.F)) + "}"
+        label = _partition_label(entry.partition)
         if entry.applicable:
             lines.append(f"partition {label}: applicable, bound {entry.bound}")
         else:
             extra = f", bound {entry.bound}" if entry.bound is not None else ""
             lines.append(f"partition {label}: not applicable ({entry.reason}{extra})")
     if report.best_partition is not None:
-        best = report.best_partition
-        label = "{" + ",".join(map(str, best.E)) + "}/{" + ",".join(map(str, best.F)) + "}"
+        label = _partition_label(report.best_partition)
         lines.append(f"best bound: {report.best_bound} via {label}")
     else:
         lines.append(f"best bound: {report.best_bound} (trivial, no applicable partition)")
     lines.append(format_certificate_text(report.certificate))
     return "\n".join(lines)
+
+
+KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
+
+
+def kruskal_to_json(report: KruskalReport | None) -> dict | None:
+    if report is None:
+        return None
+    return {
+        "baseline": KRUSKAL_BASELINE,
+        "per_factor_kruskal_rank": list(report.per_factor),
+        "cardinality": report.cardinality,
+        "condition_lhs": report.condition_lhs,
+        "condition_rhs": report.condition_rhs,
+        "applies": report.applies,
+    }
 
 
 def format_kruskal_text(report: KruskalReport | None) -> str:
@@ -313,39 +362,89 @@ def format_kruskal_text(report: KruskalReport | None) -> str:
     return "\n".join(lines)
 
 
-def comparison_to_json(record: ComparisonRecord) -> dict:
+def compare_flags_to_json(record: ComparisonRecord) -> dict:
     return {
-        "non_redundant": certificate_to_json(record.non_redundant),
-        "cactus_bound": record.bound.as_json(),
-        "exact_rank": certificate_to_json(record.exact_rank),
-        "identifiability": certificate_to_json(record.identifiability),
-        "kruskal": record.kruskal.as_json() if record.kruskal else None,
         "flattening_applies": record.flattening_applies,
         "kruskal_applies": record.kruskal_applies,
         "flattening_without_kruskal": record.flattening_without_kruskal,
     }
 
 
-def format_comparison_text(record: ComparisonRecord) -> str:
-    sections = [
-        ("non-redundancy", format_certificate_text(record.non_redundant)),
-        ("cactus rank lower bound", format_bound_report_text(record.bound)),
-        ("exact rank", format_certificate_text(record.exact_rank)),
-        ("identifiability", format_certificate_text(record.identifiability)),
-        ("kruskal baseline", format_kruskal_text(record.kruskal)),
-    ]
-    lines = []
-    for title, body in sections:
-        lines.append(f"== {title} ==")
-        lines.append(body)
-    lines.append(
-        "flattening criteria apply: %s; Kruskal applies: %s; flattening without Kruskal: %s"
-        % (
-            "yes" if record.flattening_applies else "no",
-            "yes" if record.kruskal_applies else "no",
-            "yes" if record.flattening_without_kruskal else "no",
-        )
+def format_compare_flags_text(record: ComparisonRecord) -> str:
+    return "flattening criteria apply: %s; Kruskal applies: %s; flattening without Kruskal: %s" % tuple(
+        "yes" if flag else "no" for flag in compare_flags_to_json(record).values()
     )
+
+
+def survey_to_json(report: SurveyReport) -> dict:
+    return {
+        "rows": [
+            {
+                "dims": list(row.dims),
+                "r": row.r,
+                "trials": row.trials,
+                "certified_exact_rank": row.exact_rank,
+                "certified_minimal_or_identifiable": row.identifiable,
+                "kruskal_applies": row.kruskal,
+                "flattening_without_kruskal": row.flattening_without_kruskal,
+            }
+            for row in report.rows
+        ]
+    }
+
+
+def format_survey_text(report: SurveyReport) -> str:
+    lines = [
+        f"{'shape':>12} {'r':>3} {'trials':>6} {'exact':>6} {'ident':>6} "
+        f"{'kruskal':>7} {'advantage':>9}"
+    ]
+    for row in report.rows:
+        label = "x".join(str(n + 1) for n in row.dims)
+        lines.append(
+            f"{label:>12} {row.r:>3} {row.trials:>6} {row.exact_rank:>6} "
+            f"{row.identifiable:>6} {row.kruskal:>7} {row.flattening_without_kruskal:>9}"
+        )
+    return "\n".join(lines)
+
+
+def format_symmetric_bounds_text(bounds: SymmetricBounds) -> str:
+    return f"bounds: r0={bounds.r0} rg={bounds.rg} exceptional={str(bounds.exceptional).lower()}"
+
+
+def _forms(value) -> tuple[Callable, Callable]:
+    """The JSON form and the text form of a section value.  The names are
+    read at call time, so a replaced module global takes effect.  None is
+    a Kruskal baseline that was not computed, a ComparisonRecord stands
+    for its verdict flags, and a dict is an instance file, printed as JSON
+    in both formats."""
+    if isinstance(value, Certificate):
+        return certificate_to_json, format_certificate_text
+    if isinstance(value, BoundReport):
+        return bound_report_to_json, format_bound_report_text
+    if value is None or isinstance(value, KruskalReport):
+        return kruskal_to_json, format_kruskal_text
+    if isinstance(value, ComparisonRecord):
+        return compare_flags_to_json, format_compare_flags_text
+    if isinstance(value, SurveyReport):
+        return survey_to_json, format_survey_text
+    if isinstance(value, SymmetricBounds):
+        return SymmetricBounds._asdict, format_symmetric_bounds_text
+    return dict, lambda data: json.dumps(data, indent=2)
+
+
+def render(sections: Sequence[Section], fmt: str) -> str:
+    """Build only the requested format of the sections."""
+    if fmt == "json":
+        out: dict = {}
+        for key, _, value in sections:
+            body = _forms(value)[0](value)
+            out.update(body if key is None else {key: body})
+        return json.dumps(out, indent=2)
+    lines = []
+    for _, title, value in sections:
+        if title is not None:
+            lines.append(f"== {title} ==")
+        lines.append(_forms(value)[1](value))
     return "\n".join(lines)
 
 
@@ -416,11 +515,14 @@ def parse_shapes_flag(text: str) -> list[MultiShape]:
 
 def parse_r_flag(text: str) -> list[int]:
     text = text.strip()
-    if "-" in text[1:]:
-        lo, hi = text.split("-", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(x) for x in text.split(",") if x.strip()]
+    try:
+        if "-" in text[1:]:
+            lo, hi = text.split("-", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--r {text!r} must look like '6', '2-4' or '1,3'") from None
     if not values or any(v < 1 for v in values):
         raise ValueError(f"--r {text!r} must select positive cardinalities")
     return values
@@ -442,180 +544,113 @@ def resolve_seed(args: argparse.Namespace) -> int:
 # subcommands
 
 
-def _emit(args: argparse.Namespace, payload_json: dict, payload_text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload_json, indent=2))
-    else:
-        print(payload_text)
+def _exit(certified: bool) -> int:
+    return EXIT_CERTIFIED if certified else EXIT_NOT_CERTIFIED
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
+def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
-    partition = (
-        parse_partition_flag(args.partition, points.shape.k) if args.partition else None
-    )
+    partition = parse_partition_flag(args.partition, points.shape.k) if args.partition else None
     nr = check_non_redundant(points, weights)
     report = bound_cactus_rank(points, partition)
     exact = certify_exact_rank(points, weights, partition)
-    _emit(
-        args,
-        {
-            "non_redundant": certificate_to_json(nr),
-            "cactus_bound": report.as_json(),
-            "exact_rank": certificate_to_json(exact),
-        },
-        "\n".join(
-            [
-                "== non-redundancy ==",
-                format_certificate_text(nr),
-                "== cactus rank lower bound ==",
-                format_bound_report_text(report),
-                "== exact rank ==",
-                format_certificate_text(exact),
-            ]
-        ),
-    )
-    return EXIT_CERTIFIED if exact.certified else EXIT_NOT_CERTIFIED
+    sections = [
+        ("non_redundant", "non-redundancy", nr),
+        ("cactus_bound", "cactus rank lower bound", report),
+        ("exact_rank", "exact rank", exact),
+    ]
+    return sections, _exit(exact.certified)
 
 
-def cmd_identifiability(args: argparse.Namespace) -> int:
+def cmd_identifiability(args: argparse.Namespace) -> tuple[list[Section], int]:
     cert = certify_identifiability(*_need_points(load_instance(args.input)))
-    _emit(args, certificate_to_json(cert), format_certificate_text(cert))
-    return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
+    return [(None, None, cert)], _exit(cert.certified)
 
 
-def cmd_kruskal(args: argparse.Namespace) -> int:
+def cmd_kruskal(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, _ = _need_points(load_instance(args.input))
     report = kruskal_certificate(points)
-    _emit(args, report.as_json(), format_kruskal_text(report))
-    return EXIT_CERTIFIED if report.applies else EXIT_NOT_CERTIFIED
+    return [(None, None, report)], _exit(report.applies)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
     record = compare_criteria(*_need_points(load_instance(args.input)))
-    _emit(args, comparison_to_json(record), format_comparison_text(record))
-    applies = record.flattening_applies or record.kruskal_applies
-    return EXIT_CERTIFIED if applies else EXIT_NOT_CERTIFIED
+    sections = [
+        ("non_redundant", "non-redundancy", record.non_redundant),
+        ("cactus_bound", "cactus rank lower bound", record.bound),
+        ("exact_rank", "exact rank", record.exact_rank),
+        ("identifiability", "identifiability", record.identifiability),
+        ("kruskal", "kruskal baseline", record.kruskal),
+        (None, None, record),
+    ]
+    return sections, _exit(record.flattening_applies or record.kruskal_applies)
 
 
-def cmd_augment(args: argparse.Namespace) -> int:
+def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
     inst = load_instance(args.input)
     points, weights = _need_points(inst)
-    seed = resolve_seed(args)
     # the tensor the instance names: the one it gives, else the weighted sum
     tensor = inst.tensor if inst.tensor is not None else assemble_tensor(weights, points)
     bigger, new_weights, cert = augment_decomposition(
-        tensor, points, weights, seed=seed, box=args.box
+        tensor, points, weights, seed=resolve_seed(args), box=args.box
     )
-    out = pointset_to_json(bigger, new_weights)
-    out["tensor"] = [format_rational(x) for x in tensor]
-    _emit(
-        args,
-        {"decomposition": out, "certificate": certificate_to_json(cert)},
-        "\n".join(
-            [
-                json.dumps(out, indent=2),
-                format_certificate_text(cert),
-            ]
-        ),
-    )
-    return EXIT_CERTIFIED
+    decomposition = pointset_to_json(bigger, new_weights, tensor)
+    return [("decomposition", None, decomposition), ("certificate", None, cert)], EXIT_CERTIFIED
 
 
-def cmd_obstruct(args: argparse.Namespace) -> int:
+def cmd_obstruct(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
     nr = check_non_redundant(points, weights)
     cert = obstruct_alt_decompositions(points, args.x)
-    _emit(
-        args,
-        {"non_redundant": certificate_to_json(nr), "obstruction": certificate_to_json(cert)},
-        "\n".join(
-            [
-                "== non-redundancy ==",
-                format_certificate_text(nr),
-                "== obstruction ==",
-                format_certificate_text(cert),
-            ]
-        ),
-    )
-    return EXIT_CERTIFIED if nr.certified and cert.certified else EXIT_NOT_CERTIFIED
+    sections = [("non_redundant", "non-redundancy", nr), ("obstruction", "obstruction", cert)]
+    return sections, _exit(nr.certified and cert.certified)
 
 
-def cmd_pin(args: argparse.Namespace) -> int:
+def cmd_pin(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
     families = parse_families_flag(args.families, points.shape.k)
     cert = pin_projections(
         points, weights, families, quasi_general_asserted=args.assert_quasi_general
     )
-    _emit(args, certificate_to_json(cert), format_certificate_text(cert))
-    return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
+    return [(None, None, cert)], _exit(cert.certified)
 
 
-def cmd_comon(args: argparse.Namespace) -> int:
+def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
     inst = load_instance(args.input)
     if inst.symmetric is None:
         raise ValueError("this subcommand needs a symmetric stanza in the instance file")
     sym = inst.symmetric
     cert = comon_certify(sym.points, sym.weights, sym.degree)
     bounds = symmetric_bounds(sym.n, sym.degree)
-    payload = {
-        "certificate": certificate_to_json(cert),
-        "bounds": {"r0": bounds.r0, "rg": bounds.rg, "exceptional": bounds.exceptional},
-    }
-    text = "\n".join(
-        [
-            format_certificate_text(cert),
-            f"bounds: r0={bounds.r0} rg={bounds.rg} exceptional={str(bounds.exceptional).lower()}",
-        ]
-    )
-    _emit(args, payload, text)
-    return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
+    return [("certificate", None, cert), ("bounds", None, bounds)], _exit(cert.certified)
 
 
-def cmd_span_check(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input)
-    if inst.points is None:
-        raise ValueError("this subcommand needs dims and points in the instance file")
-    points = inst.points
+def cmd_span_check(args: argparse.Namespace) -> tuple[list[Section], int]:
+    points, _ = _need_points(load_instance(args.input))
     idx_a = parse_index_list(args.a, len(points), "--a")
     idx_b = parse_index_list(args.b, len(points), "--b")
     set_a = PointSet(points.shape, tuple(points.points[i] for i in idx_a))
     set_b = PointSet(points.shape, tuple(points.points[i] for i in idx_b))
     cert = check_span_intersection_identity(set_a, set_b)
-    _emit(args, certificate_to_json(cert), format_certificate_text(cert))
-    return EXIT_CERTIFIED if cert.certified else EXIT_NOT_CERTIFIED
+    return [(None, None, cert)], _exit(cert.certified)
 
 
-def cmd_survey(args: argparse.Namespace) -> int:
+def cmd_survey(args: argparse.Namespace) -> tuple[list[Section], int]:
     shapes = parse_shapes_flag(args.shapes)
     r_values = parse_r_flag(args.r)
     seed = resolve_seed(args)
     report = survey(shapes, r_values, args.trials, seed=seed, box=args.box)
-    header = (
-        f"{'shape':>12} {'r':>3} {'trials':>6} {'exact':>6} {'ident':>6} "
-        f"{'kruskal':>7} {'advantage':>9}"
-    )
-    lines = [header]
-    for row in report.rows:
-        label = "x".join(str(n + 1) for n in row.dims)
-        lines.append(
-            f"{label:>12} {row.r:>3} {row.trials:>6} {row.exact_rank:>6} "
-            f"{row.identifiable:>6} {row.kruskal:>7} {row.flattening_without_kruskal:>9}"
-        )
-    _emit(args, report.as_json(), "\n".join(lines))
-    return EXIT_CERTIFIED
+    return [(None, None, report)], EXIT_CERTIFIED
 
 
-def cmd_random(args: argparse.Namespace) -> int:
+def cmd_random(args: argparse.Namespace) -> tuple[list[Section], int]:
     shapes = parse_shapes_flag(args.shape)
     if len(shapes) != 1:
         raise ValueError("--shape must name exactly one shape")
     seed = resolve_seed(args)
     s, weights = random_decomposition(shapes[0], args.r, box=args.box, seed=seed)
-    out = pointset_to_json(s, weights)
-    out["tensor"] = [format_rational(x) for x in assemble_tensor(weights, s)]
-    print(json.dumps(out, indent=2))
-    return EXIT_CERTIFIED
+    instance = pointset_to_json(s, weights, assemble_tensor(weights, s))
+    return [(None, None, instance)], EXIT_CERTIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--box", type=int, default=DEFAULT_BOX)
-    p.set_defaults(handler=cmd_random)
+    # the instance file it writes is JSON; random takes no --format
+    p.set_defaults(handler=cmd_random, format="json")
 
     return parser
 
@@ -717,7 +753,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        return args.handler(args)
+        sections, code = args.handler(args)
     except InstanceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -727,6 +763,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    print(render(sections, args.format))
+    return code
 
 
 def main() -> None:

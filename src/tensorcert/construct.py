@@ -27,6 +27,7 @@ from .linalg import primitive
 
 DEFAULT_BOX = 9
 _RESAMPLE_CAP = 512
+_AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
 
 
@@ -143,7 +144,6 @@ def augment_decomposition(
     *,
     seed: int = 0,
     box: int = DEFAULT_BOX,
-    retries: int = 32,
 ) -> tuple[PointSet, tuple[Fraction, ...], Certificate]:
     """Extend a non-redundant decomposition by one point.
 
@@ -152,7 +152,7 @@ def augment_decomposition(
     a nonzero multiple of assemble_tensor(weights, A).  Returns the new
     points, their weights against ``tensor`` (from the one M-wide solve,
     ``decomposition_weights``) and the check_non_redundant certificate of
-    the two; when the budget of ``retries`` construction passes runs out
+    the two; when the budget of _AUGMENT_PASSES construction passes runs out
     the last failing certificate rides along on the raised
     AugmentationError.
     """
@@ -171,7 +171,7 @@ def augment_decomposition(
         raise ValueError("tensor does not equal the weighted sum of the decomposition")
     rng = random.Random(seed)
     last: Certificate | None = None
-    for _ in range(retries):
+    for _ in range(_AUGMENT_PASSES):
         s = _try_augment(a, rng, box)
         if s is None:
             continue
@@ -181,7 +181,7 @@ def augment_decomposition(
             return s, new_weights, cert
         last = cert
     raise AugmentationError(
-        f"augmentation failed after {retries} attempts", certificate=last
+        f"augmentation failed after {_AUGMENT_PASSES} attempts", certificate=last
     )
 
 
@@ -195,24 +195,10 @@ class SurveyRow:
     kruskal: int
     flattening_without_kruskal: int
 
-    def as_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "r": self.r,
-            "trials": self.trials,
-            "certified_exact_rank": self.exact_rank,
-            "certified_minimal_or_identifiable": self.identifiable,
-            "kruskal_applies": self.kruskal,
-            "flattening_without_kruskal": self.flattening_without_kruskal,
-        }
-
 
 @dataclass(frozen=True)
 class SurveyReport:
     rows: tuple[SurveyRow, ...]
-
-    def as_json(self) -> dict:
-        return {"rows": [row.as_json() for row in self.rows]}
 
 
 def survey(
@@ -224,6 +210,8 @@ def survey(
     box: int = DEFAULT_BOX,
 ) -> SurveyReport:
     """Tally which criteria fire on random decompositions per shape and r."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rows = []
     counter = 0
     for shape in shapes:

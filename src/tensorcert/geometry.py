@@ -152,10 +152,6 @@ class MultiPoint:
                 raise ValueError(f"factor {i} of a point must be a nonzero vector")
         object.__setattr__(self, "_ints", tuple(primitive(f) for f in factors))
 
-    @classmethod
-    def of(cls, *factors: Iterable) -> "MultiPoint":
-        return cls(tuple(tuple(Fraction(x) for x in f) for f in factors))
-
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         return self._ints  # type: ignore[attr-defined]
 

@@ -23,8 +23,6 @@ from .linalg import _echelon
 
 MAX_EXHAUSTIVE_COLUMNS = 20
 
-KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
-
 
 def kruskal_rank(gram: list[list[int]]) -> int:
     """Kruskal rank of the columns whose integer Gram matrix is ``gram``.
@@ -61,16 +59,6 @@ class KruskalReport:
     condition_lhs: int
     condition_rhs: int
     applies: bool
-
-    def as_json(self) -> dict:
-        return {
-            "baseline": KRUSKAL_BASELINE,
-            "per_factor_kruskal_rank": list(self.per_factor),
-            "cardinality": self.cardinality,
-            "condition_lhs": self.condition_lhs,
-            "condition_rhs": self.condition_rhs,
-            "applies": self.applies,
-        }
 
 
 def kruskal_certificate(s: PointSet) -> KruskalReport:

@@ -26,7 +26,7 @@ from tensorcert.certify import (
     check_non_redundant,
     check_span_intersection_identity,
 )
-from tensorcert.cli import certificate_to_json
+from tensorcert.cli import bound_report_to_json, certificate_to_json, kruskal_to_json
 from tensorcert.construct import (
     augment_decomposition,
     derive_seed,
@@ -277,10 +277,10 @@ def test_criterion_7_order_four_identifiability_split():
 def snapshot(s, weights):
     return {
         "nr": certificate_to_json(check_non_redundant(s, weights)),
-        "bound": bound_cactus_rank(s).as_json(),
+        "bound": bound_report_to_json(bound_cactus_rank(s)),
         "exact": certificate_to_json(certify_exact_rank(s, weights)),
         "ident": certificate_to_json(certify_identifiability(s, weights)),
-        "kruskal": kruskal_certificate(s).as_json(),
+        "kruskal": kruskal_to_json(kruskal_certificate(s)),
     }
 
 

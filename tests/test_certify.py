@@ -52,7 +52,7 @@ from tensorcert.symmetric import SymPointSet, comon_certify
 
 
 def pt(*factors):
-    return MultiPoint.of(*factors)
+    return MultiPoint(factors)
 
 
 def pset(dims, *points):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tensorcert import certify
+from tensorcert import certify, cli
 from tensorcert.certify import Certificate, certificate_from_json, check_non_redundant
 from tensorcert.cli import (
     EXIT_CERTIFIED,
@@ -619,6 +619,40 @@ def test_survey_past_the_kruskal_column_cap_counts_no_kruskal_wins(capsys):
     (row,) = json.loads(captured.out)["rows"]
     assert row["r"] == 21 and row["trials"] == 1
     assert row["kruskal_applies"] == 0
+
+
+@pytest.mark.parametrize("value", ["a", "1-x", "1-", "3-1,5"])
+def test_survey_r_flag_errors_name_the_flag_and_the_value(value, capsys):
+    code = run(["survey", "--shapes", "2x2", "--r", value, "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert err == f"error: --r {value!r} must look like '6', '2-4' or '1,3'\n"
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_survey_rejects_fewer_than_one_trial_before_the_box(trials, capsys):
+    code = run(["survey", "--shapes", "2x2", "--r", "1", "--trials", trials, "--box", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err == f"error: trials must be at least 1, got {trials}\n"
+
+
+def test_only_the_requested_format_is_built(three_factor_file, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built a format that was not requested")
+
+    expected = {}
+    for fmt in ("json", "text"):
+        expected[fmt] = (run(["certify", "--input", three_factor_file, "--format", fmt]), capsys.readouterr())
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "format_certificate_text", refuse)
+        got = run(["certify", "--input", three_factor_file, "--format", "json"])
+        assert (got, capsys.readouterr()) == expected["json"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "certificate_to_json", refuse)
+        got = run(["certify", "--input", three_factor_file, "--format", "text"])
+        assert (got, capsys.readouterr()) == expected["text"]
 
 
 def test_random_subcommand_emits_a_loadable_instance(capsys):

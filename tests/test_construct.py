@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import in_span
 from tensorcert.certify import check_non_redundant
+from tensorcert.cli import survey_to_json
 from tensorcert.construct import (
     AugmentationError,
     augment_decomposition,
@@ -80,7 +81,7 @@ def test_random_decomposition_fails_on_impossible_injectivity():
 
 def test_augment_a_singleton():
     shape = MultiShape((1, 1))
-    a = PointSet(shape, (MultiPoint.of((1, 2), (3, 1)),))
+    a = PointSet(shape, (MultiPoint(((1, 2), (3, 1))),))
     tensor = segre_vector(a.points[0])
     s, weights, cert = augment_decomposition(tensor, a, (1,), seed=3)
     assert len(s) == 2
@@ -128,10 +129,10 @@ def test_augment_rejects_an_overfull_set():
     # four independent points fill the 2x2 ambient space, M = 3
     shape = MultiShape((1, 1))
     pts = (
-        MultiPoint.of((1, 0), (1, 0)),
-        MultiPoint.of((1, 0), (0, 1)),
-        MultiPoint.of((0, 1), (1, 0)),
-        MultiPoint.of((0, 1), (0, 1)),
+        MultiPoint(((1, 0), (1, 0))),
+        MultiPoint(((1, 0), (0, 1))),
+        MultiPoint(((0, 1), (1, 0))),
+        MultiPoint(((0, 1), (0, 1))),
     )
     a = PointSet(shape, pts)
     tensor = assemble_tensor((1, 1, 1, 1), a)
@@ -141,7 +142,7 @@ def test_augment_rejects_an_overfull_set():
 
 def test_augment_needs_a_positive_dimension_somewhere():
     shape = MultiShape((0, 0))
-    a = PointSet(shape, (MultiPoint.of((1,), (2,)),))
+    a = PointSet(shape, (MultiPoint(((1,), (2,))),))
     tensor = (2,)
     with pytest.raises(ValueError, match="positive dimension"):
         augment_decomposition(tensor, a, (2,))
@@ -150,9 +151,9 @@ def test_augment_needs_a_positive_dimension_somewhere():
 def test_augment_needs_independent_evaluation_vectors():
     shape = MultiShape((1, 1))
     pts = (
-        MultiPoint.of((1, 0), (1, 0)),
-        MultiPoint.of((1, 0), (0, 1)),
-        MultiPoint.of((1, 0), (1, 1)),
+        MultiPoint(((1, 0), (1, 0))),
+        MultiPoint(((1, 0), (0, 1))),
+        MultiPoint(((1, 0), (1, 1))),
     )
     a = PointSet(shape, pts)
     tensor = assemble_tensor((1, 1, 1), a)
@@ -162,7 +163,7 @@ def test_augment_needs_independent_evaluation_vectors():
 
 def test_augment_needs_the_tensor_to_match():
     shape = MultiShape((1, 1))
-    a = PointSet(shape, (MultiPoint.of((1, 0), (1, 0)),))
+    a = PointSet(shape, (MultiPoint(((1, 0), (1, 0))),))
     with pytest.raises(ValueError, match="weighted sum"):
         augment_decomposition((0, 0, 0, 1), a, (1,))
     # a tensor of another shape has another number of coordinates
@@ -205,7 +206,7 @@ def test_survey_counts_and_shape_of_the_report():
         for field in ("exact_rank", "identifiable", "kruskal", "flattening_without_kruskal"):
             assert 0 <= getattr(row, field) <= row.trials
         assert row.flattening_without_kruskal <= row.exact_rank + row.identifiable
-    payload = report.as_json()
+    payload = survey_to_json(report)
     assert payload["rows"][0]["dims"] == [1, 1]
     assert set(payload["rows"][0]) == {
         "dims",
@@ -216,6 +217,12 @@ def test_survey_counts_and_shape_of_the_report():
         "kruskal_applies",
         "flattening_without_kruskal",
     }
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_survey_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        survey([MultiShape((1, 1))], [1], trials=trials, box=0)
 
 
 def test_survey_is_deterministic():

@@ -32,7 +32,7 @@ from tensorcert.linalg import format_rational
 
 
 def pt(*factors):
-    return MultiPoint.of(*factors)
+    return MultiPoint(factors)
 
 
 def pset(dims, *points):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import kruskal_rank_exhaustive
 from tensorcert.certify import check_non_redundant
+from tensorcert.cli import kruskal_to_json
 from tensorcert.construct import random_decomposition
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet
 from tensorcert.kruskal import (
@@ -137,7 +138,7 @@ def test_kruskal_rank_matches_the_oracle_on_pooled_columns(data):
     assert kruskal_rank(integer_gram(rescaled)) == oracle
     # the same columns as the first factor of a point set, ranked from
     # the factor Gram that kruskal_certificate reads from the set's memo
-    points = tuple(MultiPoint.of(col, (1, j)) for j, col in enumerate(rescaled))
+    points = tuple(MultiPoint((col, (1, j))) for j, col in enumerate(rescaled))
     s = PointSet(MultiShape((len(columns[0]) - 1, 1)), points)
     assert kruskal_certificate(s).per_factor[0] == oracle
 
@@ -152,7 +153,7 @@ def test_kruskal_certificate_on_the_seeded_sample():
     assert report.condition_lhs == 13
     assert report.condition_rhs == 14
     assert not report.applies
-    assert report.as_json()["per_factor_kruskal_rank"] == [3, 4, 6]
+    assert kruskal_to_json(report)["per_factor_kruskal_rank"] == [3, 4, 6]
 
 
 def test_kruskal_certificate_factor_ranks_are_capped_by_geometry():
@@ -184,7 +185,7 @@ def test_kruskal_certificate_applies_on_two_generic_points():
 def test_compare_flattening_wins_on_two_factors():
     s = PointSet(
         MultiShape((1, 1)),
-        (MultiPoint.of((1, 0), (1, 0)), MultiPoint.of((0, 1), (0, 1))),
+        (MultiPoint(((1, 0), (1, 0))), MultiPoint(((0, 1), (0, 1)))),
     )
     record = compare_criteria(s, (1, 1))
     assert record.exact_rank.certified

@@ -121,7 +121,7 @@ def test_rank_is_invariant_under_row_scaling(rows, scale):
 
 
 def rows_as_points(rows) -> PointSet:
-    return PointSet(MultiShape((len(rows[0]) - 1,)), tuple(MultiPoint.of(row) for row in rows))
+    return PointSet(MultiShape((len(rows[0]) - 1,)), tuple(MultiPoint((row,)) for row in rows))
 
 
 def test_in_row_span_hand_cases():
