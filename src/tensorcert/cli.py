@@ -288,10 +288,6 @@ def format_certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def _partition_label(part: FactorPartition) -> str:
-    return "{" + ",".join(map(str, part.E)) + "}/{" + ",".join(map(str, part.F)) + "}"
-
-
 def bound_report_to_json(report: BoundReport) -> dict:
     return {
         "best_bound": report.best_bound,
@@ -312,14 +308,16 @@ def bound_report_to_json(report: BoundReport) -> dict:
 def format_bound_report_text(report: BoundReport) -> str:
     lines = []
     for entry in report.per_partition:
-        label = _partition_label(entry.partition)
+        part = entry.partition
+        label = "{" + ",".join(map(str, part.E)) + "}/{" + ",".join(map(str, part.F)) + "}"
         if entry.applicable:
             lines.append(f"partition {label}: applicable, bound {entry.bound}")
         else:
             extra = f", bound {entry.bound}" if entry.bound is not None else ""
             lines.append(f"partition {label}: not applicable ({entry.reason}{extra})")
     if report.best_partition is not None:
-        label = _partition_label(report.best_partition)
+        best = report.best_partition
+        label = "{" + ",".join(map(str, best.E)) + "}/{" + ",".join(map(str, best.F)) + "}"
         lines.append(f"best bound: {report.best_bound} via {label}")
     else:
         lines.append(f"best bound: {report.best_bound} (trivial, no applicable partition)")
@@ -371,8 +369,9 @@ def compare_flags_to_json(record: ComparisonRecord) -> dict:
 
 
 def format_compare_flags_text(record: ComparisonRecord) -> str:
-    return "flattening criteria apply: %s; Kruskal applies: %s; flattening without Kruskal: %s" % tuple(
-        "yes" if flag else "no" for flag in compare_flags_to_json(record).values()
+    return (
+        "flattening criteria apply: %s; Kruskal applies: %s; flattening without Kruskal: %s"
+        % tuple("yes" if flag else "no" for flag in compare_flags_to_json(record).values())
     )
 
 
@@ -544,13 +543,15 @@ def resolve_seed(args: argparse.Namespace) -> int:
 # subcommands
 
 
-def _exit(certified: bool) -> int:
+def _exit_code(certified: bool) -> int:
     return EXIT_CERTIFIED if certified else EXIT_NOT_CERTIFIED
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
-    partition = parse_partition_flag(args.partition, points.shape.k) if args.partition else None
+    partition = (
+        parse_partition_flag(args.partition, points.shape.k) if args.partition else None
+    )
     nr = check_non_redundant(points, weights)
     report = bound_cactus_rank(points, partition)
     exact = certify_exact_rank(points, weights, partition)
@@ -559,18 +560,18 @@ def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
         ("cactus_bound", "cactus rank lower bound", report),
         ("exact_rank", "exact rank", exact),
     ]
-    return sections, _exit(exact.certified)
+    return sections, _exit_code(exact.certified)
 
 
 def cmd_identifiability(args: argparse.Namespace) -> tuple[list[Section], int]:
     cert = certify_identifiability(*_need_points(load_instance(args.input)))
-    return [(None, None, cert)], _exit(cert.certified)
+    return [(None, None, cert)], _exit_code(cert.certified)
 
 
 def cmd_kruskal(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, _ = _need_points(load_instance(args.input))
     report = kruskal_certificate(points)
-    return [(None, None, report)], _exit(report.applies)
+    return [(None, None, report)], _exit_code(report.applies)
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -583,16 +584,17 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
         ("kruskal", "kruskal baseline", record.kruskal),
         (None, None, record),
     ]
-    return sections, _exit(record.flattening_applies or record.kruskal_applies)
+    return sections, _exit_code(record.flattening_applies or record.kruskal_applies)
 
 
 def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
     inst = load_instance(args.input)
     points, weights = _need_points(inst)
+    seed = resolve_seed(args)
     # the tensor the instance names: the one it gives, else the weighted sum
     tensor = inst.tensor if inst.tensor is not None else assemble_tensor(weights, points)
     bigger, new_weights, cert = augment_decomposition(
-        tensor, points, weights, seed=resolve_seed(args), box=args.box
+        tensor, points, weights, seed=seed, box=args.box
     )
     decomposition = pointset_to_json(bigger, new_weights, tensor)
     return [("decomposition", None, decomposition), ("certificate", None, cert)], EXIT_CERTIFIED
@@ -603,7 +605,7 @@ def cmd_obstruct(args: argparse.Namespace) -> tuple[list[Section], int]:
     nr = check_non_redundant(points, weights)
     cert = obstruct_alt_decompositions(points, args.x)
     sections = [("non_redundant", "non-redundancy", nr), ("obstruction", "obstruction", cert)]
-    return sections, _exit(nr.certified and cert.certified)
+    return sections, _exit_code(nr.certified and cert.certified)
 
 
 def cmd_pin(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -612,7 +614,7 @@ def cmd_pin(args: argparse.Namespace) -> tuple[list[Section], int]:
     cert = pin_projections(
         points, weights, families, quasi_general_asserted=args.assert_quasi_general
     )
-    return [(None, None, cert)], _exit(cert.certified)
+    return [(None, None, cert)], _exit_code(cert.certified)
 
 
 def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -622,7 +624,7 @@ def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
     sym = inst.symmetric
     cert = comon_certify(sym.points, sym.weights, sym.degree)
     bounds = symmetric_bounds(sym.n, sym.degree)
-    return [("certificate", None, cert), ("bounds", None, bounds)], _exit(cert.certified)
+    return [("certificate", None, cert), ("bounds", None, bounds)], _exit_code(cert.certified)
 
 
 def cmd_span_check(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -632,7 +634,7 @@ def cmd_span_check(args: argparse.Namespace) -> tuple[list[Section], int]:
     set_a = PointSet(points.shape, tuple(points.points[i] for i in idx_a))
     set_b = PointSet(points.shape, tuple(points.points[i] for i in idx_b))
     cert = check_span_intersection_identity(set_a, set_b)
-    return [(None, None, cert)], _exit(cert.certified)
+    return [(None, None, cert)], _exit_code(cert.certified)
 
 
 def cmd_survey(args: argparse.Namespace) -> tuple[list[Section], int]:

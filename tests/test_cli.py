@@ -642,17 +642,14 @@ def test_only_the_requested_format_is_built(three_factor_file, monkeypatch, caps
     def refuse(*args):
         raise AssertionError("built a format that was not requested")
 
-    expected = {}
-    for fmt in ("json", "text"):
-        expected[fmt] = (run(["certify", "--input", three_factor_file, "--format", fmt]), capsys.readouterr())
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "format_certificate_text", refuse)
-        got = run(["certify", "--input", three_factor_file, "--format", "json"])
-        assert (got, capsys.readouterr()) == expected["json"]
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "certificate_to_json", refuse)
-        got = run(["certify", "--input", three_factor_file, "--format", "text"])
-        assert (got, capsys.readouterr()) == expected["text"]
+    def certify(fmt):
+        return run(["certify", "--input", three_factor_file, "--format", fmt]), capsys.readouterr()
+
+    expected = {fmt: certify(fmt) for fmt in ("json", "text")}
+    for fmt, unused in (("json", "format_certificate_text"), ("text", "certificate_to_json")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, unused, refuse)
+            assert certify(fmt) == expected[fmt]
 
 
 def test_random_subcommand_emits_a_loadable_instance(capsys):

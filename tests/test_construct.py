@@ -219,12 +219,6 @@ def test_survey_counts_and_shape_of_the_report():
     }
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_survey_rejects_fewer_than_one_trial(trials):
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        survey([MultiShape((1, 1))], [1], trials=trials, box=0)
-
-
 def test_survey_is_deterministic():
     shapes = [MultiShape((1, 1, 1))]
     a = survey(shapes, [2], trials=4, seed=13)
