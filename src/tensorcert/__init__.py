@@ -54,7 +54,6 @@ from .geometry import (
     decomposition_weights,
     factor_projection_sizes,
     flattening_rank,
-    has_different_coordinates,
     segre_vector,
 )
 from .kruskal import (
@@ -67,8 +66,6 @@ from .kruskal import (
 from .linalg import (
     format_rational,
     parse_rational,
-    rat_rank,
-    span_intersection_dim,
 )
 from .symmetric import (
     SymmetricBounds,
@@ -139,7 +136,6 @@ __all__ = [
     "factor_projection_sizes",
     "flattening_rank",
     "format_rational",
-    "has_different_coordinates",
     "is_exceptional",
     "kruskal_certificate",
     "kruskal_rank",
@@ -148,10 +144,8 @@ __all__ = [
     "parse_rational",
     "pin_projections",
     "random_decomposition",
-    "rat_rank",
     "run",
     "segre_vector",
-    "span_intersection_dim",
     "survey",
     "symmetric_bounds",
 ]

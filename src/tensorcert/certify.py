@@ -25,7 +25,6 @@ from typing import Sequence
 from .geometry import (
     FactorPartition,
     PointSet,
-    _outer,
     all_partitions,
     cohomology,
     different_coordinates_violation,
@@ -33,7 +32,6 @@ from .geometry import (
     factor_subset,
     flattening_rank,
 )
-from .linalg import span_intersection_dim
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -368,14 +366,13 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
         ok = ok and h1 == 0
     if not ok:
         return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), None)
-    lhs = span_intersection_dim(
-        [_outer(p.canonical()) for p in a.points], [_outer(p.canonical()) for p in b.points]
-    )
-    b_points = set(b.points)
+    a_points, b_points = set(a.points), set(b.points)
+    union = PointSet(a.shape, a.points + tuple(p for p in b.points if p not in a_points))
+    # Grassmann: dim <A> n <B> = rank A + rank B - rank(A, B) - 1, and the
+    # stacked rows of A and B span what the rows of their union span
+    lhs = flattening_rank(a) + flattening_rank(b) - flattening_rank(union) - 1
     common = [p for p in a.points if p in b_points]
     common_dim = flattening_rank(PointSet(a.shape, tuple(common))) - 1 if common else -1
-    a_points = set(a.points)
-    union = PointSet(a.shape, a.points + tuple(p for p in b.points if p not in a_points))
     h1_union = cohomology(union).h1
     rhs = common_dim + h1_union
     hyps.append(

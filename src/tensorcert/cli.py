@@ -49,10 +49,10 @@ from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    _outer,
     assemble_tensor,
     segre_gram,
     segre_scale,
+    tensor_form,
 )
 from .kruskal import MAX_EXHAUSTIVE_COLUMNS, ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
 from .linalg import format_rational, multiple, parse_rational, primitive
@@ -136,9 +136,9 @@ def _check_weights(
     scales: Sequence[Fraction],
     mismatch: str,
     read_tensor: Callable[[], tuple[Fraction, ...] | None] = lambda: None,
-) -> tuple[tuple[int, ...], tuple[Fraction, ...] | None]:
-    """Check the weights of a presented decomposition; return the integer
-    weights u over the primitive rows and what ``read_tensor`` returns.
+) -> tuple[Fraction, ...] | None:
+    """Check the weights of a presented decomposition; return what
+    ``read_tensor`` returns.
 
     The checks run in input order: one weight per point (else
     ``mismatch``), then ``read_tensor``, which reads the tensor the input
@@ -156,7 +156,7 @@ def _check_weights(
     u = primitive([w * c for w, c in zip(weights, scales)])
     if not any(sum(h * x for h, x in zip(row, u)) for row in gram):
         raise ValueError("the weighted sum of the decomposition vanishes")
-    return u, tensor
+    return tensor
 
 
 def instance_from_json(data: dict) -> Instance:
@@ -188,17 +188,15 @@ def instance_from_json(data: dict) -> Instance:
             weights = _parse_vector(data["weights"], "weights")
         else:
             weights = tuple(Fraction(1) for _ in range(len(points)))
-        u, tensor = _check_weights(
+        tensor = _check_weights(
             weights,
             segre_gram(points),
             [segre_scale(p) for p in points.points],
             f"{len(weights)} weights for {len(points)} points",
             lambda: _read_tensor(data, shape),
         )
-        if tensor is not None:
-            rows = ([x * v for v in _outer(p.canonical())] for x, p in zip(u, points.points))
-            if primitive(tensor) != primitive(list(map(sum, zip(*rows)))):
-                raise ValueError("tensor disagrees with the weighted sum of the points")
+        if tensor is not None and primitive(tensor) != tensor_form(weights, points):
+            raise ValueError("tensor disagrees with the weighted sum of the points")
     else:
         tensor = _read_tensor(data, shape)
     symmetric = None
@@ -512,17 +510,23 @@ def parse_shapes_flag(text: str) -> list[MultiShape]:
     return shapes
 
 
-def parse_r_flag(text: str) -> list[int]:
+def parse_r_flag(text: str) -> Sequence[int]:
+    """The cardinalities ``--r`` selects.  A ``lo-hi`` range stays a
+    ``range`` and is checked by its ends, so its length costs no memory."""
     text = text.strip()
     try:
         if "-" in text[1:]:
-            lo, hi = text.split("-", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split("-", 1))
+            values: Sequence[int] = range(lo, hi + 1)
+            least = lo
         else:
             values = [int(x) for x in text.split(",") if x.strip()]
+            least = min(values, default=0)
     except ValueError:
         raise ValueError(f"--r {text!r} must look like '6', '2-4' or '1,3'") from None
-    if not values or any(v < 1 for v in values):
+    if isinstance(values, range) and not values:
+        raise ValueError(f"--r {text!r} is an empty range")
+    if least < 1:
         raise ValueError(f"--r {text!r} must select positive cardinalities")
     return values
 
@@ -650,6 +654,8 @@ def cmd_random(args: argparse.Namespace) -> tuple[list[Section], int]:
     if len(shapes) != 1:
         raise ValueError("--shape must name exactly one shape")
     seed = resolve_seed(args)
+    if args.r < 1:
+        raise ValueError(f"--r must be at least 1, got {args.r}")
     s, weights = random_decomposition(shapes[0], args.r, box=args.box, seed=seed)
     instance = pointset_to_json(s, weights, assemble_tensor(weights, s))
     return [(None, None, instance)], EXIT_CERTIFIED

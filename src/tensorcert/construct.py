@@ -17,10 +17,10 @@ from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    assemble_tensor,
     cohomology,
     decomposition_weights,
-    has_different_coordinates,
+    different_coordinates_violation,
+    tensor_form,
 )
 from .kruskal import compare_criteria
 from .linalg import primitive
@@ -80,7 +80,7 @@ def random_decomposition(
         if len({p.canonical() for p in points}) != r:
             continue
         s = PointSet(shape, tuple(points))
-        if not has_different_coordinates(s):
+        if different_coordinates_violation(s) is not None:
             continue
         weights = tuple(Fraction(_nonzero_int(rng, box)) for _ in range(r))
         return s, weights
@@ -149,12 +149,13 @@ def augment_decomposition(
 
     Requires #A <= M, independent Segre vectors, at least one factor of
     positive dimension, and ``tensor``, the M coordinates of the tensor,
-    a nonzero multiple of assemble_tensor(weights, A).  Returns the new
-    points, their weights against ``tensor`` (from the one M-wide solve,
-    ``decomposition_weights``) and the check_non_redundant certificate of
-    the two; when the budget of _AUGMENT_PASSES construction passes runs out
-    the last failing certificate rides along on the raised
-    AugmentationError.
+    a nonzero multiple of sum_j w_j S_j; that is checked on primitive
+    forms (``tensor_form``), so no rational coordinates are summed.
+    Returns the new points, their weights against ``tensor`` (from the
+    one M-wide solve, ``decomposition_weights``) and the
+    check_non_redundant certificate of the two; when the budget of
+    _AUGMENT_PASSES construction passes runs out the last failing
+    certificate rides along on the raised AugmentationError.
     """
     shape = a.shape
     if box < 1:
@@ -167,7 +168,7 @@ def augment_decomposition(
         )
     if cohomology(a).h1 != 0:
         raise ValueError("the Segre vectors of the input points must be independent")
-    if primitive(assemble_tensor(weights, a)) != primitive(tensor):
+    if tensor_form(weights, a) != primitive(tensor):
         raise ValueError("tensor does not equal the weighted sum of the decomposition")
     rng = random.Random(seed)
     last: Certificate | None = None

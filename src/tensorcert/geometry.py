@@ -34,7 +34,7 @@ from functools import reduce
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import _echelon, _integer_rows, integer_gram, multiple, primitive
+from .linalg import _echelon, integer_gram, multiple, primitive
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ class Cohomology(NamedTuple):
 def _outer(vectors: Iterable[Sequence]) -> tuple:
     """Outer product of ``vectors``, flattened with the last index varying
     fastest.  Of the primitive factor forms of a point (``canonical``) it
-    is an integer multiple of the Segre vector, which is all a rank needs."""
+    is the primitive integer vector on the line of the Segre vector."""
     acc: tuple = (1,)
     for f in vectors:
         acc = tuple(a * b for a in acc for b in f)
@@ -297,11 +297,6 @@ def different_coordinates_violation(s: PointSet) -> tuple[int, int, int] | None:
     return None
 
 
-def has_different_coordinates(s: PointSet) -> bool:
-    """True when every factor projection is injective on S."""
-    return different_coordinates_violation(s) is None
-
-
 def factor_projection_sizes(s: PointSet) -> tuple[int, ...]:
     """Number of distinct projective values each factor projection takes."""
     canon = [p.canonical() for p in s.points]
@@ -319,6 +314,20 @@ def assemble_tensor(weights: Sequence, s: PointSet) -> tuple[Fraction, ...]:
     return tuple(map(sum, zip(*rows)))
 
 
+def tensor_form(weights: Sequence, s: PointSet) -> tuple[int, ...]:
+    """``primitive(assemble_tensor(weights, s))``, summed in integers.
+
+    With S_j = c_j P_j for the primitive Segre row P_j of p_j, the sum is
+    sum_j (w_j c_j) P_j, and the primitive form of those coefficients
+    differs from them by one common factor, which the primitive form of
+    the sum does not see.  This is how a given tensor is checked against
+    its decomposition.
+    """
+    u = primitive([w * segre_scale(p) for w, p in zip(weights, s.points)])
+    rows = ([x * v for v in _outer(p.canonical())] for x, p in zip(u, s.points))
+    return primitive(tuple(map(sum, zip(*rows))))
+
+
 def decomposition_weights(tensor: Sequence, s: PointSet) -> tuple[Fraction, ...] | None:
     """Exact weights w with tensor = sum_j w_j segre_vector(p_j), or None
     when the tensor lies outside the span of the Segre vectors of S.
@@ -331,7 +340,7 @@ def decomposition_weights(tensor: Sequence, s: PointSet) -> tuple[Fraction, ...]
     if len(tensor) != len(rows[0]):
         raise ValueError(f"tensor has {len(tensor)} coordinates, shape wants {len(rows[0])}")
     n = len(rows)
-    work = _integer_rows(zip(*rows, tensor))
+    work = [col for col in map(primitive, zip(*rows, tensor)) if any(col)]
     pivots = _echelon(work, n + 1)
     if pivots and pivots[-1] == n:
         return None

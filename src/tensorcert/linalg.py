@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that certifies anything reduces to ranks of
-rational matrices, given as plain sequences of rows.  Ranks come from
-one fraction-free elimination on primitive integer rows, so results are
-exact and deterministic: the pivot is
-always the first nonzero entry scanning columns left to right and rows
-top to bottom.  There is no floating point anywhere in the
-certification path.
+integer matrices, brought to echelon form by one fraction-free
+elimination (``_echelon``), so results are exact and deterministic: the
+pivot is always the first nonzero entry scanning columns left to right
+and rows top to bottom.  There is no floating point anywhere in the
+certification path.  The same kernel serves the package's one linear
+solve, ``geometry.decomposition_weights``.
 
 ``primitive`` is also the one projective normal form of the package:
 two nonzero vectors name the same projective point exactly when their
@@ -86,16 +86,6 @@ def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(a, b)) for b in ints] for a in ints]
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    """Primitive integer rows, zero rows dropped; neither changes the row space."""
-    out = []
-    for row in rows:
-        ints = primitive(row)
-        if any(ints):
-            out.append(ints)
-    return out
-
-
 def _echelon(work: list[Sequence[int]], cols: int) -> list[int]:
     """Bring integer rows to row echelon form in place; return the pivot columns.
 
@@ -133,22 +123,3 @@ def _echelon(work: list[Sequence[int]], cols: int) -> list[int]:
             work[i] = merged
         pivots.append(col)
     return pivots
-
-
-def rat_rank(rows: Iterable[Sequence], cols: int) -> int:
-    """Exact rank over the rationals of ``rows``, each ``cols`` long."""
-    return len(_echelon(_integer_rows(rows), cols))
-
-
-def span_intersection_dim(rows1: Sequence[Sequence], rows2: Sequence[Sequence]) -> int:
-    """Projective dimension of the intersection of the two row spans.
-
-    Computed from the Grassmann formula: with r1, r2 the ranks and rs the
-    rank of the stacked rows, the result is r1 + r2 - rs - 1.  An empty
-    intersection comes out as -1.
-    """
-    widths = {len(row) for row in (*rows1, *rows2)}
-    if len(widths) != 1:
-        raise ValueError("span intersection needs rows of one common length")
-    cols = widths.pop()
-    return rat_rank(rows1, cols) + rat_rank(rows2, cols) - rat_rank((*rows1, *rows2), cols) - 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from certs import find
@@ -577,6 +577,31 @@ def test_span_identity_holds_on_random_independent_pairs(seed):
     hyp = find(cert, "identity_holds")
     if hyp:
         assert hyp[0].status == PASS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 5), st.integers(0, 5))
+@example(seed=3, size_a=4, size_b=5, shared=0)
+@example(seed=4, size_a=5, size_b=5, shared=2)
+def test_span_identity_lhs_matches_ranks_of_explicit_segre_rows(seed, size_a, size_b, shared):
+    """The left side from Gram ranks against the Grassmann formula on the
+    explicit Segre rows.  On 2x2x2 the eight coordinates hold at most
+    eight independent points, so disjoint sets of four and five meet."""
+    shared = min(shared, size_a, size_b)
+    s, _ = sample((1, 1, 1), size_a + size_b - shared, seed=seed)
+    idx_a = tuple(range(size_a))
+    idx_b = tuple(range(size_a - shared, size_a - shared + size_b))
+    rows = [outer_product_flat(p.factors) for p in s.points]
+    rank_a = gauss_rank([rows[i] for i in idx_a])
+    rank_b = gauss_rank([rows[i] for i in idx_b])
+    assume(rank_a == size_a and rank_b == size_b)
+    a = PointSet(s.shape, tuple(s.points[i] for i in idx_a))
+    b = PointSet(s.shape, tuple(s.points[i] for i in idx_b))
+    cert = check_span_intersection_identity(a, b)
+    (hyp,) = find(cert, "identity_holds")
+    expected = rank_a + rank_b - gauss_rank([rows[i] for i in idx_a + idx_b]) - 1
+    assert hyp.witness["lhs_intersection_dim"] == expected
+    assert cert.certified
 
 
 # -- coordinate obstructions

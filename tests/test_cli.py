@@ -1,13 +1,19 @@
 """Command line interface: instance files, serialization, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorcert import certify, cli
 from tensorcert.certify import Certificate, certificate_from_json, check_non_redundant
@@ -21,6 +27,8 @@ from tensorcert.cli import (
     format_certificate_text,
     instance_from_json,
     load_instance,
+    parse_families_flag,
+    parse_index_list,
     parse_partition_flag,
     parse_r_flag,
     parse_shapes_flag,
@@ -312,7 +320,7 @@ def test_parse_shapes_and_r_flags():
     with pytest.raises(ValueError):
         parse_shapes_flag(",")
     assert parse_r_flag("6") == [6]
-    assert parse_r_flag("2-4") == [2, 3, 4]
+    assert list(parse_r_flag("2-4")) == [2, 3, 4]
     assert parse_r_flag("1,3") == [1, 3]
     with pytest.raises(ValueError):
         parse_r_flag("0")
@@ -629,6 +637,34 @@ def test_survey_r_flag_errors_name_the_flag_and_the_value(value, capsys):
     assert err == f"error: --r {value!r} must look like '6', '2-4' or '1,3'\n"
 
 
+def test_r_flag_range_is_checked_without_being_built():
+    tracemalloc.start()
+    try:
+        values = parse_r_flag("1-2000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(values) == 2_000_000 and values[0] == 1 and values[-1] == 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["survey", "--shapes", "2x2", "--r", "3-1", "--trials", "1"], "--r '3-1' is an empty range"),
+        (["random", "--shape", "2x2", "--r", "0"], "--r must be at least 1, got 0"),
+        (["random", "--shape", "2x2", "--r", "-3"], "--r must be at least 1, got -3"),
+    ],
+    ids=["survey-empty-range", "random-zero", "random-negative"],
+)
+def test_r_flag_errors_name_the_flag_and_the_value(argv, message, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("trials", ["-3", "0"])
 def test_survey_rejects_fewer_than_one_trial_before_the_box(trials, capsys):
     code = run(["survey", "--shapes", "2x2", "--r", "1", "--trials", trials, "--box", "0"])
@@ -716,3 +752,65 @@ def test_subcommands_requiring_points_reject_symmetric_instances(tmp_path, capsy
     ):
         assert run(argv) == EXIT_INVALID
         capsys.readouterr()
+
+
+# -- flag fuzzing
+#
+# Each flag value goes to one subcommand, with the other flags fixed and
+# valid; survey runs with --trials 0, so no value ever starts a survey.
+# certify reads an empty --partition as none given.
+
+FUZZED_FLAGS = {
+    "--partition": (["certify"], lambda text: text and parse_partition_flag(text, 3)),
+    "--families": (["pin"], lambda text: parse_families_flag(text, 3)),
+    "--a": (["span-check", "--b", "0"], lambda text: parse_index_list(text, 3, "--a")),
+    "--b": (["span-check", "--a", "0"], lambda text: parse_index_list(text, 3, "--b")),
+    "--shapes": (["survey", "--r", "1", "--trials", "0"], parse_shapes_flag),
+    "--r": (["survey", "--shapes", "2x2", "--trials", "0"], parse_r_flag),
+}
+
+
+@pytest.fixture(scope="module")
+def small_instance_file(tmp_path_factory):
+    data, _, _ = seeded_instance((1, 1, 1), 3, seed=5)
+    return write_instance(tmp_path_factory.mktemp("fuzz"), data)
+
+
+def _parses(parse, text) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(FUZZED_FLAGS)),
+    st.one_of(st.text(max_size=30), st.text("0123456789-,/:x ", max_size=20)),
+)
+@example("--r", "1-2000000")
+@example("--r", "3-1")
+@example("--shapes", "2x\n2")
+@example("--families", "1,2:2,3:3,1:")
+@example("--partition", "1,2/3/")
+@example("--a", "")
+def test_flag_values_that_do_not_parse_exit_2_with_one_error_line(small_instance_file, flag, text):
+    (command, *fixed), parse = FUZZED_FLAGS[flag]
+    argv = [command, *fixed, f"{flag}={text}"]
+    if command != "survey":
+        argv += ["--input", small_instance_file]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert time.perf_counter() - start < 2
+    if not _parses(parse, text):
+        assert code == EXIT_INVALID
+    if code == EXIT_INVALID:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert code in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED)
+        assert err.getvalue() == ""

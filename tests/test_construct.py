@@ -19,7 +19,7 @@ from tensorcert.geometry import (
     MultiShape,
     PointSet,
     assemble_tensor,
-    has_different_coordinates,
+    different_coordinates_violation,
     segre_vector,
 )
 
@@ -62,7 +62,7 @@ def test_random_decomposition_properties():
     assert len(s) == 4
     assert len(weights) == 4
     assert all(w != 0 for w in weights)
-    assert has_different_coordinates(s)
+    assert different_coordinates_violation(s) is None
 
 
 def test_random_decomposition_rejects_bad_cardinalities():

@@ -24,7 +24,6 @@ from tensorcert.geometry import (
     factor_projection_sizes,
     factor_subset,
     flattening_rank,
-    has_different_coordinates,
     segre_scale,
     segre_vector,
 )
@@ -342,10 +341,8 @@ def test_flattening_rank_matches_gauss_oracle_on_every_subset(s, rng):
 def test_different_coordinates_violation_reports_first_collision():
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((2, 0), (0, 1)))
     assert different_coordinates_violation(s) == (1, 0, 1)
-    assert not has_different_coordinates(s)
     t = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
     assert different_coordinates_violation(t) is None
-    assert has_different_coordinates(t)
 
 
 def test_factor_projection_sizes_counts_projective_classes():

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certs import find
 from oracles import gauss_rank
+from tensorcert.certify import check_span_intersection_identity
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, decomposition_weights
 from tensorcert.linalg import (
+    _echelon,
     format_rational,
     integer_gram,
     multiple,
     parse_rational,
     primitive,
-    rat_rank,
-    span_intersection_dim,
 )
 
 rationals = st.fractions(
@@ -68,22 +69,36 @@ def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
-# -- matrices as row sequences
+# -- rank by the elimination kernel
+#
+# _echelon is run the two ways the package runs it: on the primitive
+# nonzero rows themselves (decomposition_weights) and on their integer
+# Gram (every point-set rank).
+
+
+def rows_rank(rows, cols):
+    return len(_echelon([row for row in map(primitive, rows) if any(row)], cols))
+
+
+def gram_rank(rows):
+    gram = integer_gram(rows)
+    return len(_echelon(gram, len(gram)))
 
 
 def test_empty_matrix_needs_explicit_columns():
-    assert rat_rank([], 4) == 0
-    assert rat_rank([], 0) == 0
-
-
-# -- rank
+    assert rows_rank([], 4) == 0
+    assert rows_rank([], 0) == 0
+    assert gram_rank([]) == 0
 
 
 def test_rank_hand_cases():
-    assert rat_rank([[1, 0], [0, 1]], 2) == 2
-    assert rat_rank([[1, 2], [2, 4]], 2) == 1
-    assert rat_rank([[0, 0], [0, 0]], 2) == 0
-    assert rat_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3) == 2
+    for rows, rank in (
+        ([[1, 0], [0, 1]], 2),
+        ([[1, 2], [2, 4]], 1),
+        ([[0, 0], [0, 0]], 0),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
+    ):
+        assert rows_rank(rows, len(rows[0])) == gram_rank(rows) == gauss_rank(rows) == rank
 
 
 def test_rank_with_fractional_entries():
@@ -92,26 +107,29 @@ def test_rank_with_fractional_entries():
         [Fraction(3, 2), Fraction(5, 1)],
         [Fraction(1, 4), Fraction(1, 6)],
     ]
-    assert rat_rank(rows, 2) == gauss_rank(rows) == 2
+    assert rows_rank(rows, 2) == gram_rank(rows) == gauss_rank(rows) == 2
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_matrices())
 def test_rank_matches_gaussian_oracle(rows):
-    assert rat_rank(rows, len(rows[0])) == gauss_rank(rows)
+    assert rows_rank(rows, len(rows[0])) == gram_rank(rows) == gauss_rank(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_is_transpose_invariant(rows):
-    assert rat_rank(rows, len(rows[0])) == rat_rank(list(zip(*rows)), len(rows))
+    transposed = list(zip(*rows))
+    assert rows_rank(rows, len(rows[0])) == rows_rank(transposed, len(rows))
+    assert gram_rank(rows) == gram_rank(transposed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices(), st.integers(-9, 9).filter(bool))
 def test_rank_is_invariant_under_row_scaling(rows, scale):
     scaled = [[scale * Fraction(x) for x in rows[0]]] + rows[1:]
-    assert rat_rank(scaled, len(rows[0])) == rat_rank(rows, len(rows[0]))
+    assert rows_rank(scaled, len(rows[0])) == rows_rank(rows, len(rows[0]))
+    assert gram_rank(scaled) == gram_rank(rows)
 
 
 # -- span tests
@@ -135,6 +153,12 @@ def test_in_row_span_hand_cases():
         decomposition_weights((1, 0), base)
 
 
+def span_intersection_dim(rows1, rows2) -> int:
+    cert = check_span_intersection_identity(rows_as_points(rows1), rows_as_points(rows2))
+    (hyp,) = find(cert, "identity_holds")
+    return hyp.witness["lhs_intersection_dim"]
+
+
 def test_span_intersection_dim_hand_cases():
     a = [[1, 0, 0], [0, 1, 0]]
     b = [[0, 1, 0], [0, 0, 1]]
@@ -144,6 +168,8 @@ def test_span_intersection_dim_hand_cases():
     d = [[0, 1, 0, 0]]
     assert span_intersection_dim(c, d) == -1
     assert span_intersection_dim(a, a) == 1
+    # disjoint sets whose union is dependent: two lines of P^2 meet
+    assert span_intersection_dim(a, [[0, 0, 1], [1, 1, 1]]) == 0
     with pytest.raises(ValueError):
         span_intersection_dim(a, c)
     with pytest.raises(ValueError):
@@ -195,7 +221,8 @@ def test_solve_row_combination_recombines_to_the_target(data):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_bounded_by_dimensions(rows):
-    assert 0 <= rat_rank(rows, len(rows[0])) <= min(len(rows), len(rows[0]))
+    assert 0 <= rows_rank(rows, len(rows[0])) <= min(len(rows), len(rows[0]))
+    assert 0 <= gram_rank(rows) <= min(len(rows), len(rows[0]))
 
 
 # -- integer Grams
