@@ -69,8 +69,6 @@ from .linalg import (
 )
 from .symmetric import (
     SymmetricBounds,
-    SymPointSet,
-    SymShape,
     comon_certify,
     is_exceptional,
     symmetric_bounds,
@@ -115,8 +113,6 @@ __all__ = [
     "PointSet",
     "SurveyReport",
     "SurveyRow",
-    "SymPointSet",
-    "SymShape",
     "SymmetricBounds",
     "all_partitions",
     "assemble_tensor",

@@ -55,8 +55,8 @@ from .geometry import (
     tensor_form,
 )
 from .kruskal import MAX_EXHAUSTIVE_COLUMNS, ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
-from .linalg import format_rational, multiple, parse_rational, primitive
-from .symmetric import SymmetricBounds, SymPointSet, comon_certify, symmetric_bounds, veronese_gram
+from .linalg import format_rational, parse_rational, primitive
+from .symmetric import SymmetricBounds, comon_certify, symmetric_bounds, veronese_gram
 
 ENV_SEED = "TENSORCERT_SEED"
 
@@ -72,9 +72,8 @@ EXIT_PARSE = 3
 
 @dataclass
 class SymmetricInstance:
-    n: int
     degree: int
-    points: SymPointSet
+    points: PointSet
     weights: tuple[Fraction, ...]
 
 
@@ -132,31 +131,36 @@ def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[Fraction, ...] |
 
 def _check_weights(
     weights: Sequence[Fraction],
-    gram: list[list[int]],
-    scales: Sequence[Fraction],
+    count: int,
     mismatch: str,
     read_tensor: Callable[[], tuple[Fraction, ...] | None] = lambda: None,
 ) -> tuple[Fraction, ...] | None:
-    """Check the weights of a presented decomposition; return what
-    ``read_tensor`` returns.
+    """Check the weights of a presented decomposition of ``count`` points;
+    return what ``read_tensor`` returns.
 
     The checks run in input order: one weight per point (else
     ``mismatch``), then ``read_tensor``, which reads the tensor the input
-    gives, then every weight nonzero and a nonzero weighted sum.  With
-    row_j = scales_j * P_j for the primitive rows P_j, the sum is
-    sum_j u_j P_j, u_j = w_j * scales_j up to one common factor.  Its
-    squared length is u^T H u for the Gram H of the P_j, and H is positive
-    semidefinite, so the sum vanishes exactly when H u = 0.
+    gives, then every weight nonzero.  ``_check_sum`` comes next.
     """
-    if len(weights) != len(gram):
+    if len(weights) != count:
         raise ValueError(mismatch)
     tensor = read_tensor()
     if any(w == 0 for w in weights):
         raise ValueError("weights must be nonzero")
+    return tensor
+
+
+def _check_sum(weights: Sequence[Fraction], gram: list[list[int]], scales: Sequence[Fraction]) -> None:
+    """Reject a vanishing weighted sum of rows row_j = scales_j * P_j.
+
+    For the primitive rows P_j the sum is sum_j u_j P_j, u_j = w_j *
+    scales_j up to one common factor.  Its squared length is u^T H u for
+    the Gram H of the P_j, and H is positive semidefinite, so the sum
+    vanishes exactly when H u = 0.
+    """
     u = primitive([w * c for w, c in zip(weights, scales)])
     if not any(sum(h * x for h, x in zip(row, u)) for row in gram):
         raise ValueError("the weighted sum of the decomposition vanishes")
-    return tensor
 
 
 def instance_from_json(data: dict) -> Instance:
@@ -190,11 +194,11 @@ def instance_from_json(data: dict) -> Instance:
             weights = tuple(Fraction(1) for _ in range(len(points)))
         tensor = _check_weights(
             weights,
-            segre_gram(points),
-            [segre_scale(p) for p in points.points],
+            len(points),
             f"{len(weights)} weights for {len(points)} points",
             lambda: _read_tensor(data, shape),
         )
+        _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
         if tensor is not None and primitive(tensor) != tensor_form(weights, points):
             raise ValueError("tensor disagrees with the weighted sum of the points")
     else:
@@ -215,24 +219,23 @@ def instance_from_json(data: dict) -> Instance:
         raw_pts = sym["points"]
         if not isinstance(raw_pts, list) or not raw_pts:
             raise InstanceParseError("symmetric points must be a nonempty array")
-        sym_points = SymPointSet(
-            tuple(_parse_vector(p, f"symmetric point {i}") for i, p in enumerate(raw_pts))
-        )
-        if sym_points.n != n:
+        vectors = [_parse_vector(p, f"symmetric point {i}") for i, p in enumerate(raw_pts)]
+        if len(vectors[0]) != n + 1:
             raise ValueError(
-                f"symmetric points have {sym_points.n + 1} coordinates, n={n} wants {n + 1}"
+                f"symmetric points have {len(vectors[0])} coordinates, n={n} wants {n + 1}"
             )
+        sym_points = PointSet(MultiShape((n,)), tuple(MultiPoint((p,)) for p in vectors))
         if "weights" in sym:
             sym_weights = _parse_vector(sym["weights"], "symmetric weights")
         else:
             sym_weights = tuple(Fraction(1) for _ in range(len(sym_points)))
-        _check_weights(
-            sym_weights,
-            veronese_gram(sym_points, degree),
-            [multiple(p, primitive(p)) ** degree for p in sym_points.points],
-            "symmetric weights and points disagree in length",
-        )
-        symmetric = SymmetricInstance(n, degree, sym_points, sym_weights)
+        _check_weights(sym_weights, len(sym_points), "symmetric weights and points disagree in length")
+        # distinct points have independent Veronese rows from degree r - 1
+        # on, and independent rows with nonzero weights cannot sum to zero
+        if degree < len(sym_points) - 1:
+            scales = [segre_scale(p) ** degree for p in sym_points.points]
+            _check_sum(sym_weights, veronese_gram(sym_points, degree), scales)
+        symmetric = SymmetricInstance(degree, sym_points, sym_weights)
     return Instance(shape, points, weights, tensor, symmetric)
 
 
@@ -554,7 +557,7 @@ def _exit_code(certified: bool) -> int:
 def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
     partition = (
-        parse_partition_flag(args.partition, points.shape.k) if args.partition else None
+        parse_partition_flag(args.partition, points.shape.k) if args.partition is not None else None
     )
     nr = check_non_redundant(points, weights)
     report = bound_cactus_rank(points, partition)
@@ -627,7 +630,7 @@ def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
         raise ValueError("this subcommand needs a symmetric stanza in the instance file")
     sym = inst.symmetric
     cert = comon_certify(sym.points, sym.weights, sym.degree)
-    bounds = symmetric_bounds(sym.n, sym.degree)
+    bounds = symmetric_bounds(sym.points.shape.dims[0], sym.degree)
     return [("certificate", None, cert), ("bounds", None, bounds)], _exit_code(cert.certified)
 
 
@@ -757,6 +760,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads --flag=-- as an empty list, and no flag here takes a list
+        for dest in (d for d, v in vars(args).items() if isinstance(v, list)):
+            parser.error(f"argument --{dest}: expected one argument")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0

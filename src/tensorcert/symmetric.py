@@ -2,16 +2,23 @@
 
 A degree-k symmetric tensor in n + 1 variables is presented as a
 weighted sum of k-th powers of r distinct points of P^n, that is, of
-their degree-k Veronese rows.  The certificate here shows
-that a presented symmetric decomposition of r distinct points is the
-actual rank of the tensor, and that rank and symmetric rank agree for
-it, by checking independence at some degree e <= k/2 together with
+their degree-k Veronese rows.  P^n is the one-factor product, so the
+points are a ``geometry.PointSet`` of shape (n,).  The certificate here
+shows that a presented symmetric decomposition of r distinct points is
+the actual rank of the tensor, and that rank and symmetric rank agree
+for it, by checking independence at some degree e <= k/2 together with
 non-redundancy at degree k.
 
 Independence at degree e is not read off the C(n + e, e)-wide Veronese
 rows V: weighted by multinomial coefficients, their Gram is <p, q>^e, so
 the Hadamard power G^e of the point Gram G is V W V^T with W positive
 diagonal and has the rank of V (at e = 0 it is all ones, of rank 1).
+G is the point set's memoized factor Gram, built once per set.
+
+No power above r - 2 is ever taken: r distinct points impose independent
+conditions in every degree e >= r - 1 (for each p_j, multiply r - 1
+linear forms, each vanishing at one other point but not at p_j, by a
+power of a form that does not vanish at p_j), so there the rank is r.
 
 The tensor itself is never built.  Its decomposition is sum_j w_j V_j
 over the degree-k rows, and when those are independent its coefficients
@@ -21,8 +28,6 @@ rank of G^k plus the zero pattern of the weights (see ``certify``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -34,69 +39,29 @@ from .certify import (
     Hypothesis,
     non_redundancy_hypotheses,
 )
-from .linalg import _echelon, integer_gram, primitive
+from .geometry import PointSet, _factor_gram
+from .linalg import _echelon
 
 TAG_SYMMETRIC = "symmetric-rank-agreement"
 
 
-@dataclass(frozen=True)
-class SymShape:
-    """Projective dimension n and degree k of a symmetric tensor space."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if self.k < 1:
-            raise ValueError("the degree must be positive")
-
-    @property
-    def half_degree(self) -> int:
-        return self.k // 2
-
-
-@dataclass(frozen=True)
-class SymPointSet:
-    """Distinct points of P^n given by nonzero coordinate vectors."""
-
-    points: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        points = tuple(tuple(Fraction(x) for x in p) for p in self.points)
-        object.__setattr__(self, "points", points)
-        if not points:
-            raise ValueError("a point set must be nonempty")
-        width = len(points[0])
-        if width < 1 or any(len(p) != width for p in points):
-            raise ValueError("points must share a coordinate count")
-        canon = []
-        for idx, p in enumerate(points):
-            if not any(p):
-                raise ValueError(f"point {idx} is the zero vector")
-            canon.append(primitive(p))
-        for idx, c in enumerate(canon):
-            if c in canon[:idx]:
-                raise ValueError(f"duplicate point at position {idx}")
-
-    @property
-    def n(self) -> int:
-        return len(self.points[0]) - 1
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def veronese_gram(a: SymPointSet, degree: int) -> list[list[int]]:
+def veronese_gram(a: PointSet, degree: int) -> list[list[int]]:
     """G^degree, elementwise, for the integer Gram G of the primitive points:
     up to positive multinomial weights, the Gram of their Veronese rows."""
-    return [[g**degree for g in row] for row in integer_gram(a.points)]
+    return [[g**degree for g in row] for row in _factor_gram(a, 1)]
 
 
-def comon_certify(a: SymPointSet, weights: Sequence, degree: int) -> Certificate:
+def veronese_rank(a: PointSet, degree: int) -> int:
+    """Rank of the degree-``degree`` Veronese rows of A; r from degree r - 1 on."""
+    if degree >= len(a) - 1:
+        return len(a)
+    return len(_echelon(veronese_gram(a, degree), len(a)))
+
+
+def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:
     """Certify rank = cactus rank = symmetric rank = #A for the symmetric
-    tensor sum_j w_j p_j^degree presented by A and ``weights``.
+    tensor sum_j w_j p_j^degree presented by the points A of P^n and
+    ``weights``.
 
     Searches e descending from floor(degree/2) for a degree-e Veronese
     Gram of full rank (h1 = 0), then checks non-redundancy of the
@@ -104,11 +69,14 @@ def comon_certify(a: SymPointSet, weights: Sequence, degree: int) -> Certificate
     of points is the rank of the tensor both as a symmetric tensor and
     as a general one, so the two ranks agree.
     """
-    shape = SymShape(a.n, degree)
+    if a.shape.k != 1:
+        raise ValueError(f"symmetric points lie in one factor, not {a.shape.k}")
+    if degree < 1:
+        raise ValueError("the degree must be positive")
     attempts = []
     found_e: int | None = None
-    for e in range(shape.half_degree, -1, -1):
-        rank = len(_echelon(veronese_gram(a, e), len(a)))
+    for e in range(degree // 2, -1, -1):
+        rank = veronese_rank(a, e)
         attempts.append({"e": e, "rank": rank, "h1": len(a) - rank})
         if rank == len(a):
             found_e = e
@@ -117,16 +85,13 @@ def comon_certify(a: SymPointSet, weights: Sequence, degree: int) -> Certificate
         Hypothesis(
             "half_degree_interpolation",
             PASS if found_e is not None else FAIL,
-            {"attempts": attempts, "chosen_e": found_e, "max_e": shape.half_degree},
+            {"attempts": attempts, "chosen_e": found_e, "max_e": degree // 2},
         )
     ]
     if found_e is None:
         return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), None)
-    rank = len(_echelon(veronese_gram(a, degree), len(a)))
-    span_hyps, ok = non_redundancy_hypotheses(rank, len(a), weights)
+    span_hyps, ok = non_redundancy_hypotheses(veronese_rank(a, degree), len(a), weights)
     hyps.extend(span_hyps)
-    if not ok:
-        return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), None)
     r = len(a)
     conclusion = {
         "rank": r,
@@ -135,7 +100,7 @@ def comon_certify(a: SymPointSet, weights: Sequence, degree: int) -> Certificate
         "ranks_agree": True,
         "vanishing_degree": found_e,
     }
-    return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), conclusion)
+    return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), conclusion if ok else None)
 
 
 class SymmetricBounds(NamedTuple):
@@ -163,8 +128,10 @@ def symmetric_bounds(n: int, k: int) -> SymmetricBounds:
     rg is ceil(C(n + k, k) / (n + 1)), the expected generic symmetric
     rank; on the exceptional list the true generic rank differs.
     """
-    shape = SymShape(n, k)
-    e = shape.half_degree
-    r0 = comb(n + e, e) + (0 if k % 2 == 0 else 1)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 1:
+        raise ValueError("the degree must be positive")
+    r0 = comb(n + k // 2, n) + k % 2
     rg = -(-comb(n + k, k) // (n + 1))
     return SymmetricBounds(r0, rg, is_exceptional(n, k))

@@ -34,6 +34,7 @@ from tensorcert.construct import (
 )
 from tensorcert.geometry import (
     FactorPartition,
+    MultiPoint,
     MultiShape,
     PointSet,
     assemble_tensor,
@@ -42,7 +43,6 @@ from tensorcert.geometry import (
 from tensorcert.kruskal import kruskal_certificate, kruskal_rank
 from tensorcert.linalg import integer_gram
 from tensorcert.symmetric import (
-    SymPointSet,
     comon_certify,
     symmetric_bounds,
 )
@@ -68,7 +68,7 @@ def random_sym_points(n, count, seed, box=9):
             continue
         seen.add(canon)
         points.append(vec)
-    return SymPointSet(tuple(points))
+    return PointSet(MultiShape((n,)), tuple(MultiPoint((p,)) for p in points))
 
 
 def test_criterion_1_three_by_four_by_six_exact_rank():

@@ -48,7 +48,7 @@ from tensorcert.geometry import (
     assemble_tensor,
 )
 from tensorcert.linalg import primitive
-from tensorcert.symmetric import SymPointSet, comon_certify
+from tensorcert.symmetric import comon_certify
 
 
 def pt(*factors):
@@ -191,11 +191,12 @@ def test_non_redundancy_hypotheses_match_the_oracle(case, seed):
     r = rng.randint(1, comb(n + k // 2, n) + k % 2)
     points = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(r)]
     points = [p for p in points if any(p)] or [[1] + [0] * n]
-    a = SymPointSet(tuple({primitive(p): p for p in points}.values()))
+    points = list({primitive(p): p for p in points}.values())
+    a = PointSet(MultiShape((n,)), tuple(MultiPoint((p,)) for p in points))
     weights = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in a.points]
     if case == "zeroed_weight":
         weights[rng.randrange(len(a))] = Fraction(0)
-    rows = [monomial_values(p, exponents_desc_lex(n, k)) for p in a.points]
+    rows = [monomial_values(p, exponents_desc_lex(n, k)) for p in points]
     coords = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(len(rows[0]))]
     hyps, ok = oracle_non_redundancy(coords, rows)
     cert = comon_certify(a, weights, k)

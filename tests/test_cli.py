@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorcert import certify, cli
+from tensorcert import certify, cli, geometry, linalg, symmetric
 from tensorcert.certify import Certificate, certificate_from_json, check_non_redundant
 from tensorcert.cli import (
     EXIT_CERTIFIED,
@@ -158,7 +158,7 @@ def test_symmetric_stanza_parsing():
         }
     )
     sym = inst.symmetric
-    assert sym.n == 1 and sym.degree == 4
+    assert sym.points.shape.dims == (1,) and sym.degree == 4
     assert len(sym.points) == 2
     assert sym.weights == (2, 3)
     assert inst.points is None
@@ -383,6 +383,31 @@ def test_certify_bad_partition_is_invalid(three_factor_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_certify_empty_partition_is_invalid(three_factor_file, capsys):
+    # an empty value is a partition that does not parse, not a missing flag
+    assert run(["certify", "--input", three_factor_file, "--partition="]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partition '' must look like '1,2/3'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--shapes=--", "--r", "1", "--trials", "0"],
+        ["random", "--shape", "2x2", "--r=--"],
+        ["random", "--shape", "2x2", "--r", "1", "--seed=--"],
+    ],
+)
+def test_a_flag_given_as_double_dash_exits_2(argv, capsys):
+    # argparse hands --flag=-- over as an empty list instead of a string
+    assert run(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = next(a for a in argv if a.endswith("=--")).removesuffix("=--")
+    assert captured.err == f"error: argument {flag}: expected one argument\n"
+
+
 def test_missing_file_is_a_parse_error(tmp_path, capsys):
     code = run(["certify", "--input", str(tmp_path / "none.json")])
     assert code == EXIT_PARSE
@@ -572,6 +597,37 @@ def test_comon_subcommand(tmp_path, capsys):
     assert "bounds: r0=10 rg=10 exceptional=false" in out
 
 
+def test_comon_at_a_huge_degree_never_raises_a_power(tmp_path, capsys):
+    # two distinct points are independent in every degree >= 1, so neither
+    # the parser nor comon needs <p, q>^k
+    data = {"symmetric": {"n": 1, "k": 10**9, "points": [["1", "2"], ["3", "-1"]]}}
+    path = write_instance(tmp_path, data)
+    start = time.perf_counter()
+    code = run(["comon", "--input", path, "--format", "json"])
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_CERTIFIED
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"]["conclusion"]["vanishing_degree"] == 5 * 10**8
+
+
+def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch):
+    # six plane points at degree 4: the parser's vanishing test and comon's
+    # ranks at e = 2 and at k = 4 all take powers of one point Gram
+    built = []
+    real = linalg.integer_gram
+
+    def counting_gram(rows):
+        built.append(1)
+        return real(rows)
+
+    for module in (geometry, symmetric, cli):
+        monkeypatch.setattr(module, "integer_gram", counting_gram, raising=False)
+    points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"], ["1", "2", "3"], ["2", "-1", "1"]]
+    path = write_instance(tmp_path, {"symmetric": {"n": 2, "k": 4, "points": points}})
+    assert run(["comon", "--input", path]) == EXIT_CERTIFIED
+    assert len(built) == 1
+
+
 def test_comon_needs_a_symmetric_stanza(three_factor_file, capsys):
     code = run(["comon", "--input", three_factor_file])
     assert code == EXIT_INVALID
@@ -758,10 +814,9 @@ def test_subcommands_requiring_points_reject_symmetric_instances(tmp_path, capsy
 #
 # Each flag value goes to one subcommand, with the other flags fixed and
 # valid; survey runs with --trials 0, so no value ever starts a survey.
-# certify reads an empty --partition as none given.
 
 FUZZED_FLAGS = {
-    "--partition": (["certify"], lambda text: text and parse_partition_flag(text, 3)),
+    "--partition": (["certify"], lambda text: parse_partition_flag(text, 3)),
     "--families": (["pin"], lambda text: parse_families_flag(text, 3)),
     "--a": (["span-check", "--b", "0"], lambda text: parse_index_list(text, 3, "--a")),
     "--b": (["span-check", "--a", "0"], lambda text: parse_index_list(text, 3, "--b")),
@@ -794,6 +849,8 @@ def _parses(parse, text) -> bool:
 @example("--shapes", "2x\n2")
 @example("--families", "1,2:2,3:3,1:")
 @example("--partition", "1,2/3/")
+@example("--partition", "")
+@example("--shapes", "--")
 @example("--a", "")
 def test_flag_values_that_do_not_parse_exit_2_with_one_error_line(small_instance_file, flag, text):
     (command, *fixed), parse = FUZZED_FLAGS[flag]

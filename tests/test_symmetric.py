@@ -6,6 +6,8 @@ Hadamard powers of the point Gram."""
 
 import random
 from fractions import Fraction
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,12 +15,11 @@ from hypothesis import strategies as st
 
 from certs import find
 from oracles import exponents_desc_lex, gauss_rank, monomial_values, veronese_vector
+from tensorcert import symmetric
 from tensorcert.certify import FAIL, PASS
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, flattening_rank
 from tensorcert.linalg import primitive
 from tensorcert.symmetric import (
-    SymPointSet,
-    SymShape,
     comon_certify,
     is_exceptional,
     symmetric_bounds,
@@ -26,7 +27,8 @@ from tensorcert.symmetric import (
 
 
 def sym_points(*pts):
-    return SymPointSet(tuple(tuple(Fraction(x) for x in p) for p in pts))
+    """Points of P^n as a one-factor point set, n read off the first."""
+    return PointSet(MultiShape((len(pts[0]) - 1,)), tuple(MultiPoint((p,)) for p in pts))
 
 
 def random_sym_points(n, count, seed, box=9):
@@ -42,24 +44,23 @@ def random_sym_points(n, count, seed, box=9):
             canon != tuple(x / next(y for y in p if y) for x in p) for p in points
         ):
             points.append(cand)
-    return SymPointSet(tuple(points))
+    return sym_points(*points)
 
 
 # -- shapes and point sets
 
 
 def test_sym_shape_counts():
-    shape = SymShape(2, 6)
-    assert shape.half_degree == 3
-    with pytest.raises(ValueError):
-        SymShape(-1, 2)
-    with pytest.raises(ValueError):
-        SymShape(1, 0)
+    assert symmetric_bounds(2, 6).r0 == comb(2 + 3, 3)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        symmetric_bounds(-1, 2)
+    with pytest.raises(ValueError, match="^the degree must be positive$"):
+        symmetric_bounds(1, 0)
 
 
 def test_sym_point_set_validation():
     with pytest.raises(ValueError):
-        SymPointSet(())
+        PointSet(MultiShape((1,)), ())
     with pytest.raises(ValueError):
         sym_points((1, 0), (0, 0))
     with pytest.raises(ValueError, match="duplicate"):
@@ -67,7 +68,7 @@ def test_sym_point_set_validation():
     with pytest.raises(ValueError):
         sym_points((1, 0), (0, 1, 1))
     s = sym_points((1, 0), (0, 1))
-    assert s.n == 1 and len(s) == 2
+    assert len(s) == 2
 
 
 # -- Veronese vectors (the oracle's explicit rows)
@@ -114,9 +115,9 @@ def test_veronese_rank_agrees_with_the_diagonal_segre_rank(n, degree, seed):
     pts = random_sym_points(n, 3, seed)
     shape = MultiShape((n,) * degree)
     diag = PointSet(
-        shape, tuple(MultiPoint((p,) * degree) for p in pts.points)
+        shape, tuple(MultiPoint(p.factors * degree) for p in pts.points)
     )
-    rows = [veronese_vector(p, degree) for p in pts.points]
+    rows = [veronese_vector(p.factors[0], degree) for p in pts.points]
     assert gauss_rank(rows) == flattening_rank(diag)
 
 
@@ -151,7 +152,7 @@ def test_comon_certify_collinear_points_fail_interpolation():
     # four points on the line z = 0 span only the rank-3 Vandermonde
     # column space at every degree, so no e below the half degree works
     pts = sym_points((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0))
-    rows = [veronese_vector(p, 2) for p in pts.points]
+    rows = [veronese_vector(p.factors[0], 2) for p in pts.points]
     assert gauss_rank(rows) == 3
     cert = comon_certify(pts, (1, 1, 1, 1), 4)
     assert not cert.certified
@@ -168,6 +169,42 @@ def test_comon_certify_rejects_mismatched_coordinates():
         comon_certify(pts, (1,), 4)
     with pytest.raises(ValueError, match="degree must be positive"):
         comon_certify(pts, (1, 1), 0)
+
+
+def test_comon_certify_rejects_a_two_factor_set():
+    two_factor = PointSet(MultiShape((1, 1)), (MultiPoint(((1, 0), (0, 1))),))
+    with pytest.raises(ValueError, match="^symmetric points lie in one factor, not 2$"):
+        comon_certify(two_factor, (1,), 4)
+
+
+def ranked_exponents(a, weights, degree):
+    """The certificate and the exponents of the point Gram comon raises."""
+    exponents = []
+    real = symmetric.veronese_gram
+
+    def recording(points, e):
+        exponents.append(e)
+        return real(points, e)
+
+    with mock.patch.object(symmetric, "veronese_gram", recording):
+        return comon_certify(a, weights, degree), exponents
+
+
+def test_two_points_at_a_huge_degree_raise_no_power():
+    # distinct points impose independent conditions from degree r - 1 = 1 on
+    cert, exponents = ranked_exponents(sym_points((1, 2), (3, -1)), (1, 1), 10**6)
+    assert exponents == []
+    assert cert.certified
+    interp = find(cert, "half_degree_interpolation")[0]
+    assert interp.witness["attempts"] == [{"e": 500_000, "rank": 2, "h1": 0}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 7), st.integers(1, 12), st.integers(0, 10_000))
+def test_comon_never_raises_the_point_gram_past_r_minus_2(n, count, degree, seed):
+    pts = random_sym_points(n, count, seed)
+    _, exponents = ranked_exponents(pts, [1] * count, degree)
+    assert all(e <= count - 2 for e in exponents)
 
 
 def test_comon_certify_detects_redundant_presentations():
@@ -262,8 +299,6 @@ def test_bounds_are_internally_consistent(n, k):
     assert 1 <= bounds.r0
     assert bounds.rg >= 1
     # odd degrees certify one point beyond the half-degree interpolation cap
-    from math import comb
-
     e = k // 2
     assert bounds.r0 == comb(n + e, e) + (k % 2)
 
