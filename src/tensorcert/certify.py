@@ -189,27 +189,31 @@ class BoundReport:
     certificate: Certificate
 
 
+def _bipartitions(s: PointSet, partition: FactorPartition | None):
+    """(partition, h1 of the E-flattening, rank of the F-flattening) for
+    ``partition``, or for every bipartition in E-bitmask order when None.
+    Both searches read these two numbers, and every rank is memoized."""
+    k = s.shape.k
+    if partition is not None and partition.k != k:
+        raise ValueError(f"partition {partition} does not match k={k}")
+    for part in [partition] if partition is not None else all_partitions(k):
+        yield part, cohomology(s, part.E).h1, flattening_rank(s, part.F)
+
+
 def bound_cactus_rank(s: PointSet, partition: FactorPartition | None = None) -> BoundReport:
     """Best lower bound on the cactus rank over bipartitions of the factors.
 
-    A bipartition (E, F) yields the bound M_F - h0(S, F) provided the
-    E-flattening of S has h1 = 0 and the bound exceeds 1.  The report
-    assumes, and records as an assumption, that S decomposes the target
-    tensor non-redundantly.
+    A bipartition (E, F) yields the bound M_F - h0(S, F), which is the rank
+    of the F-flattening, provided the E-flattening of S has h1 = 0 and the
+    bound exceeds 1.  The report assumes, and records as an assumption,
+    that S decomposes the target tensor non-redundantly.
     """
-    k = s.shape.k
-    candidates = [partition] if partition is not None else all_partitions(k)
     entries = []
     best: PartitionEntry | None = None
-    for part in candidates:
-        if part.k != k:
-            raise ValueError(f"partition {part} does not match k={k}")
-        h1_e = cohomology(s, part.E).h1
+    for part, h1_e, bound in _bipartitions(s, partition):
         if h1_e != 0:
             entries.append(PartitionEntry(part, False, None, "h1 of the E-flattening is nonzero"))
             continue
-        m_f = s.shape.segre_length(part.F)
-        bound = m_f - cohomology(s, part.F).h0
         if bound <= 1:
             entries.append(PartitionEntry(part, False, bound, "bound does not exceed the trivial 1"))
             continue
@@ -254,15 +258,11 @@ def certify_exact_rank(
     hyps = list(nr.hypotheses)
     if not nr.certified:
         return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), None)
-    k = s.shape.k
-    candidates = [partition] if partition is not None else all_partitions(k)
+    r = len(s)
     attempts = []
     found: FactorPartition | None = None
-    for part in candidates:
-        if part.k != k:
-            raise ValueError(f"partition {part} does not match k={k}")
-        h1_e = cohomology(s, part.E).h1
-        h1_f = cohomology(s, part.F).h1
+    for part, h1_e, rank_f in _bipartitions(s, partition):
+        h1_f = r - rank_f
         attempts.append({"partition": part.as_json(), "h1_E": h1_e, "h1_F": h1_f})
         if h1_e == 0 and h1_f == 0:
             found = part
@@ -274,10 +274,7 @@ def certify_exact_rank(
             {"attempts": attempts},
         )
     )
-    if not found:
-        return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), None)
-    r = len(s)
-    conclusion = {"rank": r, "cactus_rank": r, "partition": found.as_json()}
+    conclusion = {"rank": r, "cactus_rank": r, "partition": found.as_json()} if found else None
     return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), conclusion)
 
 

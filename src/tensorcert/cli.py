@@ -83,24 +83,19 @@ class Instance:
     any; it has been checked to be a nonzero multiple of the weighted sum
     of the points, so the points and weights stand for it."""
 
-    shape: MultiShape | None
     points: PointSet | None
     weights: tuple[Fraction, ...] | None
     tensor: tuple[Fraction, ...] | None
     symmetric: SymmetricInstance | None
 
 
-def _parse_rational_field(value, where: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise InstanceParseError(f"{where}: {exc}") from None
-
-
 def _parse_vector(value, where: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list):
         raise InstanceParseError(f"{where} must be an array of rational strings")
-    return tuple(_parse_rational_field(x, where) for x in value)
+    try:
+        return tuple(parse_rational(x) for x in value)
+    except ValueError as exc:
+        raise InstanceParseError(f"{where}: {exc}") from None
 
 
 def load_instance(path: str) -> Instance:
@@ -127,27 +122,6 @@ def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[Fraction, ...] |
     if not any(coords):
         raise ValueError("the zero tensor has no projective class")
     return coords
-
-
-def _check_weights(
-    weights: Sequence[Fraction],
-    count: int,
-    mismatch: str,
-    read_tensor: Callable[[], tuple[Fraction, ...] | None] = lambda: None,
-) -> tuple[Fraction, ...] | None:
-    """Check the weights of a presented decomposition of ``count`` points;
-    return what ``read_tensor`` returns.
-
-    The checks run in input order: one weight per point (else
-    ``mismatch``), then ``read_tensor``, which reads the tensor the input
-    gives, then every weight nonzero.  ``_check_sum`` comes next.
-    """
-    if len(weights) != count:
-        raise ValueError(mismatch)
-    tensor = read_tensor()
-    if any(w == 0 for w in weights):
-        raise ValueError("weights must be nonzero")
-    return tensor
 
 
 def _check_sum(weights: Sequence[Fraction], gram: list[list[int]], scales: Sequence[Fraction]) -> None:
@@ -192,12 +166,11 @@ def instance_from_json(data: dict) -> Instance:
             weights = _parse_vector(data["weights"], "weights")
         else:
             weights = tuple(Fraction(1) for _ in range(len(points)))
-        tensor = _check_weights(
-            weights,
-            len(points),
-            f"{len(weights)} weights for {len(points)} points",
-            lambda: _read_tensor(data, shape),
-        )
+        if len(weights) != len(points):
+            raise ValueError(f"{len(weights)} weights for {len(points)} points")
+        tensor = _read_tensor(data, shape)
+        if not all(weights):
+            raise ValueError("weights must be nonzero")
         _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
         if tensor is not None and primitive(tensor) != tensor_form(weights, points):
             raise ValueError("tensor disagrees with the weighted sum of the points")
@@ -229,14 +202,17 @@ def instance_from_json(data: dict) -> Instance:
             sym_weights = _parse_vector(sym["weights"], "symmetric weights")
         else:
             sym_weights = tuple(Fraction(1) for _ in range(len(sym_points)))
-        _check_weights(sym_weights, len(sym_points), "symmetric weights and points disagree in length")
+        if len(sym_weights) != len(sym_points):
+            raise ValueError("symmetric weights and points disagree in length")
+        if not all(sym_weights):
+            raise ValueError("weights must be nonzero")
         # distinct points have independent Veronese rows from degree r - 1
         # on, and independent rows with nonzero weights cannot sum to zero
         if degree < len(sym_points) - 1:
             scales = [segre_scale(p) ** degree for p in sym_points.points]
             _check_sum(sym_weights, veronese_gram(sym_points, degree), scales)
         symmetric = SymmetricInstance(degree, sym_points, sym_weights)
-    return Instance(shape, points, weights, tensor, symmetric)
+    return Instance(points, weights, tensor, symmetric)
 
 
 def _need_points(inst: Instance) -> tuple[PointSet, tuple[Fraction, ...]]:
@@ -452,15 +428,21 @@ def render(sections: Sequence[Section], fmt: str) -> str:
 # flag parsing helpers
 
 
+def _ints(text: str, error: str) -> list[int]:
+    """The comma-separated integers in ``text``, blank entries skipped;
+    ``error`` when an entry is not an integer."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(error) from None
+
+
 def parse_partition_flag(text: str, k: int) -> FactorPartition:
     parts = text.split("/")
     if len(parts) != 2:
         raise ValueError(f"partition {text!r} must look like '1,2/3'")
-    try:
-        e = tuple(sorted(int(x) for x in parts[0].split(",") if x.strip()))
-        f = tuple(sorted(int(x) for x in parts[1].split(",") if x.strip()))
-    except ValueError:
-        raise ValueError(f"partition {text!r} has non-integer entries") from None
+    error = f"partition {text!r} has non-integer entries"
+    e, f = (tuple(sorted(_ints(side, error))) for side in parts)
     partition = FactorPartition(e, f)
     if partition.k != k:
         raise ValueError(f"partition {text!r} does not cover the {k} factors")
@@ -471,20 +453,11 @@ def parse_families_flag(text: str, k: int) -> list[tuple[int, ...]]:
     groups = text.split(":")
     if len(groups) != k:
         raise ValueError(f"--families needs {k} colon-separated groups, got {len(groups)}")
-    families = []
-    for g in groups:
-        try:
-            families.append(tuple(sorted(int(x) for x in g.split(",") if x.strip())))
-        except ValueError:
-            raise ValueError(f"family {g!r} has non-integer entries") from None
-    return families
+    return [tuple(sorted(_ints(g, f"family {g!r} has non-integer entries"))) for g in groups]
 
 
 def parse_index_list(text: str, size: int, what: str) -> list[int]:
-    try:
-        indices = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ValueError(f"{what} {text!r} has non-integer entries") from None
+    indices = _ints(text, f"{what} {text!r} has non-integer entries")
     if not indices:
         raise ValueError(f"{what} must select at least one point")
     for i in indices:

@@ -102,11 +102,9 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
     """
     shape = a.shape
     current = list(a.points)
-    p_idx = 0
     eligible = [i for i in range(1, shape.k + 1) if shape.dims[i - 1] > 0]
     for i in eligible:
-        pivot = current[p_idx]
-        others = current[:p_idx] + current[p_idx + 1:]
+        pivot, others = current[0], current[1:]
         stepped = False
         for _ in range(_FACTOR_DRAWS):
             b = _random_factor(rng, shape.sizes[i - 1], box)
@@ -127,7 +125,7 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
                         continue
                     return PointSet(shape, tuple(others + [candidate, split]))
                 return None
-            replacement = current[:p_idx] + [candidate] + current[p_idx + 1:]
+            replacement = [candidate] + others
             if cohomology(PointSet(shape, tuple(replacement))).h1 == 0:
                 current = replacement
                 stepped = True

@@ -260,29 +260,23 @@ def segre_gram(s: PointSet, members: tuple[int, ...] | None = None) -> list[list
     return out
 
 
-def _flattening_rank(s: PointSet, members: tuple[int, ...] | None) -> int:
+def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
+    """Rank of the Segre rows of S for the factors in ``subset`` (all when
+    None): the rank of the Hadamard product of their factor Grams,
+    memoized on S."""
+    members = factor_subset(subset, s.shape.k) if subset is not None else None
     key = ("rank", members)
     if key not in s.memo:
         s.memo[key] = len(_echelon(segre_gram(s, members), len(s)))
     return s.memo[key]
 
 
-def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
-    members = factor_subset(subset, s.shape.k) if subset is not None else None
-    return _flattening_rank(s, members)
-
-
 def cohomology(s: PointSet, subset: Sequence[int] | None = None) -> Cohomology:
     """The pair (h0, h1) of the u-flattening of S; h1 = 0 means the points
-    impose independent conditions there.
-
-    The rank behind both is that of the Hadamard product of the factor
-    Grams over u, which equals the rank of the Segre rows for u exactly.
-    """
-    members = factor_subset(subset, s.shape.k) if subset is not None else None
-    rank = _flattening_rank(s, members)
-    m_u = s.shape.segre_length(members)
-    return Cohomology(m_u - rank, len(s) - rank)
+    impose independent conditions there.  Both come from
+    ``flattening_rank``, the rank of the Segre rows for u."""
+    rank = flattening_rank(s, subset)
+    return Cohomology(s.shape.segre_length(subset) - rank, len(s) - rank)
 
 
 def different_coordinates_violation(s: PointSet) -> tuple[int, int, int] | None:

@@ -23,7 +23,10 @@ power of a form that does not vanish at p_j), so there the rank is r.
 The tensor itself is never built.  Its decomposition is sum_j w_j V_j
 over the degree-k rows, and when those are independent its coefficients
 are unique and equal the weights, so non-redundancy at degree k is the
-rank of G^k plus the zero pattern of the weights (see ``certify``).
+zero pattern of the weights (see ``certify``).  Independence at some
+e <= k/2 already makes the degree-k rows independent (multiply each
+degree-e form that separates a point by the (k - e)-th power of a linear
+form vanishing at no point), so G^k is never ranked.
 """
 
 from __future__ import annotations
@@ -64,10 +67,10 @@ def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:
     ``weights``.
 
     Searches e descending from floor(degree/2) for a degree-e Veronese
-    Gram of full rank (h1 = 0), then checks non-redundancy of the
-    decomposition at degree ``degree``.  On success the presented number
-    of points is the rank of the tensor both as a symmetric tensor and
-    as a general one, so the two ranks agree.
+    Gram of full rank (h1 = 0), which gives full rank at degree ``degree``
+    too, then checks the weights for non-redundancy.  On success the
+    presented number of points is the rank of the tensor both as a
+    symmetric tensor and as a general one, so the two ranks agree.
     """
     if a.shape.k != 1:
         raise ValueError(f"symmetric points lie in one factor, not {a.shape.k}")
@@ -90,9 +93,9 @@ def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:
     ]
     if found_e is None:
         return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), None)
-    span_hyps, ok = non_redundancy_hypotheses(veronese_rank(a, degree), len(a), weights)
-    hyps.extend(span_hyps)
     r = len(a)
+    span_hyps, ok = non_redundancy_hypotheses(r, r, weights)
+    hyps.extend(span_hyps)
     conclusion = {
         "rank": r,
         "cactus_rank": r,

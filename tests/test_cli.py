@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorcert import certify, cli, geometry, linalg, symmetric
+from tensorcert import certify, cli, construct, geometry, linalg, symmetric
 from tensorcert.certify import Certificate, certificate_from_json, check_non_redundant
 from tensorcert.cli import (
     EXIT_CERTIFIED,
@@ -71,7 +71,7 @@ def three_factor_file(tmp_path):
 def test_load_instance_round_trips_points_and_weights(tmp_path):
     data, s, weights = seeded_instance((1, 2), 3, seed=5)
     inst = load_instance(write_instance(tmp_path, data))
-    assert inst.shape == s.shape
+    assert inst.points.shape == s.shape
     assert inst.points == s
     assert inst.weights == weights
     # no tensor is given, and none is built: the points and weights stand for it
@@ -516,6 +516,13 @@ def test_augment_subcommand(three_factor_file, capsys):
     assert len(inst.points) == 7
 
 
+def test_augment_out_of_passes_exits_1(three_factor_file, capsys, monkeypatch):
+    monkeypatch.setattr(construct, "_try_augment", lambda a, rng, box: None)
+    code = run(["augment", "--input", three_factor_file, "--seed", "7"])
+    assert code == EXIT_NOT_CERTIFIED
+    assert capsys.readouterr() == ("", "error: augmentation failed after 32 attempts\n")
+
+
 def test_augment_respects_the_seed_env_var(three_factor_file, capsys, monkeypatch):
     monkeypatch.setenv("TENSORCERT_SEED", "7")
     code = run(["augment", "--input", three_factor_file, "--format", "json"])
@@ -612,7 +619,7 @@ def test_comon_at_a_huge_degree_never_raises_a_power(tmp_path, capsys):
 
 def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch):
     # six plane points at degree 4: the parser's vanishing test and comon's
-    # ranks at e = 2 and at k = 4 all take powers of one point Gram
+    # rank at e = 2 both take powers of one point Gram
     built = []
     real = linalg.integer_gram
 
@@ -749,7 +756,7 @@ def test_random_subcommand_emits_a_loadable_instance(capsys):
     assert code == EXIT_CERTIFIED
     payload = json.loads(capsys.readouterr().out)
     inst = instance_from_json(payload)
-    assert inst.shape == MultiShape((1, 2))
+    assert inst.points.shape == MultiShape((1, 2))
     assert len(inst.points) == 2
     code = run(["random", "--shape", "2x3,2x2", "--r", "2"])
     assert code == EXIT_INVALID

@@ -113,6 +113,24 @@ def test_augment_the_seeded_three_factor_sample():
     assert len(survivors) >= len(a) - 1
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_augment_replaces_the_pivot_before_it_splits(seed):
+    # every perturbation of the pivot's first factor keeps its Segre row in
+    # the span of the first two points, so the walk must replace the pivot
+    # there and split it on the second factor
+    shape = MultiShape((1, 1))
+    pivot = MultiPoint(((1, 0), (1, 0)))
+    a = PointSet(shape, (pivot, MultiPoint(((0, 1), (1, 0))), MultiPoint(((1, 0), (0, 1)))))
+    tensor = assemble_tensor((1, 2, 3), a)
+    s, new_weights, cert = augment_decomposition(tensor, a, (1, 2, 3), seed=seed)
+    assert cert.certified
+    assert assemble_tensor(new_weights, s) == tensor
+    new = [p for p in s.points if p not in a.points]
+    assert len(new) == 2
+    first = {p.canonical()[0] for p in new}
+    assert len(first) == 1 and first != {pivot.canonical()[0]}
+
+
 def test_augment_is_deterministic_in_the_seed():
     shape = MultiShape((1, 1))
     a, weights = random_decomposition(shape, 2, seed=9)

@@ -207,6 +207,16 @@ def test_comon_never_raises_the_point_gram_past_r_minus_2(n, count, degree, seed
     assert all(e <= count - 2 for e in exponents)
 
 
+def test_comon_ranks_no_degree_k_gram_once_interpolation_passes():
+    # six plane points on no conic: G^2 has full rank, and that already
+    # makes the degree-4 rows independent, so G^4 is never built
+    pts = sym_points((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 1))
+    cert, exponents = ranked_exponents(pts, [1] * 6, 4)
+    assert exponents == [2]
+    assert cert.certified
+    assert find(cert, "evaluation_vectors_independent")[0].witness == {"rank": 6, "cardinality": 6}
+
+
 def test_comon_certify_detects_redundant_presentations():
     # the tensor is the sum over the first two points alone
     pts = sym_points((1, 0), (0, 1), (1, 1))
