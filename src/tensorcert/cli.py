@@ -205,7 +205,7 @@ def instance_from_json(data: dict) -> Instance:
         if len(sym_weights) != len(sym_points):
             raise ValueError("symmetric weights and points disagree in length")
         if not all(sym_weights):
-            raise ValueError("weights must be nonzero")
+            raise ValueError("symmetric weights must be nonzero")
         # distinct points have independent Veronese rows from degree r - 1
         # on, and independent rows with nonzero weights cannot sum to zero
         if degree < len(sym_points) - 1:

@@ -204,7 +204,7 @@ def test_instance_weight_checks_run_in_input_order():
     sym = {"n": 1, "k": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]]}
     cases += [
         ({"symmetric": dict(sym, weights=["1"])}, ValueError, "^symmetric weights and points disagree in length$"),
-        ({"symmetric": dict(sym, weights=["1", "0", "1"])}, ValueError, "^weights must be nonzero$"),
+        ({"symmetric": dict(sym, weights=["1", "0", "1"])}, ValueError, "^symmetric weights must be nonzero$"),
         ({"symmetric": dict(sym, weights=["1", "1", "-1"])}, ValueError, "vanishes$"),
         # rescaled points: p^k scales by c^k, so -1/2 * (2, 2) cancels (1, 0) + (0, 1) at k = 1
         ({"symmetric": dict(sym, points=[["1", "0"], ["0", "1"], ["2", "2"]], weights=["1", "1", "-1/2"])}, ValueError, "vanishes$"),
