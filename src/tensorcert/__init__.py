@@ -51,10 +51,8 @@ from .geometry import (
     all_partitions,
     assemble_tensor,
     cohomology,
-    decomposition_weights,
     factor_projection_sizes,
     flattening_rank,
-    segre_vector,
 )
 from .kruskal import (
     ComparisonRecord,
@@ -127,7 +125,6 @@ __all__ = [
     "cohomology",
     "comon_certify",
     "compare_criteria",
-    "decomposition_weights",
     "derive_seed",
     "factor_projection_sizes",
     "flattening_rank",
@@ -141,7 +138,6 @@ __all__ = [
     "pin_projections",
     "random_decomposition",
     "run",
-    "segre_vector",
     "survey",
     "symmetric_bounds",
 ]

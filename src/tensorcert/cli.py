@@ -52,10 +52,10 @@ from .geometry import (
     assemble_tensor,
     segre_gram,
     segre_scale,
-    tensor_form,
+    weighted_sum,
 )
 from .kruskal import MAX_EXHAUSTIVE_COLUMNS, ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
-from .linalg import format_rational, parse_rational, primitive
+from .linalg import format_rational, multiple, parse_rational, primitive
 from .symmetric import SymmetricBounds, comon_certify, symmetric_bounds, veronese_gram
 
 ENV_SEED = "TENSORCERT_SEED"
@@ -79,13 +79,12 @@ class SymmetricInstance:
 
 @dataclass
 class Instance:
-    """A parsed instance file.  ``tensor`` is the tensor the file gives, if
-    any; it has been checked to be a nonzero multiple of the weighted sum
-    of the points, so the points and weights stand for it."""
+    """A parsed instance file.  A tensor the file gives has been checked to
+    be a nonzero multiple of the weighted sum of the points, and the
+    weights scaled by that multiple, so the decomposition sums to it."""
 
     points: PointSet | None
     weights: tuple[Fraction, ...] | None
-    tensor: tuple[Fraction, ...] | None
     symmetric: SymmetricInstance | None
 
 
@@ -172,10 +171,14 @@ def instance_from_json(data: dict) -> Instance:
         if not all(weights):
             raise ValueError("weights must be nonzero")
         _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
-        if tensor is not None and primitive(tensor) != tensor_form(weights, points):
-            raise ValueError("tensor disagrees with the weighted sum of the points")
+        if tensor is not None:
+            c, total = weighted_sum(weights, points)
+            if primitive(tensor) != primitive(total):
+                raise ValueError("tensor disagrees with the weighted sum of the points")
+            scale = multiple(tensor, total) / c
+            weights = tuple(scale * w for w in weights)
     else:
-        tensor = _read_tensor(data, shape)
+        _read_tensor(data, shape)
     symmetric = None
     if "symmetric" in data:
         sym = data["symmetric"]
@@ -212,7 +215,7 @@ def instance_from_json(data: dict) -> Instance:
             scales = [segre_scale(p) ** degree for p in sym_points.points]
             _check_sum(sym_weights, veronese_gram(sym_points, degree), scales)
         symmetric = SymmetricInstance(degree, sym_points, sym_weights)
-    return Instance(points, weights, tensor, symmetric)
+    return Instance(points, weights, symmetric)
 
 
 def _need_points(inst: Instance) -> tuple[PointSet, tuple[Fraction, ...]]:
@@ -568,15 +571,11 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
-    inst = load_instance(args.input)
-    points, weights = _need_points(inst)
+    points, weights = _need_points(load_instance(args.input))
     seed = resolve_seed(args)
-    # the tensor the instance names: the one it gives, else the weighted sum
-    tensor = inst.tensor if inst.tensor is not None else assemble_tensor(weights, points)
-    bigger, new_weights, cert = augment_decomposition(
-        tensor, points, weights, seed=seed, box=args.box
-    )
-    decomposition = pointset_to_json(bigger, new_weights, tensor)
+    bigger, new_weights, cert = augment_decomposition(points, weights, seed=seed, box=args.box)
+    # the parsed weights sum to the tensor the file gives, if it gives one
+    decomposition = pointset_to_json(bigger, new_weights, assemble_tensor(weights, points))
     return [("decomposition", None, decomposition), ("certificate", None, cert)], EXIT_CERTIFIED
 
 

@@ -18,12 +18,12 @@ from .geometry import (
     MultiShape,
     PointSet,
     cohomology,
-    decomposition_weights,
     different_coordinates_violation,
-    tensor_form,
+    segre_gram,
+    segre_scale,
 )
 from .kruskal import compare_criteria
-from .linalg import primitive
+from .linalg import _echelon, primitive
 
 DEFAULT_BOX = 9
 _RESAMPLE_CAP = 512
@@ -135,8 +135,30 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
     return None
 
 
+def _new_weights(s: PointSet, a: PointSet, weights: Sequence) -> tuple[Fraction, ...]:
+    """The w' with sum_i w'_i S'_i = sum_l w_l A_l, for independent S' whose
+    span holds the A_l.  With S'_i = c'_i P'_i and A_l = c_l Q_l for
+    primitive Segre rows, inner products with each P'_j give H' v = C u:
+    H' and C are blocks of the Gram of S' and A together, u_l = w_l c_l
+    and v_i = w'_i c'_i.  H' is nonsingular because S' is independent."""
+    union = {p: i for i, p in enumerate(s.points)}
+    for p in a.points:
+        union.setdefault(p, len(union))
+    gram = segre_gram(PointSet(s.shape, tuple(union)))
+    u = [w * segre_scale(p) for w, p in zip(weights, a.points)]
+    n = len(s)
+    cu = [sum(row[union[p]] * x for p, x in zip(a.points, u)) for row in gram[:n]]
+    work = [primitive(row[:n] + [y]) for row, y in zip(gram, cu)]
+    _echelon(work, n + 1)
+    # back substitution in Fractions: an int / int would give a float
+    v = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        row = work[i]
+        v[i] = Fraction(row[n] - sum(row[j] * v[j] for j in range(i + 1, n)), row[i])
+    return tuple(x / segre_scale(p) for x, p in zip(v, s.points))
+
+
 def augment_decomposition(
-    tensor: Sequence,
     a: PointSet,
     weights: Sequence,
     *,
@@ -145,15 +167,13 @@ def augment_decomposition(
 ) -> tuple[PointSet, tuple[Fraction, ...], Certificate]:
     """Extend a non-redundant decomposition by one point.
 
-    Requires #A <= M, independent Segre vectors, at least one factor of
-    positive dimension, and ``tensor``, the M coordinates of the tensor,
-    a nonzero multiple of sum_j w_j S_j; that is checked on primitive
-    forms (``tensor_form``), so no rational coordinates are summed.
-    Returns the new points, their weights against ``tensor`` (from the
-    one M-wide solve, ``decomposition_weights``) and the
-    check_non_redundant certificate of the two; when the budget of
-    _AUGMENT_PASSES construction passes runs out the last failing
-    certificate rides along on the raised AugmentationError.
+    Requires #A <= M, independent Segre vectors and at least one factor
+    of positive dimension.  Returns the new points, their weights (the
+    new decomposition sums to the same tensor, sum_l w_l A_l, solved for
+    in r + 1 unknowns by ``_new_weights``) and the check_non_redundant
+    certificate of the two; when the budget of _AUGMENT_PASSES
+    construction passes runs out the last failing certificate rides
+    along on the raised AugmentationError.
     """
     shape = a.shape
     if box < 1:
@@ -166,15 +186,13 @@ def augment_decomposition(
         )
     if cohomology(a).h1 != 0:
         raise ValueError("the Segre vectors of the input points must be independent")
-    if tensor_form(weights, a) != primitive(tensor):
-        raise ValueError("tensor does not equal the weighted sum of the decomposition")
     rng = random.Random(seed)
     last: Certificate | None = None
     for _ in range(_AUGMENT_PASSES):
         s = _try_augment(a, rng, box)
         if s is None:
             continue
-        new_weights = decomposition_weights(tensor, s)
+        new_weights = _new_weights(s, a, weights)
         cert = check_non_redundant(s, new_weights)
         if cert.certified:
             return s, new_weights, cert

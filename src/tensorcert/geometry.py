@@ -180,9 +180,9 @@ class PointSet:
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
     ``memo`` holds what has been computed for this set (integer Grams by
-    factor and flattening ranks by factor subset, the full set's rank
-    included), so repeated questions within one run are answered once and
-    the memory goes with the set.
+    factor, the full set's Segre Gram, and flattening ranks by factor
+    subset, the full set's included), so repeated questions within one
+    run are answered once and the memory goes with the set.
     """
 
     shape: MultiShape
@@ -229,14 +229,8 @@ def _outer(vectors: Iterable[Sequence]) -> tuple:
     return acc
 
 
-def segre_vector(point: MultiPoint) -> tuple[Fraction, ...]:
-    """Segre coordinates of ``point``: the outer product of its factor
-    vectors, flattened with the last factor's index varying fastest."""
-    return _outer(point.factors)
-
-
 def segre_scale(point: MultiPoint) -> Fraction:
-    """The c with segre_vector(point) = c * _outer(point.canonical())."""
+    """The c with _outer(point.factors) = c * _outer(point.canonical())."""
     return prod(multiple(f, q) for f, q in zip(point.factors, point.canonical()))
 
 
@@ -252,11 +246,17 @@ def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
 def segre_gram(s: PointSet, members: tuple[int, ...] | None = None) -> list[list[int]]:
     """Integer Gram of the primitive Segre rows of S for the factors in
     ``members`` (all when None): the Hadamard product of their factor
-    Grams.  A fresh matrix, which the caller may modify."""
-    # start from ones, not a memoized Gram, since _echelon works in place
+    Grams.  The full set's is memoized on S, so callers must not modify
+    the result."""
+    key = ("segre_gram", members)
+    if key in s.memo:
+        return s.memo[key]
+    # start from ones, not a memoized factor Gram, which must not change
     out = [[1] * len(s) for _ in s.points]
     for i in members or range(1, s.shape.k + 1):
         out = [[x * y for x, y in zip(w, g)] for w, g in zip(out, _factor_gram(s, i))]
+    if members is None:
+        s.memo[key] = out
     return out
 
 
@@ -267,7 +267,8 @@ def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
     members = factor_subset(subset, s.shape.k) if subset is not None else None
     key = ("rank", members)
     if key not in s.memo:
-        s.memo[key] = len(_echelon(segre_gram(s, members), len(s)))
+        # a copy: _echelon works in place, and the full set's Gram is memoized
+        s.memo[key] = len(_echelon([list(row) for row in segre_gram(s, members)], len(s)))
     return s.memo[key]
 
 
@@ -297,6 +298,20 @@ def factor_projection_sizes(s: PointSet) -> tuple[int, ...]:
     return tuple(len({c[i] for c in canon}) for i in range(s.shape.k))
 
 
+def weighted_sum(weights: Sequence, s: PointSet) -> tuple[Fraction, tuple[int, ...]]:
+    """(c, T) with sum_j w_j S_j = c * T for the Segre vectors S_j of S.
+
+    With S_j = c_j P_j for the primitive Segre row P_j of p_j, the sum is
+    sum_j (w_j c_j) P_j.  T sums the P_j with the primitive integer form
+    of those coefficients, so the M coordinates are summed in integers,
+    and c is the one rational between the two.
+    """
+    coeffs = [w * segre_scale(p) for w, p in zip(weights, s.points)]
+    u = primitive(coeffs)
+    rows = ([x * v for v in _outer(p.canonical())] for x, p in zip(u, s.points))
+    return (multiple(coeffs, u) if any(u) else Fraction(0)), tuple(map(sum, zip(*rows)))
+
+
 def assemble_tensor(weights: Sequence, s: PointSet) -> tuple[Fraction, ...]:
     """Coordinates of the weighted sum of the Segre vectors of S.
 
@@ -304,42 +319,5 @@ def assemble_tensor(weights: Sequence, s: PointSet) -> tuple[Fraction, ...]:
     their output carries the tensor.  Certificates work from the points
     and weights alone.
     """
-    rows = ([w * x for x in segre_vector(p)] for w, p in zip(weights, s.points))
-    return tuple(map(sum, zip(*rows)))
-
-
-def tensor_form(weights: Sequence, s: PointSet) -> tuple[int, ...]:
-    """``primitive(assemble_tensor(weights, s))``, summed in integers.
-
-    With S_j = c_j P_j for the primitive Segre row P_j of p_j, the sum is
-    sum_j (w_j c_j) P_j, and the primitive form of those coefficients
-    differs from them by one common factor, which the primitive form of
-    the sum does not see.  This is how a given tensor is checked against
-    its decomposition.
-    """
-    u = primitive([w * segre_scale(p) for w, p in zip(weights, s.points)])
-    rows = ([x * v for v in _outer(p.canonical())] for x, p in zip(u, s.points))
-    return primitive(tuple(map(sum, zip(*rows))))
-
-
-def decomposition_weights(tensor: Sequence, s: PointSet) -> tuple[Fraction, ...] | None:
-    """Exact weights w with tensor = sum_j w_j segre_vector(p_j), or None
-    when the tensor lies outside the span of the Segre vectors of S.
-
-    One fraction-free elimination of the system [rows^T | tensor], then
-    back substitution over the pivot columns.  When the rows are
-    dependent the free weights are set to zero.
-    """
-    rows = [segre_vector(p) for p in s.points]
-    if len(tensor) != len(rows[0]):
-        raise ValueError(f"tensor has {len(tensor)} coordinates, shape wants {len(rows[0])}")
-    n = len(rows)
-    work = [col for col in map(primitive, zip(*rows, tensor)) if any(col)]
-    pivots = _echelon(work, n + 1)
-    if pivots and pivots[-1] == n:
-        return None
-    coeffs = [Fraction(0)] * n
-    for row, col in reversed(list(zip(work, pivots))):
-        rest = sum((row[j] * coeffs[j] for j in range(col + 1, n)), Fraction(0))
-        coeffs[col] = (row[n] - rest) / row[col]
-    return tuple(coeffs)
+    c, total = weighted_sum(weights, s)
+    return tuple(c * x for x in total)

@@ -5,8 +5,7 @@ integer matrices, brought to echelon form by one fraction-free
 elimination (``_echelon``), so results are exact and deterministic: the
 pivot is always the first nonzero entry scanning columns left to right
 and rows top to bottom.  There is no floating point anywhere in the
-certification path.  The same kernel serves the package's one linear
-solve, ``geometry.decomposition_weights``.
+certification path.
 
 ``primitive`` is also the one projective normal form of the package:
 two nonzero vectors name the same projective point exactly when their
@@ -70,7 +69,8 @@ def primitive(row: Sequence[Fraction | int]) -> tuple[int, ...]:
 
 
 def multiple(row: Sequence[Fraction], prim: Sequence[int]) -> Fraction:
-    """The c with row = c * prim, for a nonzero row and its primitive form."""
+    """The c with row = c * prim, for a nonzero row and a nonzero integer
+    vector on its line, such as its primitive form."""
     i = next(i for i, v in enumerate(prim) if v)
     return row[i] / prim[i]
 

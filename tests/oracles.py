@@ -92,6 +92,43 @@ def outer_product_flat(vectors):
     return out
 
 
+def decomposition_weights(tensor, s):
+    """Exact weights w with tensor = sum_j w_j (outer product of the
+    factors of point j), or None when the tensor lies outside the span of
+    those vectors.
+
+    Gauss-Jordan elimination over Fraction on the M x (r + 1) system
+    whose columns are the explicit Segre vectors of the points of ``s``
+    and the tensor.  When the vectors are dependent the free weights are
+    zero.
+    """
+    columns = [outer_product_flat(p.factors) for p in s.points]
+    if len(tensor) != len(columns[0]):
+        raise ValueError(f"tensor has {len(tensor)} coordinates, shape wants {len(columns[0])}")
+    n = len(columns)
+    m = [list(row) + [Fraction(t)] for row, t in zip(zip(*columns), tensor)]
+    pivots = []
+    for col in range(n + 1):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if col == n:
+            return None
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+    weights = [Fraction(0)] * n
+    for row, col in enumerate(pivots):
+        weights[col] = m[row][n]
+    return tuple(weights)
+
+
 def permute_flat_coords(coords, sizes, perm):
     """Flat coordinates after reordering the tensor factors.
 

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from oracles import (
+    decomposition_weights,
     gauss_rank,
     kruskal_rank_exhaustive,
     matrix_of_two_factor_tensor,
@@ -38,7 +39,6 @@ from tensorcert.geometry import (
     MultiShape,
     PointSet,
     assemble_tensor,
-    decomposition_weights,
 )
 from tensorcert.kruskal import kruskal_certificate, kruskal_rank
 from tensorcert.linalg import integer_gram
@@ -225,9 +225,8 @@ def test_criterion_6_augmentation_grows_and_recertifies():
         dims, r = combos[t % len(combos)]
         shape = MultiShape(dims)
         s, weights = random_decomposition(shape, r, box=9, seed=derive_seed(606, t))
-        tensor = assemble_tensor(weights, s)
-        first, w_a, cert_a = augment_decomposition(tensor, s, weights, seed=derive_seed(616, t))
-        second, w_b, cert_b = augment_decomposition(tensor, s, weights, seed=derive_seed(626, t))
+        first, w_a, cert_a = augment_decomposition(s, weights, seed=derive_seed(616, t))
+        second, w_b, cert_b = augment_decomposition(s, weights, seed=derive_seed(626, t))
         if (
             len(first) == r + 1 == len(second)
             and cert_a.certified

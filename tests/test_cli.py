@@ -73,20 +73,20 @@ def test_load_instance_round_trips_points_and_weights(tmp_path):
     inst = load_instance(write_instance(tmp_path, data))
     assert inst.points.shape == s.shape
     assert inst.points == s
+    # no tensor is given, so the weights are the file's: they stand for it
     assert inst.weights == weights
-    # no tensor is given, and none is built: the points and weights stand for it
-    assert inst.tensor is None
     assert inst.symmetric is None
 
 
 def test_instance_accepts_a_consistent_explicit_tensor():
     data, s, weights = seeded_instance((1, 1), 2, seed=3)
     tensor = assemble_tensor(weights, s)
-    # any nonzero rescaling of the coordinates names the same tensor
+    # any nonzero rescaling of the coordinates names the same tensor, and
+    # the weights are scaled to sum to it exactly
     data["tensor"] = [format_rational(-3 * x) for x in tensor]
     inst = instance_from_json(data)
-    assert inst.tensor == tuple(-3 * x for x in tensor)
-    assert inst.weights == weights
+    assert assemble_tensor(inst.weights, inst.points) == tuple(-3 * x for x in tensor)
+    assert inst.weights == tuple(-3 * w for w in weights)
 
 
 def test_instance_rejects_a_contradictory_tensor():
@@ -176,9 +176,10 @@ def test_given_tensor_validation_and_projective_equality():
         instance_from_json({"dims": [2, 2], "tensor": ["1", "2", "0"]})
     with pytest.raises(InstanceParseError, match="^tensor given without dims$"):
         instance_from_json({"tensor": ["1"]})
-    for given in (["3", "6", "0", "0"], ["-1/2", "-1", "0", "0"]):
+    for given, weight in ((["3", "6", "0", "0"], 3), (["-1/2", "-1", "0", "0"], Fraction(-1, 2))):
         inst = instance_from_json(dict(base, tensor=given))
-        assert inst.tensor == tuple(Fraction(x) for x in given)
+        assert assemble_tensor(inst.weights, inst.points) == tuple(Fraction(x) for x in given)
+        assert inst.weights == (weight,)
     for given in (["1", "2", "0", "1"], ["2", "1", "0", "0"]):
         with pytest.raises(ValueError, match="^tensor disagrees with the weighted sum of the points$"):
             instance_from_json(dict(base, tensor=given))
@@ -633,6 +634,26 @@ def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch
     path = write_instance(tmp_path, {"symmetric": {"n": 2, "k": 4, "points": points}})
     assert run(["comon", "--input", path]) == EXIT_CERTIFIED
     assert len(built) == 1
+
+
+def test_certify_builds_the_full_set_segre_gram_once(three_factor_file, capsys, monkeypatch):
+    # the parser's vanishing test and the full-set flattening rank both ask
+    # for the Hadamard product of all factor Grams; the product is built once
+    full = []
+    real = geometry.segre_gram
+
+    def recording_gram(s, members=None):
+        gram = real(s, members)
+        if members is None:
+            full.append(gram)
+        return gram
+
+    for module in (geometry, cli):
+        monkeypatch.setattr(module, "segre_gram", recording_gram)
+    assert run(["certify", "--input", three_factor_file]) == EXIT_CERTIFIED
+    capsys.readouterr()
+    assert len(full) >= 2
+    assert len({id(gram) for gram in full}) == 1
 
 
 def test_comon_needs_a_symmetric_stanza(three_factor_file, capsys):

@@ -1,12 +1,15 @@
 """Seeded sampling, one-point augmentation and criterion surveys."""
 
+import random
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import in_span
+from oracles import decomposition_weights, in_span, outer_product_flat, rescaled_point_set
 from tensorcert.certify import check_non_redundant
-from tensorcert.cli import survey_to_json
+from tensorcert.cli import instance_from_json, pointset_to_json, survey_to_json
 from tensorcert.construct import (
     AugmentationError,
     augment_decomposition,
@@ -19,8 +22,8 @@ from tensorcert.geometry import (
     MultiShape,
     PointSet,
     assemble_tensor,
+    cohomology,
     different_coordinates_violation,
-    segre_vector,
 )
 
 
@@ -82,21 +85,23 @@ def test_random_decomposition_fails_on_impossible_injectivity():
 def test_augment_a_singleton():
     shape = MultiShape((1, 1))
     a = PointSet(shape, (MultiPoint(((1, 2), (3, 1))),))
-    tensor = segre_vector(a.points[0])
-    s, weights, cert = augment_decomposition(tensor, a, (1,), seed=3)
+    tensor = outer_product_flat(a.points[0].factors)
+    s, weights, cert = augment_decomposition(a, (1,), seed=3)
     assert len(s) == 2
     assert cert.certified
     assert check_non_redundant(s, weights).certified
-    assert in_span(tensor, [segre_vector(p) for p in s.points])
-    assert assemble_tensor(weights, s) == tensor
+    assert in_span(tensor, [outer_product_flat(p.factors) for p in s.points])
+    assert assemble_tensor(weights, s) == tuple(tensor)
 
 
 def test_augment_solves_the_new_weights_against_the_given_tensor():
-    # any nonzero multiple of the weighted sum names the same tensor, and
-    # the new weights are those of the multiple
+    # any nonzero multiple of the weighted sum names the same tensor; the
+    # parser scales the weights to it, and the new weights sum to it too
     a, weights = random_decomposition(MultiShape((1, 2)), 2, seed=4)
     tensor = tuple(-3 * x for x in assemble_tensor(weights, a))
-    s, new_weights, cert = augment_decomposition(tensor, a, weights, seed=2)
+    data = pointset_to_json(a, weights, tensor)
+    inst = instance_from_json(data)
+    s, new_weights, cert = augment_decomposition(inst.points, inst.weights, seed=2)
     assert cert.certified
     assert assemble_tensor(new_weights, s) == tensor
 
@@ -104,8 +109,7 @@ def test_augment_solves_the_new_weights_against_the_given_tensor():
 def test_augment_the_seeded_three_factor_sample():
     shape = MultiShape((2, 3, 5))
     a, weights = random_decomposition(shape, 6, seed=11)
-    tensor = assemble_tensor(weights, a)
-    s, _, cert = augment_decomposition(tensor, a, weights, seed=7)
+    s, _, cert = augment_decomposition(a, weights, seed=7)
     assert len(s) == 7
     assert cert.certified
     # the walk only ever splits the working point, the others survive
@@ -122,7 +126,7 @@ def test_augment_replaces_the_pivot_before_it_splits(seed):
     pivot = MultiPoint(((1, 0), (1, 0)))
     a = PointSet(shape, (pivot, MultiPoint(((0, 1), (1, 0))), MultiPoint(((1, 0), (0, 1)))))
     tensor = assemble_tensor((1, 2, 3), a)
-    s, new_weights, cert = augment_decomposition(tensor, a, (1, 2, 3), seed=seed)
+    s, new_weights, cert = augment_decomposition(a, (1, 2, 3), seed=seed)
     assert cert.certified
     assert assemble_tensor(new_weights, s) == tensor
     new = [p for p in s.points if p not in a.points]
@@ -134,10 +138,9 @@ def test_augment_replaces_the_pivot_before_it_splits(seed):
 def test_augment_is_deterministic_in_the_seed():
     shape = MultiShape((1, 1))
     a, weights = random_decomposition(shape, 2, seed=9)
-    tensor = assemble_tensor(weights, a)
-    s1, w1, _ = augment_decomposition(tensor, a, weights, seed=5)
-    s2, w2, _ = augment_decomposition(tensor, a, weights, seed=5)
-    s3, _, _ = augment_decomposition(tensor, a, weights, seed=6)
+    s1, w1, _ = augment_decomposition(a, weights, seed=5)
+    s2, w2, _ = augment_decomposition(a, weights, seed=5)
+    s3, _, _ = augment_decomposition(a, weights, seed=6)
     assert w1 == w2
     assert canonical_set(s1) == canonical_set(s2)
     assert canonical_set(s1) != canonical_set(s3)
@@ -153,17 +156,15 @@ def test_augment_rejects_an_overfull_set():
         MultiPoint(((0, 1), (0, 1))),
     )
     a = PointSet(shape, pts)
-    tensor = assemble_tensor((1, 1, 1, 1), a)
     with pytest.raises(ValueError, match="ambient dimension 3"):
-        augment_decomposition(tensor, a, (1, 1, 1, 1))
+        augment_decomposition(a, (1, 1, 1, 1))
 
 
 def test_augment_needs_a_positive_dimension_somewhere():
     shape = MultiShape((0, 0))
     a = PointSet(shape, (MultiPoint(((1,), (2,))),))
-    tensor = (2,)
     with pytest.raises(ValueError, match="positive dimension"):
-        augment_decomposition(tensor, a, (2,))
+        augment_decomposition(a, (2,))
 
 
 def test_augment_needs_independent_evaluation_vectors():
@@ -174,19 +175,8 @@ def test_augment_needs_independent_evaluation_vectors():
         MultiPoint(((1, 0), (1, 1))),
     )
     a = PointSet(shape, pts)
-    tensor = assemble_tensor((1, 1, 1), a)
     with pytest.raises(ValueError, match="independent"):
-        augment_decomposition(tensor, a, (1, 1, 1))
-
-
-def test_augment_needs_the_tensor_to_match():
-    shape = MultiShape((1, 1))
-    a = PointSet(shape, (MultiPoint(((1, 0), (1, 0))),))
-    with pytest.raises(ValueError, match="weighted sum"):
-        augment_decomposition((0, 0, 0, 1), a, (1,))
-    # a tensor of another shape has another number of coordinates
-    with pytest.raises(ValueError, match="weighted sum"):
-        augment_decomposition((1, 0, 0, 0, 0, 1), a, (1,))
+        augment_decomposition(a, (1, 1, 1))
 
 
 @settings(max_examples=20, deadline=None)
@@ -197,7 +187,7 @@ def test_augment_grows_by_exactly_one_and_recertifies(seed):
     a, weights = random_decomposition(shape, r, seed=derive_seed(seed, 8))
     tensor = assemble_tensor(weights, a)
     try:
-        s, new_weights, cert = augment_decomposition(tensor, a, weights, seed=derive_seed(seed, 9))
+        s, new_weights, cert = augment_decomposition(a, weights, seed=derive_seed(seed, 9))
     except AugmentationError as exc:
         # the retry budget carries the last failing certificate when any
         # construction pass completed
@@ -206,6 +196,47 @@ def test_augment_grows_by_exactly_one_and_recertifies(seed):
     assert len(s) == len(a) + 1
     assert cert.certified
     assert assemble_tensor(new_weights, s) == tensor
+
+
+PIVOT_SET = PointSet(
+    MultiShape((1, 1)),
+    (MultiPoint(((1, 0), (1, 0))), MultiPoint(((0, 1), (1, 0))), MultiPoint(((1, 0), (0, 1)))),
+)
+multiples = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), multiples, st.booleans())
+@example(0, Fraction(-3, 2), True)
+@example(1, Fraction(2, 5), False)
+def test_augment_weights_match_the_reference_solve(seed, multiple, pivot):
+    """The new weights, solved in r + 1 unknowns, equal the M-wide
+    reference solve, and over the explicit Segre vectors they sum to the
+    tensor the file gives: fractional points and weights, a negative or
+    fractional multiple, and (``pivot``) the walk's replacement branch."""
+    rng = random.Random(seed)
+    if pivot:
+        a, weights = PIVOT_SET, (1, 2, 3)
+    else:
+        dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
+        a, weights = random_decomposition(MultiShape(dims), rng.randint(1, 3), seed=seed)
+    a = rescaled_point_set(a, rng)
+    weights = [w * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for w in weights]
+    assume(cohomology(a).h1 == 0)
+    rows = [outer_product_flat(p.factors) for p in a.points]
+    given_tensor = [multiple * sum(w * row[j] for w, row in zip(weights, rows)) for j in range(len(rows[0]))]
+    inst = instance_from_json(pointset_to_json(a, weights, given_tensor))
+    assert all(type(w) is Fraction for w in inst.weights)
+    try:
+        s, new_weights, cert = augment_decomposition(inst.points, inst.weights, seed=seed)
+    except AugmentationError:
+        return
+    assert cert.certified
+    assert all(type(w) is Fraction for w in new_weights)
+    assert new_weights == decomposition_weights(given_tensor, s)
+    grown = [outer_product_flat(p.factors) for p in s.points]
+    total = [sum(w * row[j] for w, row in zip(new_weights, grown)) for j in range(len(given_tensor))]
+    assert total == given_tensor
 
 
 # -- surveys

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import gauss_rank, outer_product_flat, permute_flat_coords, rescaled_point_set
+from oracles import (
+    decomposition_weights,
+    gauss_rank,
+    outer_product_flat,
+    permute_flat_coords,
+    rescaled_point_set,
+)
 from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert.geometry import (
@@ -19,13 +25,11 @@ from tensorcert.geometry import (
     all_partitions,
     assemble_tensor,
     cohomology,
-    decomposition_weights,
     different_coordinates_violation,
     factor_projection_sizes,
     factor_subset,
     flattening_rank,
     segre_scale,
-    segre_vector,
 )
 from tensorcert.linalg import format_rational
 
@@ -142,13 +146,16 @@ def test_points_and_tensors_keep_equality_and_hash_under_signed_rescaling(seed, 
     q = MultiPoint(tuple(tuple(c * x for x in f) for c, f in zip(scales, p.factors)))
     assert q == p and hash(q) == hash(p)
     assert q != s.points[1]
-    # a given tensor names the weighted sum up to any nonzero multiple
+    # a given tensor names the weighted sum up to any nonzero multiple,
+    # and the parsed weights are the file's scaled to sum to it
     data = pointset_to_json(s, weights)
     scaled = tuple(scales[-1] * x for x in assemble_tensor(weights, s))
     data["tensor"] = [format_rational(x) for x in scaled]
-    assert instance_from_json(data).tensor == scaled
+    inst = instance_from_json(data)
+    assert assemble_tensor(inst.weights, inst.points) == scaled
+    assert inst.weights == tuple(scales[-1] * w for w in weights)
     # and the Segre vector is its point's scale times the primitive one
-    assert list(segre_vector(q)) == [segre_scale(q) * x for x in outer_product_flat(q.canonical())]
+    assert outer_product_flat(q.factors) == [segre_scale(q) * x for x in outer_product_flat(q.canonical())]
 
 
 def test_replace_factor():
@@ -172,6 +179,11 @@ def test_point_set_rejects_projective_duplicates():
 
 
 # -- Segre vectors and evaluation matrices
+
+
+def segre_vector(point):
+    """The Segre vector of one point, as the package assembles it."""
+    return assemble_tensor((1,), PointSet(MultiShape(tuple(len(f) - 1 for f in point.factors)), (point,)))
 
 
 def test_segre_vector_single_factor_is_the_vector():
@@ -361,6 +373,9 @@ def test_factor_projection_sizes_counts_projective_classes():
 def test_assemble_tensor_weighted_sum():
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
     assert assemble_tensor((2, Fraction(-1, 3)), s) == (2, 0, 0, Fraction(-1, 3))
+    # zero weights sum to the zero tensor, in Fractions
+    zero = assemble_tensor((0, 0), s)
+    assert zero == (0, 0, 0, 0) and all(type(x) is Fraction for x in zero)
 
 
 def test_decomposition_weights_round_trip():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import exponents_desc_lex, gauss_rank, monomial_values, outer_product_flat
 from tensorcert.cli import instance_from_json, run
+from tensorcert.geometry import assemble_tensor
 
 # Pairwise non-proportional vectors per factor size, and linear relations
 # among them as (pool indices, integer coefficients): points that agree
@@ -118,8 +119,10 @@ def test_parse_checks_agree_with_the_explicit_weighted_sum(case):
             assert str(exc) == "the weighted sum of the decomposition vanishes"
         return
     assert accept
-    assert inst.weights == tuple(weights)
-    assert inst.tensor == (None if given is None else tuple(given))
+    # the parsed weights sum to the tensor the file gives, or to the file's sum
+    assert assemble_tensor(inst.weights, inst.points) == tuple(total if given is None else given)
+    scale = 1 if given is None else inst.weights[0] / weights[0]
+    assert inst.weights == tuple(scale * w for w in weights)
 
 
 @st.composite

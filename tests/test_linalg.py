@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certs import find
-from oracles import gauss_rank
+from oracles import decomposition_weights, gauss_rank
 from tensorcert.certify import check_span_intersection_identity
-from tensorcert.geometry import MultiPoint, MultiShape, PointSet, decomposition_weights
+from tensorcert.geometry import MultiPoint, MultiShape, PointSet
 from tensorcert.linalg import (
     _echelon,
     format_rational,
@@ -72,8 +72,8 @@ def test_format_parse_round_trip(x):
 # -- rank by the elimination kernel
 #
 # _echelon is run the two ways the package runs it: on the primitive
-# nonzero rows themselves (decomposition_weights) and on their integer
-# Gram (every point-set rank).
+# nonzero rows themselves (augment's normal equations) and on their
+# integer Gram (every point-set rank).
 
 
 def rows_rank(rows, cols):
@@ -134,7 +134,8 @@ def test_rank_is_invariant_under_row_scaling(rows, scale):
 
 # -- span tests
 #
-# Row combinations are solved by geometry.decomposition_weights.  On a
+# Row combinations are solved by oracles.decomposition_weights, the
+# reference that augment's new weights are checked against.  On a
 # one-factor point set the Segre vectors are the rows themselves.
 
 
