@@ -65,6 +65,9 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 
+# random and augment print all M coordinates of the tensor they build
+MAX_PRINTED_COORDINATES = 2**20
+
 
 # ---------------------------------------------------------------------------
 # instance files
@@ -103,7 +106,7 @@ def load_instance(path: str) -> Instance:
             data = json.load(handle)
     except OSError as exc:
         raise InstanceParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InstanceParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceParseError("instance file must be a JSON object")
@@ -222,6 +225,13 @@ def _need_points(inst: Instance) -> tuple[PointSet, tuple[Fraction, ...]]:
     if inst.points is None:
         raise ValueError("this subcommand needs dims and points in the instance file")
     return inst.points, inst.weights
+
+
+def _check_printable(shape: MultiShape) -> None:
+    if (m := shape.ambient_dim + 1) > MAX_PRINTED_COORDINATES:
+        sizes = "x".join(map(str, shape.sizes))
+        cap = f"more than the {MAX_PRINTED_COORDINATES} this command prints"
+        raise ValueError(f"shape {sizes} has {m} tensor coordinates, {cap}")
 
 
 def pointset_to_json(
@@ -572,6 +582,7 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
+    _check_printable(points.shape)
     seed = resolve_seed(args)
     bigger, new_weights, cert = augment_decomposition(points, weights, seed=seed, box=args.box)
     # the parsed weights sum to the tensor the file gives, if it gives one
@@ -631,6 +642,7 @@ def cmd_random(args: argparse.Namespace) -> tuple[list[Section], int]:
     seed = resolve_seed(args)
     if args.r < 1:
         raise ValueError(f"--r must be at least 1, got {args.r}")
+    _check_printable(shapes[0])
     s, weights = random_decomposition(shapes[0], args.r, box=args.box, seed=seed)
     instance = pointset_to_json(s, weights, assemble_tensor(weights, s))
     return [(None, None, instance)], EXIT_CERTIFIED

@@ -148,8 +148,7 @@ def _new_weights(s: PointSet, a: PointSet, weights: Sequence) -> tuple[Fraction,
     u = [w * segre_scale(p) for w, p in zip(weights, a.points)]
     n = len(s)
     cu = [sum(row[union[p]] * x for p, x in zip(a.points, u)) for row in gram[:n]]
-    work = [primitive(row[:n] + [y]) for row, y in zip(gram, cu)]
-    _echelon(work, n + 1)
+    work = _echelon([primitive(row[:n] + [y]) for row, y in zip(gram, cu)])
     # back substitution in Fractions: an int / int would give a float
     v = [Fraction(0)] * n
     for i in reversed(range(n)):

@@ -267,8 +267,7 @@ def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
     members = factor_subset(subset, s.shape.k) if subset is not None else None
     key = ("rank", members)
     if key not in s.memo:
-        # a copy: _echelon works in place, and the full set's Gram is memoized
-        s.memo[key] = len(_echelon([list(row) for row in segre_gram(s, members)], len(s)))
+        s.memo[key] = len(_echelon(segre_gram(s, members)))
     return s.memo[key]
 
 

@@ -41,9 +41,9 @@ def kruskal_rank(gram: list[list[int]]) -> int:
     for j in range(n):
         if not gram[j][j]:
             raise ValueError(f"column {j} is zero, Kruskal rank undefined")
-    for kappa in range(len(_echelon([row[:] for row in gram], n)), 0, -1):
+    for kappa in range(len(_echelon(gram)), 0, -1):
         if all(
-            len(_echelon([[gram[a][b] for b in combo] for a in combo], kappa)) == kappa
+            len(_echelon([[gram[a][b] for b in combo] for a in combo])) == kappa
             for combo in combinations(range(n), kappa)
         ):
             return kappa

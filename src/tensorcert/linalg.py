@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that certifies anything reduces to ranks of
-integer matrices, brought to echelon form by one fraction-free
-elimination (``_echelon``), so results are exact and deterministic: the
-pivot is always the first nonzero entry scanning columns left to right
-and rows top to bottom.  There is no floating point anywhere in the
+integer matrices, brought to echelon form by one kernel, ``_echelon``:
+Bareiss's fraction-free elimination.  It copies its rows, reads the
+width from the first and returns the nonzero echelon rows, so the rank
+is their count.  Results are exact and deterministic: the pivot is
+always the first nonzero entry scanning columns left to right and rows
+top to bottom.  There is no floating point anywhere in the
 certification path.
 
 ``primitive`` is also the one projective normal form of the package:
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -36,11 +38,11 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
-    body = text.strip()
-    if not _RATIONAL_RE.match(body):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"invalid rational literal {text!r} (expected 'p' or 'p/q')")
     try:
-        return Fraction(body)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ZeroDivisionError:
         raise ValueError(f"invalid rational literal {text!r} (zero denominator)") from None
 
@@ -86,40 +88,26 @@ def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(a, b)) for b in ints] for a in ints]
 
 
-def _echelon(work: list[Sequence[int]], cols: int) -> list[int]:
-    """Bring integer rows to row echelon form in place; return the pivot columns.
+def _echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The nonzero rows of an echelon form of integer ``rows``, which are
+    left as they are; row i has its pivot right of row i - 1's.
 
-    The single elimination kernel of the package.  A row below the pivot
-    row p becomes p[col] * row - row[col] * p, divided by its content, so
-    no fraction is ever formed.  Afterwards row i has its pivot in the
-    i-th returned column, and every row past the rank is zero.
+    Bareiss (Math. Comp. 22, 1968): a row below pivot row p becomes
+    (p[col] * row - row[col] * p) // prev, prev the previous pivot.  Every
+    entry is then a minor of the input, so the division is exact.
     """
-    nrows = len(work)
-    pivots: list[int] = []
-    for col in range(cols):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        pivot = None
-        for i in range(rank, nrows):
-            if work[i][col]:
-                pivot = i
-                break
+    work = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
         pv = prow[col]
-        for i in range(rank + 1, nrows):
+        # a row with a zero at col is scaled too, or the next // would floor
+        for i in range(rank + 1, len(work)):
             xi = work[i][col]
-            if not xi:
-                continue
-            merged = [pv * a - xi * b for a, b in zip(work[i], prow)]
-            g = 0
-            for v in merged:
-                g = gcd(g, v)
-            if g > 1:
-                merged = [v // g for v in merged]
-            work[i] = merged
-        pivots.append(col)
-    return pivots
+            work[i] = [(pv * a - xi * b) // prev for a, b in zip(work[i], prow)]
+        rank, prev = rank + 1, pv
+    return work[:rank]

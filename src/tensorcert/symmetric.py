@@ -58,7 +58,7 @@ def veronese_rank(a: PointSet, degree: int) -> int:
     """Rank of the degree-``degree`` Veronese rows of A; r from degree r - 1 on."""
     if degree >= len(a) - 1:
         return len(a)
-    return len(_echelon(veronese_gram(a, degree), len(a)))
+    return len(_echelon(veronese_gram(a, degree)))
 
 
 def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:

@@ -423,6 +423,48 @@ def test_bad_json_is_a_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not_utf8", "nested_past_the_decoder_limit"],
+)
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert run(["certify", "--input", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON: {reason}")
+    assert err.count("\n") == 1
+
+
+def test_random_refuses_a_tensor_too_wide_to_print(capsys):
+    start = time.perf_counter()
+    assert run(["random", "--shape", "1000x1000x1000", "--r", "2"]) == EXIT_INVALID
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: shape 1000x1000x1000 has 1000000000 tensor coordinates,"
+        f" more than the {cli.MAX_PRINTED_COORDINATES} this command prints\n"
+    )
+
+
+def test_augment_refuses_a_tensor_too_wide_to_print(tmp_path, capsys, monkeypatch):
+    # 2^21 coordinates, one more factor than the cap allows; augmenting is never reached
+    monkeypatch.setattr(cli, "augment_decomposition", None)
+    path = write_instance(tmp_path, {"dims": [2] * 21, "points": [[["1", "0"]] * 21], "weights": ["1"]})
+    assert run(["augment", "--input", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: shape {'x'.join(['2'] * 21)} has 2097152 tensor coordinates,"
+        f" more than the {cli.MAX_PRINTED_COORDINATES} this command prints\n"
+    )
+
+
 def test_unknown_subcommand_is_invalid(capsys):
     assert run(["frobnicate"]) == EXIT_INVALID
     assert run([]) == EXIT_INVALID

@@ -1,5 +1,6 @@
 """Exact linear algebra against a textbook Gaussian elimination oracle."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -42,14 +43,24 @@ def test_parse_rational_integers_and_fractions():
     assert parse_rational("+4/6") == Fraction(2, 3)
     assert parse_rational("0") == Fraction(0)
     assert parse_rational("  12/5 ") == Fraction(12, 5)
+    assert parse_rational(" 3/4 ") == Fraction(3, 4)
 
 
 @pytest.mark.parametrize(
-    "bad", ["1.5", "a", "2 / 3", "1/-2", "--3", "", "1/0", "0/0"]
+    "bad", ["1.5", "a", "2 / 3", "1/-2", "--3", "+-1", "", "1/0", "0/0", "1_0", "\u0661"]
 )
 def test_parse_rational_rejects_malformed_literals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300, reason="needs the default int digit limit"
+)
+@pytest.mark.parametrize("literal", ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000])
+def test_parse_rational_keeps_the_int_digit_limit(literal):
+    with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\).*: value has 5000 digits"):
+        parse_rational(literal)
 
 
 def test_parse_rational_rejects_non_strings():
@@ -72,23 +83,65 @@ def test_format_parse_round_trip(x):
 # -- rank by the elimination kernel
 #
 # _echelon is run the two ways the package runs it: on the primitive
-# nonzero rows themselves (augment's normal equations) and on their
-# integer Gram (every point-set rank).
+# rows themselves (augment's normal equations) and on their integer
+# Gram (every point-set rank).
 
 
-def rows_rank(rows, cols):
-    return len(_echelon([row for row in map(primitive, rows) if any(row)], cols))
+def rows_rank(rows):
+    return len(_echelon([primitive(row) for row in rows]))
 
 
 def gram_rank(rows):
-    gram = integer_gram(rows)
-    return len(_echelon(gram, len(gram)))
+    return len(_echelon(integer_gram(rows)))
 
 
-def test_empty_matrix_needs_explicit_columns():
-    assert rows_rank([], 4) == 0
-    assert rows_rank([], 0) == 0
+def test_empty_matrix_has_rank_zero():
+    assert rows_rank([]) == 0
+    assert _echelon([[], []]) == []
     assert gram_rank([]) == 0
+
+
+def leading_columns(rows):
+    return [next(j for j, x in enumerate(row) if x) for row in rows]
+
+
+def oracle_pivot_columns(rows):
+    """The columns where the rank of the leading columns rises."""
+    ranks = [gauss_rank([row[:j] for row in rows]) for j in range(len(rows[0]) + 1)]
+    return [j for j in range(len(rows[0])) if ranks[j + 1] > ranks[j]]
+
+
+@st.composite
+def degenerate_integer_matrices(draw):
+    """Integer rows with whole columns zeroed and integer combinations of
+    the rows mixed in: the skipped-column case, where each Bareiss step
+    still divides by the last pivot."""
+    width = draw(st.integers(1, 6))
+    zeroed = draw(st.sets(st.integers(0, width - 1), max_size=width))
+    entry = st.integers(-6, 6)
+    rows = [
+        [0 if j in zeroed else x for j, x in enumerate(row)]
+        for row in draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=5))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width)]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_integer_matrices())
+@example([[0, 1, 2], [0, 2, 4], [0, 0, 3]])
+@example([[1, 2, 3], [0, 0, 5], [2, 4, 7], [0, 0, 0]])
+def test_echelon_matches_the_oracle_and_leaves_its_input(rows):
+    before = [row[:] for row in rows]
+    echelon = _echelon(rows)
+    assert rows == before
+    assert len(echelon) == gauss_rank(rows)
+    assert leading_columns(echelon) == oracle_pivot_columns(rows)
+    # the echelon rows lie in the row space: a floored division would leave it
+    assert gauss_rank(rows + echelon) == len(echelon)
 
 
 def test_rank_hand_cases():
@@ -98,7 +151,7 @@ def test_rank_hand_cases():
         ([[0, 0], [0, 0]], 0),
         ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
     ):
-        assert rows_rank(rows, len(rows[0])) == gram_rank(rows) == gauss_rank(rows) == rank
+        assert rows_rank(rows) == gram_rank(rows) == gauss_rank(rows) == rank
 
 
 def test_rank_with_fractional_entries():
@@ -107,20 +160,20 @@ def test_rank_with_fractional_entries():
         [Fraction(3, 2), Fraction(5, 1)],
         [Fraction(1, 4), Fraction(1, 6)],
     ]
-    assert rows_rank(rows, 2) == gram_rank(rows) == gauss_rank(rows) == 2
+    assert rows_rank(rows) == gram_rank(rows) == gauss_rank(rows) == 2
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_matrices())
 def test_rank_matches_gaussian_oracle(rows):
-    assert rows_rank(rows, len(rows[0])) == gram_rank(rows) == gauss_rank(rows)
+    assert rows_rank(rows) == gram_rank(rows) == gauss_rank(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_is_transpose_invariant(rows):
     transposed = list(zip(*rows))
-    assert rows_rank(rows, len(rows[0])) == rows_rank(transposed, len(rows))
+    assert rows_rank(rows) == rows_rank(transposed)
     assert gram_rank(rows) == gram_rank(transposed)
 
 
@@ -128,7 +181,7 @@ def test_rank_is_transpose_invariant(rows):
 @given(small_matrices(), st.integers(-9, 9).filter(bool))
 def test_rank_is_invariant_under_row_scaling(rows, scale):
     scaled = [[scale * Fraction(x) for x in rows[0]]] + rows[1:]
-    assert rows_rank(scaled, len(rows[0])) == rows_rank(rows, len(rows[0]))
+    assert rows_rank(scaled) == rows_rank(rows)
     assert gram_rank(scaled) == gram_rank(rows)
 
 
@@ -222,7 +275,7 @@ def test_solve_row_combination_recombines_to_the_target(data):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_bounded_by_dimensions(rows):
-    assert 0 <= rows_rank(rows, len(rows[0])) <= min(len(rows), len(rows[0]))
+    assert 0 <= rows_rank(rows) <= min(len(rows), len(rows[0]))
     assert 0 <= gram_rank(rows) <= min(len(rows), len(rows[0]))
 
 
