@@ -106,7 +106,7 @@ def load_instance(path: str) -> Instance:
             data = json.load(handle)
     except OSError as exc:
         raise InstanceParseError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error, or an int past the digit limit
         raise InstanceParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceParseError("instance file must be a JSON object")

@@ -29,6 +29,8 @@ DEFAULT_BOX = 9
 _RESAMPLE_CAP = 512
 _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
+# survey draws every coordinate of every point it samples
+MAX_POINT_COORDINATES = 2**20
 
 
 class AugmentationError(RuntimeError):
@@ -228,6 +230,11 @@ def survey(
     """Tally which criteria fire on random decompositions per shape and r."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    for shape in shapes:
+        if (m := sum(shape.sizes)) > MAX_POINT_COORDINATES:
+            sizes = "x".join(map(str, shape.sizes))
+            cap = f"more than the {MAX_POINT_COORDINATES} survey samples"
+            raise ValueError(f"shape {sizes} has {m} coordinates per point, {cap}")
     rows = []
     counter = 0
     for shape in shapes:

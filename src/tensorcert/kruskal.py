@@ -4,7 +4,9 @@ The Kruskal rank of a matrix is the largest kappa such that every
 kappa-subset of columns is linearly independent, that is, every kappa x
 kappa principal submatrix of the integer column Gram is nonsingular, so
 ``kruskal_rank`` takes that Gram (``linalg.integer_gram`` of the
-columns).  A point set passes the factor Grams of its flattening ranks.
+columns) and walks its principal minors depth first, one Bareiss step
+per column subset.  A point set passes the factor Grams of its
+flattening ranks.
 The baseline uniqueness condition for a decomposition with r points
 compares the sum of the factor-matrix Kruskal ranks against 2r + k - 1.
 This module also bundles the side-by-side comparison against the
@@ -14,7 +16,6 @@ flattening certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .certify import BoundReport, Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
@@ -25,11 +26,17 @@ MAX_EXHAUSTIVE_COLUMNS = 20
 
 
 def kruskal_rank(gram: list[list[int]]) -> int:
-    """Kruskal rank of the columns whose integer Gram matrix is ``gram``.
+    """Kruskal rank of the columns whose integer Gram matrix is ``gram``,
+    which is left as it is.
 
-    Exhaustive subset enumeration, descending from the rank; each level
-    stops at its first singular principal submatrix.  Raises on no
-    columns, on more than 20 columns and on a zero column.
+    A depth-first walk over independent column sets S in index order,
+    Bareiss elimination with principal pivots: a node holds the block
+    det G[S + a, S + b] over the columns a, b after S (Sylvester's
+    identity), so a zero diagonal entry is a dependent set S + a, and a
+    child is one exact Bareiss step on its parent's block.  kappa starts
+    at the rank; a dependent set of size j lowers it to j - 1, and no set
+    of size j or more is looked at after that.  Raises on no columns, on
+    more than 20 columns and on a zero column.
     """
     n = len(gram)
     if n == 0:
@@ -41,13 +48,31 @@ def kruskal_rank(gram: list[list[int]]) -> int:
     for j in range(n):
         if not gram[j][j]:
             raise ValueError(f"column {j} is zero, Kruskal rank undefined")
-    for kappa in range(len(_echelon(gram)), 0, -1):
-        if all(
-            len(_echelon([[gram[a][b] for b in combo] for a in combo])) == kappa
-            for combo in combinations(range(n), kappa)
-        ):
-            return kappa
-    return 0
+    kappa = len(_echelon(gram))
+
+    def walk(block: list[list[int]], prev: int, size: int) -> None:
+        # block[a][b] = det G[S + a, S + b] over the columns after S,
+        # |S| = size and prev = det G[S]
+        nonlocal kappa
+        for p, row in enumerate(block):
+            d = row[p]
+            if not d:
+                kappa = size
+                return
+            tail, rest = row[p + 1:], block[p + 1:]
+            if size + 2 < kappa:
+                child = [[(d * x - r[p] * y) // prev for x, y in zip(r[p + 1:], tail)] for r in rest]
+                walk(child, d, size + 1)
+            elif size + 2 == kappa:
+                # S + p is the last node on its path: only the zero pattern of
+                # its block's diagonal counts, and that needs no division
+                if any(d * r[a] == r[p] * y for a, (r, y) in enumerate(zip(rest, tail), p + 1)):
+                    kappa = size + 1
+            if size >= kappa:
+                return
+
+    walk(gram, 1, 0)
+    return kappa
 
 
 @dataclass(frozen=True)

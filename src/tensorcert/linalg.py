@@ -16,8 +16,10 @@ primitive integer forms are equal.
 Independence of a point set is asked of the integer Gram matrix of its
 evaluation vectors (``integer_gram``): over Q, inside R, rank(A A^T) =
 rank(A), and rows are independent exactly when their principal Gram
-submatrix is nonsingular.  Segre flattenings, Kruskal column subsets and
-Veronese degrees are all ranked that way, by ``_echelon``.
+submatrix is nonsingular.  Segre flattenings and Veronese degrees are
+ranked that way, by ``_echelon``.  Kruskal column subsets are the
+principal minors of one Gram, which ``kruskal.kruskal_rank`` reaches by
+Bareiss steps with principal pivots, one per subset.
 """
 
 from __future__ import annotations

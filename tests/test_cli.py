@@ -428,8 +428,9 @@ def test_bad_json_is_a_parse_error(tmp_path, capsys):
     [
         (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"dims": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
     ],
-    ids=["not_utf8", "nested_past_the_decoder_limit"],
+    ids=["not_utf8", "nested_past_the_decoder_limit", "number_past_the_int_digit_limit"],
 )
 def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content, reason):
     path = tmp_path / "unreadable.json"
@@ -449,6 +450,20 @@ def test_random_refuses_a_tensor_too_wide_to_print(capsys):
     assert captured.err == (
         "error: shape 1000x1000x1000 has 1000000000 tensor coordinates,"
         f" more than the {cli.MAX_PRINTED_COORDINATES} this command prints\n"
+    )
+
+
+def test_survey_refuses_a_point_too_wide_to_sample(capsys, monkeypatch):
+    # the first shape is fine, but nothing is sampled before the second is refused
+    monkeypatch.setattr(construct, "random_decomposition", None)
+    start = time.perf_counter()
+    assert run(["survey", "--shapes", "2x2,99999999999x2", "--r", "1", "--trials", "1"]) == EXIT_INVALID
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: shape 99999999999x2 has 100000000001 coordinates per point,"
+        f" more than the {construct.MAX_POINT_COORDINATES} survey samples\n"
     )
 
 

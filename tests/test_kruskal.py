@@ -2,6 +2,7 @@
 comparison record."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,16 +102,16 @@ pool_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
-def pooled_columns(draw):
+def pooled_columns(draw, max_height=4, max_pool=4, max_columns=7):
     """Nonzero columns that are sparse small integer combinations of at
-    most four signed, fractional pool vectors, so subsets of fewer
-    columns than the rank are often dependent."""
-    height = draw(st.integers(2, 4))
+    most ``max_pool`` signed, fractional pool vectors, so subsets of
+    fewer columns than the rank are often dependent."""
+    height = draw(st.integers(2, max_height))
     vectors = st.lists(pool_entries, min_size=height, max_size=height).filter(any)
-    pool = draw(st.lists(vectors, min_size=2, max_size=4))
+    pool = draw(st.lists(vectors, min_size=2, max_size=max_pool))
     coefficients = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
     columns = []
-    for j in range(draw(st.integers(2, 7))):
+    for j in range(draw(st.integers(2, max_columns))):
         coeffs = draw(st.lists(coefficients, min_size=len(pool), max_size=len(pool)))
         col = [sum(c * v[i] for c, v in zip(coeffs, pool)) for i in range(height)]
         columns.append(col if any(col) else pool[j % len(pool)])
@@ -131,16 +132,42 @@ def pooled_columns(draw):
 # rank 3 with three columns in a plane whose Gram has entries of both signs: kappa 2
 @example(([[1, 0, 0], [1, 1, 0], [-1, 2, 0], [0, 0, 1]], [1, 1, 1, 1]))
 def test_kruskal_rank_matches_the_oracle_on_pooled_columns(data):
-    columns, scales = data
+    check_against_the_oracle(*data)
+
+
+vandermonde = [[t**e for e in range(6)] for t in range(-4, 5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pooled_columns(max_height=6, max_pool=6, max_columns=12))
+# every 6 of the first nine columns are independent, so the walk runs down
+# to depth 5 on them before it meets the only small dependent set, the
+# triple of the last three columns: kappa 2 below rank 6
+@example((vandermonde + [[1, 0, 2, -1, 3, 1], [0, 1, -1, 2, 1, -2], [1, 1, 1, 1, 4, -1]], [1] * 12))
+# two disjoint dependent sets, of sizes 4 and then 3: the walk lowers kappa
+# from the rank 5 to 3, then to 2
+@example((
+    [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 1, 1, 1],
+     [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 0]],
+    [2, Fraction(-1, 3), 1, 5, -1, Fraction(3, 2), 1],
+))
+def test_kruskal_walk_matches_the_oracle_on_wide_pools(data):
+    check_against_the_oracle(*data)
+
+
+def check_against_the_oracle(columns, scales):
     oracle = kruskal_rank_exhaustive(columns)
     assert kruskal_rank(integer_gram(columns)) == oracle
     rescaled = [[scale * x for x in col] for scale, col in zip(scales, columns)]
     assert kruskal_rank(integer_gram(rescaled)) == oracle
     # the same columns as the first factor of a point set, ranked from
     # the factor Gram that kruskal_certificate reads from the set's memo
+    # and must leave as it found it
     points = tuple(MultiPoint((col, (1, j))) for j, col in enumerate(rescaled))
     s = PointSet(MultiShape((len(columns[0]) - 1, 1)), points)
     assert kruskal_certificate(s).per_factor[0] == oracle
+    for i in (1, 2):
+        assert s.memo[("gram", i)] == integer_gram(p.canonical()[i - 1] for p in s.points)
 
 
 # -- the k-way baseline
@@ -154,6 +181,17 @@ def test_kruskal_certificate_on_the_seeded_sample():
     assert report.condition_rhs == 14
     assert not report.applies
     assert kruskal_to_json(report)["per_factor_kruskal_rank"] == [3, 4, 6]
+
+
+def test_kruskal_certificate_on_a_seeded_7x7x7_set_with_20_points():
+    # the exhaustive subset search that the walk replaced gave (7, 7, 7)
+    # for this seed, the points of `tensorcert random --shape 7x7x7 --r 20
+    # --seed 1`, in about 20 s
+    s, _ = random_decomposition(MultiShape((6, 6, 6)), 20, seed=1)
+    start = time.perf_counter()
+    report = kruskal_certificate(s)
+    assert time.perf_counter() - start < 8
+    assert report.per_factor == (7, 7, 7)
 
 
 def test_kruskal_certificate_factor_ranks_are_capped_by_geometry():
