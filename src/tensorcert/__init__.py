@@ -43,14 +43,12 @@ from .construct import (
     survey,
 )
 from .geometry import (
-    Cohomology,
     FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
     all_partitions,
     assemble_tensor,
-    cohomology,
     factor_projection_sizes,
     flattening_rank,
 )
@@ -73,71 +71,3 @@ from .symmetric import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # the CLI imports argparse, so it loads only when one of its names is used
-    if name in ("load_instance", "run"):
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ASSERTED",
-    "AugmentationError",
-    "BoundReport",
-    "CLAIM_CACTUS_BOUND",
-    "CLAIM_EXACT_RANK",
-    "CLAIM_IDENTIFIABLE",
-    "CLAIM_MINIMAL_RANK",
-    "CLAIM_NON_REDUNDANT",
-    "CLAIM_OBSTRUCTION",
-    "CLAIM_PINNING",
-    "CLAIM_SPAN_IDENTITY",
-    "Certificate",
-    "Cohomology",
-    "ComparisonRecord",
-    "FAIL",
-    "FactorPartition",
-    "Hypothesis",
-    "InstanceParseError",
-    "KruskalReport",
-    "MultiPoint",
-    "MultiShape",
-    "PASS",
-    "PartitionEntry",
-    "PointSet",
-    "SurveyReport",
-    "SurveyRow",
-    "SymmetricBounds",
-    "all_partitions",
-    "assemble_tensor",
-    "augment_decomposition",
-    "bound_cactus_rank",
-    "certificate_from_json",
-    "certificate_to_json",
-    "certify_exact_rank",
-    "certify_identifiability",
-    "check_non_redundant",
-    "check_span_intersection_identity",
-    "cohomology",
-    "comon_certify",
-    "compare_criteria",
-    "derive_seed",
-    "factor_projection_sizes",
-    "flattening_rank",
-    "format_rational",
-    "is_exceptional",
-    "kruskal_certificate",
-    "kruskal_rank",
-    "load_instance",
-    "obstruct_alt_decompositions",
-    "parse_rational",
-    "pin_projections",
-    "random_decomposition",
-    "run",
-    "survey",
-    "symmetric_bounds",
-]

@@ -26,7 +26,6 @@ from .geometry import (
     FactorPartition,
     PointSet,
     all_partitions,
-    cohomology,
     different_coordinates_violation,
     factor_projection_sizes,
     factor_subset,
@@ -197,7 +196,7 @@ def _bipartitions(s: PointSet, partition: FactorPartition | None):
     if partition is not None and partition.k != k:
         raise ValueError(f"partition {partition} does not match k={k}")
     for part in [partition] if partition is not None else all_partitions(k):
-        yield part, cohomology(s, part.E).h1, flattening_rank(s, part.F)
+        yield part, len(s) - flattening_rank(s, part.E), flattening_rank(s, part.F)
 
 
 def bound_cactus_rank(s: PointSet, partition: FactorPartition | None = None) -> BoundReport:
@@ -358,7 +357,7 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     hyps = []
     ok = True
     for name, ps in (("first_set_independent", a), ("second_set_independent", b)):
-        h1 = cohomology(ps).h1
+        h1 = len(ps) - flattening_rank(ps)
         hyps.append(Hypothesis(name, PASS if h1 == 0 else FAIL, {"cardinality": len(ps), "h1": h1}))
         ok = ok and h1 == 0
     if not ok:
@@ -370,7 +369,7 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     lhs = flattening_rank(a) + flattening_rank(b) - flattening_rank(union) - 1
     common = [p for p in a.points if p in b_points]
     common_dim = flattening_rank(PointSet(a.shape, tuple(common))) - 1 if common else -1
-    h1_union = cohomology(union).h1
+    h1_union = len(union) - flattening_rank(union)
     rhs = common_dim + h1_union
     hyps.append(
         Hypothesis(
@@ -425,7 +424,7 @@ def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:
     subset_checks = []
     all_zero = True
     for members in combinations(range(1, k + 1), k - x):
-        h1 = cohomology(s, members).h1
+        h1 = r - flattening_rank(s, members)
         subset_checks.append({"subset": list(members), "h1": h1})
         if h1 != 0:
             all_zero = False

@@ -17,8 +17,8 @@ from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    cohomology,
     different_coordinates_violation,
+    flattening_rank,
     segre_gram,
     segre_scale,
 )
@@ -35,10 +35,6 @@ MAX_POINT_COORDINATES = 2**20
 
 class AugmentationError(RuntimeError):
     """Raised when the augmentation retry budget runs out."""
-
-    def __init__(self, message: str, certificate: Certificate | None = None):
-        super().__init__(message)
-        self.certificate = certificate
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -113,7 +109,7 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
             candidate = pivot.replace_factor(i, b)
             if candidate == pivot or candidate in others:
                 continue
-            if cohomology(PointSet(shape, tuple(current + [candidate]))).h1 == 0:
+            if flattening_rank(PointSet(shape, tuple(current + [candidate]))) == len(current) + 1:
                 # split: pivot sits on the line between the perturbed factor
                 # vector b and c = pivot_i - t * b, so its Segre vector is an
                 # exact combination of the two new points
@@ -128,7 +124,7 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
                     return PointSet(shape, tuple(others + [candidate, split]))
                 return None
             replacement = [candidate] + others
-            if cohomology(PointSet(shape, tuple(replacement))).h1 == 0:
+            if flattening_rank(PointSet(shape, tuple(replacement))) == len(current):
                 current = replacement
                 stepped = True
                 break
@@ -172,9 +168,8 @@ def augment_decomposition(
     of positive dimension.  Returns the new points, their weights (the
     new decomposition sums to the same tensor, sum_l w_l A_l, solved for
     in r + 1 unknowns by ``_new_weights``) and the check_non_redundant
-    certificate of the two; when the budget of _AUGMENT_PASSES
-    construction passes runs out the last failing certificate rides
-    along on the raised AugmentationError.
+    certificate of the two; AugmentationError when the budget of
+    _AUGMENT_PASSES construction passes runs out.
     """
     shape = a.shape
     if box < 1:
@@ -185,10 +180,9 @@ def augment_decomposition(
         raise ValueError(
             f"cannot augment {len(a)} points in ambient dimension {shape.ambient_dim}"
         )
-    if cohomology(a).h1 != 0:
+    if flattening_rank(a) != len(a):
         raise ValueError("the Segre vectors of the input points must be independent")
     rng = random.Random(seed)
-    last: Certificate | None = None
     for _ in range(_AUGMENT_PASSES):
         s = _try_augment(a, rng, box)
         if s is None:
@@ -197,10 +191,7 @@ def augment_decomposition(
         cert = check_non_redundant(s, new_weights)
         if cert.certified:
             return s, new_weights, cert
-        last = cert
-    raise AugmentationError(
-        f"augmentation failed after {_AUGMENT_PASSES} attempts", certificate=last
-    )
+    raise AugmentationError(f"augmentation failed after {_AUGMENT_PASSES} attempts")
 
 
 @dataclass(frozen=True)

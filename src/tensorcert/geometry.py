@@ -1,4 +1,4 @@
-"""Multiprojective points, Segre embeddings and flattening cohomology.
+"""Multiprojective points, Segre embeddings and flattening ranks.
 
 A shape (n_1, ..., n_k) stands for the product of projective spaces
 P^{n_1} x ... x P^{n_k}.  Points carry one integer-or-rational
@@ -9,14 +9,16 @@ proportional.  The Segre coordinates of a point for a factor subset u
 are the entries of the outer product of the selected factor vectors,
 flattened row-major so the last selected factor's index varies fastest.
 
-For a finite set S and subset u we report the pair
+For a finite set S and subset u, ``flattening_rank`` is the exact rank
+of the #S x M_u evaluation matrix.  Certificates name the two numbers
+it gives as
 
     h0 = (number of Segre coordinates for u) - rank,
-    h1 = #S - rank,
+    h1 = #S - rank.
 
-where rank is the exact rank of the #S x M_u evaluation matrix.  h1 = 0
-says the points impose independent conditions in the u-flattening and is
-the workhorse hypothesis of every certificate downstream.
+h1 = 0 says the points impose independent conditions in the
+u-flattening and is the workhorse hypothesis of every certificate
+downstream.
 
 That rank is taken from the #S x #S Gram matrix of the evaluation rows
 instead (see ``linalg``), which is the elementwise (Hadamard) product of
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import _echelon, integer_gram, multiple, primitive
 
@@ -214,11 +216,6 @@ class PointSet:
         return len(self.points)
 
 
-class Cohomology(NamedTuple):
-    h0: int
-    h1: int
-
-
 def _outer(vectors: Iterable[Sequence]) -> tuple:
     """Outer product of ``vectors``, flattened with the last index varying
     fastest.  Of the primitive factor forms of a point (``canonical``) it
@@ -269,14 +266,6 @@ def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
     if key not in s.memo:
         s.memo[key] = len(_echelon(segre_gram(s, members)))
     return s.memo[key]
-
-
-def cohomology(s: PointSet, subset: Sequence[int] | None = None) -> Cohomology:
-    """The pair (h0, h1) of the u-flattening of S; h1 = 0 means the points
-    impose independent conditions there.  Both come from
-    ``flattening_rank``, the rank of the Segre rows for u."""
-    rank = flattening_rank(s, subset)
-    return Cohomology(s.shape.segre_length(subset) - rank, len(s) - rank)
 
 
 def different_coordinates_violation(s: PointSet) -> tuple[int, int, int] | None:

@@ -883,6 +883,19 @@ def test_running_the_package_as_a_module_prints_the_cli_help():
     assert proc.stdout.startswith("usage: tensorcert")
 
 
+def test_readme_library_use_block_prints_its_commented_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, {})
+    printed = out.getvalue().splitlines()
+    expected = [line.split("# ")[-1] for line in block.splitlines() if line.startswith("print(")]
+    assert expected == ["True", "2", "{'rank': 2, ...}"]
+    assert printed[:2] == expected[:2] and len(printed) == 3
+    assert printed[2].startswith("{'rank': 2, ")
+
+
 def test_subcommands_requiring_points_reject_symmetric_instances(tmp_path, capsys):
     data = {"symmetric": {"n": 1, "k": 2, "points": [["1", "0"]]}}
     path = write_instance(tmp_path, data)

@@ -1,4 +1,4 @@
-"""Multiprojective geometry: embeddings, flattenings and cohomology pairs."""
+"""Multiprojective geometry: embeddings, flattenings and their ranks."""
 
 import random
 from fractions import Fraction
@@ -24,7 +24,6 @@ from tensorcert.geometry import (
     PointSet,
     all_partitions,
     assemble_tensor,
-    cohomology,
     different_coordinates_violation,
     factor_projection_sizes,
     factor_subset,
@@ -214,27 +213,26 @@ def test_segre_vector_matches_stride_oracle(seed):
     assert list(segre_vector(point)) == outer_product_flat(point.factors)
 
 
-# -- cohomology and the Segre function
+# -- flattening ranks and the Segre function
 
 
 def test_cohomology_of_a_single_point():
     s = pset((1, 1), pt((1, 0), (1, 0)))
-    assert cohomology(s) == (3, 0)
     assert flattening_rank(s) == 1
 
 
 def test_cohomology_detects_a_shared_factor():
     s = pset((2, 1), pt((1, 0, 0), (1, 0)), pt((1, 0, 0), (0, 1)))
-    assert cohomology(s, (1,)) == (2, 1)
-    assert cohomology(s, (2,)) == (0, 0)
-    assert cohomology(s) == (4, 0)
+    assert flattening_rank(s, (1,)) == 1
+    assert flattening_rank(s, (2,)) == 2
+    assert flattening_rank(s) == 2
 
 
 def test_cohomology_on_a_generic_sample():
     s, _ = random_decomposition(MultiShape((2, 3, 5)), 6, seed=11)
-    assert cohomology(s, (3,)) == (0, 0)
-    assert cohomology(s, (1, 2)) == (6, 0)
-    assert cohomology(s) == (66, 0)
+    assert flattening_rank(s, (3,)) == 6
+    assert flattening_rank(s, (1, 2)) == 6
+    assert flattening_rank(s) == 6
 
 
 def test_segre_function_single_point_is_all_ones():
@@ -262,7 +260,7 @@ def test_segre_function_is_nondecreasing_and_ends_at_full_rank(seed):
     sf = segre_function(s)
     assert all(a <= b for a, b in zip(sf, sf[1:]))
     assert all(1 <= v <= len(s) for v in sf)
-    assert sf[-1] == len(s) - cohomology(s).h1
+    assert sf[-1] == flattening_rank(s)
 
 
 @settings(max_examples=30, deadline=None)
@@ -288,11 +286,7 @@ def test_adding_factors_to_the_subset_never_drops_the_rank(seed):
         for v in subsets:
             if set(u) <= set(v):
                 assert ranks[u] <= ranks[v]
-    for u in subsets:
-        h0, h1 = cohomology(s, u)
-        assert h0 == s.shape.segre_length(u) - ranks[u]
-        assert h1 == len(s) - ranks[u]
-        assert h1 >= 0
+    assert all(rank <= len(s) for rank in ranks.values())
 
 
 def test_flattening_rank_matches_gauss_oracle_on_a_sample():
@@ -402,10 +396,10 @@ def test_cohomology_is_projective_scaling_invariant(seed):
     dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
     r = rng.randint(1, 4)
     s, _ = random_decomposition(MultiShape(dims), r, seed=derive_seed(seed, 2))
-    before = {u: cohomology(s, u) for u in [(1,), None]}
+    before = {u: flattening_rank(s, u) for u in [(1,), None]}
     rescaled = rescaled_point_set(s, rng)
-    assert cohomology(rescaled, (1,)) == before[(1,)]
-    assert cohomology(rescaled) == before[None]
+    assert flattening_rank(rescaled, (1,)) == before[(1,)]
+    assert flattening_rank(rescaled) == before[None]
     assert factor_projection_sizes(rescaled) == factor_projection_sizes(s)
 
 
