@@ -761,7 +761,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    print(render(sections, args.format))
+    try:
+        print(render(sections, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send what is left to devnull so that the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

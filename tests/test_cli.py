@@ -859,13 +859,16 @@ def test_box_below_one_is_invalid(argv, three_factor_file, capsys):
     assert err.count("\n") == 1 and "box must be at least 1" in err
 
 
-def run_module_help(module):
+def module_env():
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def run_module_help(module):
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
         capture_output=True,
-        env=env,
+        env=module_env(),
         text=True,
         timeout=60,
     )
@@ -881,6 +884,22 @@ def test_running_the_package_as_a_module_prints_the_cli_help():
     proc = run_module_help("tensorcert")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: tensorcert")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(unbuffered):
+    # 2^16 coordinates print as about 750 kB, far more than a pipe holds,
+    # so closing the pipe after one line leaves the writer with EPIPE
+    argv = [sys.executable, "-m", "tensorcert", "random", "--shape", "x".join(["2"] * 16), "--r", "1"]
+    env = {**module_env(), "PYTHONUNBUFFERED": unbuffered}
+    whole = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == whole.returncode == EXIT_CERTIFIED
+    assert err == b""
 
 
 def test_readme_library_use_block_prints_its_commented_lines():
