@@ -369,7 +369,8 @@ def survey_to_json(report: SurveyReport) -> dict:
     return {
         "rows": [
             {
-                "dims": list(row.dims),
+                # sizes, as in instance files and the text column
+                "dims": [n + 1 for n in row.dims],
                 "r": row.r,
                 "trials": row.trials,
                 "certified_exact_rank": row.exact_rank,

@@ -253,7 +253,7 @@ def test_survey_counts_and_shape_of_the_report():
             assert 0 <= getattr(row, field) <= row.trials
         assert row.flattening_without_kruskal <= row.exact_rank + row.identifiable
     payload = survey_to_json(report)
-    assert payload["rows"][0]["dims"] == [1, 1]
+    assert payload["rows"][0]["dims"] == [2, 2]
     assert set(payload["rows"][0]) == {
         "dims",
         "r",
