@@ -63,6 +63,29 @@ def _random_point(shape: MultiShape, rng: random.Random, box: int) -> MultiPoint
     return MultiPoint(tuple(_random_factor(rng, size, box) for size in shape.sizes))
 
 
+def _drawable_points(size: int, box: int) -> int:
+    """How many projective points ``_random_factor`` can draw.
+
+    Up to sign, box b holds g(b) = b (2b + 1)^(size - 1) vectors with a
+    nonzero first entry, each d times a primitive one of box b // d for
+    its gcd d.  So the primitive count is P(b) = g(b) - sum_{d >= 2}
+    P(b // d), summed over the runs of d with one quotient.
+    """
+    memo: dict[int, int] = {}
+
+    def count(b: int) -> int:
+        if b not in memo:
+            total, d = b * (2 * b + 1) ** (size - 1), 2
+            while d <= b:
+                q = b // d
+                total -= (b // q - d + 1) * count(q)
+                d = b // q + 1
+            memo[b] = total
+        return memo[b]
+
+    return count(box)
+
+
 def random_decomposition(
     shape: MultiShape, r: int, *, box: int = DEFAULT_BOX, seed: int = 0
 ) -> tuple[PointSet, tuple[Fraction, ...]]:
@@ -72,6 +95,16 @@ def random_decomposition(
         raise ValueError("need at least one point")
     if box < 1:
         raise ValueError(f"box must be at least 1, got {box}")
+    for i, size in enumerate(shape.sizes, start=1):
+        # the vectors with first entry 1 alone are (2 box + 1)^(size - 1) points
+        if size > 1 and (2 * box + 1) ** min(size - 1, r.bit_length()) > r:
+            continue
+        if r > (n := _drawable_points(size, box)):
+            sizes = "x".join(map(str, shape.sizes))
+            raise RuntimeError(
+                f"could not sample {r} points with injective projections on shape {sizes}: "
+                f"at box {box}, factor {i} has room for {n} of them"
+            )
     rng = random.Random(seed)
     for _ in range(_RESAMPLE_CAP):
         points = [_random_point(shape, rng, box) for _ in range(r)]

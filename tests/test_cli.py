@@ -843,6 +843,24 @@ def test_random_subcommand_emits_a_loadable_instance(capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [["random", "--shape", "2x2", "--r", "112"], ["survey", "--shapes", "2x2", "--r", "112", "--trials", "1"]],
+    ids=["random", "survey"],
+)
+def test_more_points_than_the_box_holds_exit_2_before_any_draw(argv, capsys):
+    # P^1 holds 111 projective points with coordinates in [-9, 9]
+    start = time.perf_counter()
+    assert run(argv) == EXIT_INVALID
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: could not sample 112 points with injective projections on shape 2x2: "
+        "at box 9, factor 1 has room for 111 of them\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["random", "--shape", "2x2", "--r", "1"],
         ["survey", "--shapes", "2x2", "--r", "1", "--trials", "1"],
