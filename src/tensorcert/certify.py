@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .geometry import (
@@ -64,6 +65,9 @@ CONCLUSION_TEXT = {
         "span intersection dimension {intersection_dim} matches the cohomology side {rhs}"
     ),
 }
+
+# obstruct ranks every factor subset of size k - x, at about 60 us each
+MAX_RANKED_SUBSETS = 2**16
 
 TAG_NON_REDUNDANT = "span-membership-non-redundancy"
 TAG_CACTUS_BOUND = "flattening-cactus-lower-bound"
@@ -392,7 +396,8 @@ def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:
     """Certify that no other non-redundant decomposition of cardinality
     at most ``x`` can have injective factor projections.
 
-    Requires 0 < x < k.  The certificate assumes S non-redundantly
+    Requires 0 < x < k and at most MAX_RANKED_SUBSETS subsets of size
+    k - x.  The certificate assumes S non-redundantly
     decomposes the target tensor; hypotheses checked here are injective
     projections of S, the capacity condition (min size)^(k-x) >= #S, and
     h1 = 0 on every flattening by a factor subset of size k - x.
@@ -400,6 +405,11 @@ def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:
     k = s.shape.k
     if not 0 < x < k:
         raise ValueError(f"x must satisfy 0 < x < k, got x={x} with k={k}")
+    if (count := comb(k, k - x)) > MAX_RANKED_SUBSETS:
+        raise ValueError(
+            f"x={x} with k={k} asks for {count} factor subsets of size {k - x}, "
+            f"more than the {MAX_RANKED_SUBSETS} that obstruct ranks"
+        )
     r = len(s)
     hyps = [Hypothesis("non_redundant_decomposition", ASSERTED, {"note": ASSUMED_NOTE})]
     violation = different_coordinates_violation(s)

@@ -18,6 +18,7 @@ from oracles import (
     monomial_values,
     outer_product_flat,
 )
+from tensorcert import certify
 from tensorcert.certify import (
     ASSERTED,
     CLAIM_CACTUS_BOUND,
@@ -655,6 +656,15 @@ def test_obstruct_budget_out_of_range():
         obstruct_alt_decompositions(s, 0)
     with pytest.raises(ValueError):
         obstruct_alt_decompositions(s, 3)
+
+
+def test_obstruct_ranks_up_to_the_subset_cap(monkeypatch):
+    s, _ = sample((2, 3, 5), 6, seed=11)
+    monkeypatch.setattr(certify, "MAX_RANKED_SUBSETS", 3)
+    assert obstruct_alt_decompositions(s, 1).certified
+    monkeypatch.setattr(certify, "MAX_RANKED_SUBSETS", 2)
+    with pytest.raises(ValueError, match="asks for 3 factor subsets of size 2, more than the 2"):
+        obstruct_alt_decompositions(s, 1)
 
 
 # -- projection pinning

@@ -615,6 +615,20 @@ def test_obstruct_subcommand_exit_codes(three_factor_file, capsys):
     capsys.readouterr()
 
 
+def test_obstruct_past_the_subset_cap_exits_2_before_ranking(tmp_path, capsys):
+    # C(24, 12) = 2,704,156 subsets would take minutes to rank
+    data = {"dims": [2] * 24, "points": [[["1", "0"]] * 24, [["0", "1"]] * 24]}
+    start = time.perf_counter()
+    assert run(["obstruct", "--input", write_instance(tmp_path, data), "--x", "12"]) == EXIT_INVALID
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: x=12 with k=24 asks for 2704156 factor subsets of size 12, "
+        "more than the 65536 that obstruct ranks\n"
+    )
+
+
 def test_pin_subcommand(tmp_path, capsys):
     data, _, _ = seeded_instance((2, 2, 5), 6, seed=31)
     path = write_instance(tmp_path, data)
