@@ -96,8 +96,9 @@ def random_decomposition(
     if box < 1:
         raise ValueError(f"box must be at least 1, got {box}")
     for i, size in enumerate(shape.sizes, start=1):
-        # the vectors with first entry 1 alone are (2 box + 1)^(size - 1) points
-        if size > 1 and (2 * box + 1) ** min(size - 1, r.bit_length()) > r:
+        # the vectors with first entry 1 alone are (2 box + 1)^(size - 1) points;
+        # 3^e > r once e reaches r's bit length, so the exponent is capped there
+        if (2 * box + 1) ** min(size - 1, r.bit_length()) > r:
             continue
         if r > (n := _drawable_points(size, box)):
             sizes = "x".join(map(str, shape.sizes))

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from oracles import decomposition_weights, in_span, outer_product_flat, rescaled
 from tensorcert.certify import check_non_redundant
 from tensorcert.cli import instance_from_json, pointset_to_json, survey_to_json
 from tensorcert.construct import (
-    DEFAULT_BOX,
     AugmentationError,
     _drawable_points,
     augment_decomposition,
@@ -90,16 +88,6 @@ def test_drawable_points_count_the_primitive_vectors_a_factor_can_draw(size):
         vectors = itertools.product(range(-box, box + 1), repeat=size)
         drawn = {tuple(primitive(v)) for v in vectors if v[0]}
         assert _drawable_points(size, box) == len(drawn), box
-
-
-def test_random_decomposition_refuses_more_points_than_a_factor_holds():
-    assert _drawable_points(2, DEFAULT_BOX) == 111
-    s, _ = random_decomposition(MultiShape((1, 1)), 3, seed=1)
-    assert len(s) == 3
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="^could not sample 112 points .* shape 2x2: at box 9, factor 1 "):
-        random_decomposition(MultiShape((1, 1)), 112, seed=1)
-    assert time.perf_counter() - start < 2
 
 
 # -- augmentation
