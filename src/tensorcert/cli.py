@@ -119,8 +119,8 @@ def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[Fraction, ...] |
     if shape is None:
         raise InstanceParseError("tensor given without dims")
     coords = _parse_vector(data["tensor"], "tensor")
-    if len(coords) != shape.ambient_dim + 1:
-        raise ValueError(f"tensor has {len(coords)} coordinates, shape wants {shape.ambient_dim + 1}")
+    if len(coords) != (m := shape.segre_length()):
+        raise ValueError(f"tensor has {len(coords)} coordinates, shape wants {m}")
     if not any(coords):
         raise ValueError("the zero tensor has no projective class")
     return coords
@@ -228,10 +228,9 @@ def _need_points(inst: Instance) -> tuple[PointSet, tuple[Fraction, ...]]:
 
 
 def _check_printable(shape: MultiShape) -> None:
-    if (m := shape.ambient_dim + 1) > MAX_PRINTED_COORDINATES:
-        sizes = "x".join(map(str, shape.sizes))
+    if (m := shape.segre_length()) > MAX_PRINTED_COORDINATES:
         cap = f"more than the {MAX_PRINTED_COORDINATES} this command prints"
-        raise ValueError(f"shape {sizes} has {m} tensor coordinates, {cap}")
+        raise ValueError(f"shape {shape} has {m} tensor coordinates, {cap}")
 
 
 def pointset_to_json(
@@ -240,7 +239,7 @@ def pointset_to_json(
     tensor: Sequence[Fraction] | None = None,
 ) -> dict:
     out: dict = {
-        "dims": [n + 1 for n in s.shape.dims],
+        "dims": list(s.shape.sizes),
         "points": [
             [[format_rational(x) for x in f] for f in p.factors] for p in s.points
         ],
@@ -370,7 +369,7 @@ def survey_to_json(report: SurveyReport) -> dict:
         "rows": [
             {
                 # sizes, as in instance files and the text column
-                "dims": [n + 1 for n in row.dims],
+                "dims": list(row.shape.sizes),
                 "r": row.r,
                 "trials": row.trials,
                 "certified_exact_rank": row.exact_rank,
@@ -389,9 +388,8 @@ def format_survey_text(report: SurveyReport) -> str:
         f"{'kruskal':>7} {'advantage':>9}"
     ]
     for row in report.rows:
-        label = "x".join(str(n + 1) for n in row.dims)
         lines.append(
-            f"{label:>12} {row.r:>3} {row.trials:>6} {row.exact_rank:>6} "
+            f"{str(row.shape):>12} {row.r:>3} {row.trials:>6} {row.exact_rank:>6} "
             f"{row.identifiable:>6} {row.kruskal:>7} {row.flattening_without_kruskal:>9}"
         )
     return "\n".join(lines)

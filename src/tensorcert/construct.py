@@ -3,6 +3,12 @@
 Everything here is deterministic given the seed: sampling goes through
 random.Random seeded explicitly, and per-trial seeds are derived with a
 fixed integer mix so results do not depend on evaluation order.
+
+A random decomposition draws its points one factor vector at a time and
+draws a factor again, alone, while its projective point is already
+taken in that factor, so no factor repeats a point and nothing is
+rejected as a whole.  A capacity check before any draw makes sure every
+factor's box holds r projective points, which is what bounds the loop.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    different_coordinates_violation,
     flattening_rank,
     segre_gram,
     segre_scale,
@@ -26,7 +31,6 @@ from .kruskal import compare_criteria
 from .linalg import _echelon, primitive
 
 DEFAULT_BOX = 9
-_RESAMPLE_CAP = 512
 _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
 # survey draws every coordinate of every point it samples
@@ -59,10 +63,6 @@ def _random_factor(rng: random.Random, size: int, box: int) -> tuple[Fraction, .
     return tuple(coords)
 
 
-def _random_point(shape: MultiShape, rng: random.Random, box: int) -> MultiPoint:
-    return MultiPoint(tuple(_random_factor(rng, size, box) for size in shape.sizes))
-
-
 def _drawable_points(size: int, box: int) -> int:
     """How many projective points ``_random_factor`` can draw.
 
@@ -89,8 +89,10 @@ def _drawable_points(size: int, box: int) -> int:
 def random_decomposition(
     shape: MultiShape, r: int, *, box: int = DEFAULT_BOX, seed: int = 0
 ) -> tuple[PointSet, tuple[Fraction, ...]]:
-    """Sample r distinct points with injective factor projections, plus
-    nonzero integer weights.  Deterministic for a given seed."""
+    """Sample r points with injective factor projections, plus nonzero
+    integer weights.  Deterministic for a given seed.  A factor vector
+    whose projective point its factor already holds is drawn again,
+    alone; the capacity check, run before any draw, bounds that loop."""
     if r < 1:
         raise ValueError("need at least one point")
     if box < 1:
@@ -101,24 +103,24 @@ def random_decomposition(
         if (2 * box + 1) ** min(size - 1, r.bit_length()) > r:
             continue
         if r > (n := _drawable_points(size, box)):
-            sizes = "x".join(map(str, shape.sizes))
             raise RuntimeError(
-                f"could not sample {r} points with injective projections on shape {sizes}: "
+                f"could not sample {r} points with injective projections on shape {shape}: "
                 f"at box {box}, factor {i} has room for {n} of them"
             )
     rng = random.Random(seed)
-    for _ in range(_RESAMPLE_CAP):
-        points = [_random_point(shape, rng, box) for _ in range(r)]
-        if len({p.canonical() for p in points}) != r:
-            continue
-        s = PointSet(shape, tuple(points))
-        if different_coordinates_violation(s) is not None:
-            continue
-        weights = tuple(Fraction(_nonzero_int(rng, box)) for _ in range(r))
-        return s, weights
-    raise RuntimeError(
-        f"could not sample {r} points with injective projections on shape {shape.dims}"
-    )
+    taken: list[set[tuple[int, ...]]] = [set() for _ in shape.sizes]
+    points = []
+    for _ in range(r):
+        factors = []
+        for size, seen in zip(shape.sizes, taken):
+            f = _random_factor(rng, size, box)
+            while (q := primitive(f)) in seen:
+                f = _random_factor(rng, size, box)
+            seen.add(q)
+            factors.append(f)
+        points.append(MultiPoint(tuple(factors)))
+    weights = tuple(Fraction(_nonzero_int(rng, box)) for _ in range(r))
+    return PointSet(shape, tuple(points)), weights
 
 
 def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
@@ -131,6 +133,12 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
     point replaces P (the span is unchanged) and the walk continues.
     The current points stay independent, so the perturbed point leaves
     their span exactly when adding it keeps them independent.
+
+    The split takes one draw of t.  The perturbed point C differs from P,
+    so b is not proportional to P_i and c = P_i - t b is nonzero and not
+    proportional to b: the split point D differs from C.  And Segre(P) =
+    Segre(D) + t Segre(C), so D among the other points would put C in the
+    span it has just been shown to leave.
     """
     shape = a.shape
     current = list(a.points)
@@ -147,16 +155,10 @@ def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
                 # split: pivot sits on the line between the perturbed factor
                 # vector b and c = pivot_i - t * b, so its Segre vector is an
                 # exact combination of the two new points
-                for _ in range(_FACTOR_DRAWS):
-                    t = Fraction(_nonzero_int(rng, box))
-                    c = tuple(pc - t * bc for pc, bc in zip(pivot.factors[i - 1], b))
-                    if not any(c):
-                        continue
-                    split = pivot.replace_factor(i, c)
-                    if split == candidate or split in others:
-                        continue
-                    return PointSet(shape, tuple(others + [candidate, split]))
-                return None
+                t = Fraction(_nonzero_int(rng, box))
+                c = tuple(pc - t * bc for pc, bc in zip(pivot.factors[i - 1], b))
+                split = pivot.replace_factor(i, c)
+                return PointSet(shape, tuple(others + [candidate, split]))
             replacement = [candidate] + others
             if flattening_rank(PointSet(shape, tuple(replacement))) == len(current):
                 current = replacement
@@ -210,10 +212,8 @@ def augment_decomposition(
         raise ValueError(f"box must be at least 1, got {box}")
     if all(n == 0 for n in shape.dims):
         raise ValueError("augmentation needs a factor of positive dimension")
-    if len(a) > shape.ambient_dim:
-        raise ValueError(
-            f"cannot augment {len(a)} points in ambient dimension {shape.ambient_dim}"
-        )
+    if len(a) >= (m := shape.segre_length()):
+        raise ValueError(f"cannot augment {len(a)} points in ambient dimension {m - 1}")
     if flattening_rank(a) != len(a):
         raise ValueError("the Segre vectors of the input points must be independent")
     rng = random.Random(seed)
@@ -230,7 +230,7 @@ def augment_decomposition(
 
 @dataclass(frozen=True)
 class SurveyRow:
-    dims: tuple[int, ...]
+    shape: MultiShape
     r: int
     trials: int
     exact_rank: int
@@ -257,9 +257,8 @@ def survey(
         raise ValueError(f"trials must be at least 1, got {trials}")
     for shape in shapes:
         if (m := sum(shape.sizes)) > MAX_POINT_COORDINATES:
-            sizes = "x".join(map(str, shape.sizes))
             cap = f"more than the {MAX_POINT_COORDINATES} survey samples"
-            raise ValueError(f"shape {sizes} has {m} coordinates per point, {cap}")
+            raise ValueError(f"shape {shape} has {m} coordinates per point, {cap}")
     rows = []
     counter = 0
     for shape in shapes:
@@ -274,7 +273,5 @@ def survey(
                 ident += record.identifiability.certified
                 krusk += record.kruskal_applies
                 advantage += record.flattening_without_kruskal
-            rows.append(
-                SurveyRow(shape.dims, r, trials, exact, ident, krusk, advantage)
-            )
+            rows.append(SurveyRow(shape, r, trials, exact, ident, krusk, advantage))
     return SurveyReport(tuple(rows))

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from math import prod
 from typing import Iterable, Sequence
 
@@ -53,6 +52,10 @@ class MultiShape:
         if any(n < 0 for n in dims):
             raise ValueError("factor dimensions must be nonnegative")
 
+    def __str__(self) -> str:
+        """The sizes label every message and table prints, e.g. ``3x4x6``."""
+        return "x".join(map(str, self.sizes))
+
     @property
     def k(self) -> int:
         return len(self.dims)
@@ -61,11 +64,6 @@ class MultiShape:
     def sizes(self) -> tuple[int, ...]:
         """Coordinate counts n_i + 1 per factor."""
         return tuple(n + 1 for n in self.dims)
-
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension M of the Segre target projective space."""
-        return reduce(lambda a, b: a * b, self.sizes, 1) - 1
 
     @property
     def min_dim(self) -> int:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,17 +64,57 @@ def test_random_decomposition_seeds_differ():
     assert canonical_set(a) != canonical_set(b)
 
 
-def test_random_decomposition_properties():
-    s, weights = random_decomposition(MultiShape((1, 2)), 4, seed=5)
-    assert len(s) == 4
-    assert len(weights) == 4
-    assert all(w != 0 for w in weights)
+def _assert_injective_sample(s, weights, r):
+    assert len(s) == r == len({p.canonical() for p in s.points})
     assert different_coordinates_violation(s) is None
+    assert len(weights) == r and all(w != 0 for w in weights)
+
+
+def test_random_decomposition_properties():
+    _assert_injective_sample(*random_decomposition(MultiShape((1, 2)), 4, seed=5), 4)
 
 
 def test_random_decomposition_rejects_bad_cardinalities():
     with pytest.raises(ValueError):
         random_decomposition(MultiShape((1, 1)), 0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "dims, r, seeds",
+    [((1,) * 10, 12, range(30)), ((1,) * 8, 16, range(30)), ((1,) * 8, 9, [3])],
+)
+def test_random_decomposition_samples_where_whole_set_rejection_gave_up(dims, r, seeds):
+    # a sampler that redrew whole sets gave up on every one of these seeds
+    for seed in seeds:
+        _assert_injective_sample(*random_decomposition(MultiShape(dims), r, seed=seed), r)
+
+
+def test_random_decomposition_fills_a_factor_to_capacity_quickly():
+    # P^1 holds exactly 111 points at box 9
+    start = time.perf_counter()
+    s, weights = random_decomposition(MultiShape((1, 1)), 111, seed=0)
+    assert time.perf_counter() - start < 2
+    _assert_injective_sample(s, weights, 111)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_random_decomposition_is_injective_up_to_the_capacity(dims, box, seed, data):
+    shape = MultiShape(tuple(dims))
+    capacity = min(_drawable_points(size, box) for size in shape.sizes)
+    r = data.draw(st.integers(1, capacity))
+    s, weights = random_decomposition(shape, r, box=box, seed=seed)
+    _assert_injective_sample(s, weights, r)
+    again = random_decomposition(shape, r, box=box, seed=seed)
+    assert [p.factors for p in again[0].points] == [p.factors for p in s.points]
+    assert again[1] == weights
+    with pytest.raises(RuntimeError, match=f"room for {capacity} of them"):
+        random_decomposition(shape, capacity + 1, box=box, seed=seed)
 
 
 def test_random_decomposition_fails_on_impossible_injectivity():

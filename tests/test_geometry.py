@@ -53,8 +53,8 @@ def test_shape_derived_quantities():
     shape = MultiShape((2, 3, 5))
     assert shape.k == 3
     assert shape.sizes == (3, 4, 6)
-    assert shape.ambient_dim == 71
     assert shape.segre_length() == 72
+    assert str(shape) == "3x4x6"
     assert shape.segre_length((1, 2)) == 12
     assert shape.segre_length((3,)) == 6
     assert shape.min_dim == 2
