@@ -1,9 +1,12 @@
 """Certificates for rank bounds, exact rank, identifiability and pinning.
 
 Every public operation returns a Certificate: a claim, a list of named
-hypotheses that were actually checked (or, where the caller must supply
-a geometric assumption, explicitly marked ASSERTED), and a conclusion
-that is present only when the checked hypotheses hold.  Witnesses are
+hypotheses that were actually checked, and a conclusion that is present
+only when they hold.  Each certifier given weights checks the
+non-redundancy of the decomposition itself, in the same leading
+hypotheses.  The one hypothesis left unchecked is pinning's
+quasi-generality, which the caller asserts and the certificate marks as
+asserted.  Witnesses are
 plain JSON-friendly values (ranks, indices, bounds) so certificates can
 be serialized and compared; they never echo coordinates, which keeps
 them invariant under rescaling of the input representatives.
@@ -171,9 +174,6 @@ def check_non_redundant(s: PointSet, weights: Sequence) -> Certificate:
     return Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
 
 
-ASSUMED_NOTE = "assumed, certify separately with check_non_redundant"
-
-
 @dataclass(frozen=True)
 class PartitionEntry:
     partition: FactorPartition
@@ -203,14 +203,18 @@ def _bipartitions(s: PointSet, partition: FactorPartition | None):
         yield part, len(s) - flattening_rank(s, part.E), flattening_rank(s, part.F)
 
 
-def bound_cactus_rank(s: PointSet, partition: FactorPartition | None = None) -> BoundReport:
+def bound_cactus_rank(
+    s: PointSet, weights: Sequence, partition: FactorPartition | None = None
+) -> BoundReport:
     """Best lower bound on the cactus rank over bipartitions of the factors.
 
     A bipartition (E, F) yields the bound M_F - h0(S, F), which is the rank
     of the F-flattening, provided the E-flattening of S has h1 = 0 and the
-    bound exceeds 1.  The report assumes, and records as an assumption,
-    that S decomposes the target tensor non-redundantly.
+    bound exceeds 1.  The bound holds for a non-redundant decomposition,
+    so the certificate checks that S with ``weights`` is one before it
+    concludes.  The search and its best bound are reported either way.
     """
+    hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), len(s), weights)
     entries = []
     best: PartitionEntry | None = None
     for part, h1_e, bound in _bipartitions(s, partition):
@@ -225,7 +229,6 @@ def bound_cactus_rank(s: PointSet, partition: FactorPartition | None = None) -> 
         if best is None or bound > best.bound:
             best = entry
     best_bound = best.bound if best else 1
-    hyps = [Hypothesis("non_redundant_decomposition", ASSERTED, {"note": ASSUMED_NOTE})]
     if best:
         hyps.append(
             Hypothesis(
@@ -248,7 +251,9 @@ def bound_cactus_rank(s: PointSet, partition: FactorPartition | None = None) -> 
             )
         )
         conclusion = None
-    cert = Certificate(CLAIM_CACTUS_BOUND, TAG_CACTUS_BOUND, tuple(hyps), conclusion)
+    cert = Certificate(
+        CLAIM_CACTUS_BOUND, TAG_CACTUS_BOUND, tuple(hyps), conclusion if non_redundant else None
+    )
     return BoundReport(best_bound, best.partition if best else None, tuple(entries), cert)
 
 
@@ -257,11 +262,10 @@ def certify_exact_rank(
 ) -> Certificate:
     """Certify rank = cactus rank = #S via a bipartition with h1 = 0 on
     both flattenings, on top of a non-redundancy certificate."""
-    nr = check_non_redundant(s, weights)
-    hyps = list(nr.hypotheses)
-    if not nr.certified:
-        return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), None)
     r = len(s)
+    hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
+    if not non_redundant:
+        return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), None)
     attempts = []
     found: FactorPartition | None = None
     for part, h1_e, rank_f in _bipartitions(s, partition):
@@ -304,11 +308,10 @@ def certify_identifiability(s: PointSet, weights: Sequence) -> Certificate:
     minimally dependent set of at most k'+1 points in the union, forcing
     two points of S to share a coordinate.
     """
-    nr = check_non_redundant(s, weights)
-    hyps = list(nr.hypotheses)
-    if not nr.certified:
-        return Certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, tuple(hyps), None)
     r = len(s)
+    hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
+    if not non_redundant:
+        return Certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, tuple(hyps), None)
     if r == 1:
         hyps.append(Hypothesis("singleton_decomposition", PASS, {"cardinality": 1}))
         conclusion = {"rank": 1, "minimal": True, "identifiable": True}
@@ -392,13 +395,13 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), conclusion)
 
 
-def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:
+def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> Certificate:
     """Certify that no other non-redundant decomposition of cardinality
     at most ``x`` can have injective factor projections.
 
     Requires 0 < x < k and at most MAX_RANKED_SUBSETS subsets of size
-    k - x.  The certificate assumes S non-redundantly
-    decomposes the target tensor; hypotheses checked here are injective
+    k - x, both checked before any rank.  The hypotheses checked are that
+    S with ``weights`` is a non-redundant decomposition, injective
     projections of S, the capacity condition (min size)^(k-x) >= #S, and
     h1 = 0 on every flattening by a factor subset of size k - x.
     """
@@ -411,7 +414,7 @@ def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:
             f"more than the {MAX_RANKED_SUBSETS} that obstruct ranks"
         )
     r = len(s)
-    hyps = [Hypothesis("non_redundant_decomposition", ASSERTED, {"note": ASSUMED_NOTE})]
+    hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
     violation = different_coordinates_violation(s)
     hyps.append(
         Hypothesis(
@@ -445,7 +448,7 @@ def obstruct_alt_decompositions(s: PointSet, x: int) -> Certificate:
             {"subset_size": k - x, "checks": subset_checks},
         )
     )
-    certified = violation is None and capacity >= r and all_zero
+    certified = non_redundant and violation is None and capacity >= r and all_zero
     conclusion = (
         {
             "cardinality": r,
@@ -465,7 +468,7 @@ def pin_projections(
     s: PointSet,
     weights: Sequence,
     families,
-    quasi_general_asserted=False,
+    quasi_general_asserted: bool = False,
 ) -> Certificate:
     """Pin factor projections of any other small decomposition of the tensor.
 
@@ -488,15 +491,8 @@ def pin_projections(
             raise ValueError(f"family {i} must contain factor {i}")
         if len(fam) == k:
             raise ValueError(f"family {i} must be a proper subset of the factors")
-    if isinstance(quasi_general_asserted, bool):
-        flags = [quasi_general_asserted] * k
-    else:
-        flags = [bool(f) for f in quasi_general_asserted]
-        if len(flags) != k:
-            raise ValueError("one quasi-generality flag per family required")
-    nr = check_non_redundant(s, weights)
-    hyps = list(nr.hypotheses)
     r = len(s)
+    hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
     pinned: set[int] = set()
     usable = []
     for i in range(1, k + 1):
@@ -523,18 +519,17 @@ def pin_projections(
                 },
             )
         )
-        asserted = flags[i - 1]
         hyps.append(
             Hypothesis(
                 "quasi-general",
-                ASSERTED if asserted else FAIL,
-                {"family_index": i, "family": list(fam), "asserted": asserted},
+                ASSERTED if quasi_general_asserted else FAIL,
+                {"family_index": i, "family": list(fam), "asserted": quasi_general_asserted},
             )
         )
-        if numeric_ok and ranks_ok and asserted:
+        if numeric_ok and ranks_ok and quasi_general_asserted:
             usable.append(i)
             pinned.update(fam)
-    certified = nr.certified and bool(usable)
+    certified = non_redundant and bool(usable)
     conclusion = (
         {
             "cardinality": r,

@@ -68,8 +68,6 @@ def kruskal_rank(gram: list[list[int]]) -> int:
                 # its block's diagonal counts, and that needs no division
                 if any(d * r[a] == r[p] * y for a, (r, y) in enumerate(zip(rest, tail), p + 1)):
                     kappa = size + 1
-            if size >= kappa:
-                return
 
     walk(gram, 1, 0)
     return kappa
@@ -132,7 +130,7 @@ def compare_criteria(s: PointSet, weights: Sequence) -> ComparisonRecord:
     past MAX_EXHAUSTIVE_COLUMNS points the Kruskal baseline is skipped."""
     return ComparisonRecord(
         non_redundant=check_non_redundant(s, weights),
-        bound=bound_cactus_rank(s),
+        bound=bound_cactus_rank(s, weights),
         exact_rank=certify_exact_rank(s, weights),
         identifiability=certify_identifiability(s, weights),
         kruskal=kruskal_certificate(s) if len(s) <= MAX_EXHAUSTIVE_COLUMNS else None,

@@ -120,7 +120,7 @@ def test_criterion_2_two_factor_matrix_oracle():
         oracle = gauss_rank(matrix_of_two_factor_tensor(tensor, shape.dims))
         if check_non_redundant(s, weights).certified:
             non_redundant += 1
-            if bound_cactus_rank(s).best_bound == oracle:
+            if bound_cactus_rank(s, weights).best_bound == oracle:
                 bound_match += 1
         if certify_exact_rank(s, weights).certified == (r == oracle):
             iff_ok += 1
@@ -276,7 +276,7 @@ def test_criterion_7_order_four_identifiability_split():
 def snapshot(s, weights):
     return {
         "nr": certificate_to_json(check_non_redundant(s, weights)),
-        "bound": bound_report_to_json(bound_cactus_rank(s)),
+        "bound": bound_report_to_json(bound_cactus_rank(s, weights)),
         "exact": certificate_to_json(certify_exact_rank(s, weights)),
         "ident": certificate_to_json(certify_identifiability(s, weights)),
         "kruskal": kruskal_to_json(kruskal_certificate(s)),

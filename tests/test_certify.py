@@ -40,6 +40,7 @@ from tensorcert.certify import (
     obstruct_alt_decompositions,
     pin_projections,
 )
+from tensorcert.cli import instance_from_json
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert.geometry import (
     FactorPartition,
@@ -210,7 +211,7 @@ def test_non_redundancy_hypotheses_match_the_oracle(case, seed):
 
 
 def test_bound_identity_pair_from_both_orientations():
-    report = bound_cactus_rank(IDENTITY_PAIR)
+    report = bound_cactus_rank(IDENTITY_PAIR, (1, 1))
     assert report.best_bound == 2
     assert len(report.per_partition) == 2
     assert all(e.applicable and e.bound == 2 for e in report.per_partition)
@@ -219,18 +220,18 @@ def test_bound_identity_pair_from_both_orientations():
     assert cert.certified
     assert cert.conclusion["cactus_rank_at_least"] == 2
     assert cert.conclusion["rank_at_least"] == 2
-    assumed = find(cert, "non_redundant_decomposition")[0]
-    assert assumed.status == ASSERTED
+    assert cert.hypotheses[0].name == "evaluation_vectors_independent"
+    assert all(h.status == PASS for h in cert.hypotheses)
 
 
 def test_bound_on_the_seeded_three_factor_sample():
-    s, _ = sample((2, 3, 5), 6, seed=11)
+    s, weights = sample((2, 3, 5), 6, seed=11)
     part = FactorPartition((1, 2), (3,))
-    report = bound_cactus_rank(s, part)
+    report = bound_cactus_rank(s, weights, part)
     assert report.best_bound == 6
     assert report.best_partition == part
     assert report.per_partition[0].applicable
-    full = bound_cactus_rank(s)
+    full = bound_cactus_rank(s, weights)
     assert full.best_bound == 6
     assert len(full.per_partition) == 6
 
@@ -238,7 +239,7 @@ def test_bound_on_the_seeded_three_factor_sample():
 def test_bound_reports_why_partitions_fail():
     # shared second factor: E={1} leaves a rank-1 F side, E={2} has h1 > 0
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (2, 0)))
-    report = bound_cactus_rank(s)
+    report = bound_cactus_rank(s, (1, 1))
     assert report.best_bound == 1
     assert report.best_partition is None
     reasons = {e.reason for e in report.per_partition}
@@ -252,7 +253,7 @@ def test_bound_reports_why_partitions_fail():
 
 def test_bound_rejects_partition_of_the_wrong_arity():
     with pytest.raises(ValueError):
-        bound_cactus_rank(IDENTITY_PAIR, FactorPartition((1,), (2, 3)))
+        bound_cactus_rank(IDENTITY_PAIR, (1, 1), FactorPartition((1,), (2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,7 +269,7 @@ def test_two_factor_bound_matches_the_matrix_rank_oracle(seed):
     if max(factor_ranks) < len(s):
         return
     oracle = gauss_rank(matrix_of_two_factor_tensor(assemble_tensor(weights, s), dims))
-    assert bound_cactus_rank(s).best_bound == oracle
+    assert bound_cactus_rank(s, weights).best_bound == oracle
 
 
 def test_two_factor_bound_can_undershoot_without_an_applicable_partition():
@@ -284,7 +285,7 @@ def test_two_factor_bound_can_undershoot_without_an_applicable_partition():
     )
     weights = (1, 1, 1, 1)
     assert check_non_redundant(s, weights).certified
-    report = bound_cactus_rank(s)
+    report = bound_cactus_rank(s, weights)
     assert report.best_bound == 1
     assert all(not e.applicable for e in report.per_partition)
     oracle = gauss_rank(matrix_of_two_factor_tensor(assemble_tensor(weights, s), (3, 1)))
@@ -298,8 +299,8 @@ def test_applicable_bounds_never_exceed_the_cardinality(seed):
     rng = random.Random(seed)
     dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
     r = rng.randint(1, 4)
-    s, _ = sample(dims, r, seed=derive_seed(seed, 4))
-    report = bound_cactus_rank(s)
+    s, weights = sample(dims, r, seed=derive_seed(seed, 4))
+    report = bound_cactus_rank(s, weights)
     for entry in report.per_partition:
         if entry.applicable:
             assert 2 <= entry.bound <= len(s)
@@ -368,7 +369,7 @@ def test_exact_rank_certificates_are_consistent_with_the_bound(seed):
     s, weights = sample(dims, r, seed=derive_seed(seed, 5))
     cert = certify_exact_rank(s, weights)
     if cert.certified:
-        assert bound_cactus_rank(s).best_bound == len(s)
+        assert bound_cactus_rank(s, weights).best_bound == len(s)
         assert check_non_redundant(s, weights).certified
 
 
@@ -610,8 +611,8 @@ def test_span_identity_lhs_matches_ranks_of_explicit_segre_rows(seed, size_a, si
 
 
 def test_obstruct_seeded_sample_budget_one():
-    s, _ = sample((2, 3, 5), 6, seed=11)
-    cert = obstruct_alt_decompositions(s, 1)
+    s, weights = sample((2, 3, 5), 6, seed=11)
+    cert = obstruct_alt_decompositions(s, weights, 1)
     assert cert.certified
     assert cert.claim == CLAIM_OBSTRUCTION
     assert cert.conclusion["alternative_max_cardinality"] == 1
@@ -629,8 +630,8 @@ def test_obstruct_seeded_sample_budget_one():
 
 
 def test_obstruct_seeded_sample_budget_two_fails():
-    s, _ = sample((2, 3, 5), 6, seed=11)
-    cert = obstruct_alt_decompositions(s, 2)
+    s, weights = sample((2, 3, 5), 6, seed=11)
+    cert = obstruct_alt_decompositions(s, weights, 2)
     assert not cert.certified
     capacity = find(cert, "projection_capacity")[0]
     assert capacity.status == FAIL
@@ -643,7 +644,7 @@ def test_obstruct_flags_non_injective_projections():
         pt((1, 0), (1, 0), (1, 0)),
         pt((1, 0), (0, 1), (0, 1)),
     )
-    cert = obstruct_alt_decompositions(s, 1)
+    cert = obstruct_alt_decompositions(s, (1, 1), 1)
     assert not cert.certified
     bad = find(cert, "different_coordinates")[0]
     assert bad.status == FAIL
@@ -651,20 +652,78 @@ def test_obstruct_flags_non_injective_projections():
 
 
 def test_obstruct_budget_out_of_range():
-    s, _ = sample((2, 3, 5), 6, seed=11)
+    s, weights = sample((2, 3, 5), 6, seed=11)
     with pytest.raises(ValueError):
-        obstruct_alt_decompositions(s, 0)
+        obstruct_alt_decompositions(s, weights, 0)
     with pytest.raises(ValueError):
-        obstruct_alt_decompositions(s, 3)
+        obstruct_alt_decompositions(s, weights, 3)
 
 
 def test_obstruct_ranks_up_to_the_subset_cap(monkeypatch):
-    s, _ = sample((2, 3, 5), 6, seed=11)
+    s, weights = sample((2, 3, 5), 6, seed=11)
     monkeypatch.setattr(certify, "MAX_RANKED_SUBSETS", 3)
-    assert obstruct_alt_decompositions(s, 1).certified
+    assert obstruct_alt_decompositions(s, weights, 1).certified
     monkeypatch.setattr(certify, "MAX_RANKED_SUBSETS", 2)
     with pytest.raises(ValueError, match="asks for 3 factor subsets of size 2, more than the 2"):
-        obstruct_alt_decompositions(s, 1)
+        obstruct_alt_decompositions(s, weights, 1)
+
+
+# -- non-redundancy inside the bound and the obstruction
+
+
+@st.composite
+def parsed_instances(draw):
+    """Instances the parser accepts, shared factors and dependent point
+    sets included: each factor of a point is a new small vector or a copy
+    of an earlier point's."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    points: list[list[list[str]]] = []
+    for j in range(draw(st.integers(1, 6))):
+        points.append([
+            points[draw(st.integers(0, j - 1))][i]
+            if j and draw(st.booleans())
+            else [str(x) for x in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))]
+            for i, n in enumerate(sizes)
+        ])
+    weights = [str(draw(st.integers(-3, 3).filter(bool))) for _ in points]
+    try:
+        return instance_from_json({"dims": sizes, "points": points, "weights": weights})
+    except ValueError:  # proportional duplicates, or a vanishing weighted sum
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parsed_instances())
+def test_bound_and_obstruction_certify_as_their_own_hypotheses_say(inst):
+    # h1 = 0 on any factor subset makes the whole set independent, and the
+    # parser rejects zero weights, so non-redundancy never decides alone
+    s, weights = inst.points, inst.weights
+    report = bound_cactus_rank(s, weights)
+    assert report.certificate.certified == (report.best_partition is not None)
+    certs = [report.certificate]
+    for x in range(1, s.shape.k):
+        cert = obstruct_alt_decompositions(s, weights, x)
+        (checks,) = find(cert, "independent_conditions_on_all_subsets")
+        expected = (
+            find(cert, "different_coordinates")[0].status == PASS
+            and find(cert, "projection_capacity")[0].status == PASS
+            and all(c["h1"] == 0 for c in checks.witness["checks"])
+        )
+        assert cert.certified == expected
+        certs.append(cert)
+    for cert in certs:
+        assert cert.hypotheses[0].name == "evaluation_vectors_independent"
+        assert all(h.status != ASSERTED for h in cert.hypotheses)
+
+
+def test_a_zero_weight_fails_the_bound_and_the_obstruction():
+    s, weights = sample((2, 3, 5), 6, seed=11)
+    weights = (0,) + weights[1:]
+    report = bound_cactus_rank(s, weights)
+    assert report.best_bound == 6
+    for cert in (report.certificate, obstruct_alt_decompositions(s, weights, 1)):
+        assert not cert.certified
+        assert cert.failed() == ["tensor_outside_span_of_proper_subset"]
 
 
 # -- projection pinning
@@ -695,17 +754,6 @@ def test_pin_projections_needs_the_assertion():
     assert all(h.status == FAIL for h in find(cert, "quasi-general"))
 
 
-def test_pin_projections_per_family_flags():
-    s, weights = sample((2, 2, 5), 6, seed=31)
-    families = [(1, 2), (1, 2), (3,)]
-    cert = pin_projections(
-        s, weights, families, quasi_general_asserted=(True, False, False)
-    )
-    assert cert.certified
-    assert cert.conclusion["usable_families"] == [1]
-    assert cert.conclusion["pinned_factors"] == [1, 2]
-
-
 def test_pin_projections_fails_when_the_cardinality_is_too_big():
     s, weights = sample((1, 1, 1), 2, seed=32)
     families = [(1,), (2,), (3,)]
@@ -734,8 +782,4 @@ def test_pin_projections_validates_the_families():
     with pytest.raises(ValueError):
         pin_projections(
             s, weights, [(1, 2, 3), (2,), (3,)], quasi_general_asserted=True
-        )
-    with pytest.raises(ValueError):
-        pin_projections(
-            s, weights, [(1,), (2,), (3,)], quasi_general_asserted=(True,)
         )
