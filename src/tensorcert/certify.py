@@ -29,11 +29,13 @@ from typing import Sequence
 from .geometry import (
     FactorPartition,
     PointSet,
-    all_partitions,
+    bipartition,
+    bipartition_masks,
     different_coordinates_violation,
     factor_projection_sizes,
     factor_subset,
     flattening_rank,
+    subset_ranks,
 )
 
 PASS = "PASS"
@@ -195,12 +197,20 @@ class BoundReport:
 def _bipartitions(s: PointSet, partition: FactorPartition | None):
     """(partition, h1 of the E-flattening, rank of the F-flattening) for
     ``partition``, or for every bipartition in E-bitmask order when None.
-    Both searches read these two numbers, and every rank is memoized."""
+    Both searches read these two numbers, and every rank is memoized.
+    Every bipartition is reported, but its ranks come from
+    ``subset_ranks``, which eliminates only on subsets that contain no
+    independent subset; a partition is built only when it is yielded."""
     k = s.shape.k
-    if partition is not None and partition.k != k:
-        raise ValueError(f"partition {partition} does not match k={k}")
-    for part in [partition] if partition is not None else all_partitions(k):
-        yield part, len(s) - flattening_rank(s, part.E), flattening_rank(s, part.F)
+    if partition is not None:
+        if partition.k != k:
+            raise ValueError(f"partition {partition} does not match k={k}")
+        yield partition, len(s) - flattening_rank(s, partition.E), flattening_rank(s, partition.F)
+        return
+    masks = bipartition_masks(k)  # refuses k > 10 before any rank
+    ranks, full = subset_ranks(s), (1 << k) - 1
+    for mask in masks:
+        yield bipartition(mask, k), len(s) - ranks[mask], ranks[full ^ mask]
 
 
 def bound_cactus_rank(

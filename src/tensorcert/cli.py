@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -455,10 +456,14 @@ def parse_partition_flag(text: str, k: int) -> FactorPartition:
         raise ValueError(f"partition {text!r} must look like '1,2/3'")
     error = f"partition {text!r} has non-integer entries"
     e, f = (tuple(sorted(_ints(side, error))) for side in parts)
-    partition = FactorPartition(e, f)
-    if partition.k != k:
+    named = e + f
+    if (bad := next((i for i in named if not 1 <= i <= k), None)) is not None:
+        raise ValueError(f"partition {text!r} names factor {bad}, not one of the {k} factors")
+    if (twice := min((i for i, n in Counter(named).items() if n > 1), default=None)) is not None:
+        raise ValueError(f"partition {text!r} names factor {twice} twice")
+    if len(named) != k:
         raise ValueError(f"partition {text!r} does not cover the {k} factors")
-    return partition
+    return FactorPartition(e, f)
 
 
 def parse_families_flag(text: str, k: int) -> list[tuple[int, ...]]:

@@ -26,12 +26,20 @@ the per-factor Grams A_i A_i^T over the factors i in u, because
 <a (x) b, c (x) d> = <a, c><b, d> (the face-splitting identity of the
 Khatri-Rao product).  The per-factor Grams are built once per point set
 from the primitive factor forms and shared by every subset u.
+
+The bipartition searches need the rank of every proper subset, and
+``subset_ranks`` gets them in one walk by subset size.  Each Gram it
+ranks is its parent's Gram (the subset without its top factor) times one
+factor Gram, not a product rebuilt from ones.  Ranks only grow with the
+subset, so a subset that contains an independent one has rank #S and is
+never eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from typing import Iterable, Sequence
 
@@ -118,16 +126,24 @@ class FactorPartition:
         return {"E": list(self.E), "F": list(self.F)}
 
 
-def all_partitions(k: int) -> list[FactorPartition]:
-    """All 2^k - 2 ordered proper bipartitions of {1..k}, by E-bitmask."""
+def bipartition_masks(k: int) -> range:
+    """E-bitmasks of the 2^k - 2 ordered proper bipartitions of {1..k},
+    bit i - 1 standing for factor i."""
     if k > 10:
         raise ValueError("exhaustive partition search is capped at 10 factors")
-    out = []
-    for mask in range(1, (1 << k) - 1):
-        E = tuple(i + 1 for i in range(k) if mask >> i & 1)
-        F = tuple(i + 1 for i in range(k) if not mask >> i & 1)
-        out.append(FactorPartition(E, F))
-    return out
+    return range(1, (1 << k) - 1)
+
+
+def bipartition(mask: int, k: int) -> FactorPartition:
+    """The bipartition of {1..k} whose E has E-bitmask ``mask``."""
+    E = tuple(i + 1 for i in range(k) if mask >> i & 1)
+    F = tuple(i + 1 for i in range(k) if not mask >> i & 1)
+    return FactorPartition(E, F)
+
+
+def all_partitions(k: int) -> list[FactorPartition]:
+    """All 2^k - 2 ordered proper bipartitions of {1..k}, by E-bitmask."""
+    return [bipartition(mask, k) for mask in bipartition_masks(k)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +196,10 @@ class PointSet:
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
     ``memo`` holds what has been computed for this set (integer Grams by
-    factor, the full set's Segre Gram, and flattening ranks by factor
-    subset, the full set's included), so repeated questions within one
-    run are answered once and the memory goes with the set.
+    factor, the full set's Segre Gram, flattening ranks by factor subset,
+    the full set's included, and the ranks of every proper subset from
+    ``subset_ranks``), so repeated questions within one run are answered
+    once and the memory goes with the set.
     """
 
     shape: MultiShape
@@ -238,6 +255,17 @@ def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
     return s.memo[key]
 
 
+def _ones(s: PointSet) -> list[list[int]]:
+    """The Gram of the empty factor subset.  Products start from it, not
+    from a memoized factor Gram, which must not change."""
+    return [[1] * len(s) for _ in s.points]
+
+
+def _hadamard(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Elementwise product of two square matrices, as a new matrix."""
+    return [[x * y for x, y in zip(u, v)] for u, v in zip(a, b)]
+
+
 def segre_gram(s: PointSet, members: tuple[int, ...] | None = None) -> list[list[int]]:
     """Integer Gram of the primitive Segre rows of S for the factors in
     ``members`` (all when None): the Hadamard product of their factor
@@ -246,10 +274,9 @@ def segre_gram(s: PointSet, members: tuple[int, ...] | None = None) -> list[list
     key = ("segre_gram", members)
     if key in s.memo:
         return s.memo[key]
-    # start from ones, not a memoized factor Gram, which must not change
-    out = [[1] * len(s) for _ in s.points]
+    out = _ones(s)
     for i in members or range(1, s.shape.k + 1):
-        out = [[x * y for x, y in zip(w, g)] for w, g in zip(out, _factor_gram(s, i))]
+        out = _hadamard(out, _factor_gram(s, i))
     if members is None:
         s.memo[key] = out
     return out
@@ -264,6 +291,44 @@ def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
     if key not in s.memo:
         s.memo[key] = len(_echelon(segre_gram(s, members)))
     return s.memo[key]
+
+
+def subset_ranks(s: PointSet) -> list[int]:
+    """Flattening ranks of S for every proper factor subset, indexed by
+    bitmask (bit i - 1 for factor i; entry 0, the empty subset, is 0),
+    memoized on S.
+
+    For u inside u', rank_u <= rank_u': rows independent on u stay
+    independent on u' (on the Gram side, the Schur product theorem).
+    Subsets are walked by size, so a subset one factor short of an
+    independent subset (rank #S) has rank #S with no elimination, and by
+    induction so has every subset that contains an independent one.
+    Any other subset's parent, the subset without its top factor, was
+    ranked one size earlier, and its Gram is the parent's Gram times the
+    top factor's Gram.  Only the Grams of the dependent subsets of the
+    last size are kept, as parents, and they go with the walk; only the
+    ranks stay on S.
+    """
+    key = ("subset_ranks",)
+    if key in s.memo:
+        return s.memo[key]
+    k, r = s.shape.k, len(s)
+    ranks = [0] * ((1 << k) - 1)
+    grams = {0: _ones(s)}
+    for size in range(1, k):
+        parents, grams = grams, {}
+        for members in combinations(range(k), size):
+            mask = sum(1 << i for i in members)
+            if any(ranks[mask ^ (1 << i)] == r for i in members):
+                ranks[mask] = r
+                continue
+            top = members[-1]
+            gram = _hadamard(parents[mask ^ (1 << top)], _factor_gram(s, top + 1))
+            ranks[mask] = len(_echelon(gram))
+            if ranks[mask] < r:
+                grams[mask] = gram
+    s.memo[key] = ranks
+    return ranks
 
 
 def different_coordinates_violation(s: PointSet) -> tuple[int, int, int] | None:

@@ -1,9 +1,11 @@
 """Certificates: non-redundancy, bounds, exact rank, identifiability,
 span identities, obstructions and pinning."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,6 +35,7 @@ from tensorcert.certify import (
     PASS,
     Hypothesis,
     bound_cactus_rank,
+    certificate_to_json,
     certify_exact_rank,
     certify_identifiability,
     check_non_redundant,
@@ -40,14 +43,16 @@ from tensorcert.certify import (
     obstruct_alt_decompositions,
     pin_projections,
 )
-from tensorcert.cli import instance_from_json
+from tensorcert.cli import bound_report_to_json, instance_from_json
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert.geometry import (
     FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
+    all_partitions,
     assemble_tensor,
+    flattening_rank,
 )
 from tensorcert.linalg import primitive
 from tensorcert.symmetric import comon_certify
@@ -304,6 +309,57 @@ def test_applicable_bounds_never_exceed_the_cardinality(seed):
     for entry in report.per_partition:
         if entry.applicable:
             assert 2 <= entry.bound <= len(s)
+
+
+# -- the bipartition search both certifiers read
+
+
+def plain_bipartitions(s, partition):
+    """The per-subset search: every bipartition ranked from scratch."""
+    for part in [partition] if partition is not None else all_partitions(s.shape.k):
+        yield part, len(s) - flattening_rank(s, part.E), flattening_rank(s, part.F)
+
+
+@st.composite
+def search_point_sets(draw):
+    """Point sets on up to 8 factors of 1-3 coordinates.  Pooled sets
+    draw each factor vector from two per factor, so many subsets are
+    dependent; r up to 10 makes some whole sets dependent too."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    vectors = [st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any) for n in sizes]
+    if draw(st.booleans()):
+        vectors = [st.sampled_from(draw(st.lists(v, min_size=2, max_size=2))) for v in vectors]
+    r = draw(st.integers(1, 10))
+    points = {pt(*(draw(v) for v in vectors)): None for _ in range(r)}
+    weights = draw(st.lists(st.integers(-2, 2), min_size=len(points), max_size=len(points)))
+    return pset(tuple(n - 1 for n in sizes), *points), weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(search_point_sets())
+def test_the_search_yields_the_ranks_of_a_fresh_point_set(case):
+    s, _ = case
+    fresh = PointSet(s.shape, s.points)
+    triples = list(certify._bipartitions(s, None))
+    assert [part for part, _, _ in triples] == all_partitions(s.shape.k)
+    for part, h1_e, rank_f in triples:
+        assert h1_e == len(fresh) - flattening_rank(fresh, part.E), part
+        assert rank_f == flattening_rank(fresh, part.F), part
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_point_sets())
+def test_the_search_leaves_the_bound_and_exact_rank_json_unchanged(case):
+    s, weights = case
+
+    def outputs(search):
+        fresh = PointSet(s.shape, s.points)
+        with mock.patch.object(certify, "_bipartitions", search):
+            bound = bound_report_to_json(bound_cactus_rank(fresh, weights))
+            exact = certificate_to_json(certify_exact_rank(fresh, weights))
+        return json.dumps(bound), json.dumps(exact)
+
+    assert outputs(certify._bipartitions) == outputs(plain_bipartitions)
 
 
 # -- exact rank

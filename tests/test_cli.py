@@ -384,6 +384,41 @@ def test_certify_bad_partition_is_invalid(three_factor_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,1/2,3", "partition '1,1/2,3' names factor 1 twice"),
+        ("1,2/2,3", "partition '1,2/2,3' names factor 2 twice"),
+        ("0/1,2,3", "partition '0/1,2,3' names factor 0, not one of the 3 factors"),
+        ("1,2/3,4", "partition '1,2/3,4' names factor 4, not one of the 3 factors"),
+    ],
+)
+def test_certify_partition_names_each_of_the_k_factors_once(three_factor_file, capsys, text, message):
+    code = run(["certify", "--input", three_factor_file, "--partition", text])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("dims, r, ranked", [((1,) * 8, 9, 162), ((2,) * 10, 12, 175)])
+def test_certify_ranks_only_subsets_without_an_independent_subset(
+    tmp_path, monkeypatch, capsys, dims, r, ranked
+):
+    # generic points: on 2^8 r=9 every subset of at most 4 factors is
+    # ranked (2^3 < 9 <= 2^4), on 3^10 r=12 every one of at most 3
+    data, _, _ = seeded_instance(dims, r, seed=1)
+    calls = []
+    echelon = geometry._echelon
+    monkeypatch.setattr(geometry, "_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    code = run(["certify", "--input", write_instance(tmp_path, data), "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CERTIFIED
+    assert len(out["cactus_bound"]["per_partition"]) == 2 ** len(dims) - 2
+    # one elimination for the whole set's rank, then one per ranked subset
+    assert len(calls) == 1 + ranked
+
+
 def test_certify_empty_partition_is_invalid(three_factor_file, capsys):
     # an empty value is a partition that does not parse, not a missing flag
     assert run(["certify", "--input", three_factor_file, "--partition="]) == EXIT_INVALID
