@@ -18,11 +18,9 @@ from .certify import (
     CLAIM_SPAN_IDENTITY,
     FAIL,
     PASS,
-    BoundReport,
     Certificate,
     Hypothesis,
     InstanceParseError,
-    PartitionEntry,
     bound_cactus_rank,
     certificate_from_json,
     certificate_to_json,
@@ -35,8 +33,6 @@ from .certify import (
 )
 from .construct import (
     AugmentationError,
-    SurveyReport,
-    SurveyRow,
     augment_decomposition,
     derive_seed,
     random_decomposition,
@@ -47,14 +43,12 @@ from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    all_partitions,
     assemble_tensor,
     factor_projection_sizes,
     flattening_rank,
 )
 from .kruskal import (
     ComparisonRecord,
-    KruskalReport,
     compare_criteria,
     kruskal_certificate,
     kruskal_rank,
@@ -64,7 +58,6 @@ from .linalg import (
     parse_rational,
 )
 from .symmetric import (
-    SymmetricBounds,
     comon_certify,
     is_exceptional,
     symmetric_bounds,

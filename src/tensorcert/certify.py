@@ -1,8 +1,9 @@
 """Certificates for rank bounds, exact rank, identifiability and pinning.
 
-Every public operation returns a Certificate: a claim, a list of named
-hypotheses that were actually checked, and a conclusion that is present
-only when they hold.  Each certifier given weights checks the
+Every public operation returns a Certificate, the cactus bound inside
+the report of its search: a claim, a list of named hypotheses that were
+actually checked, and a conclusion that is present only when they hold.
+Each certifier given weights checks the
 non-redundancy of the decomposition itself, in the same leading
 hypotheses.  The one hypothesis left unchecked is pinning's
 quasi-generality, which the caller asserts and the certificate marks as
@@ -176,24 +177,6 @@ def check_non_redundant(s: PointSet, weights: Sequence) -> Certificate:
     return Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
 
 
-@dataclass(frozen=True)
-class PartitionEntry:
-    partition: FactorPartition
-    applicable: bool
-    bound: int | None
-    reason: str | None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Cactus-rank lower bounds from every inspected bipartition."""
-
-    best_bound: int
-    best_partition: FactorPartition | None
-    per_partition: tuple[PartitionEntry, ...]
-    certificate: Certificate
-
-
 def _bipartitions(s: PointSet, partition: FactorPartition | None):
     """(partition, h1 of the E-flattening, rank of the F-flattening) for
     ``partition``, or for every bipartition in E-bitmask order when None.
@@ -215,42 +198,43 @@ def _bipartitions(s: PointSet, partition: FactorPartition | None):
 
 def bound_cactus_rank(
     s: PointSet, weights: Sequence, partition: FactorPartition | None = None
-) -> BoundReport:
+) -> dict:
     """Best lower bound on the cactus rank over bipartitions of the factors.
 
     A bipartition (E, F) yields the bound M_F - h0(S, F), which is the rank
     of the F-flattening, provided the E-flattening of S has h1 = 0 and the
     bound exceeds 1.  The bound holds for a non-redundant decomposition,
     so the certificate checks that S with ``weights`` is one before it
-    concludes.  The search and its best bound are reported either way.
+    concludes.  The search and its best bound are reported either way, as
+    the JSON object ``cactus_bound`` prints, its certificate left typed.
     """
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), len(s), weights)
     entries = []
-    best: PartitionEntry | None = None
+    best: tuple[int, FactorPartition] | None = None
     for part, h1_e, bound in _bipartitions(s, partition):
         if h1_e != 0:
-            entries.append(PartitionEntry(part, False, None, "h1 of the E-flattening is nonzero"))
-            continue
-        if bound <= 1:
-            entries.append(PartitionEntry(part, False, bound, "bound does not exceed the trivial 1"))
-            continue
-        entry = PartitionEntry(part, True, bound, None)
-        entries.append(entry)
-        if best is None or bound > best.bound:
-            best = entry
-    best_bound = best.bound if best else 1
+            applicable, bound, reason = False, None, "h1 of the E-flattening is nonzero"
+        elif bound <= 1:
+            applicable, reason = False, "bound does not exceed the trivial 1"
+        else:
+            applicable, reason = True, None
+            if best is None or bound > best[0]:
+                best = bound, part
+        entries.append(
+            {"partition": part.as_json(), "applicable": applicable, "bound": bound, "reason": reason}
+        )
     if best:
         hyps.append(
             Hypothesis(
                 "e_flattening_independent",
                 PASS,
-                {"partition": best.partition.as_json(), "h1_E": 0},
+                {"partition": best[1].as_json(), "h1_E": 0},
             )
         )
         conclusion = {
-            "cactus_rank_at_least": best.bound,
-            "rank_at_least": best.bound,
-            "partition": best.partition.as_json(),
+            "cactus_rank_at_least": best[0],
+            "rank_at_least": best[0],
+            "partition": best[1].as_json(),
         }
     else:
         hyps.append(
@@ -264,7 +248,12 @@ def bound_cactus_rank(
     cert = Certificate(
         CLAIM_CACTUS_BOUND, TAG_CACTUS_BOUND, tuple(hyps), conclusion if non_redundant else None
     )
-    return BoundReport(best_bound, best.partition if best else None, tuple(entries), cert)
+    return {
+        "best_bound": best[0] if best else 1,
+        "best_partition": best[1].as_json() if best else None,
+        "per_partition": entries,
+        "certificate": cert,
+    }
 
 
 def certify_exact_rank(

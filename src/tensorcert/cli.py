@@ -8,7 +8,8 @@ or precondition failure, 3 parse error.  The default seed comes from the
 TENSORCERT_SEED environment variable when set.
 
 Each subcommand returns its result as sections (JSON key, text title,
-value), and ``render`` turns them into the one requested format.
+value, text formatter), and ``render`` turns them into the one requested
+format.  A value is the JSON object it prints, or a Certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Callable, Sequence
 
 from .certify import (
     ASSERTED,
-    BoundReport,
     CONCLUSION_TEXT,
     Certificate,
     InstanceParseError,
@@ -40,7 +40,6 @@ from .certify import (
 from .construct import (
     DEFAULT_BOX,
     AugmentationError,
-    SurveyReport,
     augment_decomposition,
     random_decomposition,
     survey,
@@ -55,9 +54,9 @@ from .geometry import (
     segre_scale,
     weighted_sum,
 )
-from .kruskal import MAX_EXHAUSTIVE_COLUMNS, ComparisonRecord, KruskalReport, compare_criteria, kruskal_certificate
+from .kruskal import MAX_EXHAUSTIVE_COLUMNS, compare_criteria, kruskal_certificate
 from .linalg import format_rational, multiple, parse_rational, primitive
-from .symmetric import SymmetricBounds, comon_certify, symmetric_bounds, veronese_gram
+from .symmetric import comon_certify, symmetric_bounds, veronese_gram
 
 ENV_SEED = "TENSORCERT_SEED"
 
@@ -253,11 +252,12 @@ def pointset_to_json(
 
 
 # ---------------------------------------------------------------------------
-# output: the JSON and text form of each kind of section value
+# output: the text form of each kind of section value
 
-# (JSON key, text title, value); a section without a key merges into the
-# top-level JSON object, one without a title prints without a header
-Section = tuple[str | None, str | None, object]
+# (JSON key, text title, value, text formatter); a section without a key
+# merges into the top-level JSON object, one without a title prints
+# without a header
+Section = tuple[str | None, str | None, object, Callable[[object], str]]
 
 
 def _conclusion_line(cert: Certificate) -> str:
@@ -278,71 +278,40 @@ def format_certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def bound_report_to_json(report: BoundReport) -> dict:
-    return {
-        "best_bound": report.best_bound,
-        "best_partition": report.best_partition.as_json() if report.best_partition else None,
-        "per_partition": [
-            {
-                "partition": entry.partition.as_json(),
-                "applicable": entry.applicable,
-                "bound": entry.bound,
-                "reason": entry.reason,
-            }
-            for entry in report.per_partition
-        ],
-        "certificate": certificate_to_json(report.certificate),
-    }
+def _partition_label(part: dict) -> str:
+    return "{" + ",".join(map(str, part["E"])) + "}/{" + ",".join(map(str, part["F"])) + "}"
 
 
-def format_bound_report_text(report: BoundReport) -> str:
+def format_bound_report_text(report: dict) -> str:
     lines = []
-    for entry in report.per_partition:
-        part = entry.partition
-        label = "{" + ",".join(map(str, part.E)) + "}/{" + ",".join(map(str, part.F)) + "}"
-        if entry.applicable:
-            lines.append(f"partition {label}: applicable, bound {entry.bound}")
+    for entry in report["per_partition"]:
+        label, bound = _partition_label(entry["partition"]), entry["bound"]
+        if entry["applicable"]:
+            lines.append(f"partition {label}: applicable, bound {bound}")
         else:
-            extra = f", bound {entry.bound}" if entry.bound is not None else ""
-            lines.append(f"partition {label}: not applicable ({entry.reason}{extra})")
-    if report.best_partition is not None:
-        best = report.best_partition
-        label = "{" + ",".join(map(str, best.E)) + "}/{" + ",".join(map(str, best.F)) + "}"
-        lines.append(f"best bound: {report.best_bound} via {label}")
+            extra = f", bound {bound}" if bound is not None else ""
+            lines.append(f"partition {label}: not applicable ({entry['reason']}{extra})")
+    if report["best_partition"] is not None:
+        label = _partition_label(report["best_partition"])
+        lines.append(f"best bound: {report['best_bound']} via {label}")
     else:
-        lines.append(f"best bound: {report.best_bound} (trivial, no applicable partition)")
-    lines.append(format_certificate_text(report.certificate))
+        lines.append(f"best bound: {report['best_bound']} (trivial, no applicable partition)")
+    lines.append(format_certificate_text(report["certificate"]))
     return "\n".join(lines)
 
 
-KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
-
-
-def kruskal_to_json(report: KruskalReport | None) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "baseline": KRUSKAL_BASELINE,
-        "per_factor_kruskal_rank": list(report.per_factor),
-        "cardinality": report.cardinality,
-        "condition_lhs": report.condition_lhs,
-        "condition_rhs": report.condition_rhs,
-        "applies": report.applies,
-    }
-
-
-def format_kruskal_text(report: KruskalReport | None) -> str:
+def format_kruskal_text(report: dict | None) -> str:
     if report is None:
         return f"Kruskal baseline not computed (more than {MAX_EXHAUSTIVE_COLUMNS} points)"
-    ranks = ", ".join(map(str, report.per_factor))
+    ranks = ", ".join(map(str, report["per_factor_kruskal_rank"]))
     lines = [
         f"factor Kruskal ranks: {ranks}",
-        f"condition: {report.condition_lhs} >= {report.condition_rhs} "
-        f"({'holds' if report.applies else 'fails'})",
+        f"condition: {report['condition_lhs']} >= {report['condition_rhs']} "
+        f"({'holds' if report['applies'] else 'fails'})",
     ]
-    if report.applies:
+    if report["applies"]:
         lines.append(
-            f"conclusion: the decomposition of {report.cardinality} points is unique "
+            f"conclusion: the decomposition of {report['cardinality']} points is unique "
             "(Kruskal baseline)"
         )
     else:
@@ -350,90 +319,53 @@ def format_kruskal_text(report: KruskalReport | None) -> str:
     return "\n".join(lines)
 
 
-def compare_flags_to_json(record: ComparisonRecord) -> dict:
-    return {
-        "flattening_applies": record.flattening_applies,
-        "kruskal_applies": record.kruskal_applies,
-        "flattening_without_kruskal": record.flattening_without_kruskal,
-    }
-
-
-def format_compare_flags_text(record: ComparisonRecord) -> str:
+def format_compare_flags_text(flags: dict) -> str:
     return (
         "flattening criteria apply: %s; Kruskal applies: %s; flattening without Kruskal: %s"
-        % tuple("yes" if flag else "no" for flag in compare_flags_to_json(record).values())
+        % tuple("yes" if flag else "no" for flag in flags.values())
     )
 
 
-def survey_to_json(report: SurveyReport) -> dict:
-    return {
-        "rows": [
-            {
-                # sizes, as in instance files and the text column
-                "dims": list(row.shape.sizes),
-                "r": row.r,
-                "trials": row.trials,
-                "certified_exact_rank": row.exact_rank,
-                "certified_minimal_or_identifiable": row.identifiable,
-                "kruskal_applies": row.kruskal,
-                "flattening_without_kruskal": row.flattening_without_kruskal,
-            }
-            for row in report.rows
-        ]
-    }
-
-
-def format_survey_text(report: SurveyReport) -> str:
+def format_survey_text(report: dict) -> str:
     lines = [
         f"{'shape':>12} {'r':>3} {'trials':>6} {'exact':>6} {'ident':>6} "
         f"{'kruskal':>7} {'advantage':>9}"
     ]
-    for row in report.rows:
+    for row in report["rows"]:
+        shape = MultiShape(tuple(d - 1 for d in row["dims"]))
         lines.append(
-            f"{str(row.shape):>12} {row.r:>3} {row.trials:>6} {row.exact_rank:>6} "
-            f"{row.identifiable:>6} {row.kruskal:>7} {row.flattening_without_kruskal:>9}"
+            f"{str(shape):>12} {row['r']:>3} {row['trials']:>6} {row['certified_exact_rank']:>6} "
+            f"{row['certified_minimal_or_identifiable']:>6} {row['kruskal_applies']:>7} "
+            f"{row['flattening_without_kruskal']:>9}"
         )
     return "\n".join(lines)
 
 
-def format_symmetric_bounds_text(bounds: SymmetricBounds) -> str:
-    return f"bounds: r0={bounds.r0} rg={bounds.rg} exceptional={str(bounds.exceptional).lower()}"
+def format_symmetric_bounds_text(bounds: dict) -> str:
+    exceptional = str(bounds["exceptional"]).lower()
+    return f"bounds: r0={bounds['r0']} rg={bounds['rg']} exceptional={exceptional}"
 
 
-def _forms(value) -> tuple[Callable, Callable]:
-    """The JSON form and the text form of a section value.  The names are
-    read at call time, so a replaced module global takes effect.  None is
-    a Kruskal baseline that was not computed, a ComparisonRecord stands
-    for its verdict flags, and a dict is an instance file, printed as JSON
-    in both formats."""
-    if isinstance(value, Certificate):
-        return certificate_to_json, format_certificate_text
-    if isinstance(value, BoundReport):
-        return bound_report_to_json, format_bound_report_text
-    if value is None or isinstance(value, KruskalReport):
-        return kruskal_to_json, format_kruskal_text
-    if isinstance(value, ComparisonRecord):
-        return compare_flags_to_json, format_compare_flags_text
-    if isinstance(value, SurveyReport):
-        return survey_to_json, format_survey_text
-    if isinstance(value, SymmetricBounds):
-        return SymmetricBounds._asdict, format_symmetric_bounds_text
-    return dict, lambda data: json.dumps(data, indent=2)
+def format_json_text(data: dict) -> str:
+    """An instance file prints as JSON in both formats."""
+    return json.dumps(data, indent=2)
 
 
 def render(sections: Sequence[Section], fmt: str) -> str:
-    """Build only the requested format of the sections."""
+    """Build only the requested format of the sections.  A certificate
+    inside a report is converted where the JSON encoder meets it."""
     if fmt == "json":
         out: dict = {}
-        for key, _, value in sections:
-            body = _forms(value)[0](value)
-            out.update(body if key is None else {key: body})
-        return json.dumps(out, indent=2)
+        for key, _, value, _ in sections:
+            if isinstance(value, Certificate):
+                value = certificate_to_json(value)
+            out.update(value if key is None else {key: value})
+        return json.dumps(out, indent=2, default=certificate_to_json)
     lines = []
-    for _, title, value in sections:
+    for _, title, value, text in sections:
         if title is not None:
             lines.append(f"== {title} ==")
-        lines.append(_forms(value)[1](value))
+        lines.append(text(value))
     return "\n".join(lines)
 
 
@@ -463,6 +395,8 @@ def parse_partition_flag(text: str, k: int) -> FactorPartition:
         raise ValueError(f"partition {text!r} names factor {twice} twice")
     if len(named) != k:
         raise ValueError(f"partition {text!r} does not cover the {k} factors")
+    if not e or not f:
+        raise ValueError(f"partition {text!r} leaves a side empty")
     return FactorPartition(e, f)
 
 
@@ -544,6 +478,10 @@ def _exit_code(certified: bool) -> int:
     return EXIT_CERTIFIED if certified else EXIT_NOT_CERTIFIED
 
 
+def _certificate_only(cert: Certificate) -> tuple[list[Section], int]:
+    return [(None, None, cert, format_certificate_text)], _exit_code(cert.certified)
+
+
 def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
     partition = (
@@ -553,33 +491,37 @@ def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
     report = bound_cactus_rank(points, weights, partition)
     exact = certify_exact_rank(points, weights, partition)
     sections = [
-        ("non_redundant", "non-redundancy", nr),
-        ("cactus_bound", "cactus rank lower bound", report),
-        ("exact_rank", "exact rank", exact),
+        ("non_redundant", "non-redundancy", nr, format_certificate_text),
+        ("cactus_bound", "cactus rank lower bound", report, format_bound_report_text),
+        ("exact_rank", "exact rank", exact, format_certificate_text),
     ]
     return sections, _exit_code(exact.certified)
 
 
 def cmd_identifiability(args: argparse.Namespace) -> tuple[list[Section], int]:
-    cert = certify_identifiability(*_need_points(load_instance(args.input)))
-    return [(None, None, cert)], _exit_code(cert.certified)
+    return _certificate_only(certify_identifiability(*_need_points(load_instance(args.input))))
 
 
 def cmd_kruskal(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, _ = _need_points(load_instance(args.input))
     report = kruskal_certificate(points)
-    return [(None, None, report)], _exit_code(report.applies)
+    return [(None, None, report, format_kruskal_text)], _exit_code(report["applies"])
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
     record = compare_criteria(*_need_points(load_instance(args.input)))
+    flags = {
+        "flattening_applies": record.flattening_applies,
+        "kruskal_applies": record.kruskal_applies,
+        "flattening_without_kruskal": record.flattening_without_kruskal,
+    }
     sections = [
-        ("non_redundant", "non-redundancy", record.non_redundant),
-        ("cactus_bound", "cactus rank lower bound", record.bound),
-        ("exact_rank", "exact rank", record.exact_rank),
-        ("identifiability", "identifiability", record.identifiability),
-        ("kruskal", "kruskal baseline", record.kruskal),
-        (None, None, record),
+        ("non_redundant", "non-redundancy", record.non_redundant, format_certificate_text),
+        ("cactus_bound", "cactus rank lower bound", record.bound, format_bound_report_text),
+        ("exact_rank", "exact rank", record.exact_rank, format_certificate_text),
+        ("identifiability", "identifiability", record.identifiability, format_certificate_text),
+        ("kruskal", "kruskal baseline", record.kruskal, format_kruskal_text),
+        (None, None, flags, format_compare_flags_text),
     ]
     return sections, _exit_code(record.flattening_applies or record.kruskal_applies)
 
@@ -591,21 +533,23 @@ def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
     bigger, new_weights, cert = augment_decomposition(points, weights, seed=seed, box=args.box)
     # the parsed weights sum to the tensor the file gives, if it gives one
     decomposition = pointset_to_json(bigger, new_weights, assemble_tensor(weights, points))
-    return [("decomposition", None, decomposition), ("certificate", None, cert)], EXIT_CERTIFIED
+    sections = [
+        ("decomposition", None, decomposition, format_json_text),
+        ("certificate", None, cert, format_certificate_text),
+    ]
+    return sections, EXIT_CERTIFIED
 
 
 def cmd_obstruct(args: argparse.Namespace) -> tuple[list[Section], int]:
-    cert = obstruct_alt_decompositions(*_need_points(load_instance(args.input)), args.x)
-    return [(None, None, cert)], _exit_code(cert.certified)
+    return _certificate_only(obstruct_alt_decompositions(*_need_points(load_instance(args.input)), args.x))
 
 
 def cmd_pin(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
     families = parse_families_flag(args.families, points.shape.k)
-    cert = pin_projections(
-        points, weights, families, quasi_general_asserted=args.assert_quasi_general
+    return _certificate_only(
+        pin_projections(points, weights, families, quasi_general_asserted=args.assert_quasi_general)
     )
-    return [(None, None, cert)], _exit_code(cert.certified)
 
 
 def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -615,7 +559,18 @@ def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
     sym = inst.symmetric
     cert = comon_certify(sym.points, sym.weights, sym.degree)
     bounds = symmetric_bounds(sym.points.shape.dims[0], sym.degree)
-    return [("certificate", None, cert), ("bounds", None, bounds)], _exit_code(cert.certified)
+    # str() refuses an int of more digits than the interpreter's limit (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(bounds["r0"], bounds["rg"]) >= 10**limit:
+        raise ValueError(
+            f"symmetric k has {len(str(sym.degree))} digits, "
+            f"and its bounds pass the {limit}-digit limit on printed integers"
+        )
+    sections = [
+        ("certificate", None, cert, format_certificate_text),
+        ("bounds", None, bounds, format_symmetric_bounds_text),
+    ]
+    return sections, _exit_code(cert.certified)
 
 
 def cmd_span_check(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -624,8 +579,7 @@ def cmd_span_check(args: argparse.Namespace) -> tuple[list[Section], int]:
     idx_b = parse_index_list(args.b, len(points), "--b")
     set_a = PointSet(points.shape, tuple(points.points[i] for i in idx_a))
     set_b = PointSet(points.shape, tuple(points.points[i] for i in idx_b))
-    cert = check_span_intersection_identity(set_a, set_b)
-    return [(None, None, cert)], _exit_code(cert.certified)
+    return _certificate_only(check_span_intersection_identity(set_a, set_b))
 
 
 def cmd_survey(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -633,20 +587,25 @@ def cmd_survey(args: argparse.Namespace) -> tuple[list[Section], int]:
     r_values = parse_r_flag(args.r)
     seed = resolve_seed(args)
     report = survey(shapes, r_values, args.trials, seed=seed, box=args.box)
-    return [(None, None, report)], EXIT_CERTIFIED
+    return [(None, None, report, format_survey_text)], EXIT_CERTIFIED
 
 
 def cmd_random(args: argparse.Namespace) -> tuple[list[Section], int]:
     shapes = parse_shapes_flag(args.shape)
     if len(shapes) != 1:
         raise ValueError("--shape must name exactly one shape")
+    shape = shapes[0]
     seed = resolve_seed(args)
     if args.r < 1:
         raise ValueError(f"--r must be at least 1, got {args.r}")
-    _check_printable(shapes[0])
-    s, weights = random_decomposition(shapes[0], args.r, box=args.box, seed=seed)
+    _check_printable(shape)
+    # the points print too: r of them, sum(sizes) coordinates each
+    if (m := args.r * sum(shape.sizes)) > MAX_PRINTED_COORDINATES:
+        cap = f"more than the {MAX_PRINTED_COORDINATES} this command prints"
+        raise ValueError(f"{args.r} points of shape {shape} have {m} coordinates, {cap}")
+    s, weights = random_decomposition(shape, args.r, box=args.box, seed=seed)
     instance = pointset_to_json(s, weights, assemble_tensor(weights, s))
-    return [(None, None, instance)], EXIT_CERTIFIED
+    return [(None, None, instance, format_json_text)], EXIT_CERTIFIED
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ factor's box holds r projective points, which is what bounds the loop.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -228,22 +227,6 @@ def augment_decomposition(
     raise AugmentationError(f"augmentation failed after {_AUGMENT_PASSES} attempts")
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    shape: MultiShape
-    r: int
-    trials: int
-    exact_rank: int
-    identifiable: int
-    kruskal: int
-    flattening_without_kruskal: int
-
-
-@dataclass(frozen=True)
-class SurveyReport:
-    rows: tuple[SurveyRow, ...]
-
-
 def survey(
     shapes: Sequence[MultiShape],
     r_values: Sequence[int],
@@ -251,8 +234,9 @@ def survey(
     *,
     seed: int = 0,
     box: int = DEFAULT_BOX,
-) -> SurveyReport:
-    """Tally which criteria fire on random decompositions per shape and r."""
+) -> dict:
+    """Tally which criteria fire on random decompositions per shape and r,
+    as the JSON object ``survey`` prints."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     for shape in shapes:
@@ -273,5 +257,16 @@ def survey(
                 ident += record.identifiability.certified
                 krusk += record.kruskal_applies
                 advantage += record.flattening_without_kruskal
-            rows.append(SurveyRow(shape, r, trials, exact, ident, krusk, advantage))
-    return SurveyReport(tuple(rows))
+            rows.append(
+                {
+                    # sizes, as in instance files and the text column
+                    "dims": list(shape.sizes),
+                    "r": r,
+                    "trials": trials,
+                    "certified_exact_rank": exact,
+                    "certified_minimal_or_identifiable": ident,
+                    "kruskal_applies": krusk,
+                    "flattening_without_kruskal": advantage,
+                }
+            )
+    return {"rows": rows}

@@ -141,11 +141,6 @@ def bipartition(mask: int, k: int) -> FactorPartition:
     return FactorPartition(E, F)
 
 
-def all_partitions(k: int) -> list[FactorPartition]:
-    """All 2^k - 2 ordered proper bipartitions of {1..k}, by E-bitmask."""
-    return [bipartition(mask, k) for mask in bipartition_masks(k)]
-
-
 @dataclass(frozen=True, eq=False)
 class MultiPoint:
     """A point of the product, one nonzero coordinate vector per factor.

@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .certify import BoundReport, Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
+from .certify import Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
 from .geometry import PointSet, _factor_gram
 from .linalg import _echelon
 
 MAX_EXHAUSTIVE_COLUMNS = 20
+KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
 
 
 def kruskal_rank(gram: list[list[int]]) -> int:
@@ -73,19 +74,9 @@ def kruskal_rank(gram: list[list[int]]) -> int:
     return kappa
 
 
-@dataclass(frozen=True)
-class KruskalReport:
-    """Factor Kruskal ranks and the k-way uniqueness condition."""
-
-    per_factor: tuple[int, ...]
-    cardinality: int
-    condition_lhs: int
-    condition_rhs: int
-    applies: bool
-
-
-def kruskal_certificate(s: PointSet) -> KruskalReport:
-    """Evaluate the k-way Kruskal condition on the factor matrices of S.
+def kruskal_certificate(s: PointSet) -> dict:
+    """Evaluate the k-way Kruskal condition on the factor matrices of S,
+    as the JSON object ``kruskal`` prints.
 
     Factor matrices have one column per point, so their Kruskal ranks
     speak about subsets of the decomposition; they come from the factor
@@ -93,10 +84,17 @@ def kruskal_certificate(s: PointSet) -> KruskalReport:
     """
     k = s.shape.k
     r = len(s)
-    per_factor = tuple(kruskal_rank(_factor_gram(s, i)) for i in range(1, k + 1))
+    per_factor = [kruskal_rank(_factor_gram(s, i)) for i in range(1, k + 1)]
     lhs = sum(per_factor)
     rhs = 2 * r + k - 1
-    return KruskalReport(per_factor, r, lhs, rhs, lhs >= rhs)
+    return {
+        "baseline": KRUSKAL_BASELINE,
+        "per_factor_kruskal_rank": per_factor,
+        "cardinality": r,
+        "condition_lhs": lhs,
+        "condition_rhs": rhs,
+        "applies": lhs >= rhs,
+    }
 
 
 @dataclass(frozen=True)
@@ -105,10 +103,10 @@ class ComparisonRecord:
     None when S has too many points to compute it."""
 
     non_redundant: Certificate
-    bound: BoundReport
+    bound: dict
     exact_rank: Certificate
     identifiability: Certificate
-    kruskal: KruskalReport | None
+    kruskal: dict | None
 
     @property
     def flattening_applies(self) -> bool:
@@ -118,7 +116,7 @@ class ComparisonRecord:
     def kruskal_applies(self) -> bool:
         # the baseline condition is a statement about an actual decomposition
         # of the tensor, so a redundant S gives it nothing to conclude about
-        return self.kruskal is not None and self.kruskal.applies and self.non_redundant.certified
+        return self.kruskal is not None and self.kruskal["applies"] and self.non_redundant.certified
 
     @property
     def flattening_without_kruskal(self) -> bool:

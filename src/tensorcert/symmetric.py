@@ -32,7 +32,7 @@ form vanishing at no point), so G^k is never ranked.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .certify import (
     CLAIM_EXACT_RANK,
@@ -106,12 +106,6 @@ def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:
     return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), conclusion if ok else None)
 
 
-class SymmetricBounds(NamedTuple):
-    r0: int
-    rg: int
-    exceptional: bool
-
-
 # Classical list of defective Veronese secants: all quadrics with n >= 2,
 # plus the quartic surfaces/threefolds/fourfolds and the cubic fourfold.
 EXCEPTIONAL_CASES: frozenset[tuple[int, int]] = frozenset(
@@ -123,8 +117,9 @@ def is_exceptional(n: int, k: int) -> bool:
     return (k == 2 and n >= 2) or (k, n) in EXCEPTIONAL_CASES
 
 
-def symmetric_bounds(n: int, k: int) -> SymmetricBounds:
-    """The pair (r0, rg) with the defective-case flag.
+def symmetric_bounds(n: int, k: int) -> dict:
+    """The pair (r0, rg) with the defective-case flag, as the JSON object
+    ``bounds`` prints.
 
     r0 is the largest cardinality certifiable through half-degree
     interpolation: C(n + e, e) for k = 2e, one more for k = 2e + 1.
@@ -137,4 +132,4 @@ def symmetric_bounds(n: int, k: int) -> SymmetricBounds:
         raise ValueError("the degree must be positive")
     r0 = comb(n + k // 2, n) + k % 2
     rg = -(-comb(n + k, k) // (n + 1))
-    return SymmetricBounds(r0, rg, is_exceptional(n, k))
+    return {"r0": r0, "rg": rg, "exceptional": is_exceptional(n, k)}

@@ -39,6 +39,16 @@ def gauss_rank(rows) -> int:
     return rank
 
 
+def all_partitions(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All 2^k - 2 ordered proper bipartitions (E, F) of {1..k}, listed by
+    E-bitmask (factor i is bit i - 1): the order the bipartition search
+    reports them in."""
+    factors = range(1, k + 1)
+    sides = [e for size in range(1, k) for e in combinations(factors, size)]
+    sides.sort(key=lambda e: sum(1 << (i - 1) for i in e))
+    return [(e, tuple(i for i in factors if i not in e)) for e in sides]
+
+
 def in_span(vector, rows) -> bool:
     base = [list(r) for r in rows]
     return gauss_rank(base + [list(vector)]) == gauss_rank(base)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from certs import find
 from oracles import (
+    all_partitions,
     exponents_desc_lex,
     gauss_rank,
     in_span,
@@ -43,14 +44,13 @@ from tensorcert.certify import (
     obstruct_alt_decompositions,
     pin_projections,
 )
-from tensorcert.cli import bound_report_to_json, instance_from_json
+from tensorcert.cli import instance_from_json
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert.geometry import (
     FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
-    all_partitions,
     assemble_tensor,
     flattening_rank,
 )
@@ -217,10 +217,10 @@ def test_non_redundancy_hypotheses_match_the_oracle(case, seed):
 
 def test_bound_identity_pair_from_both_orientations():
     report = bound_cactus_rank(IDENTITY_PAIR, (1, 1))
-    assert report.best_bound == 2
-    assert len(report.per_partition) == 2
-    assert all(e.applicable and e.bound == 2 for e in report.per_partition)
-    cert = report.certificate
+    assert report["best_bound"] == 2
+    assert len(report["per_partition"]) == 2
+    assert all(e["applicable"] and e["bound"] == 2 for e in report["per_partition"])
+    cert = report["certificate"]
     assert cert.claim == CLAIM_CACTUS_BOUND
     assert cert.certified
     assert cert.conclusion["cactus_rank_at_least"] == 2
@@ -233,27 +233,27 @@ def test_bound_on_the_seeded_three_factor_sample():
     s, weights = sample((2, 3, 5), 6, seed=11)
     part = FactorPartition((1, 2), (3,))
     report = bound_cactus_rank(s, weights, part)
-    assert report.best_bound == 6
-    assert report.best_partition == part
-    assert report.per_partition[0].applicable
+    assert report["best_bound"] == 6
+    assert report["best_partition"] == part.as_json()
+    assert report["per_partition"][0]["applicable"]
     full = bound_cactus_rank(s, weights)
-    assert full.best_bound == 6
-    assert len(full.per_partition) == 6
+    assert full["best_bound"] == 6
+    assert len(full["per_partition"]) == 6
 
 
 def test_bound_reports_why_partitions_fail():
     # shared second factor: E={1} leaves a rank-1 F side, E={2} has h1 > 0
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (2, 0)))
     report = bound_cactus_rank(s, (1, 1))
-    assert report.best_bound == 1
-    assert report.best_partition is None
-    reasons = {e.reason for e in report.per_partition}
+    assert report["best_bound"] == 1
+    assert report["best_partition"] is None
+    reasons = {e["reason"] for e in report["per_partition"]}
     assert reasons == {
         "bound does not exceed the trivial 1",
         "h1 of the E-flattening is nonzero",
     }
-    assert not report.certificate.certified
-    assert find(report.certificate, "e_flattening_independent")[0].status == FAIL
+    assert not report["certificate"].certified
+    assert find(report["certificate"], "e_flattening_independent")[0].status == FAIL
 
 
 def test_bound_rejects_partition_of_the_wrong_arity():
@@ -274,7 +274,7 @@ def test_two_factor_bound_matches_the_matrix_rank_oracle(seed):
     if max(factor_ranks) < len(s):
         return
     oracle = gauss_rank(matrix_of_two_factor_tensor(assemble_tensor(weights, s), dims))
-    assert bound_cactus_rank(s, weights).best_bound == oracle
+    assert bound_cactus_rank(s, weights)["best_bound"] == oracle
 
 
 def test_two_factor_bound_can_undershoot_without_an_applicable_partition():
@@ -291,11 +291,11 @@ def test_two_factor_bound_can_undershoot_without_an_applicable_partition():
     weights = (1, 1, 1, 1)
     assert check_non_redundant(s, weights).certified
     report = bound_cactus_rank(s, weights)
-    assert report.best_bound == 1
-    assert all(not e.applicable for e in report.per_partition)
+    assert report["best_bound"] == 1
+    assert all(not e["applicable"] for e in report["per_partition"])
     oracle = gauss_rank(matrix_of_two_factor_tensor(assemble_tensor(weights, s), (3, 1)))
     assert oracle == 2
-    assert report.best_bound <= oracle
+    assert report["best_bound"] <= oracle
 
 
 @settings(max_examples=30, deadline=None)
@@ -306,9 +306,9 @@ def test_applicable_bounds_never_exceed_the_cardinality(seed):
     r = rng.randint(1, 4)
     s, weights = sample(dims, r, seed=derive_seed(seed, 4))
     report = bound_cactus_rank(s, weights)
-    for entry in report.per_partition:
-        if entry.applicable:
-            assert 2 <= entry.bound <= len(s)
+    for entry in report["per_partition"]:
+        if entry["applicable"]:
+            assert 2 <= entry["bound"] <= len(s)
 
 
 # -- the bipartition search both certifiers read
@@ -316,7 +316,8 @@ def test_applicable_bounds_never_exceed_the_cardinality(seed):
 
 def plain_bipartitions(s, partition):
     """The per-subset search: every bipartition ranked from scratch."""
-    for part in [partition] if partition is not None else all_partitions(s.shape.k):
+    parts = [FactorPartition(e, f) for e, f in all_partitions(s.shape.k)]
+    for part in [partition] if partition is not None else parts:
         yield part, len(s) - flattening_rank(s, part.E), flattening_rank(s, part.F)
 
 
@@ -341,7 +342,7 @@ def test_the_search_yields_the_ranks_of_a_fresh_point_set(case):
     s, _ = case
     fresh = PointSet(s.shape, s.points)
     triples = list(certify._bipartitions(s, None))
-    assert [part for part, _, _ in triples] == all_partitions(s.shape.k)
+    assert [(part.E, part.F) for part, _, _ in triples] == all_partitions(s.shape.k)
     for part, h1_e, rank_f in triples:
         assert h1_e == len(fresh) - flattening_rank(fresh, part.E), part
         assert rank_f == flattening_rank(fresh, part.F), part
@@ -355,9 +356,9 @@ def test_the_search_leaves_the_bound_and_exact_rank_json_unchanged(case):
     def outputs(search):
         fresh = PointSet(s.shape, s.points)
         with mock.patch.object(certify, "_bipartitions", search):
-            bound = bound_report_to_json(bound_cactus_rank(fresh, weights))
-            exact = certificate_to_json(certify_exact_rank(fresh, weights))
-        return json.dumps(bound), json.dumps(exact)
+            bound = bound_cactus_rank(fresh, weights)
+            exact = certify_exact_rank(fresh, weights)
+        return json.dumps([bound, exact], default=certificate_to_json)
 
     assert outputs(certify._bipartitions) == outputs(plain_bipartitions)
 
@@ -425,7 +426,7 @@ def test_exact_rank_certificates_are_consistent_with_the_bound(seed):
     s, weights = sample(dims, r, seed=derive_seed(seed, 5))
     cert = certify_exact_rank(s, weights)
     if cert.certified:
-        assert bound_cactus_rank(s, weights).best_bound == len(s)
+        assert bound_cactus_rank(s, weights)["best_bound"] == len(s)
         assert check_non_redundant(s, weights).certified
 
 
@@ -755,8 +756,8 @@ def test_bound_and_obstruction_certify_as_their_own_hypotheses_say(inst):
     # parser rejects zero weights, so non-redundancy never decides alone
     s, weights = inst.points, inst.weights
     report = bound_cactus_rank(s, weights)
-    assert report.certificate.certified == (report.best_partition is not None)
-    certs = [report.certificate]
+    assert report["certificate"].certified == (report["best_partition"] is not None)
+    certs = [report["certificate"]]
     for x in range(1, s.shape.k):
         cert = obstruct_alt_decompositions(s, weights, x)
         (checks,) = find(cert, "independent_conditions_on_all_subsets")
@@ -776,8 +777,8 @@ def test_a_zero_weight_fails_the_bound_and_the_obstruction():
     s, weights = sample((2, 3, 5), 6, seed=11)
     weights = (0,) + weights[1:]
     report = bound_cactus_rank(s, weights)
-    assert report.best_bound == 6
-    for cert in (report.certificate, obstruct_alt_decompositions(s, weights, 1)):
+    assert report["best_bound"] == 6
+    for cert in (report["certificate"], obstruct_alt_decompositions(s, weights, 1)):
         assert not cert.certified
         assert cert.failed() == ["tensor_outside_span_of_proper_subset"]
 

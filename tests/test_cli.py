@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -43,6 +44,7 @@ from tensorcert.geometry import (
 )
 from tensorcert.kruskal import MAX_EXHAUSTIVE_COLUMNS
 from tensorcert.linalg import format_rational
+from tensorcert.symmetric import symmetric_bounds
 
 
 def write_instance(tmp_path, data, name="instance.json"):
@@ -313,6 +315,17 @@ def test_parse_partition_flag():
         parse_partition_flag("1,a/3", 3)
 
 
+@pytest.mark.parametrize("text", ["1,2,3/", "/1,2,3"])
+def test_a_partition_with_an_empty_side_is_refused_by_the_flag_parser(text, three_factor_file, capsys):
+    message = f"partition {text!r} leaves a side empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_partition_flag(text, 3)
+    assert run(["certify", "--input", three_factor_file, "--partition", text]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_parse_shapes_and_r_flags():
     shapes = parse_shapes_flag("3x4x6,2x2")
     assert [s.dims for s in shapes] == [(2, 3, 5), (1, 1)]
@@ -484,6 +497,34 @@ def test_random_refuses_a_tensor_too_wide_to_print(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: shape 1000x1000x1000 has 1000000000 tensor coordinates,"
+        f" more than the {cli.MAX_PRINTED_COORDINATES} this command prints\n"
+    )
+
+
+def test_random_refuses_more_point_coordinates_than_it_prints(capsys, monkeypatch):
+    # 10^6 tensor coordinates pass the shape check, but 10^9 points of
+    # 2000 coordinates each do not, and nothing is drawn
+    monkeypatch.setattr(cli, "random_decomposition", None)
+    start = time.perf_counter()
+    assert run(["random", "--shape", "1000x1000", "--r", "1000000000"]) == EXIT_INVALID
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 1000000000 points of shape 1000x1000 have 2000000000000 coordinates,"
+        f" more than the {cli.MAX_PRINTED_COORDINATES} this command prints\n"
+    )
+
+
+def test_random_point_coordinate_cap_is_inclusive(capsys):
+    # 2x2 points have 4 coordinates: 2^18 of them reach the cap exactly and
+    # go on to the box check, which P^1 at box 9 fails; one more does not
+    at_cap = cli.MAX_PRINTED_COORDINATES // 4
+    assert run(["random", "--shape", "2x2", "--r", str(at_cap)]) == EXIT_INVALID
+    assert "could not sample" in capsys.readouterr().err
+    assert run(["random", "--shape", "2x2", "--r", str(at_cap + 1)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {at_cap + 1} points of shape 2x2 have {4 * at_cap + 4} coordinates,"
         f" more than the {cli.MAX_PRINTED_COORDINATES} this command prints\n"
     )
 
@@ -722,6 +763,44 @@ def test_comon_at_a_huge_degree_never_raises_a_power(tmp_path, capsys):
     assert code == EXIT_CERTIFIED
     out = json.loads(capsys.readouterr().out)
     assert out["certificate"]["conclusion"]["vanishing_degree"] == 5 * 10**8
+
+
+def comon_run(tmp_path, k, fmt):
+    data = {"symmetric": {"n": 2, "k": k, "points": [["1", "0", "0"], ["0", "1", "0"]]}}
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["comon", "--input", write_instance(tmp_path, data), "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_comon_bounds_past_the_printed_digit_limit_exit_2_with_one_line(tmp_path, fmt):
+    # at n = 2 the bound rg is about k^2 / 6: 4300 digits at k = 10^2150,
+    # more than Python prints at k = 10^2200
+    code, out, err = comon_run(tmp_path, 10**2150, fmt)
+    assert code == EXIT_CERTIFIED and err == ""
+    assert len(out) > 8600
+    code, out, err = comon_run(tmp_path, 10**2200, fmt)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == (
+        "error: symmetric k has 2201 digits, "
+        f"and its bounds pass the {sys.get_int_max_str_digits()}-digit limit on printed integers\n"
+    )
+
+
+def test_comon_refuses_no_degree_whose_bounds_print(tmp_path):
+    # the largest k whose rg still prints, by bisection, and the next one
+    limit = sys.get_int_max_str_digits()
+    cap, lo, hi = 10**limit, 1, 10 ** (limit // 2 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        bounds = symmetric_bounds(2, mid)
+        lo, hi = (mid, hi) if max(bounds["r0"], bounds["rg"]) < cap else (lo, mid)
+    code, out, _ = comon_run(tmp_path, lo, "json")
+    assert code == EXIT_CERTIFIED
+    assert len(str(json.loads(out)["bounds"]["rg"])) == limit
+    assert comon_run(tmp_path, hi, "json")[0] == EXIT_INVALID
 
 
 def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import decomposition_weights, in_span, outer_product_flat, rescaled_point_set
 from tensorcert.certify import check_non_redundant
-from tensorcert.cli import instance_from_json, pointset_to_json, survey_to_json
+from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import (
     AugmentationError,
     _drawable_points,
@@ -293,20 +293,26 @@ def test_augment_weights_match_the_reference_solve(seed, multiple, pivot):
 
 def test_survey_counts_and_shape_of_the_report():
     report = survey([MultiShape((1, 1))], [1, 2], trials=3, seed=5)
-    assert len(report.rows) == 2
-    by_r = {row.r: row for row in report.rows}
-    assert by_r[1].trials == 3
+    assert len(report["rows"]) == 2
+    by_r = {row["r"]: row for row in report["rows"]}
+    assert by_r[1]["trials"] == 3
     # singletons always certify exact rank and identifiability
-    assert by_r[1].exact_rank == 3
-    assert by_r[1].identifiable == 3
-    assert by_r[1].kruskal == 0
-    for row in report.rows:
-        for field in ("exact_rank", "identifiable", "kruskal", "flattening_without_kruskal"):
-            assert 0 <= getattr(row, field) <= row.trials
-        assert row.flattening_without_kruskal <= row.exact_rank + row.identifiable
-    payload = survey_to_json(report)
-    assert payload["rows"][0]["dims"] == [2, 2]
-    assert set(payload["rows"][0]) == {
+    assert by_r[1]["certified_exact_rank"] == 3
+    assert by_r[1]["certified_minimal_or_identifiable"] == 3
+    assert by_r[1]["kruskal_applies"] == 0
+    counts = (
+        "certified_exact_rank",
+        "certified_minimal_or_identifiable",
+        "kruskal_applies",
+        "flattening_without_kruskal",
+    )
+    for row in report["rows"]:
+        for field in counts:
+            assert 0 <= row[field] <= row["trials"]
+        exact, ident = row["certified_exact_rank"], row["certified_minimal_or_identifiable"]
+        assert row["flattening_without_kruskal"] <= exact + ident
+    assert report["rows"][0]["dims"] == [2, 2]
+    assert set(report["rows"][0]) == {
         "dims",
         "r",
         "trials",

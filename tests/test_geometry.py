@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_partitions,
     decomposition_weights,
     gauss_rank,
     outer_product_flat,
@@ -22,8 +23,9 @@ from tensorcert.geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    all_partitions,
     assemble_tensor,
+    bipartition,
+    bipartition_masks,
     different_coordinates_violation,
     factor_projection_sizes,
     factor_subset,
@@ -94,16 +96,21 @@ def test_factor_partition_validation():
 
 
 def test_all_partitions_enumeration():
-    parts = all_partitions(3)
+    def partitions(k):
+        return [bipartition(mask, k) for mask in bipartition_masks(k)]
+
+    parts = partitions(3)
     assert len(parts) == 6
     assert parts[0] == FactorPartition((1,), (2, 3))
     assert FactorPartition((1, 2), (3,)) in parts
-    assert all_partitions(2) == [
+    assert partitions(2) == [
         FactorPartition((1,), (2,)),
         FactorPartition((2,), (1,)),
     ]
+    for k in range(1, 9):
+        assert [(p.E, p.F) for p in partitions(k)] == all_partitions(k)
     with pytest.raises(ValueError):
-        all_partitions(11)
+        bipartition_masks(11)
 
 
 # -- points and point sets

@@ -51,7 +51,7 @@ def random_sym_points(n, count, seed, box=9):
 
 
 def test_sym_shape_counts():
-    assert symmetric_bounds(2, 6).r0 == comb(2 + 3, 3)
+    assert symmetric_bounds(2, 6)["r0"] == comb(2 + 3, 3)
     with pytest.raises(ValueError, match="^n must be nonnegative$"):
         symmetric_bounds(-1, 2)
     with pytest.raises(ValueError, match="^the degree must be positive$"):
@@ -283,11 +283,11 @@ def test_comon_attempt_ranks_match_explicit_veronese_rows(data):
 
 
 def test_symmetric_bounds_frozen_values():
-    assert symmetric_bounds(2, 6) == (10, 10, False)
-    assert symmetric_bounds(2, 8) == (15, 15, False)
-    assert symmetric_bounds(3, 4) == (10, 9, True)
-    assert symmetric_bounds(1, 5) == (4, 3, False)
-    assert symmetric_bounds(2, 2) == (3, 2, True)
+    assert symmetric_bounds(2, 6) == {"r0": 10, "rg": 10, "exceptional": False}
+    assert symmetric_bounds(2, 8) == {"r0": 15, "rg": 15, "exceptional": False}
+    assert symmetric_bounds(3, 4) == {"r0": 10, "rg": 9, "exceptional": True}
+    assert symmetric_bounds(1, 5) == {"r0": 4, "rg": 3, "exceptional": False}
+    assert symmetric_bounds(2, 2) == {"r0": 3, "rg": 2, "exceptional": True}
 
 
 def test_exceptional_list():
@@ -306,14 +306,14 @@ def test_exceptional_list():
 @given(st.integers(0, 4), st.integers(1, 9))
 def test_bounds_are_internally_consistent(n, k):
     bounds = symmetric_bounds(n, k)
-    assert 1 <= bounds.r0
-    assert bounds.rg >= 1
+    assert 1 <= bounds["r0"]
+    assert bounds["rg"] >= 1
     # odd degrees certify one point beyond the half-degree interpolation cap
     e = k // 2
-    assert bounds.r0 == comb(n + e, e) + (k % 2)
+    assert bounds["r0"] == comb(n + e, e) + (k % 2)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(2, 6))
 def test_r0_is_monotone_in_the_degree(n, k):
-    assert symmetric_bounds(n, k + 2).r0 >= symmetric_bounds(n, k).r0
+    assert symmetric_bounds(n, k + 2)["r0"] >= symmetric_bounds(n, k)["r0"]
