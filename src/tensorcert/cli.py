@@ -54,7 +54,7 @@ from .geometry import (
     segre_scale,
     weighted_sum,
 )
-from .kruskal import MAX_EXHAUSTIVE_COLUMNS, compare_criteria, kruskal_certificate
+from .kruskal import MAX_WALK_BLOCKS, compare_criteria, kruskal_certificate
 from .linalg import format_rational, multiple, parse_rational, primitive
 from .symmetric import comon_certify, symmetric_bounds, veronese_gram
 
@@ -233,6 +233,22 @@ def _check_printable(shape: MultiShape) -> None:
         raise ValueError(f"shape {shape} has {m} tensor coordinates, {cap}")
 
 
+def _digit_limit() -> int:
+    """The most digits str() prints of an int, the interpreter's limit (0: none)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _printed_instance(
+    output: str, s: PointSet, weights: Sequence[Fraction], tensor: Sequence[Fraction]
+) -> dict:
+    """``pointset_to_json``, refusing in one line a number that str() refuses."""
+    try:
+        return pointset_to_json(s, weights, tensor)
+    except ValueError:  # an int past the interpreter's digit limit
+        cap = f"the {_digit_limit()}-digit limit on printed integers"
+        raise ValueError(f"{output} has a number past {cap}") from None
+
+
 def pointset_to_json(
     s: PointSet,
     weights: Sequence[Fraction] | None = None,
@@ -302,7 +318,7 @@ def format_bound_report_text(report: dict) -> str:
 
 def format_kruskal_text(report: dict | None) -> str:
     if report is None:
-        return f"Kruskal baseline not computed (more than {MAX_EXHAUSTIVE_COLUMNS} points)"
+        return f"Kruskal baseline not computed (a factor's walk passes {MAX_WALK_BLOCKS} blocks)"
     ranks = ", ".join(map(str, report["per_factor_kruskal_rank"]))
     lines = [
         f"factor Kruskal ranks: {ranks}",
@@ -532,7 +548,8 @@ def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
     seed = resolve_seed(args)
     bigger, new_weights, cert = augment_decomposition(points, weights, seed=seed, box=args.box)
     # the parsed weights sum to the tensor the file gives, if it gives one
-    decomposition = pointset_to_json(bigger, new_weights, assemble_tensor(weights, points))
+    tensor = assemble_tensor(weights, points)
+    decomposition = _printed_instance("the decomposition augment prints", bigger, new_weights, tensor)
     sections = [
         ("decomposition", None, decomposition, format_json_text),
         ("certificate", None, cert, format_certificate_text),
@@ -558,12 +575,14 @@ def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
         raise ValueError("this subcommand needs a symmetric stanza in the instance file")
     sym = inst.symmetric
     cert = comon_certify(sym.points, sym.weights, sym.degree)
-    bounds = symmetric_bounds(sym.points.shape.dims[0], sym.degree)
-    # str() refuses an int of more digits than the interpreter's limit (0: none)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(bounds["r0"], bounds["rg"]) >= 10**limit:
+    n, k, limit = sym.points.shape.dims[0], sym.degree, _digit_limit()
+    # rg >= C(n + k, n) / (n + 1) >= ((n + k) // n)^n / (n + 1) >= 2^low, so a
+    # low past the limit refuses before comb builds rg in full
+    low = n and n * (((n + k) // n).bit_length() - 1) - (n + 1).bit_length()
+    bounds = None if limit and low >= (10**limit).bit_length() else symmetric_bounds(n, k)
+    if bounds is None or limit and max(bounds["r0"], bounds["rg"]) >= 10**limit:
         raise ValueError(
-            f"symmetric k has {len(str(sym.degree))} digits, "
+            f"symmetric k has {len(str(k))} digits, "
             f"and its bounds pass the {limit}-digit limit on printed integers"
         )
     sections = [
@@ -604,7 +623,7 @@ def cmd_random(args: argparse.Namespace) -> tuple[list[Section], int]:
         cap = f"more than the {MAX_PRINTED_COORDINATES} this command prints"
         raise ValueError(f"{args.r} points of shape {shape} have {m} coordinates, {cap}")
     s, weights = random_decomposition(shape, args.r, box=args.box, seed=seed)
-    instance = pointset_to_json(s, weights, assemble_tensor(weights, s))
+    instance = _printed_instance("the instance random prints", s, weights, assemble_tensor(weights, s))
     return [(None, None, instance, format_json_text)], EXIT_CERTIFIED
 
 

@@ -34,6 +34,8 @@ _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
 # survey draws every coordinate of every point it samples
 MAX_POINT_COORDINATES = 2**20
+# and builds the k factor Grams, r x r each, of every trial
+MAX_GRAM_ENTRIES = 2**23
 
 
 class AugmentationError(RuntimeError):
@@ -239,10 +241,16 @@ def survey(
     as the JSON object ``survey`` prints."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    # a range's largest entry is at one of its ends, so it is never expanded
+    ends = (r_values[0], r_values[-1]) if isinstance(r_values, range) and r_values else r_values
+    top = max(ends, default=0)
     for shape in shapes:
         if (m := sum(shape.sizes)) > MAX_POINT_COORDINATES:
             cap = f"more than the {MAX_POINT_COORDINATES} survey samples"
             raise ValueError(f"shape {shape} has {m} coordinates per point, {cap}")
+        if (m := shape.k * top * top) > MAX_GRAM_ENTRIES:
+            cap = f"more than the {MAX_GRAM_ENTRIES} survey builds"
+            raise ValueError(f"{top} points of shape {shape} have {m} factor Gram entries, {cap}")
     rows = []
     counter = 0
     for shape in shapes:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from typing import Iterable, Sequence
 
@@ -130,7 +130,7 @@ def bipartition_masks(k: int) -> range:
     """E-bitmasks of the 2^k - 2 ordered proper bipartitions of {1..k},
     bit i - 1 standing for factor i."""
     if k > 10:
-        raise ValueError("exhaustive partition search is capped at 10 factors")
+        raise ValueError(f"{k} factors have 2^{k} - 2 bipartitions, more than the 1022 the search takes")
     return range(1, (1 << k) - 1)
 
 
@@ -355,7 +355,12 @@ def weighted_sum(weights: Sequence, s: PointSet) -> tuple[Fraction, tuple[int, .
     coeffs = [w * segre_scale(p) for w, p in zip(weights, s.points)]
     u = primitive(coeffs)
     rows = ([x * v for v in _outer(p.canonical())] for x, p in zip(u, s.points))
-    return (multiple(coeffs, u) if any(u) else Fraction(0)), tuple(map(sum, zip(*rows)))
+    # at most 16 rows of M entries alive at once: the first 16, then 15
+    # more at a time next to their running sum
+    total = tuple(map(sum, zip(*islice(rows, 16))))
+    for row in rows:
+        total = tuple(map(sum, zip(total, row, *islice(rows, 14))))
+    return (multiple(coeffs, u) if any(u) else Fraction(0)), total
 
 
 def assemble_tensor(weights: Sequence, s: PointSet) -> tuple[Fraction, ...]:

@@ -16,13 +16,14 @@ flattening certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .certify import Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
 from .geometry import PointSet, _factor_gram
 from .linalg import _echelon
 
-MAX_EXHAUSTIVE_COLUMNS = 20
+MAX_WALK_BLOCKS = 2**20
 KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
 
 
@@ -36,20 +37,25 @@ def kruskal_rank(gram: list[list[int]]) -> int:
     identity), so a zero diagonal entry is a dependent set S + a, and a
     child is one exact Bareiss step on its parent's block.  kappa starts
     at the rank; a dependent set of size j lowers it to j - 1, and no set
-    of size j or more is looked at after that.  Raises on no columns, on
-    more than 20 columns and on a zero column.
+    of size j or more is looked at after that.  Independent columns need
+    no walk.  Raises on no columns, on a zero column and, before walking,
+    when the walk could build more than MAX_WALK_BLOCKS blocks.
     """
     n = len(gram)
     if n == 0:
         raise ValueError("Kruskal rank of a matrix with no columns is undefined")
-    if n > MAX_EXHAUSTIVE_COLUMNS:
-        raise ValueError(
-            f"exhaustive Kruskal rank is capped at {MAX_EXHAUSTIVE_COLUMNS} columns, got {n}"
-        )
     for j in range(n):
         if not gram[j][j]:
             raise ValueError(f"column {j} is zero, Kruskal rank undefined")
     kappa = len(_echelon(gram))
+    if kappa == n:
+        return n
+    # one block per independent set of fewer than kappa - 1 columns, at most
+    if (blocks := sum(comb(n, j) for j in range(kappa - 1))) > MAX_WALK_BLOCKS:
+        raise ValueError(
+            f"{n} columns of rank {kappa} ask for up to {blocks} Kruskal walk blocks, "
+            f"more than the {MAX_WALK_BLOCKS} that kruskal builds"
+        )
 
     def walk(block: list[list[int]], prev: int, size: int) -> None:
         # block[a][b] = det G[S + a, S + b] over the columns after S,
@@ -80,7 +86,7 @@ def kruskal_certificate(s: PointSet) -> dict:
 
     Factor matrices have one column per point, so their Kruskal ranks
     speak about subsets of the decomposition; they come from the factor
-    Grams memoized on S.  Raises when S has more than 20 points.
+    Grams memoized on S.  Raises when a factor's walk is past MAX_WALK_BLOCKS.
     """
     k = s.shape.k
     r = len(s)
@@ -100,7 +106,7 @@ def kruskal_certificate(s: PointSet) -> dict:
 @dataclass(frozen=True)
 class ComparisonRecord:
     """Flattening certificates next to the Kruskal baseline, which is
-    None when S has too many points to compute it."""
+    None when a factor's walk is past its block budget."""
 
     non_redundant: Certificate
     bound: dict
@@ -125,11 +131,15 @@ class ComparisonRecord:
 
 def compare_criteria(s: PointSet, weights: Sequence) -> ComparisonRecord:
     """Run every criterion on one decomposition and collect the outcomes;
-    past MAX_EXHAUSTIVE_COLUMNS points the Kruskal baseline is skipped."""
+    the Kruskal baseline is None where ``kruskal_certificate`` refuses."""
+    try:
+        kruskal = kruskal_certificate(s)
+    except ValueError:  # a factor's walk is past MAX_WALK_BLOCKS
+        kruskal = None
     return ComparisonRecord(
         non_redundant=check_non_redundant(s, weights),
         bound=bound_cactus_rank(s, weights),
         exact_rank=certify_exact_rank(s, weights),
         identifiability=certify_identifiability(s, weights),
-        kruskal=kruskal_certificate(s) if len(s) <= MAX_EXHAUSTIVE_COLUMNS else None,
+        kruskal=kruskal,
     )

@@ -42,7 +42,7 @@ from tensorcert.geometry import (
     MultiShape,
     assemble_tensor,
 )
-from tensorcert.kruskal import MAX_EXHAUSTIVE_COLUMNS
+from tensorcert.kruskal import MAX_WALK_BLOCKS
 from tensorcert.linalg import format_rational
 from tensorcert.symmetric import symmetric_bounds
 
@@ -543,6 +543,39 @@ def test_survey_refuses_a_point_too_wide_to_sample(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "r, top",
+    [("20000", 20000), ("1-100000000000", 100000000000), ("5,2049,2", 2049)],
+    ids=["one", "range", "list"],
+)
+def test_survey_refuses_factor_grams_past_its_entry_cap(r, top, capsys, monkeypatch):
+    # each trial builds k factor Grams of r x r entries; the largest r is
+    # read off a range's ends, and nothing is drawn
+    monkeypatch.setattr(construct, "random_decomposition", None)
+    start = time.perf_counter()
+    argv = ["survey", "--shapes", "2x2", "--r", r, "--box", "1000", "--trials", "1"]
+    assert run(argv) == EXIT_INVALID
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {top} points of shape 2x2 have {2 * top * top} factor Gram entries,"
+        f" more than the {construct.MAX_GRAM_ENTRIES} survey builds\n"
+    )
+
+
+def test_survey_factor_gram_entry_cap_is_inclusive(capsys, monkeypatch):
+    # 2 factor Grams of 2048 x 2048 reach the cap exactly and go on to the
+    # first draw, so 2000 points of 2x2 are surveyed
+    def draw(shape, r, **_):
+        raise ValueError(f"drew {r}")
+
+    monkeypatch.setattr(construct, "random_decomposition", draw)
+    assert 2 * 2048**2 == construct.MAX_GRAM_ENTRIES
+    assert run(["survey", "--shapes", "2x2", "--r", "2048", "--trials", "1"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: drew 2048\n"
+
+
 def test_augment_refuses_a_tensor_too_wide_to_print(tmp_path, capsys, monkeypatch):
     # 2^21 coordinates, one more factor than the cap allows; augmenting is never reached
     monkeypatch.setattr(cli, "augment_decomposition", None)
@@ -614,11 +647,12 @@ def test_compare_text_flags_line(three_factor_file, capsys):
     )
 
 
-def test_compare_past_the_kruskal_column_cap_skips_only_the_baseline(tmp_path, capsys):
-    # exhaustive Kruskal ranks stop at the column cap, the flattening
-    # criteria do not, so compare reports the baseline as not computed
-    r = MAX_EXHAUSTIVE_COLUMNS + 1
-    data, _, _ = seeded_instance((2, 2, 2), r, seed=29)
+def test_compare_past_the_kruskal_walk_budget_skips_only_the_baseline(tmp_path, capsys):
+    # 40 points of 12x12x12 ask each factor's Kruskal walk for more blocks
+    # than its budget, the flattening criteria do not walk, so compare
+    # reports the baseline as not computed
+    r = 40
+    data, _, _ = seeded_instance((11, 11, 11), r, seed=29)
     path = write_instance(tmp_path, data)
     code = run(["compare", "--input", path, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -630,10 +664,27 @@ def test_compare_past_the_kruskal_column_cap_skips_only_the_baseline(tmp_path, c
     out = capsys.readouterr().out
     assert "== kruskal baseline ==\nKruskal baseline not computed (" in out
     assert "Kruskal applies: no;" in out
-    # the kruskal subcommand itself still refuses
+    # the kruskal subcommand itself refuses, before any walk
+    start = time.perf_counter()
     assert run(["kruskal", "--input", path]) == EXIT_INVALID
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert err == f"error: exhaustive Kruskal rank is capped at 20 columns, got {r}\n"
+    assert err == (
+        f"error: {r} columns of rank 12 ask for up to 1221246132 Kruskal walk blocks, "
+        f"more than the {MAX_WALK_BLOCKS} that kruskal builds\n"
+    )
+
+
+def test_kruskal_walks_more_than_20_points_within_its_budget(tmp_path, capsys):
+    # 21 points of 3x3x3 need at most 1 + 21 blocks per factor walk; in
+    # each factor of this sample three of them are collinear, as the
+    # exhaustive definition also finds
+    data, _, _ = seeded_instance((2, 2, 2), 21, seed=1)
+    path = write_instance(tmp_path, data)
+    assert run(["kruskal", "--input", path, "--format", "json"]) == EXIT_NOT_CERTIFIED
+    assert json.loads(capsys.readouterr().out)["per_factor_kruskal_rank"] == [2, 2, 2]
+    assert run(["compare", "--input", path, "--format", "json"]) in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED)
+    assert json.loads(capsys.readouterr().out)["kruskal"]["per_factor_kruskal_rank"] == [2, 2, 2]
 
 
 def test_augment_subcommand(three_factor_file, capsys):
@@ -789,6 +840,20 @@ def test_comon_bounds_past_the_printed_digit_limit_exit_2_with_one_line(tmp_path
     )
 
 
+def test_comon_refuses_a_long_bound_before_computing_it(tmp_path, capsys):
+    # on P^300 at k = 10^3000, rg has about 3 * 10^6 bits; a lower bound on
+    # its bit length refuses it without the binomials
+    points = [[str(int(i == j)) for i in range(301)] for j in range(2)]
+    path = write_instance(tmp_path, {"symmetric": {"n": 300, "k": 10**3000, "points": points}})
+    start = time.perf_counter()
+    assert run(["comon", "--input", path]) == EXIT_INVALID
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "error: symmetric k has 3001 digits, "
+        f"and its bounds pass the {sys.get_int_max_str_digits()}-digit limit on printed integers\n"
+    )
+
+
 def test_comon_refuses_no_degree_whose_bounds_print(tmp_path):
     # the largest k whose rg still prints, by bisection, and the next one
     limit = sys.get_int_max_str_digits()
@@ -888,7 +953,8 @@ def test_survey_subcommand(capsys):
     assert "shape" in out and "advantage" in out
 
 
-def test_survey_past_the_kruskal_column_cap_counts_no_kruskal_wins(capsys):
+def test_survey_on_21_points_counts_no_kruskal_wins(capsys):
+    # the baseline is computed past 20 points, and fails its condition there
     argv = ["survey", "--shapes", "3x3x3", "--r", "21", "--trials", "1", "--format", "json"]
     code = run(argv)
     captured = capsys.readouterr()
@@ -1133,3 +1199,36 @@ def test_flag_values_that_do_not_parse_exit_2_with_one_error_line(small_instance
     else:
         assert code in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED)
         assert err.getvalue() == ""
+
+
+def test_random_names_a_number_past_the_printed_digit_limit(capsys):
+    # coordinates below 10^4000 multiply into tensor coordinates that str()
+    # refuses to print
+    box = str(10**4000)
+    assert run(["random", "--shape", "2x2", "--r", "1", "--box", box]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the instance random prints has a number past the "
+        f"{sys.get_int_max_str_digits()}-digit limit on printed integers\n"
+    )
+
+
+def test_augment_names_a_number_past_the_printed_digit_limit(tmp_path, capsys):
+    # factors starting with 10^2000 print, and certify, but their tensor
+    # coordinates of 6000 digits do not
+    big = str(10**2000)
+    data = {
+        "dims": [2, 2, 2],
+        "points": [[[big, "1"], [big, "3"], [big, "1"]], [["1", "2"], ["2", "1"], ["1", "5"]]],
+    }
+    path = write_instance(tmp_path, data)
+    assert run(["certify", "--input", path]) == EXIT_CERTIFIED
+    capsys.readouterr()
+    assert run(["augment", "--input", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the decomposition augment prints has a number past the "
+        f"{sys.get_int_max_str_digits()}-digit limit on printed integers\n"
+    )

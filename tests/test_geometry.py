@@ -1,6 +1,7 @@
 """Multiprojective geometry: embeddings, flattenings and their ranks."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +32,7 @@ from tensorcert.geometry import (
     factor_subset,
     flattening_rank,
     segre_scale,
+    weighted_sum,
 )
 from tensorcert.linalg import format_rational
 
@@ -218,6 +220,32 @@ def test_segre_vector_matches_stride_oracle(seed):
         )
     )
     assert list(segre_vector(point)) == outer_product_flat(point.factors)
+
+
+@pytest.mark.parametrize("r", [1, 15, 16, 17, 30, 31, 32, 47])
+def test_assemble_tensor_in_batches_is_the_plain_sum(r):
+    # rows are summed 16, then 15 at a time: every batch edge gives the sum
+    rng = random.Random(r)
+    s, _ = random_decomposition(MultiShape((2, 1, 2)), r, seed=r)
+    weights = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(r)]
+    rows = [outer_product_flat(p.factors) for p in s.points]
+    assert list(assemble_tensor(weights, s)) == [sum(w * x for w, x in zip(weights, col)) for col in zip(*rows)]
+
+
+def test_weighted_sum_keeps_a_bounded_number_of_rows_alive():
+    # with unit coefficients every row costs the same, so 128 rows must
+    # peak where 32 do, not at four times their memory
+    def peak(r):
+        s, _ = random_decomposition(MultiShape((7, 7, 7, 7)), r, seed=1)
+        weights = [1 / segre_scale(p) for p in s.points]
+        tracemalloc.start()
+        try:
+            weighted_sum(weights, s)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(128) < 1.25 * peak(32)
 
 
 # -- flattening ranks and the Segre function

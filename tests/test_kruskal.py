@@ -4,6 +4,7 @@ comparison record."""
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from tensorcert.certify import check_non_redundant
 from tensorcert.construct import random_decomposition
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet
 from tensorcert.kruskal import (
-    MAX_EXHAUSTIVE_COLUMNS,
+    MAX_WALK_BLOCKS,
     compare_criteria,
     kruskal_certificate,
     kruskal_rank,
@@ -63,10 +64,30 @@ def test_kruskal_rank_rejects_empty_matrices():
         kruskal_rank(integer_gram([]))
 
 
-def test_kruskal_rank_enforces_the_column_cap():
-    wide = integer_gram([(1,)] * (MAX_EXHAUSTIVE_COLUMNS + 1))
-    with pytest.raises(ValueError, match="capped"):
+def test_kruskal_rank_enforces_the_walk_budget():
+    # 40 generic columns of rank 12: the walk could build one block per
+    # set of at most 10 columns, sum_{j <= 10} C(40, j) of them
+    rng = random.Random(3)
+    wide = integer_gram(random_columns(rng, 12, 40, box=9))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"1221246132 Kruskal walk blocks, more than the {MAX_WALK_BLOCKS}"):
         kruskal_rank(wide)
+    assert time.perf_counter() - start < 1
+
+
+def test_kruskal_rank_of_independent_columns_needs_no_walk():
+    # past 20 columns too: independent columns make every subset independent
+    assert kruskal_rank(integer_gram([[int(i == j) for i in range(25)] for j in range(25)])) == 25
+
+
+def test_the_walk_budget_admits_every_dependent_set_of_20_columns():
+    # the largest count of 20 columns, at rank 19, is 2^20 - 211 blocks
+    assert sum(comb(20, j) for j in range(19 - 1)) == 2**20 - 211 <= MAX_WALK_BLOCKS
+    # such a Gram is walked: e_1..e_19 and e_1 again have Kruskal rank 1
+    columns = [[int(i == j) for i in range(19)] for j in range(19)] + [[1] + [0] * 18]
+    assert kruskal_rank(integer_gram(columns)) == 1
+    # and past 20 columns as well, where a dependency stops the walk early
+    assert kruskal_rank(integer_gram([(1,)] * 21)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,6 +211,17 @@ def test_kruskal_certificate_on_a_seeded_7x7x7_set_with_20_points():
     report = kruskal_certificate(s)
     assert time.perf_counter() - start < 8
     assert report["per_factor_kruskal_rank"] == [7, 7, 7]
+
+
+def test_kruskal_certificate_skips_the_walk_on_independent_factors():
+    # 20 generic points of 20x20x20 are independent in every factor, which
+    # the one elimination per factor already shows
+    s, _ = random_decomposition(MultiShape((19, 19, 19)), 20, seed=1)
+    start = time.perf_counter()
+    report = kruskal_certificate(s)
+    assert time.perf_counter() - start < 1
+    assert report["per_factor_kruskal_rank"] == [20, 20, 20]
+    assert report["applies"]
 
 
 def test_kruskal_certificate_factor_ranks_are_capped_by_geometry():
