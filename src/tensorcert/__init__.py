@@ -18,12 +18,7 @@ from .certify import (
     CLAIM_SPAN_IDENTITY,
     FAIL,
     PASS,
-    Certificate,
-    Hypothesis,
-    InstanceParseError,
     bound_cactus_rank,
-    certificate_from_json,
-    certificate_to_json,
     certify_exact_rank,
     certify_identifiability,
     check_non_redundant,
@@ -48,7 +43,6 @@ from .geometry import (
     flattening_rank,
 )
 from .kruskal import (
-    ComparisonRecord,
     compare_criteria,
     kruskal_certificate,
     kruskal_rank,

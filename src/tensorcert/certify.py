@@ -1,14 +1,16 @@
 """Certificates for rank bounds, exact rank, identifiability and pinning.
 
-Every public operation returns a Certificate, the cactus bound inside
-the report of its search: a claim, a list of named hypotheses that were
-actually checked, and a conclusion that is present only when they hold.
-Each certifier given weights checks the
+Every public operation returns a certificate, the cactus bound inside
+the report of its search, as the JSON object it prints: a claim, a list
+of named hypotheses that were actually checked, and a conclusion that is
+present only when they hold.  A certificate is certified exactly when
+its conclusion is not None; a hypothesis is unsatisfied exactly when its
+status is FAIL.  Each certifier given weights checks the
 non-redundancy of the decomposition itself, in the same leading
 hypotheses.  The one hypothesis left unchecked is pinning's
 quasi-generality, which the caller asserts and the certificate marks as
 asserted.  Witnesses are
-plain JSON-friendly values (ranks, indices, bounds) so certificates can
+plain JSON values (ranks, indices, bounds) so certificates can
 be serialized and compared; they never echo coordinates, which keeps
 them invariant under rescaling of the input representatives.
 
@@ -22,7 +24,6 @@ pattern of w, and no certificate needs the M coordinates of t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -84,61 +85,20 @@ TAG_OBSTRUCTION = "projection-coordinate-obstruction"
 TAG_PINNING = "projection-pinning"
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    name: str
-    status: str
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def satisfied(self) -> bool:
-        return self.status in (PASS, ASSERTED)
+def hypothesis(name: str, status: str, witness: dict) -> dict:
+    """A checked hypothesis, as it prints."""
+    return {"name": name, "status": status, "witness": witness}
 
 
-@dataclass(frozen=True)
-class Certificate:
-    claim: str
-    theorem_ref: str
-    hypotheses: tuple[Hypothesis, ...]
-    conclusion: dict | None
-
-    @property
-    def certified(self) -> bool:
-        return self.conclusion is not None
-
-    def failed(self) -> list[str]:
-        return [h.name for h in self.hypotheses if not h.satisfied]
-
-
-class InstanceParseError(Exception):
-    """Structural problem with an instance or certificate object (exit code 3)."""
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    return {
-        "claim": cert.claim,
-        "theorem_ref": cert.theorem_ref,
-        "hypotheses": [
-            {"name": h.name, "status": h.status, "witness": h.witness}
-            for h in cert.hypotheses
-        ],
-        "conclusion": cert.conclusion,
-    }
-
-
-def certificate_from_json(data: dict) -> Certificate:
-    try:
-        hyps = tuple(
-            Hypothesis(h["name"], h["status"], h["witness"]) for h in data["hypotheses"]
-        )
-        return Certificate(data["claim"], data["theorem_ref"], hyps, data["conclusion"])
-    except (KeyError, TypeError) as exc:
-        raise InstanceParseError(f"malformed certificate object: {exc}") from None
+def certificate(claim: str, theorem_ref: str, hypotheses: list[dict], conclusion: dict | None) -> dict:
+    """A claim with its hypotheses and a conclusion that is None unless
+    they all hold, as it prints."""
+    return {"claim": claim, "theorem_ref": theorem_ref, "hypotheses": hypotheses, "conclusion": conclusion}
 
 
 def non_redundancy_hypotheses(
     rank: int, r: int, weights: Sequence
-) -> tuple[list[Hypothesis], bool]:
+) -> tuple[list[dict], bool]:
     """Non-redundancy of t = sum_j w_j v_j over r evaluation rows v_j of
     rank ``rank``, for any kind of evaluation row.
 
@@ -149,7 +109,7 @@ def non_redundancy_hypotheses(
     if len(weights) != r:
         raise ValueError(f"{len(weights)} weights for {r} points")
     hyps = [
-        Hypothesis(
+        hypothesis(
             "evaluation_vectors_independent",
             PASS if rank == r else FAIL,
             {"rank": rank, "cardinality": r},
@@ -157,10 +117,10 @@ def non_redundancy_hypotheses(
     ]
     if rank != r:
         return hyps, False
-    hyps.append(Hypothesis("tensor_in_span", PASS, {"span_rank": r, "rank_with_tensor": r}))
+    hyps.append(hypothesis("tensor_in_span", PASS, {"span_rank": r, "rank_with_tensor": r}))
     for j, w in enumerate(weights):
         hyps.append(
-            Hypothesis(
+            hypothesis(
                 "tensor_outside_span_of_proper_subset",
                 PASS if w else FAIL,
                 {"point_removed": j},
@@ -169,12 +129,12 @@ def non_redundancy_hypotheses(
     return hyps, all(weights)
 
 
-def check_non_redundant(s: PointSet, weights: Sequence) -> Certificate:
+def check_non_redundant(s: PointSet, weights: Sequence) -> dict:
     """Certify that S with ``weights`` decomposes sum_j w_j Segre(p_j) and
     no proper subset of S does; the rank of S is that of the full set."""
     hyps, ok = non_redundancy_hypotheses(flattening_rank(s), len(s), weights)
     conclusion = {"cardinality": len(s)} if ok else None
-    return Certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, tuple(hyps), conclusion)
+    return certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, hyps, conclusion)
 
 
 def _bipartitions(s: PointSet, partition: FactorPartition | None):
@@ -206,7 +166,7 @@ def bound_cactus_rank(
     bound exceeds 1.  The bound holds for a non-redundant decomposition,
     so the certificate checks that S with ``weights`` is one before it
     concludes.  The search and its best bound are reported either way, as
-    the JSON object ``cactus_bound`` prints, its certificate left typed.
+    the JSON object ``cactus_bound`` prints, its certificate included.
     """
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), len(s), weights)
     entries = []
@@ -225,7 +185,7 @@ def bound_cactus_rank(
         )
     if best:
         hyps.append(
-            Hypothesis(
+            hypothesis(
                 "e_flattening_independent",
                 PASS,
                 {"partition": best[1].as_json(), "h1_E": 0},
@@ -238,15 +198,15 @@ def bound_cactus_rank(
         }
     else:
         hyps.append(
-            Hypothesis(
+            hypothesis(
                 "e_flattening_independent",
                 FAIL,
                 {"note": "no inspected partition was applicable"},
             )
         )
         conclusion = None
-    cert = Certificate(
-        CLAIM_CACTUS_BOUND, TAG_CACTUS_BOUND, tuple(hyps), conclusion if non_redundant else None
+    cert = certificate(
+        CLAIM_CACTUS_BOUND, TAG_CACTUS_BOUND, hyps, conclusion if non_redundant else None
     )
     return {
         "best_bound": best[0] if best else 1,
@@ -258,13 +218,13 @@ def bound_cactus_rank(
 
 def certify_exact_rank(
     s: PointSet, weights: Sequence, partition: FactorPartition | None = None
-) -> Certificate:
+) -> dict:
     """Certify rank = cactus rank = #S via a bipartition with h1 = 0 on
     both flattenings, on top of a non-redundancy certificate."""
     r = len(s)
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
     if not non_redundant:
-        return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), None)
+        return certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, hyps, None)
     attempts = []
     found: FactorPartition | None = None
     for part, h1_e, rank_f in _bipartitions(s, partition):
@@ -274,17 +234,17 @@ def certify_exact_rank(
             found = part
             break
     hyps.append(
-        Hypothesis(
+        hypothesis(
             "partition_with_both_flattenings_independent",
             PASS if found else FAIL,
             {"attempts": attempts},
         )
     )
     conclusion = {"rank": r, "cactus_rank": r, "partition": found.as_json()} if found else None
-    return Certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, tuple(hyps), conclusion)
+    return certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, hyps, conclusion)
 
 
-def certify_identifiability(s: PointSet, weights: Sequence) -> Certificate:
+def certify_identifiability(s: PointSet, weights: Sequence) -> dict:
     """Certify minimality, and uniqueness when stronger, of a small
     non-redundant decomposition.
 
@@ -310,17 +270,17 @@ def certify_identifiability(s: PointSet, weights: Sequence) -> Certificate:
     r = len(s)
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
     if not non_redundant:
-        return Certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, tuple(hyps), None)
+        return certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, hyps, None)
     if r == 1:
-        hyps.append(Hypothesis("singleton_decomposition", PASS, {"cardinality": 1}))
+        hyps.append(hypothesis("singleton_decomposition", PASS, {"cardinality": 1}))
         conclusion = {"rank": 1, "minimal": True, "identifiable": True}
-        return Certificate(CLAIM_IDENTIFIABLE, TAG_IDENTIFIABILITY, tuple(hyps), conclusion)
+        return certificate(CLAIM_IDENTIFIABLE, TAG_IDENTIFIABILITY, hyps, conclusion)
     sizes = factor_projection_sizes(s)
     constant = [i for i, c in enumerate(sizes, start=1) if c == 1]
     mixed = [i for i, c in enumerate(sizes, start=1) if 1 < c < r]
     k_eff = sum(1 for c in sizes if c > 1)
     hyps.append(
-        Hypothesis(
+        hypothesis(
             "factor_projections_injective_or_constant",
             PASS if not mixed else FAIL,
             {
@@ -332,11 +292,11 @@ def certify_identifiability(s: PointSet, weights: Sequence) -> Certificate:
         )
     )
     if mixed:
-        return Certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, tuple(hyps), None)
+        return certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, hyps, None)
     minimal = 2 * r <= k_eff + 2
     identifiable = 2 * r <= k_eff + 1
     hyps.append(
-        Hypothesis(
+        hypothesis(
             "cardinality_within_range",
             PASS if minimal else FAIL,
             {
@@ -348,13 +308,13 @@ def certify_identifiability(s: PointSet, weights: Sequence) -> Certificate:
         )
     )
     if not minimal:
-        return Certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, tuple(hyps), None)
+        return certificate(CLAIM_MINIMAL_RANK, TAG_IDENTIFIABILITY, hyps, None)
     conclusion = {"rank": r, "minimal": True, "identifiable": identifiable}
     claim = CLAIM_IDENTIFIABLE if identifiable else CLAIM_MINIMAL_RANK
-    return Certificate(claim, TAG_IDENTIFIABILITY, tuple(hyps), conclusion)
+    return certificate(claim, TAG_IDENTIFIABILITY, hyps, conclusion)
 
 
-def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
+def check_span_intersection_identity(a: PointSet, b: PointSet) -> dict:
     """Verify, for independent point sets of a common shape, that the
     projective dimension of the intersection of their Segre spans equals
     dim of the span of the common points plus h1 of the union."""
@@ -364,10 +324,10 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     ok = True
     for name, ps in (("first_set_independent", a), ("second_set_independent", b)):
         h1 = len(ps) - flattening_rank(ps)
-        hyps.append(Hypothesis(name, PASS if h1 == 0 else FAIL, {"cardinality": len(ps), "h1": h1}))
+        hyps.append(hypothesis(name, PASS if h1 == 0 else FAIL, {"cardinality": len(ps), "h1": h1}))
         ok = ok and h1 == 0
     if not ok:
-        return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), None)
+        return certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, hyps, None)
     a_points, b_points = set(a.points), set(b.points)
     union = PointSet(a.shape, a.points + tuple(p for p in b.points if p not in a_points))
     # Grassmann: dim <A> n <B> = rank A + rank B - rank(A, B) - 1, and the
@@ -378,7 +338,7 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
     h1_union = len(union) - flattening_rank(union)
     rhs = common_dim + h1_union
     hyps.append(
-        Hypothesis(
+        hypothesis(
             "identity_holds",
             PASS if lhs == rhs else FAIL,
             {
@@ -391,10 +351,10 @@ def check_span_intersection_identity(a: PointSet, b: PointSet) -> Certificate:
         )
     )
     conclusion = {"intersection_dim": lhs, "rhs": rhs} if lhs == rhs else None
-    return Certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, tuple(hyps), conclusion)
+    return certificate(CLAIM_SPAN_IDENTITY, TAG_SPAN_IDENTITY, hyps, conclusion)
 
 
-def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> Certificate:
+def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> dict:
     """Certify that no other non-redundant decomposition of cardinality
     at most ``x`` can have injective factor projections.
 
@@ -416,7 +376,7 @@ def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> Certi
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
     violation = different_coordinates_violation(s)
     hyps.append(
-        Hypothesis(
+        hypothesis(
             "different_coordinates",
             PASS if violation is None else FAIL,
             {}
@@ -427,7 +387,7 @@ def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> Certi
     m_small = s.shape.min_dim
     capacity = (m_small + 1) ** (k - x)
     hyps.append(
-        Hypothesis(
+        hypothesis(
             "projection_capacity",
             PASS if capacity >= r else FAIL,
             {"capacity": capacity, "cardinality": r, "min_dim": m_small, "exponent": k - x},
@@ -441,7 +401,7 @@ def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> Certi
         if h1 != 0:
             all_zero = False
     hyps.append(
-        Hypothesis(
+        hypothesis(
             "independent_conditions_on_all_subsets",
             PASS if all_zero else FAIL,
             {"subset_size": k - x, "checks": subset_checks},
@@ -460,7 +420,7 @@ def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> Certi
         if certified
         else None
     )
-    return Certificate(CLAIM_OBSTRUCTION, TAG_OBSTRUCTION, tuple(hyps), conclusion)
+    return certificate(CLAIM_OBSTRUCTION, TAG_OBSTRUCTION, hyps, conclusion)
 
 
 def pin_projections(
@@ -468,7 +428,7 @@ def pin_projections(
     weights: Sequence,
     families,
     quasi_general_asserted: bool = False,
-) -> Certificate:
+) -> dict:
     """Pin factor projections of any other small decomposition of the tensor.
 
     ``families`` gives, for each factor i, a proper subset F_i containing
@@ -504,7 +464,7 @@ def pin_projections(
         numeric_ok = r < m_f and r <= m_e
         ranks_ok = rank_f == r and rank_e == r
         hyps.append(
-            Hypothesis(
+            hypothesis(
                 "family_projection_conditions",
                 PASS if numeric_ok and ranks_ok else FAIL,
                 {
@@ -519,7 +479,7 @@ def pin_projections(
             )
         )
         hyps.append(
-            Hypothesis(
+            hypothesis(
                 "quasi-general",
                 ASSERTED if quasi_general_asserted else FAIL,
                 {"family_index": i, "family": list(fam), "asserted": quasi_general_asserted},
@@ -544,4 +504,4 @@ def pin_projections(
         if certified
         else None
     )
-    return Certificate(CLAIM_PINNING, TAG_PINNING, tuple(hyps), conclusion)
+    return certificate(CLAIM_PINNING, TAG_PINNING, hyps, conclusion)

@@ -9,7 +9,7 @@ TENSORCERT_SEED environment variable when set.
 
 Each subcommand returns its result as sections (JSON key, text title,
 value, text formatter), and ``render`` turns them into the one requested
-format.  A value is the JSON object it prints, or a Certificate.
+format.  A value, certificates included, is the JSON object it prints.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from typing import Callable, Sequence
 from .certify import (
     ASSERTED,
     CONCLUSION_TEXT,
-    Certificate,
-    InstanceParseError,
+    FAIL,
     bound_cactus_rank,
-    certificate_to_json,
     certify_exact_rank,
     certify_identifiability,
     check_non_redundant,
@@ -73,6 +71,10 @@ MAX_PRINTED_COORDINATES = 2**20
 # instance files
 
 
+class InstanceParseError(Exception):
+    """Structural problem with an instance file (exit code 3)."""
+
+
 @dataclass
 class SymmetricInstance:
     degree: int
@@ -91,11 +93,11 @@ class Instance:
     symmetric: SymmetricInstance | None
 
 
-def _parse_vector(value, where: str) -> tuple[Fraction, ...]:
-    if not isinstance(value, list):
+def _parse_vector(items, where: str) -> tuple[Fraction, ...]:
+    if not isinstance(items, list):
         raise InstanceParseError(f"{where} must be an array of rational strings")
     try:
-        return tuple(parse_rational(x) for x in value)
+        return tuple(parse_rational(x) for x in items)
     except ValueError as exc:
         raise InstanceParseError(f"{where}: {exc}") from None
 
@@ -276,20 +278,20 @@ def pointset_to_json(
 Section = tuple[str | None, str | None, object, Callable[[object], str]]
 
 
-def _conclusion_line(cert: Certificate) -> str:
-    if cert.conclusion is None:
-        failed = ", ".join(cert.failed()) or "none listed"
+def _conclusion_line(cert: dict) -> str:
+    if cert["conclusion"] is None:
+        failed = ", ".join(h["name"] for h in cert["hypotheses"] if h["status"] == FAIL) or "none listed"
         return f"conclusion: NOT CERTIFIED (unsatisfied hypotheses: {failed})"
-    text = CONCLUSION_TEXT[cert.claim].format(**cert.conclusion)
-    return f"conclusion: {text} [{cert.theorem_ref}]"
+    text = CONCLUSION_TEXT[cert["claim"]].format(**cert["conclusion"])
+    return f"conclusion: {text} [{cert['theorem_ref']}]"
 
 
-def format_certificate_text(cert: Certificate) -> str:
-    lines = [f"claim: {cert.claim}"]
-    for h in cert.hypotheses:
-        suffix = " (not verified)" if h.status == ASSERTED else ""
-        witness = f" {json.dumps(h.witness, sort_keys=True)}" if h.witness else ""
-        lines.append(f"hypothesis: {h.name}: {h.status}{suffix}{witness}")
+def format_certificate_text(cert: dict) -> str:
+    lines = [f"claim: {cert['claim']}"]
+    for h in cert["hypotheses"]:
+        suffix = " (not verified)" if h["status"] == ASSERTED else ""
+        witness = f" {json.dumps(h['witness'], sort_keys=True)}" if h["witness"] else ""
+        lines.append(f"hypothesis: {h['name']}: {h['status']}{suffix}{witness}")
     lines.append(_conclusion_line(cert))
     return "\n".join(lines)
 
@@ -368,15 +370,12 @@ def format_json_text(data: dict) -> str:
 
 
 def render(sections: Sequence[Section], fmt: str) -> str:
-    """Build only the requested format of the sections.  A certificate
-    inside a report is converted where the JSON encoder meets it."""
+    """Build only the requested format of the sections."""
     if fmt == "json":
         out: dict = {}
         for key, _, value, _ in sections:
-            if isinstance(value, Certificate):
-                value = certificate_to_json(value)
             out.update(value if key is None else {key: value})
-        return json.dumps(out, indent=2, default=certificate_to_json)
+        return json.dumps(out, indent=2)
     lines = []
     for _, title, value, text in sections:
         if title is not None:
@@ -460,18 +459,18 @@ def parse_r_flag(text: str) -> Sequence[int]:
     try:
         if "-" in text[1:]:
             lo, hi = (int(x) for x in text.split("-", 1))
-            values: Sequence[int] = range(lo, hi + 1)
+            selected: Sequence[int] = range(lo, hi + 1)
             least = lo
         else:
-            values = [int(x) for x in text.split(",") if x.strip()]
-            least = min(values, default=0)
+            selected = [int(x) for x in text.split(",") if x.strip()]
+            least = min(selected, default=0)
     except ValueError:
         raise ValueError(f"--r {text!r} must look like '6', '2-4' or '1,3'") from None
-    if isinstance(values, range) and not values:
+    if isinstance(selected, range) and not selected:
         raise ValueError(f"--r {text!r} is an empty range")
     if least < 1:
         raise ValueError(f"--r {text!r} must select positive cardinalities")
-    return values
+    return selected
 
 
 def resolve_seed(args: argparse.Namespace) -> int:
@@ -494,8 +493,8 @@ def _exit_code(certified: bool) -> int:
     return EXIT_CERTIFIED if certified else EXIT_NOT_CERTIFIED
 
 
-def _certificate_only(cert: Certificate) -> tuple[list[Section], int]:
-    return [(None, None, cert, format_certificate_text)], _exit_code(cert.certified)
+def _certificate_only(cert: dict) -> tuple[list[Section], int]:
+    return [(None, None, cert, format_certificate_text)], _exit_code(cert["conclusion"] is not None)
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -511,7 +510,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
         ("cactus_bound", "cactus rank lower bound", report, format_bound_report_text),
         ("exact_rank", "exact rank", exact, format_certificate_text),
     ]
-    return sections, _exit_code(exact.certified)
+    return sections, _exit_code(exact["conclusion"] is not None)
 
 
 def cmd_identifiability(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -525,21 +524,17 @@ def cmd_kruskal(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
-    record = compare_criteria(*_need_points(load_instance(args.input)))
-    flags = {
-        "flattening_applies": record.flattening_applies,
-        "kruskal_applies": record.kruskal_applies,
-        "flattening_without_kruskal": record.flattening_without_kruskal,
-    }
+    out = compare_criteria(*_need_points(load_instance(args.input)))
+    flags = ("flattening_applies", "kruskal_applies", "flattening_without_kruskal")
     sections = [
-        ("non_redundant", "non-redundancy", record.non_redundant, format_certificate_text),
-        ("cactus_bound", "cactus rank lower bound", record.bound, format_bound_report_text),
-        ("exact_rank", "exact rank", record.exact_rank, format_certificate_text),
-        ("identifiability", "identifiability", record.identifiability, format_certificate_text),
-        ("kruskal", "kruskal baseline", record.kruskal, format_kruskal_text),
-        (None, None, flags, format_compare_flags_text),
+        ("non_redundant", "non-redundancy", out["non_redundant"], format_certificate_text),
+        ("cactus_bound", "cactus rank lower bound", out["cactus_bound"], format_bound_report_text),
+        ("exact_rank", "exact rank", out["exact_rank"], format_certificate_text),
+        ("identifiability", "identifiability", out["identifiability"], format_certificate_text),
+        ("kruskal", "kruskal baseline", out["kruskal"], format_kruskal_text),
+        (None, None, {key: out[key] for key in flags}, format_compare_flags_text),
     ]
-    return sections, _exit_code(record.flattening_applies or record.kruskal_applies)
+    return sections, _exit_code(out["flattening_applies"] or out["kruskal_applies"])
 
 
 def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
@@ -589,7 +584,7 @@ def cmd_comon(args: argparse.Namespace) -> tuple[list[Section], int]:
         ("certificate", None, cert, format_certificate_text),
         ("bounds", None, bounds, format_symmetric_bounds_text),
     ]
-    return sections, _exit_code(cert.certified)
+    return sections, _exit_code(cert["conclusion"] is not None)
 
 
 def cmd_span_check(args: argparse.Namespace) -> tuple[list[Section], int]:

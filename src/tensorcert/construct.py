@@ -17,11 +17,12 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .certify import Certificate, check_non_redundant
+from .certify import check_non_redundant
 from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
+    bipartition_masks,
     flattening_rank,
     segre_gram,
     segre_scale,
@@ -198,7 +199,7 @@ def augment_decomposition(
     *,
     seed: int = 0,
     box: int = DEFAULT_BOX,
-) -> tuple[PointSet, tuple[Fraction, ...], Certificate]:
+) -> tuple[PointSet, tuple[Fraction, ...], dict]:
     """Extend a non-redundant decomposition by one point.
 
     Requires #A <= M, independent Segre vectors and at least one factor
@@ -224,7 +225,7 @@ def augment_decomposition(
             continue
         new_weights = _new_weights(s, a, weights)
         cert = check_non_redundant(s, new_weights)
-        if cert.certified:
+        if cert["conclusion"] is not None:
             return s, new_weights, cert
     raise AugmentationError(f"augmentation failed after {_AUGMENT_PASSES} attempts")
 
@@ -251,6 +252,7 @@ def survey(
         if (m := shape.k * top * top) > MAX_GRAM_ENTRIES:
             cap = f"more than the {MAX_GRAM_ENTRIES} survey builds"
             raise ValueError(f"{top} points of shape {shape} have {m} factor Gram entries, {cap}")
+        bipartition_masks(shape.k)  # every trial searches the bipartitions
     rows = []
     counter = 0
     for shape in shapes:
@@ -261,10 +263,10 @@ def survey(
                 counter += 1
                 s, weights = random_decomposition(shape, r, box=box, seed=child)
                 record = compare_criteria(s, weights)
-                exact += record.exact_rank.certified
-                ident += record.identifiability.certified
-                krusk += record.kruskal_applies
-                advantage += record.flattening_without_kruskal
+                exact += record["exact_rank"]["conclusion"] is not None
+                ident += record["identifiability"]["conclusion"] is not None
+                krusk += record["kruskal_applies"]
+                advantage += record["flattening_without_kruskal"]
             rows.append(
                 {
                     # sizes, as in instance files and the text column

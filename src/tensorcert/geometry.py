@@ -28,9 +28,11 @@ Khatri-Rao product).  The per-factor Grams are built once per point set
 from the primitive factor forms and shared by every subset u.
 
 The bipartition searches need the rank of every proper subset, and
-``subset_ranks`` gets them in one walk by subset size.  Each Gram it
-ranks is its parent's Gram (the subset without its top factor) times one
-factor Gram, not a product rebuilt from ones.  Ranks only grow with the
+``subset_ranks`` gets them in one walk by subset size.  A single factor
+is ranked on its own Gram, and each larger subset on its parent's Gram
+(the subset without its top factor) times one factor Gram, not a product
+rebuilt from the start.  No Gram is written to: ``_hadamard`` builds a
+new matrix and ``_echelon`` copies its input.  Ranks only grow with the
 subset, so a subset that contains an independent one has rank #S and is
 never eliminated.
 """
@@ -250,12 +252,6 @@ def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
     return s.memo[key]
 
 
-def _ones(s: PointSet) -> list[list[int]]:
-    """The Gram of the empty factor subset.  Products start from it, not
-    from a memoized factor Gram, which must not change."""
-    return [[1] * len(s) for _ in s.points]
-
-
 def _hadamard(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Elementwise product of two square matrices, as a new matrix."""
     return [[x * y for x, y in zip(u, v)] for u, v in zip(a, b)]
@@ -264,13 +260,14 @@ def _hadamard(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def segre_gram(s: PointSet, members: tuple[int, ...] | None = None) -> list[list[int]]:
     """Integer Gram of the primitive Segre rows of S for the factors in
     ``members`` (all when None): the Hadamard product of their factor
-    Grams.  The full set's is memoized on S, so callers must not modify
-    the result."""
+    Grams.  The full set's is memoized on S, and a single factor's is its
+    memoized factor Gram, so callers must not modify the result."""
     key = ("segre_gram", members)
     if key in s.memo:
         return s.memo[key]
-    out = _ones(s)
-    for i in members or range(1, s.shape.k + 1):
+    first, *rest = members or range(1, s.shape.k + 1)
+    out = _factor_gram(s, first)
+    for i in rest:
         out = _hadamard(out, _factor_gram(s, i))
     if members is None:
         s.memo[key] = out
@@ -298,18 +295,19 @@ def subset_ranks(s: PointSet) -> list[int]:
     Subsets are walked by size, so a subset one factor short of an
     independent subset (rank #S) has rank #S with no elimination, and by
     induction so has every subset that contains an independent one.
-    Any other subset's parent, the subset without its top factor, was
-    ranked one size earlier, and its Gram is the parent's Gram times the
-    top factor's Gram.  Only the Grams of the dependent subsets of the
-    last size are kept, as parents, and they go with the walk; only the
-    ranks stay on S.
+    A single factor is ranked on its memoized Gram.  Any larger subset's
+    parent, the subset without its top factor, was ranked one size
+    earlier, and its Gram is the parent's Gram times the top factor's
+    Gram.  Only the Grams of the dependent subsets of the last size are
+    kept, as parents, and they go with the walk; only the ranks stay on
+    S.
     """
     key = ("subset_ranks",)
     if key in s.memo:
         return s.memo[key]
     k, r = s.shape.k, len(s)
     ranks = [0] * ((1 << k) - 1)
-    grams = {0: _ones(s)}
+    grams: dict[int, list[list[int]]] = {}
     for size in range(1, k):
         parents, grams = grams, {}
         for members in combinations(range(k), size):
@@ -318,7 +316,9 @@ def subset_ranks(s: PointSet) -> list[int]:
                 ranks[mask] = r
                 continue
             top = members[-1]
-            gram = _hadamard(parents[mask ^ (1 << top)], _factor_gram(s, top + 1))
+            gram = _factor_gram(s, top + 1)
+            if size > 1:
+                gram = _hadamard(parents[mask ^ (1 << top)], gram)
             ranks[mask] = len(_echelon(gram))
             if ranks[mask] < r:
                 grams[mask] = gram

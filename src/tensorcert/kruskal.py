@@ -15,11 +15,10 @@ flattening certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .certify import Certificate, bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
+from .certify import bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
 from .geometry import PointSet, _factor_gram
 from .linalg import _echelon
 
@@ -103,43 +102,30 @@ def kruskal_certificate(s: PointSet) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Flattening certificates next to the Kruskal baseline, which is
-    None when a factor's walk is past its block budget."""
-
-    non_redundant: Certificate
-    bound: dict
-    exact_rank: Certificate
-    identifiability: Certificate
-    kruskal: dict | None
-
-    @property
-    def flattening_applies(self) -> bool:
-        return self.exact_rank.certified or self.identifiability.certified
-
-    @property
-    def kruskal_applies(self) -> bool:
-        # the baseline condition is a statement about an actual decomposition
-        # of the tensor, so a redundant S gives it nothing to conclude about
-        return self.kruskal is not None and self.kruskal["applies"] and self.non_redundant.certified
-
-    @property
-    def flattening_without_kruskal(self) -> bool:
-        return self.flattening_applies and not self.kruskal_applies
-
-
-def compare_criteria(s: PointSet, weights: Sequence) -> ComparisonRecord:
-    """Run every criterion on one decomposition and collect the outcomes;
-    the Kruskal baseline is None where ``kruskal_certificate`` refuses."""
+def compare_criteria(s: PointSet, weights: Sequence) -> dict:
+    """Run every criterion on one decomposition, as the JSON object
+    ``compare`` prints: the flattening certificates and bound report, the Kruskal
+    baseline (None where ``kruskal_certificate`` refuses) and which of
+    the two sides applies."""
     try:
         kruskal = kruskal_certificate(s)
     except ValueError:  # a factor's walk is past MAX_WALK_BLOCKS
         kruskal = None
-    return ComparisonRecord(
-        non_redundant=check_non_redundant(s, weights),
-        bound=bound_cactus_rank(s, weights),
-        exact_rank=certify_exact_rank(s, weights),
-        identifiability=certify_identifiability(s, weights),
-        kruskal=kruskal,
-    )
+    nr = check_non_redundant(s, weights)
+    bound = bound_cactus_rank(s, weights)
+    exact = certify_exact_rank(s, weights)
+    ident = certify_identifiability(s, weights)
+    flattening = exact["conclusion"] is not None or ident["conclusion"] is not None
+    # the baseline condition is a statement about an actual decomposition
+    # of the tensor, so a redundant S gives it nothing to conclude about
+    krusk = kruskal is not None and kruskal["applies"] and nr["conclusion"] is not None
+    return {
+        "non_redundant": nr,
+        "cactus_bound": bound,
+        "exact_rank": exact,
+        "identifiability": ident,
+        "kruskal": kruskal,
+        "flattening_applies": flattening,
+        "kruskal_applies": krusk,
+        "flattening_without_kruskal": flattening and not krusk,
+    }

@@ -38,8 +38,8 @@ from .certify import (
     CLAIM_EXACT_RANK,
     FAIL,
     PASS,
-    Certificate,
-    Hypothesis,
+    certificate,
+    hypothesis,
     non_redundancy_hypotheses,
 )
 from .geometry import PointSet, _factor_gram
@@ -61,7 +61,7 @@ def veronese_rank(a: PointSet, degree: int) -> int:
     return len(_echelon(veronese_gram(a, degree)))
 
 
-def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:
+def comon_certify(a: PointSet, weights: Sequence, degree: int) -> dict:
     """Certify rank = cactus rank = symmetric rank = #A for the symmetric
     tensor sum_j w_j p_j^degree presented by the points A of P^n and
     ``weights``.
@@ -85,14 +85,14 @@ def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:
             found_e = e
             break
     hyps = [
-        Hypothesis(
+        hypothesis(
             "half_degree_interpolation",
             PASS if found_e is not None else FAIL,
             {"attempts": attempts, "chosen_e": found_e, "max_e": degree // 2},
         )
     ]
     if found_e is None:
-        return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), None)
+        return certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, hyps, None)
     r = len(a)
     span_hyps, ok = non_redundancy_hypotheses(r, r, weights)
     hyps.extend(span_hyps)
@@ -103,7 +103,7 @@ def comon_certify(a: PointSet, weights: Sequence, degree: int) -> Certificate:
         "ranks_agree": True,
         "vanishing_degree": found_e,
     }
-    return Certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, tuple(hyps), conclusion if ok else None)
+    return certificate(CLAIM_EXACT_RANK, TAG_SYMMETRIC, hyps, conclusion if ok else None)
 
 
 # Classical list of defective Veronese secants: all quadrics with n >= 2,

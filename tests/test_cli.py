@@ -17,14 +17,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorcert import certify, cli, construct, geometry, linalg, symmetric
-from tensorcert.certify import Certificate, certificate_from_json, check_non_redundant
+from tensorcert.certify import (
+    bound_cactus_rank,
+    certificate,
+    certify_exact_rank,
+    certify_identifiability,
+    check_non_redundant,
+    check_span_intersection_identity,
+    obstruct_alt_decompositions,
+    pin_projections,
+)
 from tensorcert.cli import (
     EXIT_CERTIFIED,
     EXIT_INVALID,
     EXIT_NOT_CERTIFIED,
     EXIT_PARSE,
     InstanceParseError,
-    certificate_to_json,
     format_certificate_text,
     instance_from_json,
     load_instance,
@@ -42,7 +50,7 @@ from tensorcert.geometry import (
     MultiShape,
     assemble_tensor,
 )
-from tensorcert.kruskal import MAX_WALK_BLOCKS
+from tensorcert.kruskal import MAX_WALK_BLOCKS, compare_criteria
 from tensorcert.linalg import format_rational
 from tensorcert.symmetric import symmetric_bounds
 
@@ -237,14 +245,31 @@ def test_load_instance_missing_file_and_bad_json(tmp_path):
 # -- certificate serialization
 
 
-def test_certificate_json_round_trip():
-    data, s, weights = seeded_instance((1, 1), 2, seed=3)
-    cert = check_non_redundant(s, weights)
-    payload = certificate_to_json(cert)
-    assert certificate_from_json(payload) == cert
-    assert certificate_from_json(json.loads(json.dumps(payload))) == cert
-    with pytest.raises(InstanceParseError):
-        certificate_from_json({"claim": "X"})
+SYMMETRIC_POINTS = tuple(geometry.MultiPoint((p,)) for p in ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
+CERTIFIERS = {
+    "non_redundant": check_non_redundant,
+    "redundant": lambda s, w: check_non_redundant(s, (0,) + w[1:]),
+    "bound": bound_cactus_rank,
+    "exact_rank": certify_exact_rank,
+    "identifiability": certify_identifiability,
+    "obstruct": lambda s, w: obstruct_alt_decompositions(s, w, 1),
+    "pin": lambda s, w: pin_projections(s, w, [(1, 2), (2, 3), (1, 3)], quasi_general_asserted=True),
+    "span_check": lambda s, w: check_span_intersection_identity(
+        geometry.PointSet(s.shape, s.points[:3]), geometry.PointSet(s.shape, s.points[2:])
+    ),
+    "comon": lambda s, w: symmetric.comon_certify(
+        geometry.PointSet(MultiShape((2,)), SYMMETRIC_POINTS), (1, -2, Fraction(1, 2)), 4
+    ),
+    "compare": compare_criteria,
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIERS)
+def test_certificate_json_round_trip(name):
+    # a certificate is plain JSON: no tuple, Fraction or object leaks into it
+    data, s, weights = seeded_instance((2, 3, 5), 6, seed=11)
+    out = CERTIFIERS[name](s, weights)
+    assert json.loads(json.dumps(out)) == out
 
 
 def test_format_certificate_text_lines():
@@ -297,7 +322,7 @@ def test_every_claim_has_its_conclusion_line():
     claims = {v for k, v in vars(certify).items() if k.startswith("CLAIM_")}
     assert claims == set(CONCLUSION_LINES)
     for claim, (conclusion, line) in CONCLUSION_LINES.items():
-        cert = Certificate(claim, "t", (), conclusion)
+        cert = certificate(claim, "t", [], conclusion)
         assert format_certificate_text(cert).splitlines()[-1] == line
 
 
@@ -562,6 +587,21 @@ def test_survey_refuses_factor_grams_past_its_entry_cap(r, top, capsys, monkeypa
         f"error: {top} points of shape 2x2 have {2 * top * top} factor Gram entries,"
         f" more than the {construct.MAX_GRAM_ENTRIES} survey builds\n"
     )
+
+
+def test_survey_refuses_more_than_10_factors_before_any_draw(capsys, monkeypatch):
+    # the first shape is fine, but no trial of it runs before the second is refused
+    def draw(*args, **kwargs):
+        raise AssertionError("drew a decomposition")
+
+    monkeypatch.setattr(construct, "random_decomposition", draw)
+    argv = ["survey", "--shapes", "6x6x6," + "x".join(["2"] * 11), "--r", "22", "--trials", "50"]
+    start = time.perf_counter()
+    assert run(argv) == EXIT_INVALID
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 11 factors have 2^11 - 2 bipartitions, more than the 1022 the search takes\n"
 
 
 def test_survey_factor_gram_entry_cap_is_inclusive(capsys, monkeypatch):
@@ -1013,13 +1053,23 @@ def test_only_the_requested_format_is_built(three_factor_file, monkeypatch, caps
     def refuse(*args):
         raise AssertionError("built a format that was not requested")
 
+    def dumps_without_indent(obj, **kwargs):
+        # the text form prints witnesses with json.dumps, but no JSON document
+        if "indent" in kwargs:
+            raise AssertionError("built a JSON document in text mode")
+        return dumps(obj, **kwargs)
+
     def certify(fmt):
         return run(["certify", "--input", three_factor_file, "--format", fmt]), capsys.readouterr()
 
+    dumps = cli.json.dumps
     expected = {fmt: certify(fmt) for fmt in ("json", "text")}
-    for fmt, unused in (("json", "format_certificate_text"), ("text", "certificate_to_json")):
+    for fmt, target, unused, stub in (
+        ("json", cli, "format_certificate_text", refuse),
+        ("text", cli.json, "dumps", dumps_without_indent),
+    ):
         with monkeypatch.context() as patch:
-            patch.setattr(cli, unused, refuse)
+            patch.setattr(target, unused, stub)
             assert certify(fmt) == expected[fmt]
 
 

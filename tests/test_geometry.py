@@ -1,5 +1,6 @@
 """Multiprojective geometry: embeddings, flattenings and their ranks."""
 
+import copy
 import random
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from oracles import (
     permute_flat_coords,
     rescaled_point_set,
 )
+from tensorcert.certify import bound_cactus_rank, certify_exact_rank, check_non_redundant
 from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert.geometry import (
@@ -30,10 +32,12 @@ from tensorcert.geometry import (
     different_coordinates_violation,
     factor_projection_sizes,
     factor_subset,
+    _factor_gram,
     flattening_rank,
     segre_scale,
     weighted_sum,
 )
+from tensorcert.kruskal import compare_criteria
 from tensorcert.linalg import format_rational
 
 
@@ -329,6 +333,25 @@ def test_flattening_rank_matches_gauss_oracle_on_a_sample():
     for subset in [(1,), (2, 3), (1, 2, 3)]:
         rows = [outer_product_flat([p.factors[i - 1] for i in subset]) for p in s.points]
         assert flattening_rank(s, subset) == gauss_rank(rows)
+
+
+def certify_run(s, weights):
+    check_non_redundant(s, weights)
+    bound_cactus_rank(s, weights)
+    certify_exact_rank(s, weights)
+
+
+@pytest.mark.parametrize("run", [certify_run, compare_criteria], ids=["certify", "compare"])
+@pytest.mark.parametrize("dims", [(1, 2, 2, 1), (2,)], ids=["four_factors", "one_factor"])
+def test_certify_and_compare_leave_the_memoized_factor_grams_alone(dims, run):
+    # a one-factor subset, and the full set of a one-factor shape, is
+    # ranked on the memoized factor Gram itself
+    s, weights = random_decomposition(MultiShape(dims), 3, seed=7)
+    grams = [_factor_gram(s, i) for i in range(1, s.shape.k + 1)]
+    before = copy.deepcopy(grams)
+    run(s, weights)
+    assert [s.memo[("gram", i)] for i in range(1, s.shape.k + 1)] == before
+    assert all(s.memo[("gram", i)] is gram for i, gram in enumerate(grams, start=1))
 
 
 @st.composite

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certs import certified
 from oracles import gauss_rank, kruskal_rank_exhaustive
 from tensorcert.certify import check_non_redundant
 from tensorcert.construct import random_decomposition
@@ -256,22 +257,22 @@ def test_compare_flattening_wins_on_two_factors():
         (MultiPoint(((1, 0), (1, 0))), MultiPoint(((0, 1), (0, 1)))),
     )
     record = compare_criteria(s, (1, 1))
-    assert record.exact_rank.certified
-    assert record.flattening_applies
+    assert certified(record["exact_rank"])
+    assert record["flattening_applies"]
     # 2 + 2 < 2r + k - 1 = 5, so the baseline says nothing for matrices
-    assert not record.kruskal["applies"]
-    assert not record.kruskal_applies
-    assert record.flattening_without_kruskal
+    assert not record["kruskal"]["applies"]
+    assert not record["kruskal_applies"]
+    assert record["flattening_without_kruskal"]
 
 
 def test_compare_both_apply_on_a_generic_three_factor_pair():
     s, weights = random_decomposition(MultiShape((1, 1, 1)), 2, seed=17)
     record = compare_criteria(s, weights)
-    assert record.exact_rank.certified
-    assert record.identifiability.certified
-    assert record.kruskal["applies"]
-    assert record.kruskal_applies
-    assert not record.flattening_without_kruskal
+    assert certified(record["exact_rank"])
+    assert certified(record["identifiability"])
+    assert record["kruskal"]["applies"]
+    assert record["kruskal_applies"]
+    assert not record["flattening_without_kruskal"]
 
 
 def test_compare_redundant_set_applies_nowhere():
@@ -279,9 +280,9 @@ def test_compare_redundant_set_applies_nowhere():
     # redundant presentation and neither criterion concludes anything
     s, _ = random_decomposition(MultiShape((1, 1, 1)), 2, seed=19)
     record = compare_criteria(s, (1, 0))
-    assert not record.non_redundant.certified
-    assert record.kruskal["applies"]
-    assert not record.kruskal_applies
-    assert not record.flattening_applies
-    assert not record.flattening_without_kruskal
-    assert not check_non_redundant(s, (1, 0)).certified
+    assert not certified(record["non_redundant"])
+    assert record["kruskal"]["applies"]
+    assert not record["kruskal_applies"]
+    assert not record["flattening_applies"]
+    assert not record["flattening_without_kruskal"]
+    assert not certified(check_non_redundant(s, (1, 0)))

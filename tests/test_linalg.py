@@ -210,7 +210,7 @@ def test_in_row_span_hand_cases():
 def span_intersection_dim(rows1, rows2) -> int:
     cert = check_span_intersection_identity(rows_as_points(rows1), rows_as_points(rows2))
     (hyp,) = find(cert, "identity_holds")
-    return hyp.witness["lhs_intersection_dim"]
+    return hyp["witness"]["lhs_intersection_dim"]
 
 
 def test_span_intersection_dim_hand_cases():
