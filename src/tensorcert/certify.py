@@ -73,7 +73,7 @@ CONCLUSION_TEXT = {
     ),
 }
 
-# obstruct ranks every factor subset of size k - x, at about 60 us each
+# obstruct prints one check per factor subset of size k - x; this caps them
 MAX_RANKED_SUBSETS = 2**16
 
 TAG_NON_REDUNDANT = "span-membership-non-redundancy"
@@ -140,18 +140,15 @@ def check_non_redundant(s: PointSet, weights: Sequence) -> dict:
 def _bipartitions(s: PointSet, partition: FactorPartition | None):
     """(partition, h1 of the E-flattening, rank of the F-flattening) for
     ``partition``, or for every bipartition in E-bitmask order when None.
-    Both searches read these two numbers, and every rank is memoized.
-    Every bipartition is reported, but its ranks come from
-    ``subset_ranks``, which eliminates only on subsets that contain no
-    independent subset; a partition is built only when it is yielded."""
-    k = s.shape.k
-    if partition is not None:
-        if partition.k != k:
-            raise ValueError(f"partition {partition} does not match k={k}")
-        yield partition, len(s) - flattening_rank(s, partition.E), flattening_rank(s, partition.F)
-        return
-    masks = bipartition_masks(k)  # refuses k > 10 before any rank
-    ranks, full = subset_ranks(s), (1 << k) - 1
+    Both searches read these two numbers.  The ranks of both sides of
+    every bipartition asked come from one ``subset_ranks`` walk; a
+    partition is built only when it is yielded."""
+    k, full = s.shape.k, (1 << s.shape.k) - 1
+    if partition is not None and partition.k != k:
+        raise ValueError(f"partition {partition} does not match k={k}")
+    # bipartition_masks refuses k > 10 before any rank
+    masks = bipartition_masks(k) if partition is None else [sum(1 << (i - 1) for i in partition.E)]
+    ranks = subset_ranks(s, [*masks, *(full ^ mask for mask in masks)])
     for mask in masks:
         yield bipartition(mask, k), len(s) - ranks[mask], ranks[full ^ mask]
 
@@ -393,13 +390,11 @@ def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> dict:
             {"capacity": capacity, "cardinality": r, "min_dim": m_small, "exponent": k - x},
         )
     )
-    subset_checks = []
-    all_zero = True
-    for members in combinations(range(1, k + 1), k - x):
-        h1 = r - flattening_rank(s, members)
-        subset_checks.append({"subset": list(members), "h1": h1})
-        if h1 != 0:
-            all_zero = False
+    subsets = list(combinations(range(1, k + 1), k - x))
+    masks = [sum(1 << (i - 1) for i in members) for members in subsets]
+    ranks = subset_ranks(s, masks)
+    subset_checks = [{"subset": list(u), "h1": r - ranks[mask]} for u, mask in zip(subsets, masks)]
+    all_zero = all(check["h1"] == 0 for check in subset_checks)
     hyps.append(
         hypothesis(
             "independent_conditions_on_all_subsets",

@@ -27,21 +27,21 @@ the per-factor Grams A_i A_i^T over the factors i in u, because
 Khatri-Rao product).  The per-factor Grams are built once per point set
 from the primitive factor forms and shared by every subset u.
 
-The bipartition searches need the rank of every proper subset, and
-``subset_ranks`` gets them in one walk by subset size.  A single factor
-is ranked on its own Gram, and each larger subset on its parent's Gram
-(the subset without its top factor) times one factor Gram, not a product
-rebuilt from the start.  No Gram is written to: ``_hadamard`` builds a
-new matrix and ``_echelon`` copies its input.  Ranks only grow with the
-subset, so a subset that contains an independent one has rank #S and is
-never eliminated.
+Every flattening rank comes from one walk, ``subset_ranks``, given the
+bitmasks of the subsets a caller needs.  It walks them with their
+prefixes, each subset's Gram being its parent prefix's Gram times one
+factor Gram, not a product rebuilt from the start.  No Gram is written
+to: ``_hadamard`` builds a new matrix and ``_echelon`` copies its input.
+Ranks only grow with the subset, so a subset one factor larger than a
+subset known to be independent has rank #S with no elimination, and an
+unasked prefix is eliminated only when it has at least #S coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from math import prod
 from typing import Iterable, Sequence
 
@@ -193,10 +193,9 @@ class PointSet:
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
     ``memo`` holds what has been computed for this set (integer Grams by
-    factor, the full set's Segre Gram, flattening ranks by factor subset,
-    the full set's included, and the ranks of every proper subset from
-    ``subset_ranks``), so repeated questions within one run are answered
-    once and the memory goes with the set.
+    factor, the full set's Segre Gram, and flattening ranks by factor
+    subset bitmask from ``subset_ranks``), so repeated questions within
+    one run are answered once and the memory goes with the set.
     """
 
     shape: MultiShape
@@ -257,72 +256,73 @@ def _hadamard(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[x * y for x, y in zip(u, v)] for u, v in zip(a, b)]
 
 
-def segre_gram(s: PointSet, members: tuple[int, ...] | None = None) -> list[list[int]]:
-    """Integer Gram of the primitive Segre rows of S for the factors in
-    ``members`` (all when None): the Hadamard product of their factor
-    Grams.  The full set's is memoized on S, and a single factor's is its
-    memoized factor Gram, so callers must not modify the result."""
-    key = ("segre_gram", members)
-    if key in s.memo:
-        return s.memo[key]
-    first, *rest = members or range(1, s.shape.k + 1)
-    out = _factor_gram(s, first)
-    for i in rest:
-        out = _hadamard(out, _factor_gram(s, i))
-    if members is None:
+def segre_gram(s: PointSet) -> list[list[int]]:
+    """Integer Gram of the primitive Segre rows of S: the Hadamard product
+    of all its factor Grams (with one factor, that factor's Gram),
+    memoized on S, so callers must not modify it."""
+    key = ("segre_gram",)
+    if key not in s.memo:
+        first, *rest = range(1, s.shape.k + 1)
+        out = _factor_gram(s, first)
+        for i in rest:
+            out = _hadamard(out, _factor_gram(s, i))
         s.memo[key] = out
-    return out
+    return s.memo[key]
 
 
 def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
     """Rank of the Segre rows of S for the factors in ``subset`` (all when
-    None): the rank of the Hadamard product of their factor Grams,
-    memoized on S."""
-    members = factor_subset(subset, s.shape.k) if subset is not None else None
-    key = ("rank", members)
-    if key not in s.memo:
-        s.memo[key] = len(_echelon(segre_gram(s, members)))
-    return s.memo[key]
+    None), from ``subset_ranks``."""
+    k = s.shape.k
+    mask = sum(1 << (i - 1) for i in factor_subset(subset, k)) if subset is not None else (1 << k) - 1
+    return subset_ranks(s, (mask,))[mask]
 
 
-def subset_ranks(s: PointSet) -> list[int]:
-    """Flattening ranks of S for every proper factor subset, indexed by
-    bitmask (bit i - 1 for factor i; entry 0, the empty subset, is 0),
-    memoized on S.
+def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
+    """The flattening ranks of S known so far, by factor-subset bitmask
+    (bit i - 1 for factor i), once the nonempty subsets in ``masks`` are
+    among them: memoized on S, so callers must not modify the result.
 
-    For u inside u', rank_u <= rank_u': rows independent on u stay
-    independent on u' (on the Gram side, the Schur product theorem).
-    Subsets are walked by size, so a subset one factor short of an
-    independent subset (rank #S) has rank #S with no elimination, and by
-    induction so has every subset that contains an independent one.
-    A single factor is ranked on its memoized Gram.  Any larger subset's
-    parent, the subset without its top factor, was ranked one size
-    earlier, and its Gram is the parent's Gram times the top factor's
-    Gram.  Only the Grams of the dependent subsets of the last size are
-    kept, as parents, and they go with the walk; only the ranks stay on
-    S.
+    The walk takes each asked subset with its prefixes, a prefix being
+    the subset without its top factors, and stops at a prefix known to
+    be independent (rank #S).  It goes by size.  For u inside u',
+    rank_u <= rank_u': rows independent on u stay independent on u' (on
+    the Gram side, the Schur product theorem).  So a subset one factor
+    short of which is known to be independent has rank #S with no
+    elimination.  Any other subset's Gram is its parent's (the subset
+    without its top factor, one size earlier) times one factor Gram, and
+    the full set's is ``segre_gram``.  It is eliminated when asked, or
+    when M_u >= #S, so that it may settle what contains it; below #S an
+    unasked prefix is dependent anyway.  Only the Grams of the dependent
+    subsets of the last size are kept, as parents, and they go with the
+    walk; only the ranks stay on S.
     """
-    key = ("subset_ranks",)
-    if key in s.memo:
-        return s.memo[key]
-    k, r = s.shape.k, len(s)
-    ranks = [0] * ((1 << k) - 1)
-    grams: dict[int, list[list[int]]] = {}
-    for size in range(1, k):
-        parents, grams = grams, {}
-        for members in combinations(range(k), size):
-            mask = sum(1 << i for i in members)
-            if any(ranks[mask ^ (1 << i)] == r for i in members):
-                ranks[mask] = r
-                continue
-            top = members[-1]
-            gram = _factor_gram(s, top + 1)
-            if size > 1:
-                gram = _hadamard(parents[mask ^ (1 << top)], gram)
+    ranks = s.memo.setdefault("ranks", {})
+    k, r, sizes = s.shape.k, len(s), s.shape.sizes
+    asked, walk = set(masks), set()
+    for mask in asked.difference(ranks):
+        while mask and mask not in walk and ranks.get(mask) != r:
+            walk.add(mask)
+            mask ^= 1 << (mask.bit_length() - 1)
+    bits = [1 << i for i in range(k)]
+    size, grams = 0, {0: (None, 1)}  # (Gram, M_u) by dependent subset
+    for mask in sorted(walk, key=int.bit_count):
+        if mask not in ranks and r in [ranks.get(mask ^ b) for b in bits if mask & b]:
+            ranks[mask] = r
+            continue
+        if mask.bit_count() > size:
+            size, parents, grams = mask.bit_count(), grams, {}
+        top = mask.bit_length() - 1
+        gram, m_u = parents[mask ^ (1 << top)]
+        if mask == (1 << k) - 1:
+            gram = segre_gram(s)
+        else:
+            gram = _factor_gram(s, top + 1) if gram is None else _hadamard(gram, _factor_gram(s, top + 1))
+        m_u *= sizes[top]
+        if mask not in ranks and (mask in asked or m_u >= r):
             ranks[mask] = len(_echelon(gram))
-            if ranks[mask] < r:
-                grams[mask] = gram
-    s.memo[key] = ranks
+        if ranks.get(mask, 0) < r:
+            grams[mask] = gram, m_u
     return ranks
 
 

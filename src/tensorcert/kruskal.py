@@ -5,8 +5,8 @@ kappa-subset of columns is linearly independent, that is, every kappa x
 kappa principal submatrix of the integer column Gram is nonsingular, so
 ``kruskal_rank`` takes that Gram (``linalg.integer_gram`` of the
 columns) and walks its principal minors depth first, one Bareiss step
-per column subset.  A point set passes the factor Grams of its
-flattening ranks.
+per column subset.  For a point set, the Kruskal rank of a factor is
+taken on the memoized factor Gram that the set's flattening ranks use.
 The baseline uniqueness condition for a decomposition with r points
 compares the sum of the factor-matrix Kruskal ranks against 2r + k - 1.
 This module also bundles the side-by-side comparison against the

@@ -6,7 +6,7 @@ their degree-k Veronese rows.  P^n is the one-factor product, so the
 points are a ``geometry.PointSet`` of shape (n,).  The certificate here
 shows that a presented symmetric decomposition of r distinct points is
 the actual rank of the tensor, and that rank and symmetric rank agree
-for it, by checking independence at some degree e <= k/2 together with
+for it, by checking independence at degree e = floor(k/2) together with
 non-redundancy at degree k.
 
 Independence at degree e is not read off the C(n + e, e)-wide Veronese
@@ -23,10 +23,11 @@ power of a form that does not vanish at p_j), so there the rank is r.
 The tensor itself is never built.  Its decomposition is sum_j w_j V_j
 over the degree-k rows, and when those are independent its coefficients
 are unique and equal the weights, so non-redundancy at degree k is the
-zero pattern of the weights (see ``certify``).  Independence at some
-e <= k/2 already makes the degree-k rows independent (multiply each
-degree-e form that separates a point by the (k - e)-th power of a linear
-form vanishing at no point), so G^k is never ranked.
+zero pattern of the weights (see ``certify``).  Independence at degree
+e gives independence at every higher degree (multiply each degree-e
+form that separates a point by a power of a linear form vanishing at no
+point), so G^k is never ranked, and e = floor(k/2) is the only degree
+worth trying: where it fails, every smaller e fails too.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ def comon_certify(a: PointSet, weights: Sequence, degree: int) -> dict:
     tensor sum_j w_j p_j^degree presented by the points A of P^n and
     ``weights``.
 
-    Searches e descending from floor(degree/2) for a degree-e Veronese
-    Gram of full rank (h1 = 0), which gives full rank at degree ``degree``
-    too, then checks the weights for non-redundancy.  On success the
+    Ranks the degree-e Veronese Gram at e = floor(degree/2) only, the one
+    attempt: full rank there (h1 = 0) gives full rank at degree
+    ``degree`` too, and failure there means failure at every smaller e.
+    Then it checks the weights for non-redundancy.  On success the
     presented number of points is the rank of the tensor both as a
     symmetric tensor and as a general one, so the two ranks agree.
     """
@@ -76,19 +78,14 @@ def comon_certify(a: PointSet, weights: Sequence, degree: int) -> dict:
         raise ValueError(f"symmetric points lie in one factor, not {a.shape.k}")
     if degree < 1:
         raise ValueError("the degree must be positive")
-    attempts = []
-    found_e: int | None = None
-    for e in range(degree // 2, -1, -1):
-        rank = veronese_rank(a, e)
-        attempts.append({"e": e, "rank": rank, "h1": len(a) - rank})
-        if rank == len(a):
-            found_e = e
-            break
+    e = degree // 2
+    rank = veronese_rank(a, e)
+    found_e = e if rank == len(a) else None
     hyps = [
         hypothesis(
             "half_degree_interpolation",
             PASS if found_e is not None else FAIL,
-            {"attempts": attempts, "chosen_e": found_e, "max_e": degree // 2},
+            {"attempts": [{"e": e, "rank": rank, "h1": len(a) - rank}], "chosen_e": found_e, "max_e": e},
         )
     ]
     if found_e is None:

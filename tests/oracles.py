@@ -39,6 +39,21 @@ def gauss_rank(rows) -> int:
     return rank
 
 
+def hadamard_gram_rank(s, members) -> int:
+    """Rank of the elementwise product of the factor Grams of the point
+    set ``s`` over the 1-based factors in ``members``, each Gram taken
+    over Fraction from the stored factor vectors and the product built
+    from scratch for this one subset: the flattening rank of ``members``."""
+    gram = [[Fraction(1)] * len(s.points) for _ in s.points]
+    for i in members:
+        vectors = [p.factors[i - 1] for p in s.points]
+        gram = [
+            [g * sum(x * y for x, y in zip(a, b)) for g, b in zip(row, vectors)]
+            for row, a in zip(gram, vectors)
+        ]
+    return gauss_rank(gram)
+
+
 def all_partitions(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All 2^k - 2 ordered proper bipartitions (E, F) of {1..k}, listed by
     E-bitmask (factor i is bit i - 1): the order the bipartition search
@@ -192,6 +207,19 @@ def veronese_vector(point, degree: int) -> tuple:
         prod((coords[i] for i in combo), start=Fraction(1))
         for combo in combinations_with_replacement(range(len(coords)), degree)
     )
+
+
+def descending_veronese_attempts(points, degree: int) -> list[dict]:
+    """The interpolation attempts of the descending search ``comon`` once
+    made, from ranks of explicit Veronese rows: e from degree // 2 down
+    to 0, stopping at the first e where the rows are independent."""
+    attempts = []
+    for e in range(degree // 2, -1, -1):
+        rank = gauss_rank([veronese_vector(p, e) for p in points])
+        attempts.append({"e": e, "rank": rank, "h1": len(points) - rank})
+        if rank == len(points):
+            break
+    return attempts
 
 
 def monomial_values(point, exponents):

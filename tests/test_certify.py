@@ -21,7 +21,7 @@ from oracles import (
     monomial_values,
     outer_product_flat,
 )
-from tensorcert import certify
+from tensorcert import certify, geometry
 from tensorcert.certify import (
     ASSERTED,
     CLAIM_CACTUS_BOUND,
@@ -722,6 +722,21 @@ def test_obstruct_ranks_up_to_the_subset_cap(monkeypatch):
     monkeypatch.setattr(certify, "MAX_RANKED_SUBSETS", 2)
     with pytest.raises(ValueError, match="asks for 3 factor subsets of size 2, more than the 2"):
         obstruct_alt_decompositions(s, weights, 1)
+
+
+def test_obstruct_eliminates_only_subsets_without_an_independent_prefix(monkeypatch):
+    # 12 generic points on 2^16: four factors give 16 >= 12 coordinates
+    # and are independent, so of the C(16, 8) = 12870 subsets checked
+    # only the four-factor prefixes are eliminated, the C(12, 4) = 495
+    # subsets of the first 12 factors; the whole set's prefix is one
+    s, weights = random_decomposition(MultiShape((1,) * 16), 12, seed=1)
+    calls = []
+    echelon = geometry._echelon
+    monkeypatch.setattr(geometry, "_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    cert = obstruct_alt_decompositions(s, weights, 8)
+    assert certified(cert)
+    assert len(find(cert, "independent_conditions_on_all_subsets")[0]["witness"]["checks"]) == 12870
+    assert len(calls) == 495
 
 
 # -- non-redundancy inside the bound and the obstruction

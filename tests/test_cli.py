@@ -453,8 +453,9 @@ def test_certify_ranks_only_subsets_without_an_independent_subset(
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_CERTIFIED
     assert len(out["cactus_bound"]["per_partition"]) == 2 ** len(dims) - 2
-    # one elimination for the whole set's rank, then one per ranked subset
-    assert len(calls) == 1 + ranked
+    # one elimination per ranked subset: the whole set contains an
+    # independent prefix, so its rank takes none
+    assert len(calls) == ranked
 
 
 def test_certify_empty_partition_is_invalid(three_factor_file, capsys):
@@ -926,24 +927,21 @@ def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch
     assert len(built) == 1
 
 
-def test_certify_builds_the_full_set_segre_gram_once(three_factor_file, capsys, monkeypatch):
+def test_certify_builds_the_full_set_segre_gram_once(tmp_path, capsys, monkeypatch):
     # the parser's vanishing test and the full-set flattening rank both ask
-    # for the Hadamard product of all factor Grams; the product is built once
-    full = []
+    # for the Hadamard product of all factor Grams; the product is built
+    # once.  Five points on 2x2x4 exceed the 4 coordinates of the prefix
+    # {1, 2}, so the walk needs the full set's own Gram to rank it
+    data, _, _ = seeded_instance((1, 1, 3), 5, seed=3)
+    grams = []
     real = geometry.segre_gram
-
-    def recording_gram(s, members=None):
-        gram = real(s, members)
-        if members is None:
-            full.append(gram)
-        return gram
-
-    for module in (geometry, cli):
-        monkeypatch.setattr(module, "segre_gram", recording_gram)
-    assert run(["certify", "--input", three_factor_file]) == EXIT_CERTIFIED
-    capsys.readouterr()
-    assert len(full) >= 2
-    assert len({id(gram) for gram in full}) == 1
+    monkeypatch.setattr(geometry, "segre_gram", lambda s: grams.append(real(s)) or grams[-1])
+    monkeypatch.setattr(cli, "segre_gram", geometry.segre_gram)
+    # no bipartition has both flattenings independent
+    assert run(["certify", "--input", write_instance(tmp_path, data)]) == EXIT_NOT_CERTIFIED
+    assert "non-redundant decomposition of cardinality 5" in capsys.readouterr().out
+    assert len(grams) == 2
+    assert grams[0] is grams[1]
 
 
 def test_comon_needs_a_symmetric_stanza(three_factor_file, capsys):

@@ -14,6 +14,7 @@ from oracles import (
     all_partitions,
     decomposition_weights,
     gauss_rank,
+    hadamard_gram_rank,
     outer_product_flat,
     permute_flat_coords,
     rescaled_point_set,
@@ -21,6 +22,7 @@ from oracles import (
 from tensorcert.certify import bound_cactus_rank, certify_exact_rank, check_non_redundant
 from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import derive_seed, random_decomposition
+from tensorcert import geometry
 from tensorcert.geometry import (
     FactorPartition,
     MultiPoint,
@@ -35,6 +37,7 @@ from tensorcert.geometry import (
     _factor_gram,
     flattening_rank,
     segre_scale,
+    subset_ranks,
     weighted_sum,
 )
 from tensorcert.kruskal import compare_criteria
@@ -397,6 +400,67 @@ def test_flattening_rank_matches_gauss_oracle_on_every_subset(s, rng):
         assert flattening_rank(s, u) == rank, u
         assert flattening_rank(rescaled, u) == rank, u
     assert flattening_rank(s) == flattening_rank(rescaled) == rank
+
+
+@st.composite
+def walk_cases(draw):
+    """A point set on at most six factors of 1-3 coordinates and the mask
+    families asked of it, each shuffled and in a shuffled order: single
+    factors, the subsets of one size k - x, both sides of every
+    bipartition and the full set.  Pooled sets draw each factor vector
+    from two per factor, so points share factors; up to 12 points make
+    the subsets with M_u < r dependent."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    vectors = [st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any) for n in sizes]
+    if draw(st.booleans()):
+        vectors = [st.sampled_from(draw(st.lists(v, min_size=2, max_size=2))) for v in vectors]
+    r = draw(st.integers(1, 12))
+    points = {pt(*(draw(v) for v in vectors)): None for _ in range(r)}
+    k, full = len(sizes), (1 << len(sizes)) - 1
+    families = [[1 << i for i in range(k)], [full]]
+    if k > 1:
+        size = k - draw(st.integers(1, k - 1))
+        families.append([sum(1 << (i - 1) for i in u) for u in combinations(range(1, k + 1), size)])
+        families.append(list(range(1, full)))
+    families = [draw(st.permutations(f)) for f in draw(st.permutations(families))]
+    return pset(tuple(n - 1 for n in sizes), *points), families
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_cases())
+@example((SHARED_FACTORS, [[1, 2, 4], [3, 5, 6], [7], list(range(1, 7))]))
+def test_subset_ranks_match_the_per_subset_hadamard_rank(case):
+    s, families = case
+    k = s.shape.k
+    expected = {}
+
+    def reference(mask):
+        if mask not in expected:
+            expected[mask] = hadamard_gram_rank(s, [i + 1 for i in range(k) if mask >> i & 1])
+        return expected[mask]
+
+    for masks in families:
+        ranks = subset_ranks(s, masks)
+        assert all(ranks[mask] == reference(mask) for mask in masks), masks
+    # the prefixes the walk ranked or settled on the way are exact too
+    assert all(rank == reference(mask) for mask, rank in s.memo["ranks"].items())
+
+
+def test_subset_ranks_walk_only_the_prefixes_of_the_asked_subsets(monkeypatch):
+    # the 20 subsets of 19 factors of 2^20 have C(21, 19) - 1 = 209
+    # prefixes, while the subsets of at most 19 factors number 2^20 - 2
+    s, _ = random_decomposition(MultiShape((1,) * 20), 6, seed=1)
+    full = (1 << 20) - 1
+    masks = [full ^ (1 << i) for i in range(20)]
+    prefixes = {mask & ((1 << j) - 1) for mask in masks for j in range(1, 21)} - {0}
+    assert len(prefixes) == 209
+    products = []
+    hadamard = geometry._hadamard
+    monkeypatch.setattr(geometry, "_hadamard", lambda a, b: products.append(a) or hadamard(a, b))
+    ranks = subset_ranks(s, masks)
+    assert all(ranks[mask] == 6 for mask in masks)
+    assert set(s.memo["ranks"]) <= prefixes
+    assert len(products) <= 209
 
 
 # -- factor projections

@@ -14,11 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certs import certified, find
-from oracles import exponents_desc_lex, gauss_rank, monomial_values, veronese_vector
+from oracles import (
+    descending_veronese_attempts,
+    exponents_desc_lex,
+    gauss_rank,
+    monomial_values,
+    veronese_vector,
+)
 from tensorcert import symmetric
 from tensorcert.certify import FAIL, PASS
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, flattening_rank
-from tensorcert.linalg import primitive
+from tensorcert.linalg import _echelon, primitive
 from tensorcert.symmetric import (
     comon_certify,
     is_exceptional,
@@ -150,7 +156,7 @@ def test_comon_certify_singleton():
 
 def test_comon_certify_collinear_points_fail_interpolation():
     # four points on the line z = 0 span only the rank-3 Vandermonde
-    # column space at every degree, so no e below the half degree works
+    # column space at degree 2, and no e below the half degree can work
     pts = sym_points((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0))
     rows = [veronese_vector(p.factors[0], 2) for p in pts.points]
     assert gauss_rank(rows) == 3
@@ -158,8 +164,18 @@ def test_comon_certify_collinear_points_fail_interpolation():
     assert not certified(cert)
     interp = find(cert, "half_degree_interpolation")[0]
     assert interp["status"] == FAIL
-    assert [a["e"] for a in interp["witness"]["attempts"]] == [2, 1, 0]
-    assert interp["witness"]["chosen_e"] is None
+    assert interp["witness"] == {"attempts": [{"e": 2, "rank": 3, "h1": 1}], "chosen_e": None, "max_e": 2}
+
+
+def test_a_failed_interpolation_makes_one_elimination():
+    # five points on P^1 against the three binary quadrics fail at e = 2,
+    # and no smaller e is ranked after that
+    pts = sym_points((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
+    calls = []
+    with mock.patch.object(symmetric, "_echelon", lambda rows: calls.append(rows) or _echelon(rows)):
+        cert = comon_certify(pts, [1] * 5, 4)
+    assert not certified(cert)
+    assert len(calls) == 1
 
 
 def test_comon_certify_rejects_mismatched_coordinates():
@@ -242,18 +258,6 @@ def projective_point_sets(draw):
     return degree, points, scales
 
 
-def veronese_attempts(points, degree):
-    """The attempts comon_certify should report, from ranks of explicit
-    Veronese rows: e descending from degree // 2, stopping at full rank."""
-    attempts = []
-    for e in range(degree // 2, -1, -1):
-        rank = gauss_rank([veronese_vector(p, e) for p in points])
-        attempts.append({"e": e, "rank": rank, "h1": len(points) - rank})
-        if rank == len(points):
-            break
-    return attempts
-
-
 @settings(max_examples=80, deadline=None)
 @given(projective_point_sets())
 # degree 1 only tries e = 0, where every set has rank 1
@@ -268,15 +272,35 @@ def veronese_attempts(points, degree):
 @example((2, [[3, 2], [1, 1]], [Fraction(1, 6), 1]))
 def test_comon_attempt_ranks_match_explicit_veronese_rows(data):
     degree, points, scales = data
-    expected = veronese_attempts(points, degree)
+    e = degree // 2
+    rank = gauss_rank([veronese_vector(p, e) for p in points])
+    expected = [{"e": e, "rank": rank, "h1": len(points) - rank}]
     rescaled = [[scale * x for x in p] for scale, p in zip(scales, points)]
     for pts in (points, rescaled):
         cert = comon_certify(sym_points(*pts), [1] * len(pts), degree)
         interp = find(cert, "half_degree_interpolation")[0]
         assert interp["witness"]["attempts"] == expected
-        full = expected[-1]["h1"] == 0
+        full = rank == len(points)
         assert interp["status"] == (PASS if full else FAIL)
-        assert interp["witness"]["chosen_e"] == (expected[-1]["e"] if full else None)
+        assert interp["witness"]["chosen_e"] == (e if full else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(projective_point_sets())
+@example((4, [[1, 0], [0, 1], [1, 1], [1, -1]], [1, 2, -3, Fraction(1, 2)]))
+@example((6, [[1, 0, 0], [1, 1, 0], [1, 2, 0], [1, 3, 0], [1, 4, 0]], [1] * 5))
+def test_the_descending_search_never_certifies_where_the_half_degree_fails(data):
+    # independence at degree e carries over to e + 1, so when e = degree // 2
+    # fails every smaller e fails too: the old descending search agrees
+    degree, points, scales = data
+    attempts = descending_veronese_attempts(points, degree)
+    cert = comon_certify(sym_points(*points), scales, degree)
+    interp = find(cert, "half_degree_interpolation")[0]
+    assert interp["witness"]["attempts"] == attempts[:1]
+    if interp["status"] == FAIL:
+        assert all(a["h1"] > 0 for a in attempts)
+    else:
+        assert attempts == interp["witness"]["attempts"]
 
 
 # -- bounds
