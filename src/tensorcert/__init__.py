@@ -34,7 +34,6 @@ from .construct import (
     survey,
 )
 from .geometry import (
-    FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,

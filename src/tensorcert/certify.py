@@ -25,17 +25,14 @@ pattern of w, and no certificate needs the M coordinates of t.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .geometry import (
-    FactorPartition,
     PointSet,
     bipartition,
-    bipartition_masks,
     different_coordinates_violation,
     factor_projection_sizes,
-    factor_subset,
     flattening_rank,
     subset_ranks,
 )
@@ -73,7 +70,8 @@ CONCLUSION_TEXT = {
     ),
 }
 
-# obstruct prints one check per factor subset of size k - x; this caps them
+# obstruct prints one check per factor subset of size k - x, and the
+# bipartition search one entry per bipartition; this caps both
 MAX_RANKED_SUBSETS = 2**16
 
 TAG_NON_REDUNDANT = "span-membership-non-redundancy"
@@ -137,25 +135,34 @@ def check_non_redundant(s: PointSet, weights: Sequence) -> dict:
     return certificate(CLAIM_NON_REDUNDANT, TAG_NON_REDUNDANT, hyps, conclusion)
 
 
-def _bipartitions(s: PointSet, partition: FactorPartition | None):
-    """(partition, h1 of the E-flattening, rank of the F-flattening) for
-    ``partition``, or for every bipartition in E-bitmask order when None.
-    Both searches read these two numbers.  The ranks of both sides of
-    every bipartition asked come from one ``subset_ranks`` walk; a
-    partition is built only when it is yielded."""
+def bipartition_masks(k: int) -> range:
+    """E-bitmasks of the 2^k - 2 ordered proper bipartitions of {1..k},
+    bit i - 1 standing for factor i, refused past MAX_RANKED_SUBSETS."""
+    if (count := (1 << k) - 2) > MAX_RANKED_SUBSETS:
+        cap = f"more than the {MAX_RANKED_SUBSETS} the search takes"
+        raise ValueError(f"{k} factors have 2^{k} - 2 bipartitions, {cap}")
+    return range(1, count + 1)
+
+
+def _bipartitions(s: PointSet, partition: int | None):
+    """(E-bitmask, h1 of the E-flattening, rank of the F-flattening) for
+    the E-bitmask ``partition``, or for every bipartition in E-bitmask
+    order when None.  Both searches read these two numbers.  The masks
+    are checked, and refused past the cap, before any rank; the ranks of
+    both sides of every bipartition asked come from one ``subset_ranks``
+    walk."""
     k, full = s.shape.k, (1 << s.shape.k) - 1
-    if partition is not None and partition.k != k:
-        raise ValueError(f"partition {partition} does not match k={k}")
-    # bipartition_masks refuses k > 10 before any rank
-    masks = bipartition_masks(k) if partition is None else [sum(1 << (i - 1) for i in partition.E)]
+    if partition is None:
+        masks = bipartition_masks(k)
+    elif 0 < partition < full:
+        masks = [partition]
+    else:
+        raise ValueError(f"partition mask {partition} leaves a side of the {k} factors empty")
     ranks = subset_ranks(s, [*masks, *(full ^ mask for mask in masks)])
-    for mask in masks:
-        yield bipartition(mask, k), len(s) - ranks[mask], ranks[full ^ mask]
+    return ((mask, len(s) - ranks[mask], ranks[full ^ mask]) for mask in masks)
 
 
-def bound_cactus_rank(
-    s: PointSet, weights: Sequence, partition: FactorPartition | None = None
-) -> dict:
+def bound_cactus_rank(s: PointSet, weights: Sequence, partition: int | None = None) -> dict:
     """Best lower bound on the cactus rank over bipartitions of the factors.
 
     A bipartition (E, F) yields the bound M_F - h0(S, F), which is the rank
@@ -164,11 +171,13 @@ def bound_cactus_rank(
     so the certificate checks that S with ``weights`` is one before it
     concludes.  The search and its best bound are reported either way, as
     the JSON object ``cactus_bound`` prints, its certificate included.
+    ``partition`` is an E-bitmask, bit i - 1 for factor i.
     """
+    search = _bipartitions(s, partition)
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), len(s), weights)
-    entries = []
-    best: tuple[int, FactorPartition] | None = None
-    for part, h1_e, bound in _bipartitions(s, partition):
+    k, entries = s.shape.k, []
+    best: tuple[int, int] | None = None
+    for mask, h1_e, bound in search:
         if h1_e != 0:
             applicable, bound, reason = False, None, "h1 of the E-flattening is nonzero"
         elif bound <= 1:
@@ -176,22 +185,21 @@ def bound_cactus_rank(
         else:
             applicable, reason = True, None
             if best is None or bound > best[0]:
-                best = bound, part
-        entries.append(
-            {"partition": part.as_json(), "applicable": applicable, "bound": bound, "reason": reason}
-        )
+                best = bound, mask
+        part = bipartition(mask, k)
+        entries.append({"partition": part, "applicable": applicable, "bound": bound, "reason": reason})
     if best:
         hyps.append(
             hypothesis(
                 "e_flattening_independent",
                 PASS,
-                {"partition": best[1].as_json(), "h1_E": 0},
+                {"partition": bipartition(best[1], k), "h1_E": 0},
             )
         )
         conclusion = {
             "cactus_rank_at_least": best[0],
             "rank_at_least": best[0],
-            "partition": best[1].as_json(),
+            "partition": bipartition(best[1], k),
         }
     else:
         hyps.append(
@@ -207,28 +215,27 @@ def bound_cactus_rank(
     )
     return {
         "best_bound": best[0] if best else 1,
-        "best_partition": best[1].as_json() if best else None,
+        "best_partition": bipartition(best[1], k) if best else None,
         "per_partition": entries,
         "certificate": cert,
     }
 
 
-def certify_exact_rank(
-    s: PointSet, weights: Sequence, partition: FactorPartition | None = None
-) -> dict:
+def certify_exact_rank(s: PointSet, weights: Sequence, partition: int | None = None) -> dict:
     """Certify rank = cactus rank = #S via a bipartition with h1 = 0 on
-    both flattenings, on top of a non-redundancy certificate."""
-    r = len(s)
+    both flattenings, on top of a non-redundancy certificate; a given
+    ``partition`` is an E-bitmask, as for ``bound_cactus_rank``."""
+    r, k, search = len(s), s.shape.k, _bipartitions(s, partition)
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
     if not non_redundant:
         return certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, hyps, None)
     attempts = []
-    found: FactorPartition | None = None
-    for part, h1_e, rank_f in _bipartitions(s, partition):
+    found: int | None = None
+    for mask, h1_e, rank_f in search:
         h1_f = r - rank_f
-        attempts.append({"partition": part.as_json(), "h1_E": h1_e, "h1_F": h1_f})
+        attempts.append({"partition": bipartition(mask, k), "h1_E": h1_e, "h1_F": h1_f})
         if h1_e == 0 and h1_f == 0:
-            found = part
+            found = mask
             break
     hyps.append(
         hypothesis(
@@ -237,7 +244,7 @@ def certify_exact_rank(
             {"attempts": attempts},
         )
     )
-    conclusion = {"rank": r, "cactus_rank": r, "partition": found.as_json()} if found else None
+    conclusion = {"rank": r, "cactus_rank": r, "partition": bipartition(found, k)} if found else None
     return certificate(CLAIM_EXACT_RANK, TAG_EXACT_RANK, hyps, conclusion)
 
 
@@ -436,26 +443,32 @@ def pin_projections(
     F_i-projection as S, hence the same factor-j projections for j in
     F_i.  Equality of the decompositions themselves is not implied.
     """
-    k = s.shape.k
-    fams = [factor_subset(f, k) for f in families]
+    k, full = s.shape.k, (1 << s.shape.k) - 1
+    fams = []
+    for members in (tuple(int(i) for i in f) for f in families):
+        if not members:
+            raise ValueError("factor subset must be nonempty")
+        if len(set(members)) != len(members):
+            raise ValueError(f"factor subset {members} has repeated indices")
+        if any(i < 1 or i > k for i in members):
+            raise ValueError(f"factor subset {members} out of range for k={k}")
+        fams.append(sum(1 << (i - 1) for i in members))
     if len(fams) != k:
         raise ValueError(f"expected one family per factor ({k}), got {len(fams)}")
     for i, fam in enumerate(fams, start=1):
-        if i not in fam:
+        if not fam >> (i - 1) & 1:
             raise ValueError(f"family {i} must contain factor {i}")
-        if len(fam) == k:
+        if fam == full:
             raise ValueError(f"family {i} must be a proper subset of the factors")
     r = len(s)
     hyps, non_redundant = non_redundancy_hypotheses(flattening_rank(s), r, weights)
+    ranks = subset_ranks(s, [*fams, *(full ^ fam for fam in fams)])
     pinned: set[int] = set()
     usable = []
-    for i in range(1, k + 1):
-        fam = fams[i - 1]
-        comp = tuple(j for j in range(1, k + 1) if j not in fam)
-        m_f = s.shape.segre_length(fam)
-        m_e = s.shape.segre_length(comp)
-        rank_f = flattening_rank(s, fam)
-        rank_e = flattening_rank(s, comp)
+    for i, mask in enumerate(fams, start=1):
+        fam, comp = bipartition(mask, k).values()
+        m_f, m_e = (prod(s.shape.sizes[j - 1] for j in side) for side in (fam, comp))
+        rank_f, rank_e = ranks[mask], ranks[full ^ mask]
         numeric_ok = r < m_f and r <= m_e
         ranks_ok = rank_f == r and rank_e == r
         hyps.append(

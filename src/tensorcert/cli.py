@@ -27,6 +27,7 @@ from .certify import (
     ASSERTED,
     CONCLUSION_TEXT,
     FAIL,
+    bipartition_masks,
     bound_cactus_rank,
     certify_exact_rank,
     certify_identifiability,
@@ -43,7 +44,6 @@ from .construct import (
     survey,
 )
 from .geometry import (
-    FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
@@ -397,7 +397,8 @@ def _ints(text: str, error: str) -> list[int]:
         raise ValueError(error) from None
 
 
-def parse_partition_flag(text: str, k: int) -> FactorPartition:
+def parse_partition_flag(text: str, k: int) -> int:
+    """The E-bitmask (bit i - 1 for factor i) of a bipartition ``1,2/3``."""
     parts = text.split("/")
     if len(parts) != 2:
         raise ValueError(f"partition {text!r} must look like '1,2/3'")
@@ -412,7 +413,7 @@ def parse_partition_flag(text: str, k: int) -> FactorPartition:
         raise ValueError(f"partition {text!r} does not cover the {k} factors")
     if not e or not f:
         raise ValueError(f"partition {text!r} leaves a side empty")
-    return FactorPartition(e, f)
+    return sum(1 << (i - 1) for i in e)
 
 
 def parse_families_flag(text: str, k: int) -> list[tuple[int, ...]]:
@@ -499,9 +500,11 @@ def _certificate_only(cert: dict) -> tuple[list[Section], int]:
 
 def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
     points, weights = _need_points(load_instance(args.input))
-    partition = (
-        parse_partition_flag(args.partition, points.shape.k) if args.partition is not None else None
-    )
+    partition = None
+    if args.partition is not None:
+        partition = parse_partition_flag(args.partition, points.shape.k)
+    else:
+        bipartition_masks(points.shape.k)  # a search past the cap is refused before any rank
     nr = check_non_redundant(points, weights)
     report = bound_cactus_rank(points, weights, partition)
     exact = certify_exact_rank(points, weights, partition)
@@ -524,7 +527,9 @@ def cmd_kruskal(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
-    out = compare_criteria(*_need_points(load_instance(args.input)))
+    points, weights = _need_points(load_instance(args.input))
+    bipartition_masks(points.shape.k)  # a search past the cap is refused before any rank
+    out = compare_criteria(points, weights)
     flags = ("flattening_applies", "kruskal_applies", "flattening_without_kruskal")
     sections = [
         ("non_redundant", "non-redundancy", out["non_redundant"], format_certificate_text),

@@ -17,12 +17,11 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .certify import check_non_redundant
+from .certify import bipartition_masks, check_non_redundant
 from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    bipartition_masks,
     flattening_rank,
     segre_gram,
     segre_scale,
@@ -71,8 +70,11 @@ def _drawable_points(size: int, box: int) -> int:
     Up to sign, box b holds g(b) = b (2b + 1)^(size - 1) vectors with a
     nonzero first entry, each d times a primitive one of box b // d for
     its gcd d.  So the primitive count is P(b) = g(b) - sum_{d >= 2}
-    P(b // d), summed over the runs of d with one quotient.
+    P(b // d), summed over the runs of d with one quotient.  P^0 holds
+    one point at any box, counted without the sum.
     """
+    if size == 1:
+        return 1
     memo: dict[int, int] = {}
 
     def count(b: int) -> int:

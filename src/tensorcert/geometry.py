@@ -9,9 +9,10 @@ proportional.  The Segre coordinates of a point for a factor subset u
 are the entries of the outer product of the selected factor vectors,
 flattened row-major so the last selected factor's index varies fastest.
 
-For a finite set S and subset u, ``flattening_rank`` is the exact rank
-of the #S x M_u evaluation matrix.  Certificates name the two numbers
-it gives as
+A factor subset u is held as its bitmask, bit i - 1 standing for factor
+i.  For a finite set S, the u-flattening rank is the exact rank of the
+#S x M_u evaluation matrix (``flattening_rank`` is that of the full
+set).  Certificates name the two numbers it gives as
 
     h0 = (number of Segre coordinates for u) - rank,
     h1 = #S - rank.
@@ -79,68 +80,17 @@ class MultiShape:
     def min_dim(self) -> int:
         return min(self.dims)
 
-    def segre_length(self, subset: Sequence[int] | None = None) -> int:
-        """Number of Segre coordinates M_u for the factor subset (default all)."""
-        members = factor_subset(subset, self.k) if subset is not None else tuple(range(1, self.k + 1))
-        out = 1
-        for i in members:
-            out *= self.dims[i - 1] + 1
-        return out
+    def segre_length(self) -> int:
+        """Number of Segre coordinates M, the product of the sizes."""
+        return prod(self.sizes)
 
 
-def factor_subset(subset: Iterable[int], k: int) -> tuple[int, ...]:
-    """Validate a nonempty subset of 1-based factor indices, sorted ascending."""
-    members = tuple(int(i) for i in subset)
-    if not members:
-        raise ValueError("factor subset must be nonempty")
-    if len(set(members)) != len(members):
-        raise ValueError(f"factor subset {members} has repeated indices")
-    if any(i < 1 or i > k for i in members):
-        raise ValueError(f"factor subset {members} out of range for k={k}")
-    return tuple(sorted(members))
-
-
-@dataclass(frozen=True)
-class FactorPartition:
-    """Ordered bipartition (E, F) of the factor indices 1..k."""
-
-    E: tuple[int, ...]
-    F: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        E = tuple(int(i) for i in self.E)
-        F = tuple(int(i) for i in self.F)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "F", F)
-        if not E or not F:
-            raise ValueError("both sides of a partition must be nonempty")
-        k = len(E) + len(F)
-        if sorted(E + F) != list(range(1, k + 1)):
-            raise ValueError(f"({E}, {F}) is not a partition of 1..{k}")
-        if list(E) != sorted(E) or list(F) != sorted(F):
-            raise ValueError("partition sides must be sorted ascending")
-
-    @property
-    def k(self) -> int:
-        return len(self.E) + len(self.F)
-
-    def as_json(self) -> dict:
-        return {"E": list(self.E), "F": list(self.F)}
-
-
-def bipartition_masks(k: int) -> range:
-    """E-bitmasks of the 2^k - 2 ordered proper bipartitions of {1..k},
-    bit i - 1 standing for factor i."""
-    if k > 10:
-        raise ValueError(f"{k} factors have 2^{k} - 2 bipartitions, more than the 1022 the search takes")
-    return range(1, (1 << k) - 1)
-
-
-def bipartition(mask: int, k: int) -> FactorPartition:
-    """The bipartition of {1..k} whose E has E-bitmask ``mask``."""
-    E = tuple(i + 1 for i in range(k) if mask >> i & 1)
-    F = tuple(i + 1 for i in range(k) if not mask >> i & 1)
-    return FactorPartition(E, F)
+def bipartition(mask: int, k: int) -> dict:
+    """The bipartition of {1..k} whose E has E-bitmask ``mask`` (bit i - 1
+    for factor i), as certificates print it."""
+    factors = range(1, k + 1)
+    E = [i for i in factors if mask >> (i - 1) & 1]
+    return {"E": E, "F": [i for i in factors if not mask >> (i - 1) & 1]}
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,12 +220,10 @@ def segre_gram(s: PointSet) -> list[list[int]]:
     return s.memo[key]
 
 
-def flattening_rank(s: PointSet, subset: Sequence[int] | None = None) -> int:
-    """Rank of the Segre rows of S for the factors in ``subset`` (all when
-    None), from ``subset_ranks``."""
-    k = s.shape.k
-    mask = sum(1 << (i - 1) for i in factor_subset(subset, k)) if subset is not None else (1 << k) - 1
-    return subset_ranks(s, (mask,))[mask]
+def flattening_rank(s: PointSet) -> int:
+    """Rank of the Segre rows of S, from ``subset_ranks``."""
+    full = (1 << s.shape.k) - 1
+    return subset_ranks(s, (full,))[full]
 
 
 def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:

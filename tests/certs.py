@@ -1,4 +1,6 @@
-"""Reading certificates in tests."""
+"""Reading certificates and flattening ranks in tests."""
+
+from tensorcert.geometry import subset_ranks
 
 
 def certified(cert):
@@ -9,3 +11,14 @@ def certified(cert):
 def find(cert, name):
     """The hypotheses of ``cert`` called ``name``, in order."""
     return [h for h in cert["hypotheses"] if h["name"] == name]
+
+
+def factor_mask(subset):
+    """The bitmask of the 1-based factors in ``subset``, bit i - 1 for factor i."""
+    return sum(1 << (i - 1) for i in subset)
+
+
+def subset_rank(s, subset):
+    """The flattening rank of ``s`` on the 1-based factors in ``subset``."""
+    mask = factor_mask(subset)
+    return subset_ranks(s, (mask,))[mask]

@@ -34,7 +34,6 @@ from tensorcert.construct import (
     random_decomposition,
 )
 from tensorcert.geometry import (
-    FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
@@ -74,7 +73,7 @@ def random_sym_points(n, count, seed, box=9):
 def test_criterion_1_three_by_four_by_six_exact_rank():
     start = time.perf_counter()
     shape = MultiShape((2, 3, 5))
-    partition = FactorPartition((1, 2), (3,))
+    partition = 0b011  # E = {1, 2}, F = {3}
     exact_six = kruskal_na = 0
     for t in range(100):
         s, weights = random_decomposition(shape, 6, box=9, seed=derive_seed(101, t))

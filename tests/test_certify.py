@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from certs import certified, find
+from certs import certified, factor_mask, find, subset_rank
 from oracles import (
     all_partitions,
     exponents_desc_lex,
     gauss_rank,
+    hadamard_gram_rank,
     in_span,
     matrix_of_two_factor_tensor,
     monomial_values,
@@ -46,12 +47,11 @@ from tensorcert.certify import (
 from tensorcert.cli import instance_from_json
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert.geometry import (
-    FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
     assemble_tensor,
-    flattening_rank,
+    bipartition,
 )
 from tensorcert.linalg import primitive
 from tensorcert.symmetric import comon_certify
@@ -230,10 +230,9 @@ def test_bound_identity_pair_from_both_orientations():
 
 def test_bound_on_the_seeded_three_factor_sample():
     s, weights = sample((2, 3, 5), 6, seed=11)
-    part = FactorPartition((1, 2), (3,))
-    report = bound_cactus_rank(s, weights, part)
+    report = bound_cactus_rank(s, weights, 0b011)
     assert report["best_bound"] == 6
-    assert report["best_partition"] == part.as_json()
+    assert report["best_partition"] == {"E": [1, 2], "F": [3]}
     assert report["per_partition"][0]["applicable"]
     full = bound_cactus_rank(s, weights)
     assert full["best_bound"] == 6
@@ -256,8 +255,13 @@ def test_bound_reports_why_partitions_fail():
 
 
 def test_bound_rejects_partition_of_the_wrong_arity():
-    with pytest.raises(ValueError):
-        bound_cactus_rank(IDENTITY_PAIR, (1, 1), FactorPartition((1,), (2, 3)))
+    # an E-bitmask of two factors lies strictly between 0 and 0b11; the
+    # weights (1, 0) are redundant, and the mask is refused all the same
+    for search in (bound_cactus_rank, certify_exact_rank):
+        for mask in (0, 0b11, 0b100, -1):
+            message = f"^partition mask {mask} leaves a side of the 2 factors empty$"
+            with pytest.raises(ValueError, match=message):
+                search(IDENTITY_PAIR, (1, 0), mask)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,10 +318,11 @@ def test_applicable_bounds_never_exceed_the_cardinality(seed):
 
 
 def plain_bipartitions(s, partition):
-    """The per-subset search: every bipartition ranked from scratch."""
-    parts = [FactorPartition(e, f) for e, f in all_partitions(s.shape.k)]
-    for part in [partition] if partition is not None else parts:
-        yield part, len(s) - flattening_rank(s, part.E), flattening_rank(s, part.F)
+    """The per-subset search: every bipartition ranked on its own."""
+    k = s.shape.k
+    parts = all_partitions(k) if partition is None else [bipartition(partition, k).values()]
+    for e, f in parts:
+        yield factor_mask(e), len(s) - subset_rank(s, e), subset_rank(s, f)
 
 
 @st.composite
@@ -340,11 +345,34 @@ def search_point_sets(draw):
 def test_the_search_yields_the_ranks_of_a_fresh_point_set(case):
     s, _ = case
     fresh = PointSet(s.shape, s.points)
+    k = s.shape.k
     triples = list(certify._bipartitions(s, None))
-    assert [(part.E, part.F) for part, _, _ in triples] == all_partitions(s.shape.k)
-    for part, h1_e, rank_f in triples:
-        assert h1_e == len(fresh) - flattening_rank(fresh, part.E), part
-        assert rank_f == flattening_rank(fresh, part.F), part
+    assert [mask for mask, _, _ in triples] == [factor_mask(e) for e, _ in all_partitions(k)]
+    for mask, h1_e, rank_f in triples:
+        e, f = bipartition(mask, k).values()
+        assert h1_e == len(fresh) - subset_rank(fresh, e), mask
+        assert rank_f == subset_rank(fresh, f), mask
+
+
+@pytest.mark.parametrize("k", [11, 12])
+def test_the_search_past_ten_factors_matches_the_hadamard_oracle(k):
+    # two vectors per factor of 1-3 coordinates, so that points share
+    # factors and subsets of many sizes are dependent; the oracle ranks a
+    # seeded sample of 64 bipartitions, since all of them take seconds
+    rng = random.Random(k)
+    pools = [
+        [(rng.randint(1, 3), *(rng.randint(-3, 3) for _ in range(n - 1))) for _ in range(2)]
+        for n in (rng.randint(1, 3) for _ in range(k))
+    ]
+    points = {pt(*(rng.choice(pool) for pool in pools)): None for _ in range(14)}
+    s = pset(tuple(len(pool[0]) - 1 for pool in pools), *points)
+    triples = list(certify._bipartitions(s, None))
+    assert [mask for mask, _, _ in triples] == [factor_mask(e) for e, _ in all_partitions(k)]
+    assert {h1_e == 0 for _, h1_e, _ in triples} == {True, False}
+    for mask, h1_e, rank_f in rng.sample(triples, 64):
+        e, f = bipartition(mask, k).values()
+        assert h1_e == len(s) - hadamard_gram_rank(s, e), mask
+        assert rank_f == hadamard_gram_rank(s, f), mask
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,8 +407,7 @@ def test_exact_rank_identity_pair():
 
 def test_exact_rank_seeded_sample_with_a_pinned_partition():
     s, weights = sample((2, 3, 5), 6, seed=11)
-    part = FactorPartition((1, 2), (3,))
-    cert = certify_exact_rank(s, weights, part)
+    cert = certify_exact_rank(s, weights, 0b011)
     assert certified(cert)
     assert cert["conclusion"]["rank"] == 6
     attempts = find(cert, "partition_with_both_flattenings_independent")[0]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorcert import certify, cli, construct, geometry, linalg, symmetric
+from tensorcert import certify, cli, construct, geometry, kruskal, linalg, symmetric
 from tensorcert.certify import (
     bound_cactus_rank,
     certificate,
@@ -46,7 +46,6 @@ from tensorcert.cli import (
 )
 from tensorcert.construct import random_decomposition
 from tensorcert.geometry import (
-    FactorPartition,
     MultiShape,
     assemble_tensor,
 )
@@ -330,8 +329,9 @@ def test_every_claim_has_its_conclusion_line():
 
 
 def test_parse_partition_flag():
-    assert parse_partition_flag("1,2/3", 3) == FactorPartition((1, 2), (3,))
-    assert parse_partition_flag("3/1,2", 3) == FactorPartition((3,), (1, 2))
+    # the E-bitmask, bit i - 1 for factor i
+    assert parse_partition_flag("1,2/3", 3) == 0b011
+    assert parse_partition_flag("3/1,2", 3) == 0b100
     with pytest.raises(ValueError):
         parse_partition_flag("1,2", 3)
     with pytest.raises(ValueError):
@@ -590,19 +590,43 @@ def test_survey_refuses_factor_grams_past_its_entry_cap(r, top, capsys, monkeypa
     )
 
 
-def test_survey_refuses_more_than_10_factors_before_any_draw(capsys, monkeypatch):
+SEVENTEEN_FACTORS_REFUSED = (
+    "error: 17 factors have 2^17 - 2 bipartitions, more than the 65536 the search takes\n"
+)
+
+
+def test_survey_refuses_more_than_16_factors_before_any_draw(capsys, monkeypatch):
     # the first shape is fine, but no trial of it runs before the second is refused
     def draw(*args, **kwargs):
         raise AssertionError("drew a decomposition")
 
     monkeypatch.setattr(construct, "random_decomposition", draw)
-    argv = ["survey", "--shapes", "6x6x6," + "x".join(["2"] * 11), "--r", "22", "--trials", "50"]
+    argv = ["survey", "--shapes", "6x6x6," + "x".join(["2"] * 17), "--r", "22", "--trials", "50"]
     start = time.perf_counter()
     assert run(argv) == EXIT_INVALID
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: 11 factors have 2^11 - 2 bipartitions, more than the 1022 the search takes\n"
+    assert captured.err == SEVENTEEN_FACTORS_REFUSED
+
+
+@pytest.mark.parametrize("command", ["certify", "compare"])
+def test_certify_and_compare_refuse_more_than_16_factors_before_any_rank(
+    command, tmp_path, capsys, monkeypatch
+):
+    # every flattening rank is an elimination in geometry, every Kruskal rank one in kruskal
+    def echelon(rows):
+        raise AssertionError("ranked a Gram")
+
+    monkeypatch.setattr(geometry, "_echelon", echelon)
+    monkeypatch.setattr(kruskal, "_echelon", echelon)
+    path = write_instance(tmp_path, {"dims": [2] * 17, "points": [[["1", "0"]] * 17, [["0", "1"]] * 17]})
+    start = time.perf_counter()
+    assert run([command, "--input", path]) == EXIT_INVALID
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == SEVENTEEN_FACTORS_REFUSED
 
 
 def test_survey_factor_gram_entry_cap_is_inclusive(capsys, monkeypatch):
@@ -1081,6 +1105,29 @@ def test_random_subcommand_emits_a_loadable_instance(capsys):
     code = run(["random", "--shape", "2x3,2x2", "--r", "2"])
     assert code == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["random", "--shape", "1x3"], ["survey", "--shapes", "1x3", "--trials", "1"]],
+    ids=["random", "survey"],
+)
+def test_a_one_coordinate_factor_holds_one_point_at_any_box(argv, capsys):
+    # P^0 has one point, counted at once however large the box
+    box = str(10**18)
+    start = time.perf_counter()
+    assert run([*argv, "--r", "1", "--box", box]) == EXIT_CERTIFIED
+    assert time.perf_counter() - start < 1
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run([*argv, "--r", "2", "--box", box]) == EXIT_INVALID
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: could not sample 2 points with injective projections on shape 1x3: "
+        f"at box {box}, factor 1 has room for 1 of them\n"
+    )
 
 
 @pytest.mark.parametrize(

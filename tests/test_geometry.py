@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certs import subset_rank
 from oracles import (
     all_partitions,
     decomposition_weights,
@@ -19,21 +21,24 @@ from oracles import (
     permute_flat_coords,
     rescaled_point_set,
 )
-from tensorcert.certify import bound_cactus_rank, certify_exact_rank, check_non_redundant
+from tensorcert.certify import (
+    MAX_RANKED_SUBSETS,
+    bipartition_masks,
+    bound_cactus_rank,
+    certify_exact_rank,
+    check_non_redundant,
+)
 from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import derive_seed, random_decomposition
 from tensorcert import geometry
 from tensorcert.geometry import (
-    FactorPartition,
     MultiPoint,
     MultiShape,
     PointSet,
     assemble_tensor,
     bipartition,
-    bipartition_masks,
     different_coordinates_violation,
     factor_projection_sizes,
-    factor_subset,
     _factor_gram,
     flattening_rank,
     segre_scale,
@@ -54,7 +59,7 @@ def pset(dims, *points):
 
 def segre_function(s):
     """Ranks of the prefix flattenings u = {1}, {1,2}, ..., {1..k}."""
-    return tuple(flattening_rank(s, range(1, i + 1)) for i in range(1, s.shape.k + 1))
+    return tuple(subset_rank(s, range(1, i + 1)) for i in range(1, s.shape.k + 1))
 
 
 # -- shapes, subsets, partitions
@@ -66,8 +71,6 @@ def test_shape_derived_quantities():
     assert shape.sizes == (3, 4, 6)
     assert shape.segre_length() == 72
     assert str(shape) == "3x4x6"
-    assert shape.segre_length((1, 2)) == 12
-    assert shape.segre_length((3,)) == 6
     assert shape.min_dim == 2
 
 
@@ -78,48 +81,23 @@ def test_shape_rejects_bad_dims():
         MultiShape((1, -1))
 
 
-def test_factor_subset_validation():
-    assert factor_subset((3, 1), 3) == (1, 3)
-    with pytest.raises(ValueError):
-        factor_subset((), 3)
-    with pytest.raises(ValueError):
-        factor_subset((1, 1), 3)
-    with pytest.raises(ValueError):
-        factor_subset((4,), 3)
-    with pytest.raises(ValueError):
-        factor_subset((0,), 3)
-
-
-def test_factor_partition_validation():
-    part = FactorPartition((1, 2), (3,))
-    assert part.k == 3
-    assert part.as_json() == {"E": [1, 2], "F": [3]}
-    with pytest.raises(ValueError):
-        FactorPartition((), (1, 2))
-    with pytest.raises(ValueError):
-        FactorPartition((1,), (1, 2))
-    with pytest.raises(ValueError):
-        FactorPartition((2, 1), (3,))
-    with pytest.raises(ValueError):
-        FactorPartition((1,), (3,))
-
-
 def test_all_partitions_enumeration():
     def partitions(k):
         return [bipartition(mask, k) for mask in bipartition_masks(k)]
 
     parts = partitions(3)
     assert len(parts) == 6
-    assert parts[0] == FactorPartition((1,), (2, 3))
-    assert FactorPartition((1, 2), (3,)) in parts
-    assert partitions(2) == [
-        FactorPartition((1,), (2,)),
-        FactorPartition((2,), (1,)),
-    ]
+    assert parts[0] == {"E": [1], "F": [2, 3]}
+    assert {"E": [1, 2], "F": [3]} in parts
+    assert partitions(2) == [{"E": [1], "F": [2]}, {"E": [2], "F": [1]}]
     for k in range(1, 9):
-        assert [(p.E, p.F) for p in partitions(k)] == all_partitions(k)
-    with pytest.raises(ValueError):
-        bipartition_masks(11)
+        assert [(tuple(p["E"]), tuple(p["F"])) for p in partitions(k)] == all_partitions(k)
+    # 16 factors have 2^16 - 2 bipartitions, within the cap; 17 have too many
+    assert bipartition_masks(16) == range(1, 2**16 - 1)
+    assert 2**16 - 2 <= MAX_RANKED_SUBSETS < 2**17 - 2
+    message = "17 factors have 2^17 - 2 bipartitions, more than the 65536 the search takes"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        bipartition_masks(17)
 
 
 # -- points and point sets
@@ -265,15 +243,15 @@ def test_cohomology_of_a_single_point():
 
 def test_cohomology_detects_a_shared_factor():
     s = pset((2, 1), pt((1, 0, 0), (1, 0)), pt((1, 0, 0), (0, 1)))
-    assert flattening_rank(s, (1,)) == 1
-    assert flattening_rank(s, (2,)) == 2
+    assert subset_rank(s, (1,)) == 1
+    assert subset_rank(s, (2,)) == 2
     assert flattening_rank(s) == 2
 
 
 def test_cohomology_on_a_generic_sample():
     s, _ = random_decomposition(MultiShape((2, 3, 5)), 6, seed=11)
-    assert flattening_rank(s, (3,)) == 6
-    assert flattening_rank(s, (1, 2)) == 6
+    assert subset_rank(s, (3,)) == 6
+    assert subset_rank(s, (1, 2)) == 6
     assert flattening_rank(s) == 6
 
 
@@ -323,7 +301,7 @@ def test_adding_factors_to_the_subset_never_drops_the_rank(seed):
             points.append(cand)
     s = PointSet(MultiShape(dims), tuple(points))
     subsets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-    ranks = {u: flattening_rank(s, u) for u in subsets}
+    ranks = {u: subset_rank(s, u) for u in subsets}
     for u in subsets:
         for v in subsets:
             if set(u) <= set(v):
@@ -335,7 +313,7 @@ def test_flattening_rank_matches_gauss_oracle_on_a_sample():
     s, _ = random_decomposition(MultiShape((1, 2, 1)), 4, seed=3)
     for subset in [(1,), (2, 3), (1, 2, 3)]:
         rows = [outer_product_flat([p.factors[i - 1] for i in subset]) for p in s.points]
-        assert flattening_rank(s, subset) == gauss_rank(rows)
+        assert subset_rank(s, subset) == gauss_rank(rows)
 
 
 def certify_run(s, weights):
@@ -397,8 +375,8 @@ def test_flattening_rank_matches_gauss_oracle_on_every_subset(s, rng):
     rescaled = rescaled_point_set(s, rng)
     for u in subsets:
         rank = gauss_rank([outer_product_flat([p.factors[i - 1] for i in u]) for p in s.points])
-        assert flattening_rank(s, u) == rank, u
-        assert flattening_rank(rescaled, u) == rank, u
+        assert subset_rank(s, u) == rank, u
+        assert subset_rank(rescaled, u) == rank, u
     assert flattening_rank(s) == flattening_rank(rescaled) == rank
 
 
@@ -518,10 +496,9 @@ def test_cohomology_is_projective_scaling_invariant(seed):
     dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 3)))
     r = rng.randint(1, 4)
     s, _ = random_decomposition(MultiShape(dims), r, seed=derive_seed(seed, 2))
-    before = {u: flattening_rank(s, u) for u in [(1,), None]}
+    before = subset_rank(s, (1,)), flattening_rank(s)
     rescaled = rescaled_point_set(s, rng)
-    assert flattening_rank(rescaled, (1,)) == before[(1,)]
-    assert flattening_rank(rescaled) == before[None]
+    assert (subset_rank(rescaled, (1,)), flattening_rank(rescaled)) == before
     assert factor_projection_sizes(rescaled) == factor_projection_sizes(s)
 
 
