@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -71,6 +72,10 @@ MAX_PRINTED_COORDINATES = 2**20
 # instance files
 
 
+# a vector of plain integer literals, joined by commas, in one match
+_INT_LIST_RE = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*")
+
+
 class InstanceParseError(Exception):
     """Structural problem with an instance file (exit code 3)."""
 
@@ -93,9 +98,20 @@ class Instance:
     symmetric: SymmetricInstance | None
 
 
-def _parse_vector(items, where: str) -> tuple[Fraction, ...]:
+def _parse_vector(items, where: str) -> tuple[int | Fraction, ...]:
     if not isinstance(items, list):
         raise InstanceParseError(f"{where} must be an array of rational strings")
+    # plain integer literals only, checked in one match: a comma count of
+    # one per join means no literal holds one; the rest goes literal by literal
+    try:
+        joined = ",".join(items)
+    except TypeError:  # a literal that is not a string
+        joined = ""
+    if joined.count(",") == len(items) - 1 and _INT_LIST_RE.fullmatch(joined):
+        try:
+            return tuple(map(int, items))
+        except ValueError:  # past the digit limit: the literal path names it
+            pass
     try:
         return tuple(parse_rational(x) for x in items)
     except ValueError as exc:
@@ -115,7 +131,7 @@ def load_instance(path: str) -> Instance:
     return instance_from_json(data)
 
 
-def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[Fraction, ...] | None:
+def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[int | Fraction, ...] | None:
     if "tensor" not in data:
         return None
     if shape is None:
@@ -167,7 +183,7 @@ def instance_from_json(data: dict) -> Instance:
             parsed_points.append(MultiPoint(factors))
         points = PointSet(shape, tuple(parsed_points))
         if "weights" in data:
-            weights = _parse_vector(data["weights"], "weights")
+            weights = tuple(map(Fraction, _parse_vector(data["weights"], "weights")))
         else:
             weights = tuple(Fraction(1) for _ in range(len(points)))
         if len(weights) != len(points):
@@ -207,7 +223,7 @@ def instance_from_json(data: dict) -> Instance:
             )
         sym_points = PointSet(MultiShape((n,)), tuple(MultiPoint((p,)) for p in vectors))
         if "weights" in sym:
-            sym_weights = _parse_vector(sym["weights"], "symmetric weights")
+            sym_weights = tuple(map(Fraction, _parse_vector(sym["weights"], "symmetric weights")))
         else:
             sym_weights = tuple(Fraction(1) for _ in range(len(sym_points)))
         if len(sym_weights) != len(sym_points):

@@ -57,10 +57,10 @@ def _nonzero_int(rng: random.Random, box: int) -> int:
             return v
 
 
-def _random_factor(rng: random.Random, size: int, box: int) -> tuple[Fraction, ...]:
+def _random_factor(rng: random.Random, size: int, box: int) -> tuple[int, ...]:
     # first coordinate kept nonzero, which also normalizes the vector away from zero
-    coords = [Fraction(_nonzero_int(rng, box))]
-    coords.extend(Fraction(rng.randint(-box, box)) for _ in range(size - 1))
+    coords = [_nonzero_int(rng, box)]
+    coords.extend(rng.randint(-box, box) for _ in range(size - 1))
     return tuple(coords)
 
 

@@ -1,8 +1,8 @@
 """Multiprojective points, Segre embeddings and flattening ranks.
 
 A shape (n_1, ..., n_k) stands for the product of projective spaces
-P^{n_1} x ... x P^{n_k}.  Points carry one integer-or-rational
-coordinate vector per factor, and the primitive integer form of each
+P^{n_1} x ... x P^{n_k}.  Points carry one coordinate vector per factor,
+its entries ``int`` or ``Fraction``, and the primitive integer form of each
 (``linalg.primitive``), computed once; two points are the same exactly
 when those forms agree, that is, when all factor vectors are pairwise
 proportional.  The Segre coordinates of a point for a factor subset u
@@ -47,6 +47,8 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .linalg import _echelon, integer_gram, multiple, primitive
+
+_EXACT = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,12 @@ class MultiPoint:
     scaling, so weighted sums over them are meaningful.
     """
 
-    factors: tuple[tuple[Fraction, ...], ...]
+    factors: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(tuple(Fraction(x) for x in f) for f in self.factors)
+        # int and Fraction entries are kept; anything else (a float, say)
+        # becomes the Fraction of its exact value
+        factors = tuple(tuple(x if type(x) in _EXACT else Fraction(x) for x in f) for f in self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("a point needs at least one factor")
@@ -120,9 +124,8 @@ class MultiPoint:
 
     def replace_factor(self, index: int, vector: Iterable) -> "MultiPoint":
         """New point with 1-based factor ``index`` swapped out."""
-        vec = tuple(Fraction(x) for x in vector)
         factors = list(self.factors)
-        factors[index - 1] = vec
+        factors[index - 1] = vector
         return MultiPoint(tuple(factors))
 
     def __eq__(self, other: object) -> bool:
@@ -177,13 +180,14 @@ class PointSet:
         return len(self.points)
 
 
-def _outer(vectors: Iterable[Sequence]) -> tuple:
-    """Outer product of ``vectors``, flattened with the last index varying
-    fastest.  Of the primitive factor forms of a point (``canonical``) it
-    is the primitive integer vector on the line of the Segre vector."""
-    acc: tuple = (1,)
+def _outer(vectors: Iterable[Sequence], scale: int = 1) -> list:
+    """``scale`` times the outer product of ``vectors``, flattened with the
+    last index varying fastest.  Of the primitive factor forms of a point
+    (``canonical``) it is the primitive integer vector on the line of the
+    Segre vector, times ``scale``."""
+    acc = [scale]
     for f in vectors:
-        acc = tuple(a * b for a in acc for b in f)
+        acc = [a * b for a in acc for b in f]
     return acc
 
 
@@ -297,12 +301,13 @@ def weighted_sum(weights: Sequence, s: PointSet) -> tuple[Fraction, tuple[int, .
 
     With S_j = c_j P_j for the primitive Segre row P_j of p_j, the sum is
     sum_j (w_j c_j) P_j.  T sums the P_j with the primitive integer form
-    of those coefficients, so the M coordinates are summed in integers,
-    and c is the one rational between the two.
+    of those coefficients, each folded into its row's first factor, so
+    the M coordinates are built and summed in integers in one pass, and c
+    is the one rational between the two.
     """
     coeffs = [w * segre_scale(p) for w, p in zip(weights, s.points)]
     u = primitive(coeffs)
-    rows = ([x * v for v in _outer(p.canonical())] for x, p in zip(u, s.points))
+    rows = (_outer(p.canonical(), x) for x, p in zip(u, s.points))
     # at most 16 rows of M entries alive at once: the first 16, then 15
     # more at a time next to their running sum
     total = tuple(map(sum, zip(*islice(rows, 16))))

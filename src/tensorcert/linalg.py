@@ -9,6 +9,10 @@ always the first nonzero entry scanning columns left to right and rows
 top to bottom.  There is no floating point anywhere in the
 certification path.
 
+Numbers are ``int`` or ``Fraction``: a plain integer literal parses to
+an ``int`` and stays one, and only a ``p/q`` literal or a scale between
+two vectors is a ``Fraction``.  No operation on them yields a float.
+
 ``primitive`` is also the one projective normal form of the package:
 two nonzero vectors name the same projective point exactly when their
 primitive integer forms are equal.
@@ -27,31 +31,39 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal of the form ``p`` or ``p/q``.
+def parse_rational(text: str) -> int | Fraction:
+    """Parse a rational literal of the form ``p`` or ``p/q``: an ``int``
+    for ``p``, a ``Fraction`` for ``p/q``.
 
     The sign, if any, sits on the numerator.  Anything else (floats,
     whitespace inside the number, a zero denominator) is rejected.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
+    # ASCII digits after at most one sign read the same by int() as by the
+    # regex; int() alone would also take '_', other digits and spaces
+    if text.isascii() and (text[1:] if text[:1] in ("+", "-") else text).isdigit():
+        return int(text)
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"invalid rational literal {text!r} (expected 'p' or 'p/q')")
+    if match[2] is None:
+        return int(match[1])
     try:
-        return Fraction(int(match[1]), int(match[2] or 1))
+        return Fraction(int(match[1]), int(match[2]))
     except ZeroDivisionError:
         raise ValueError(f"invalid rational literal {text!r} (zero denominator)") from None
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Format a rational as ``p`` or ``p/q`` with the sign on the numerator."""
-    value = Fraction(value)
+    """Format a rational as ``p`` or ``p/q`` with the sign on the numerator
+    (an int is its own numerator over 1)."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -64,22 +76,25 @@ def primitive(row: Sequence[Fraction | int]) -> tuple[int, ...]:
     nonzero entry positive, so two nonzero vectors are proportional over
     Q exactly when their primitive forms are equal.  A zero row stays zero.
     """
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
+    try:
+        ints, g = row, gcd(*row)
+    except TypeError:  # gcd takes ints only: clear the denominators first
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
     if next((v for v in ints if v), 0) < 0:
         g = -g
-    return tuple(v // g for v in ints) if g else tuple(ints)
+    return tuple(v // g for v in ints) if g not in (0, 1) else tuple(ints)
 
 
-def multiple(row: Sequence[Fraction], prim: Sequence[int]) -> Fraction:
+def multiple(row: Sequence[Fraction | int], prim: Sequence[int]) -> Fraction:
     """The c with row = c * prim, for a nonzero row and a nonzero integer
     vector on its line, such as its primitive form."""
     i = next(i for i, v in enumerate(prim) if v)
-    return row[i] / prim[i]
+    return Fraction(row[i], prim[i])  # an int row / prim would be a float
 
 
-def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+def integer_gram(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     """Gram matrix of the primitive integer forms of ``rows``.
 
     Making a row primitive multiplies it by a nonzero rational, which
@@ -87,7 +102,7 @@ def integer_gram(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     rank nor the rank of any principal submatrix changes.
     """
     ints = [primitive(row) for row in rows]
-    return [[sum(x * y for x, y in zip(a, b)) for b in ints] for a in ints]
+    return [[sum(map(mul, a, b)) for b in ints] for a in ints]
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -10,9 +10,27 @@ the package is wrong.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
+
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def parse_rational_regex(text) -> Fraction:
+    """A rational literal ``p`` or ``p/q`` read by one regex fullmatch
+    and always returned as a Fraction: the literal language and the
+    messages that ``linalg.parse_rational`` must keep."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid rational literal {text!r} (expected 'p' or 'p/q')")
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational literal {text!r} (zero denominator)") from None
 
 
 def gauss_rank(rows) -> int:

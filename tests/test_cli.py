@@ -1,5 +1,6 @@
 """Command line interface: instance files, serialization, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -1105,6 +1106,34 @@ def test_random_subcommand_emits_a_loadable_instance(capsys):
     code = run(["random", "--shape", "2x3,2x2", "--r", "2"])
     assert code == EXIT_INVALID
     capsys.readouterr()
+
+
+# sha256 of the stdout of random and then augment --seed 7 --format json
+# on it, pinned when every coordinate was still a Fraction
+PINNED_STDOUTS = {
+    "x".join(["3"] * 8): (
+        10,
+        "485dfaabe33f23f1d4d07ae984ee5b21ef313d230ad6d555aaea7fb4ff722e8e",
+        "42d375393e95172119f6fa648ba672c4ada2d40b0d26c94d18d5df83b50aabaa",
+    ),
+    "x".join(["3"] * 10): (
+        12,
+        "9ef850f63df88b20402f36801873c3a6bfedc423ed554a5e559c6f71a6afe674",
+        "24abcff0c9d56e83f3e85ae62ea4adfa99d5ff1af1677803d2370f0f9c7b50f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_STDOUTS))
+def test_random_and_augment_print_pinned_bytes(shape, tmp_path, capsys):
+    r, random_sha, augment_sha = PINNED_STDOUTS[shape]
+    assert run(["random", "--shape", shape, "--r", str(r), "--seed", "1"]) == EXIT_CERTIFIED
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == random_sha
+    path = tmp_path / "instance.json"
+    path.write_text(out)
+    assert run(["augment", "--input", str(path), "--seed", "7", "--format", "json"]) == EXIT_CERTIFIED
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == augment_sha
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ against explicit sums, and malformed inputs fuzzed through ``cli.run``."""
 import copy
 import io
 import json
+import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -13,8 +14,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import exponents_desc_lex, gauss_rank, monomial_values, outer_product_flat
+from tensorcert.certify import check_non_redundant
 from tensorcert.cli import instance_from_json, run
-from tensorcert.geometry import assemble_tensor
+from tensorcert.geometry import assemble_tensor, segre_scale, weighted_sum
 
 # Pairwise non-proportional vectors per factor size, and linear relations
 # among them as (pool indices, integer coefficients): points that agree
@@ -123,6 +125,67 @@ def test_parse_checks_agree_with_the_explicit_weighted_sum(case):
     assert assemble_tensor(inst.weights, inst.points) == tuple(total if given is None else given)
     scale = 1 if given is None else inst.weights[0] / weights[0]
     assert inst.weights == tuple(scale * w for w in weights)
+
+
+@st.composite
+def integer_instances(draw):
+    """An instance file whose coordinates are plain integer literals, its
+    weights integers or 'p/q', with or without its tensor (as integers,
+    the weighted sum times the weights' common denominator), and with or
+    without a symmetric stanza of integer points."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    coords = st.integers(-4, 4)
+    factor = lambda n: st.lists(coords, min_size=n, max_size=n).filter(any)
+    points = draw(st.lists(st.tuples(*(factor(n) for n in sizes)), min_size=1, max_size=3))
+    weight = st.one_of(
+        st.integers(-5, 5).filter(bool).map(str),
+        st.tuples(st.integers(-5, 5).filter(bool), st.integers(2, 4)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    )
+    weights = draw(st.lists(weight, min_size=len(points), max_size=len(points)))
+    data = as_instance(sizes, points, weights, None)
+    if draw(st.booleans()):
+        rows = [outer_product_flat(p) for p in points]
+        values = [Fraction(w) for w in weights]
+        den = math.lcm(*(w.denominator for w in values))
+        data["tensor"] = [str(int(den * sum(w * row[j] for w, row in zip(values, rows)))) for j in range(len(rows[0]))]
+    if draw(st.booleans()):
+        sym_points = draw(st.lists(factor(3), min_size=1, max_size=3))
+        sym_weights = draw(st.lists(weight, min_size=len(sym_points), max_size=len(sym_points)))
+        data["symmetric"] = {"n": 2, "k": 2, "points": [list(map(str, p)) for p in sym_points], "weights": sym_weights}
+    return data
+
+
+def leaves(value):
+    """Every number inside nested tuples, lists and dicts (keys too)."""
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_instances())
+@example({"dims": [2], "points": [[["3", "-6"]]], "weights": ["1/2"], "tensor": ["3", "-6"]})
+def test_integer_instances_parse_to_ints_and_fractions_only(data):
+    """Integer coordinates stay ints, weights are Fractions, and nothing
+    the parser or a certifier keeps is a float."""
+    try:
+        inst = instance_from_json(data)
+    except ValueError:  # coinciding points, or a vanishing sum
+        assume(False)
+    check_non_redundant(inst.points, inst.weights)  # fills the point set's memo
+    found = [inst.weights, weighted_sum(inst.weights, inst.points), inst.points.memo]
+    for s in [inst.points] + ([inst.symmetric.points] if inst.symmetric else []):
+        assert all(type(x) is int for p in s.points for f in p.factors for x in f)
+        found += [[p.canonical() for p in s.points], [segre_scale(p) for p in s.points]]
+    assert all(type(w) is Fraction for w in inst.weights)
+    if inst.symmetric:
+        assert all(type(w) is Fraction for w in inst.symmetric.weights)
+        found.append(inst.symmetric.points.memo)
+    assert all(type(x) in (int, Fraction) for x in leaves(found) if type(x) is not str)
 
 
 @st.composite

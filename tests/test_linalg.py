@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certs import find
-from oracles import decomposition_weights, gauss_rank
+from oracles import decomposition_weights, gauss_rank, parse_rational_regex
 from tensorcert.certify import check_span_intersection_identity
-from tensorcert.geometry import MultiPoint, MultiShape, PointSet
+from tensorcert.cli import InstanceParseError, _parse_vector
+from tensorcert.geometry import MultiPoint, MultiShape, PointSet, segre_scale
 from tensorcert.linalg import (
     _echelon,
     format_rational,
@@ -66,6 +67,72 @@ def test_parse_rational_keeps_the_int_digit_limit(literal):
 def test_parse_rational_rejects_non_strings():
     with pytest.raises(ValueError):
         parse_rational(3)
+
+
+def test_plain_integer_literals_parse_to_ints():
+    assert [type(parse_rational(x)) for x in ("3", "-3", "+0", " 7 ")] == [int] * 4
+    assert [type(parse_rational(x)) for x in ("3/1", "-4/2", "1/3")] == [Fraction] * 3
+
+
+# Literals from the characters where int() and the regex could part:
+# signs and '/', '_' and whitespace that int() skips, and non-ASCII
+# digits, spaces and a superscript one; plus runs at the digit limit.
+LITERAL_CHARS = "0123456789+-/_ \t\n\r\x0b\x0c\u00a0\u2003\u0661\uff11\u00b9"
+DIGIT_RUNS = ["1" * 4300, "1" * 4301, "1" * 5000]
+literals = st.one_of(
+    st.text(LITERAL_CHARS, max_size=8),
+    st.builds(lambda sign, run, tail: sign + run + tail, st.sampled_from(["", "+", "-", " "]),
+              st.sampled_from(DIGIT_RUNS), st.sampled_from(["", "/3", " ", "_1"])),
+    st.builds(lambda run: "1/" + run, st.sampled_from(DIGIT_RUNS)),
+)
+
+
+def outcome(parse, *args):
+    """("value", the value), or the type and message of the exception raised."""
+    try:
+        return "value", parse(*args)
+    except (ValueError, InstanceParseError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(literals)
+@example("1_0")
+@example("\u0661")
+@example("-")
+@example("+-1")
+@example(" -12/4\u2003")
+def test_parse_rational_agrees_with_the_regex_reference(text):
+    got = outcome(parse_rational, text)
+    assert got == outcome(parse_rational_regex, text)
+    if got[0] == "value":
+        # only a 'p/q' literal is a Fraction
+        assert type(got[1]) is (Fraction if "/" in text else int)
+
+
+def reference_vector(items, where):
+    if not isinstance(items, list):
+        raise InstanceParseError(f"{where} must be an array of rational strings")
+    try:
+        return tuple(parse_rational_regex(x) for x in items)
+    except ValueError as exc:
+        raise InstanceParseError(f"{where}: {exc}") from None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(literals, literals.map(str.strip), st.integers(-3, 3)), max_size=5))
+@example(["1,2", "3"])
+@example(["1", "2,"])
+@example([",", ""])
+@example(["1", 2])
+@example(["12", "-0", "+7"])
+@example(["1" * 4301, "2"])
+@example([])
+def test_parse_vector_agrees_with_the_regex_reference(items):
+    got = outcome(_parse_vector, items, "point 0")
+    assert got == outcome(reference_vector, items, "point 0")
+    if got[0] == "value":
+        assert all(type(x) in (int, Fraction) for x in got[1])
 
 
 def test_format_rational():
@@ -346,3 +413,20 @@ def test_multiple_recovers_the_row_from_its_primitive_form(vector):
     form = primitive(vector)
     c = multiple(vector, form)
     assert [c * v for v in form] == vector
+
+
+def test_multiple_of_int_rows_is_a_fraction():
+    assert type(multiple((2, 4), (1, 2))) is Fraction
+    assert type(multiple((-3,), (1,))) is Fraction
+    point = MultiPoint(((2, 4), (-3, 0, 6)))
+    assert point.factors == ((2, 4), (-3, 0, 6))
+    assert type(segre_scale(point)) is Fraction and segre_scale(point) == -6
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=5))
+@example([0, -6, 4])
+@example([0, 0])
+def test_primitive_of_an_int_row_is_that_of_its_fractions(vector):
+    assert primitive(vector) == primitive([Fraction(x) for x in vector])
+    assert all(type(v) is int for v in primitive(vector))
