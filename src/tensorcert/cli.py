@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ from .geometry import (
     weighted_sum,
 )
 from .kruskal import MAX_WALK_BLOCKS, compare_criteria, kruskal_certificate
-from .linalg import format_rational, multiple, parse_rational, primitive
+from .linalg import format_rational, multiple, parse_rationals, primitive
 from .symmetric import comon_certify, symmetric_bounds, veronese_gram
 
 ENV_SEED = "TENSORCERT_SEED"
@@ -70,10 +69,6 @@ MAX_PRINTED_COORDINATES = 2**20
 
 # ---------------------------------------------------------------------------
 # instance files
-
-
-# a vector of plain integer literals, joined by commas, in one match
-_INT_LIST_RE = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*")
 
 
 class InstanceParseError(Exception):
@@ -101,19 +96,8 @@ class Instance:
 def _parse_vector(items, where: str) -> tuple[int | Fraction, ...]:
     if not isinstance(items, list):
         raise InstanceParseError(f"{where} must be an array of rational strings")
-    # plain integer literals only, checked in one match: a comma count of
-    # one per join means no literal holds one; the rest goes literal by literal
     try:
-        joined = ",".join(items)
-    except TypeError:  # a literal that is not a string
-        joined = ""
-    if joined.count(",") == len(items) - 1 and _INT_LIST_RE.fullmatch(joined):
-        try:
-            return tuple(map(int, items))
-        except ValueError:  # past the digit limit: the literal path names it
-            pass
-    try:
-        return tuple(parse_rational(x) for x in items)
+        return parse_rationals(items)
     except ValueError as exc:
         raise InstanceParseError(f"{where}: {exc}") from None
 

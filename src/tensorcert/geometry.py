@@ -180,7 +180,7 @@ class PointSet:
         return len(self.points)
 
 
-def _outer(vectors: Iterable[Sequence], scale: int = 1) -> list:
+def _outer(vectors: Iterable[Sequence], scale: int) -> list:
     """``scale`` times the outer product of ``vectors``, flattened with the
     last index varying fastest.  Of the primitive factor forms of a point
     (``canonical``) it is the primitive integer vector on the line of the
@@ -192,7 +192,7 @@ def _outer(vectors: Iterable[Sequence], scale: int = 1) -> list:
 
 
 def segre_scale(point: MultiPoint) -> Fraction:
-    """The c with _outer(point.factors) = c * _outer(point.canonical())."""
+    """The c with _outer(point.factors, 1) = c * _outer(point.canonical(), 1)."""
     return prod(multiple(f, q) for f, q in zip(point.factors, point.canonical()))
 
 

@@ -35,6 +35,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+# a vector of plain integer literals, joined by commas, in one match
+_INT_LIST_RE = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*")
 
 
 def parse_rational(text: str) -> int | Fraction:
@@ -46,10 +48,6 @@ def parse_rational(text: str) -> int | Fraction:
     """
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
-    # ASCII digits after at most one sign read the same by int() as by the
-    # regex; int() alone would also take '_', other digits and spaces
-    if text.isascii() and (text[1:] if text[:1] in ("+", "-") else text).isdigit():
-        return int(text)
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"invalid rational literal {text!r} (expected 'p' or 'p/q')")
@@ -61,9 +59,32 @@ def parse_rational(text: str) -> int | Fraction:
         raise ValueError(f"invalid rational literal {text!r} (zero denominator)") from None
 
 
-def format_rational(value: Fraction | int) -> str:
+def parse_rationals(items: Sequence[str]) -> tuple[int | Fraction, ...]:
+    """``parse_rational`` of each literal in ``items``, with the same
+    values and the same ``ValueError`` for the first bad one.
+
+    An all-integer vector is checked in one match of its comma join (one
+    comma per join means no literal holds one) and read by ``int``; any
+    other vector goes literal by literal.
+    """
+    try:
+        joined = ",".join(items)
+    except TypeError:  # a literal that is not a string
+        joined = ""
+    if joined.count(",") == len(items) - 1 and _INT_LIST_RE.fullmatch(joined):
+        try:
+            return tuple(map(int, items))
+        except ValueError:  # past the digit limit: the literal path names it
+            pass
+    return tuple(parse_rational(x) for x in items)
+
+
+def format_rational(value) -> str:
     """Format a rational as ``p`` or ``p/q`` with the sign on the numerator
-    (an int is its own numerator over 1)."""
+    (an int is its own numerator over 1; anything else that is not a
+    ``Fraction`` is read as ``Fraction(value)``)."""
+    if type(value) not in (int, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

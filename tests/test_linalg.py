@@ -140,6 +140,10 @@ def test_format_rational():
     assert format_rational(Fraction(-7, 2)) == "-7/2"
     assert format_rational(5) == "5"
     assert format_rational(Fraction(4, 6)) == "2/3"
+    # anything else is read as the Fraction of its value
+    assert format_rational("6/4") == "3/2"
+    assert format_rational(0.5) == "1/2"
+    assert format_rational(True) == "1"
 
 
 @given(rationals)
