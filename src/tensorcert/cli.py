@@ -84,13 +84,15 @@ class SymmetricInstance:
 
 @dataclass
 class Instance:
-    """A parsed instance file.  A tensor the file gives has been checked to
-    be a nonzero multiple of the weighted sum of the points, and the
-    weights scaled by that multiple, so the decomposition sums to it."""
+    """A parsed instance file.  A tensor the file gives with its points has
+    been checked to be a nonzero multiple of the weighted sum of the
+    points, and the weights scaled by that multiple, so the decomposition
+    sums to it; it is kept as ``tensor``, None when the file gives none."""
 
     points: PointSet | None
     weights: tuple[Fraction, ...] | None
     symmetric: SymmetricInstance | None
+    tensor: tuple[int | Fraction, ...] | None
 
 
 def _parse_vector(items, where: str) -> tuple[int | Fraction, ...]:
@@ -145,6 +147,7 @@ def instance_from_json(data: dict) -> Instance:
     shape = None
     points = None
     weights = None
+    tensor = None
     if "dims" in data:
         dims = data["dims"]
         # bool is a subclass of int, so JSON true/false would pass isinstance
@@ -220,7 +223,7 @@ def instance_from_json(data: dict) -> Instance:
             scales = [segre_scale(p) ** degree for p in sym_points.points]
             _check_sum(sym_weights, veronese_gram(sym_points, degree), scales)
         symmetric = SymmetricInstance(degree, sym_points, sym_weights)
-    return Instance(points, weights, symmetric)
+    return Instance(points, weights, symmetric, tensor)
 
 
 def _need_points(inst: Instance) -> tuple[PointSet, tuple[Fraction, ...]]:
@@ -543,12 +546,13 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
-    points, weights = _need_points(load_instance(args.input))
+    inst = load_instance(args.input)
+    points, weights = _need_points(inst)
     _check_printable(points.shape)
     seed = resolve_seed(args)
     bigger, new_weights, cert = augment_decomposition(points, weights, seed=seed, box=args.box)
     # the parsed weights sum to the tensor the file gives, if it gives one
-    tensor = assemble_tensor(weights, points)
+    tensor = assemble_tensor(weights, points) if inst.tensor is None else inst.tensor
     decomposition = _printed_instance("the decomposition augment prints", bigger, new_weights, tensor)
     sections = [
         ("decomposition", None, decomposition, format_json_text),

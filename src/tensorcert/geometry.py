@@ -32,7 +32,9 @@ Every flattening rank comes from one walk, ``subset_ranks``, given the
 bitmasks of the subsets a caller needs.  It walks them with their
 prefixes, each subset's Gram being its parent prefix's Gram times one
 factor Gram, not a product rebuilt from the start.  No Gram is written
-to: ``_hadamard`` builds a new matrix and ``_echelon`` copies its input.
+to: ``_hadamard`` builds a new matrix and ``linalg.gram_rank``, which
+ranks every one of these PSD Grams, reads only the upper triangle of its
+input and writes to none of it.
 Ranks only grow with the subset, so a subset one factor larger than a
 subset known to be independent has rank #S with no elimination, and an
 unasked prefix is eliminated only when it has at least #S coordinates.
@@ -46,7 +48,7 @@ from itertools import islice
 from math import prod
 from typing import Iterable, Sequence
 
-from .linalg import _echelon, integer_gram, multiple, primitive
+from .linalg import gram_rank, integer_gram, multiple, primitive
 
 _EXACT = (int, Fraction)
 
@@ -272,7 +274,7 @@ def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
             gram = _factor_gram(s, top + 1) if gram is None else _hadamard(gram, _factor_gram(s, top + 1))
         m_u *= sizes[top]
         if mask not in ranks and (mask in asked or m_u >= r):
-            ranks[mask] = len(_echelon(gram))
+            ranks[mask] = gram_rank(gram)
         if ranks.get(mask, 0) < r:
             grams[mask] = gram, m_u
     return ranks

@@ -4,9 +4,11 @@ The Kruskal rank of a matrix is the largest kappa such that every
 kappa-subset of columns is linearly independent, that is, every kappa x
 kappa principal submatrix of the integer column Gram is nonsingular, so
 ``kruskal_rank`` takes that Gram (``linalg.integer_gram`` of the
-columns) and walks its principal minors depth first, one Bareiss step
-per column subset.  For a point set, the Kruskal rank of a factor is
-taken on the memoized factor Gram that the set's flattening ranks use.
+columns), ranks it with ``linalg.gram_rank`` and walks its principal
+minors depth first, one ``linalg._pivot_step`` per column subset: the
+Bareiss step with a principal pivot that ``gram_rank`` takes too, on
+upper triangles as there.  For a point set, the Kruskal rank of a factor
+is taken on the memoized factor Gram that the set's flattening ranks use.
 The baseline uniqueness condition for a decomposition with r points
 compares the sum of the factor-matrix Kruskal ranks against 2r + k - 1.
 This module also bundles the side-by-side comparison against the
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from .certify import bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
 from .geometry import PointSet, _factor_gram
-from .linalg import _echelon
+from .linalg import _pivot_step, gram_rank
 
 MAX_WALK_BLOCKS = 2**20
 KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
@@ -31,14 +33,15 @@ def kruskal_rank(gram: list[list[int]]) -> int:
     which is left as it is.
 
     A depth-first walk over independent column sets S in index order,
-    Bareiss elimination with principal pivots: a node holds the block
-    det G[S + a, S + b] over the columns a, b after S (Sylvester's
-    identity), so a zero diagonal entry is a dependent set S + a, and a
-    child is one exact Bareiss step on its parent's block.  kappa starts
-    at the rank; a dependent set of size j lowers it to j - 1, and no set
-    of size j or more is looked at after that.  Independent columns need
-    no walk.  Raises on no columns, on a zero column and, before walking,
-    when the walk could build more than MAX_WALK_BLOCKS blocks.
+    Bareiss elimination with principal pivots: a node holds the upper
+    triangle of the block det G[S + a, S + b] over the columns a <= b
+    after S (Sylvester's identity), so a zero diagonal entry is a
+    dependent set S + a, and a child is one ``_pivot_step`` on its
+    parent's block.  kappa starts at the rank, from ``gram_rank``; a
+    dependent set of size j lowers it to j - 1, and no set of size j or
+    more is looked at after that.  Independent columns need no walk.
+    Raises on no columns, on a zero column and, before walking, when the
+    walk could build more than MAX_WALK_BLOCKS blocks.
     """
     n = len(gram)
     if n == 0:
@@ -46,7 +49,7 @@ def kruskal_rank(gram: list[list[int]]) -> int:
     for j in range(n):
         if not gram[j][j]:
             raise ValueError(f"column {j} is zero, Kruskal rank undefined")
-    kappa = len(_echelon(gram))
+    kappa = gram_rank(gram)
     if kappa == n:
         return n
     # one block per independent set of fewer than kappa - 1 columns, at most
@@ -57,25 +60,23 @@ def kruskal_rank(gram: list[list[int]]) -> int:
         )
 
     def walk(block: list[list[int]], prev: int, size: int) -> None:
-        # block[a][b] = det G[S + a, S + b] over the columns after S,
-        # |S| = size and prev = det G[S]
+        # block[a] = det G[S + a, S + b] for b >= a over the columns after
+        # S, from b = a on; |S| = size and prev = det G[S]
         nonlocal kappa
         for p, row in enumerate(block):
-            d = row[p]
+            d = row[0]
             if not d:
                 kappa = size
                 return
-            tail, rest = row[p + 1:], block[p + 1:]
             if size + 2 < kappa:
-                child = [[(d * x - r[p] * y) // prev for x, y in zip(r[p + 1:], tail)] for r in rest]
-                walk(child, d, size + 1)
+                walk(_pivot_step(block, p, prev), d, size + 1)
             elif size + 2 == kappa:
                 # S + p is the last node on its path: only the zero pattern of
                 # its block's diagonal counts, and that needs no division
-                if any(d * r[a] == r[p] * y for a, (r, y) in enumerate(zip(rest, tail), p + 1)):
+                if any(d * r[0] == y * y for r, y in zip(block[p + 1:], row[1:])):
                     kappa = size + 1
 
-    walk(gram, 1, 0)
+    walk([row[a:] for a, row in enumerate(gram)], 1, 0)
     return kappa
 
 

@@ -1,12 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package that certifies anything reduces to ranks of
-integer matrices, brought to echelon form by one kernel, ``_echelon``:
-Bareiss's fraction-free elimination.  It copies its rows, reads the
-width from the first and returns the nonzero echelon rows, so the rank
-is their count.  Results are exact and deterministic: the pivot is
-always the first nonzero entry scanning columns left to right and rows
-top to bottom.  There is no floating point anywhere in the
+integer matrices, taken by Bareiss's fraction-free elimination (Math.
+Comp. 22, 1968): every entry it writes is a minor of the input, so each
+division is exact.  There is no floating point anywhere in the
 certification path.
 
 Numbers are ``int`` or ``Fraction``: a plain integer literal parses to
@@ -20,10 +17,17 @@ primitive integer forms are equal.
 Independence of a point set is asked of the integer Gram matrix of its
 evaluation vectors (``integer_gram``): over Q, inside R, rank(A A^T) =
 rank(A), and rows are independent exactly when their principal Gram
-submatrix is nonsingular.  Segre flattenings and Veronese degrees are
-ranked that way, by ``_echelon``.  Kruskal column subsets are the
-principal minors of one Gram, which ``kruskal.kruskal_rank`` reaches by
-Bareiss steps with principal pivots, one per subset.
+submatrix is nonsingular.  Such a Gram, and every Hadamard product or
+power of such Grams, is positive semidefinite, and ``gram_rank`` ranks
+every one of them: Segre flattenings, Veronese degrees and Kruskal
+factors.  It keeps only the upper triangle and pivots on the diagonal,
+so its pivots are the greedy independent prefix of the points, each
+point in turn that is independent of the ones before it.  Kruskal column
+subsets are the principal minors of one Gram, which
+``kruskal.kruskal_rank`` reaches by the same Bareiss step,
+``_pivot_step``, one per subset.  ``_echelon``, the general kernel with
+first-nonzero pivoting, serves only augment's solve, whose rows are not
+symmetric.
 """
 
 from __future__ import annotations
@@ -128,7 +132,9 @@ def integer_gram(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
 
 def _echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The nonzero rows of an echelon form of integer ``rows``, which are
-    left as they are; row i has its pivot right of row i - 1's.
+    left as they are; row i has its pivot right of row i - 1's.  Only
+    augment's solve needs it: its rows are not symmetric, so they are not
+    ``gram_rank``'s to rank.
 
     Bareiss (Math. Comp. 22, 1968): a row below pivot row p becomes
     (p[col] * row - row[col] * p) // prev, prev the previous pivot.  Every
@@ -149,3 +155,32 @@ def _echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             work[i] = [(pv * a - xi * b) // prev for a, b in zip(work[i], prow)]
         rank, prev = rank + 1, pv
     return work[:rank]
+
+
+def _pivot_step(rows: Sequence[Sequence[int]], p: int, prev: int) -> list[list[int]]:
+    """One Bareiss step on the upper triangle ``rows`` of a symmetric
+    block (row a holds the entries from column a on), with principal
+    pivot p and previous pivot prev: the upper triangle of the block over
+    the columns after p.  Rows before p are left out."""
+    d, *tail = rows[p]
+    return [
+        [(d * x - g * y) // prev for x, y in zip(row, tail[a:])]
+        for a, (row, g) in enumerate(zip(rows[p + 1:], tail))
+    ]
+
+
+def gram_rank(gram: Sequence[Sequence[int]]) -> int:
+    """Rank of a positive semidefinite integer matrix, which is left as it is.
+
+    Bareiss with principal pivots on the upper triangle: the pivot is the
+    first nonzero diagonal entry, because in a PSD matrix a zero diagonal
+    entry has a zero row, and each principal step leaves a PSD block
+    (the last pivot times a Schur complement), so the rows before the
+    pivot drop out.  About n^3/6 updates where a general elimination of
+    the whole matrix takes n^3/2.
+    """
+    rows = [row[a:] for a, row in enumerate(gram)]
+    rank, prev = 0, 1
+    while (p := next((a for a, row in enumerate(rows) if row[0]), None)) is not None:
+        rank, prev, rows = rank + 1, rows[p][0], _pivot_step(rows, p, prev)
+    return rank

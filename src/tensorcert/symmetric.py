@@ -44,7 +44,7 @@ from .certify import (
     non_redundancy_hypotheses,
 )
 from .geometry import PointSet, _factor_gram
-from .linalg import _echelon
+from .linalg import gram_rank
 
 TAG_SYMMETRIC = "symmetric-rank-agreement"
 
@@ -59,7 +59,7 @@ def veronese_rank(a: PointSet, degree: int) -> int:
     """Rank of the degree-``degree`` Veronese rows of A; r from degree r - 1 on."""
     if degree >= len(a) - 1:
         return len(a)
-    return len(_echelon(veronese_gram(a, degree)))
+    return gram_rank(veronese_gram(a, degree))
 
 
 def comon_certify(a: PointSet, weights: Sequence, degree: int) -> dict:

@@ -448,8 +448,8 @@ def test_certify_ranks_only_subsets_without_an_independent_subset(
     # ranked (2^3 < 9 <= 2^4), on 3^10 r=12 every one of at most 3
     data, _, _ = seeded_instance(dims, r, seed=1)
     calls = []
-    echelon = geometry._echelon
-    monkeypatch.setattr(geometry, "_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    gram_rank = geometry.gram_rank
+    monkeypatch.setattr(geometry, "gram_rank", lambda gram: calls.append(gram) or gram_rank(gram))
     code = run(["certify", "--input", write_instance(tmp_path, data), "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_CERTIFIED
@@ -615,12 +615,12 @@ def test_survey_refuses_more_than_16_factors_before_any_draw(capsys, monkeypatch
 def test_certify_and_compare_refuse_more_than_16_factors_before_any_rank(
     command, tmp_path, capsys, monkeypatch
 ):
-    # every flattening rank is an elimination in geometry, every Kruskal rank one in kruskal
-    def echelon(rows):
+    # every flattening rank is a gram_rank call in geometry, every Kruskal rank one in kruskal
+    def gram_rank(gram):
         raise AssertionError("ranked a Gram")
 
-    monkeypatch.setattr(geometry, "_echelon", echelon)
-    monkeypatch.setattr(kruskal, "_echelon", echelon)
+    monkeypatch.setattr(geometry, "gram_rank", gram_rank)
+    monkeypatch.setattr(kruskal, "gram_rank", gram_rank)
     path = write_instance(tmp_path, {"dims": [2] * 17, "points": [[["1", "0"]] * 17, [["0", "1"]] * 17]})
     start = time.perf_counter()
     assert run([command, "--input", path]) == EXIT_INVALID
@@ -1134,6 +1134,22 @@ def test_random_and_augment_print_pinned_bytes(shape, tmp_path, capsys):
     path.write_text(out)
     assert run(["augment", "--input", str(path), "--seed", "7", "--format", "json"]) == EXIT_CERTIFIED
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == augment_sha
+
+
+def test_augment_prints_the_tensor_the_file_gives(tmp_path, capsys, monkeypatch):
+    # the parser has checked the file's tensor against the weighted sum and
+    # scaled the weights to it, so augment prints it without a second sum
+    assert run(["random", "--shape", "3x3x3", "--r", "4", "--seed", "1"]) == EXIT_CERTIFIED
+    out = capsys.readouterr().out
+    path = tmp_path / "instance.json"
+    path.write_text(out)
+
+    def assemble_tensor(weights, s):
+        raise AssertionError("built the weighted sum again")
+
+    monkeypatch.setattr(cli, "assemble_tensor", assemble_tensor)
+    assert run(["augment", "--input", str(path), "--seed", "7", "--format", "json"]) == EXIT_CERTIFIED
+    assert json.loads(capsys.readouterr().out)["decomposition"]["tensor"] == json.loads(out)["tensor"]
 
 
 @pytest.mark.parametrize(

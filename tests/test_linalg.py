@@ -16,6 +16,7 @@ from tensorcert.geometry import MultiPoint, MultiShape, PointSet, segre_scale
 from tensorcert.linalg import (
     _echelon,
     format_rational,
+    gram_rank,
     integer_gram,
     multiple,
     parse_rational,
@@ -151,25 +152,27 @@ def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
-# -- rank by the elimination kernel
+# -- rank by the two elimination kernels
 #
-# _echelon is run the two ways the package runs it: on the primitive
-# rows themselves (augment's normal equations) and on their integer
-# Gram (every point-set rank).
+# Each kernel is run the way the package runs it: _echelon on the
+# primitive rows themselves (augment's normal equations, its one
+# caller), gram_rank on their integer Gram (every point-set rank: the
+# Grams are PSD, and its pivots are the greedy independent prefix of
+# the rows).
 
 
 def rows_rank(rows):
     return len(_echelon([primitive(row) for row in rows]))
 
 
-def gram_rank(rows):
-    return len(_echelon(integer_gram(rows)))
+def rows_gram_rank(rows):
+    return gram_rank(integer_gram(rows))
 
 
 def test_empty_matrix_has_rank_zero():
     assert rows_rank([]) == 0
     assert _echelon([[], []]) == []
-    assert gram_rank([]) == 0
+    assert rows_gram_rank([]) == 0
 
 
 def leading_columns(rows):
@@ -215,6 +218,36 @@ def test_echelon_matches_the_oracle_and_leaves_its_input(rows):
     assert gauss_rank(rows + echelon) == len(echelon)
 
 
+@st.composite
+def psd_grams(draw):
+    """The PSD Grams the package ranks: the integer Gram of a degenerate
+    matrix, its Hadamard product with the Gram of another one's rows
+    (picked with repeats, to as many rows), or its Hadamard power (the
+    veronese_gram case, the all-ones matrix at exponent 0)."""
+    gram = integer_gram(draw(degenerate_integer_matrices()))
+    kind = draw(st.sampled_from(["gram", "product", "power"]))
+    if kind == "product":
+        other = draw(degenerate_integer_matrices())
+        picks = draw(st.lists(st.integers(0, len(other) - 1), min_size=len(gram), max_size=len(gram)))
+        factor = integer_gram([other[i] for i in picks])
+        gram = [[x * y for x, y in zip(u, v)] for u, v in zip(gram, factor)]
+    elif kind == "power":
+        e = draw(st.integers(0, 4))
+        gram = [[x**e for x in row] for row in gram]
+    return gram
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_grams())
+@example([])
+@example([[0, 0, 0], [0, 1, 2], [0, 2, 4]])
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+def test_gram_rank_matches_the_oracle_and_leaves_its_input(gram):
+    before = [row[:] for row in gram]
+    assert gram_rank(gram) == gauss_rank(gram)
+    assert gram == before
+
+
 def test_rank_hand_cases():
     for rows, rank in (
         ([[1, 0], [0, 1]], 2),
@@ -222,7 +255,7 @@ def test_rank_hand_cases():
         ([[0, 0], [0, 0]], 0),
         ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
     ):
-        assert rows_rank(rows) == gram_rank(rows) == gauss_rank(rows) == rank
+        assert rows_rank(rows) == rows_gram_rank(rows) == gauss_rank(rows) == rank
 
 
 def test_rank_with_fractional_entries():
@@ -231,13 +264,13 @@ def test_rank_with_fractional_entries():
         [Fraction(3, 2), Fraction(5, 1)],
         [Fraction(1, 4), Fraction(1, 6)],
     ]
-    assert rows_rank(rows) == gram_rank(rows) == gauss_rank(rows) == 2
+    assert rows_rank(rows) == rows_gram_rank(rows) == gauss_rank(rows) == 2
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_matrices())
 def test_rank_matches_gaussian_oracle(rows):
-    assert rows_rank(rows) == gram_rank(rows) == gauss_rank(rows)
+    assert rows_rank(rows) == rows_gram_rank(rows) == gauss_rank(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +278,7 @@ def test_rank_matches_gaussian_oracle(rows):
 def test_rank_is_transpose_invariant(rows):
     transposed = list(zip(*rows))
     assert rows_rank(rows) == rows_rank(transposed)
-    assert gram_rank(rows) == gram_rank(transposed)
+    assert rows_gram_rank(rows) == rows_gram_rank(transposed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,7 +286,7 @@ def test_rank_is_transpose_invariant(rows):
 def test_rank_is_invariant_under_row_scaling(rows, scale):
     scaled = [[scale * Fraction(x) for x in rows[0]]] + rows[1:]
     assert rows_rank(scaled) == rows_rank(rows)
-    assert gram_rank(scaled) == gram_rank(rows)
+    assert rows_gram_rank(scaled) == rows_gram_rank(rows)
 
 
 # -- span tests
@@ -347,7 +380,7 @@ def test_solve_row_combination_recombines_to_the_target(data):
 @given(small_matrices())
 def test_rank_bounded_by_dimensions(rows):
     assert 0 <= rows_rank(rows) <= min(len(rows), len(rows[0]))
-    assert 0 <= gram_rank(rows) <= min(len(rows), len(rows[0]))
+    assert 0 <= rows_gram_rank(rows) <= min(len(rows), len(rows[0]))
 
 
 # -- integer Grams

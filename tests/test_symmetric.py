@@ -24,7 +24,7 @@ from oracles import (
 from tensorcert import symmetric
 from tensorcert.certify import FAIL, PASS
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, flattening_rank
-from tensorcert.linalg import _echelon, primitive
+from tensorcert.linalg import gram_rank, primitive
 from tensorcert.symmetric import (
     comon_certify,
     is_exceptional,
@@ -172,7 +172,7 @@ def test_a_failed_interpolation_makes_one_elimination():
     # and no smaller e is ranked after that
     pts = sym_points((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
     calls = []
-    with mock.patch.object(symmetric, "_echelon", lambda rows: calls.append(rows) or _echelon(rows)):
+    with mock.patch.object(symmetric, "gram_rank", lambda gram: calls.append(gram) or gram_rank(gram)):
         cert = comon_certify(pts, [1] * 5, 4)
     assert not certified(cert)
     assert len(calls) == 1
