@@ -19,10 +19,11 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple, Sequence
 
+from . import DEFAULT_BOX, AugmentationError
 from .certify import (
     ASSERTED,
     CONCLUSION_TEXT,
@@ -35,13 +36,6 @@ from .certify import (
     check_span_intersection_identity,
     obstruct_alt_decompositions,
     pin_projections,
-)
-from .construct import (
-    DEFAULT_BOX,
-    AugmentationError,
-    augment_decomposition,
-    random_decomposition,
-    survey,
 )
 from .geometry import (
     MultiPoint,
@@ -75,15 +69,13 @@ class InstanceParseError(Exception):
     """Structural problem with an instance file (exit code 3)."""
 
 
-@dataclass
-class SymmetricInstance:
+class SymmetricInstance(NamedTuple):
     degree: int
     points: PointSet
     weights: tuple[Fraction, ...]
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     """A parsed instance file.  A tensor the file gives with its points has
     been checked to be a nonzero multiple of the weighted sum of the
     points, and the weights scaled by that multiple, so the decomposition
@@ -104,7 +96,8 @@ def _parse_vector(items, where: str) -> tuple[int | Fraction, ...]:
         raise InstanceParseError(f"{where}: {exc}") from None
 
 
-def load_instance(path: str) -> Instance:
+def load_instance(path: str, search: bool = False) -> Instance:
+    """The parsed instance file at ``path``; ``search`` as in ``instance_from_json``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -114,7 +107,7 @@ def load_instance(path: str) -> Instance:
         raise InstanceParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceParseError("instance file must be a JSON object")
-    return instance_from_json(data)
+    return instance_from_json(data, search)
 
 
 def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[int | Fraction, ...] | None:
@@ -143,11 +136,19 @@ def _check_sum(weights: Sequence[Fraction], gram: list[list[int]], scales: Seque
         raise ValueError("the weighted sum of the decomposition vanishes")
 
 
-def instance_from_json(data: dict) -> Instance:
+def instance_from_json(data: dict, search: bool = False) -> Instance:
+    """Parse and check an instance file's JSON object.
+
+    With ``search`` (a command that searches the bipartitions of the
+    factors), a Segre stanza past the search's cap is refused once the
+    whole object has parsed, and its r x r Gram and M-wide sum, which
+    only check it, are never built.
+    """
     shape = None
     points = None
     weights = None
     tensor = None
+    refusal = None
     if "dims" in data:
         dims = data["dims"]
         # bool is a subclass of int, so JSON true/false would pass isinstance
@@ -178,13 +179,19 @@ def instance_from_json(data: dict) -> Instance:
         tensor = _read_tensor(data, shape)
         if not all(weights):
             raise ValueError("weights must be nonzero")
-        _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
-        if tensor is not None:
-            c, total = weighted_sum(weights, points)
-            if primitive(tensor) != primitive(total):
-                raise ValueError("tensor disagrees with the weighted sum of the points")
-            scale = multiple(tensor, total) / c
-            weights = tuple(scale * w for w in weights)
+        if search:
+            try:
+                bipartition_masks(shape.k)
+            except ValueError as exc:
+                refusal = exc
+        if refusal is None:
+            _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
+            if tensor is not None:
+                c, total = weighted_sum(weights, points)
+                if primitive(tensor) != primitive(total):
+                    raise ValueError("tensor disagrees with the weighted sum of the points")
+                scale = multiple(tensor, total) / c
+                weights = tuple(scale * w for w in weights)
     else:
         _read_tensor(data, shape)
     symmetric = None
@@ -223,6 +230,8 @@ def instance_from_json(data: dict) -> Instance:
             scales = [segre_scale(p) ** degree for p in sym_points.points]
             _check_sum(sym_weights, veronese_gram(sym_points, degree), scales)
         symmetric = SymmetricInstance(degree, sym_points, sym_weights)
+    if refusal is not None:
+        raise refusal
     return Instance(points, weights, symmetric, tensor)
 
 
@@ -367,9 +376,56 @@ def format_symmetric_bounds_text(bounds: dict) -> str:
     return f"bounds: r0={bounds['r0']} rg={bounds['rg']} exceptional={exceptional}"
 
 
+# the JSON text of a leaf, by its exact type; a subclass takes the long way
+_JSON_LEAVES: dict = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of an acyclic value, byte for byte,
+    from C-encoded leaves.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; here
+    strings go through the C ``encode_basestring_ascii`` and ints through
+    ``int.__repr__`` (with its ValueError past the digit limit), and
+    only what is left (floats, subclasses of str or int, dicts with
+    non-string keys, objects json refuses) goes to ``json.dumps``.
+    ``newline`` is the line break and indent of the level ``value`` sits at.
+    """
+    leaves = _JSON_LEAVES
+    if type(value) in leaves:
+        return leaves[type(value)](value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [leaves[type(v)](v) if type(v) in leaves else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        try:
+            items = [
+                encode_basestring_ascii(k)
+                + ": "
+                + (leaves[type(v)](v) if type(v) in leaves else _json_text(v, inner))
+                for k, v in value.items()
+            ]
+        except TypeError:  # a key that is not a string, or a value json refuses
+            pass
+        else:
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # a JSON text holds no raw line break, so every one is an indent
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def format_json_text(data: dict) -> str:
     """An instance file prints as JSON in both formats."""
-    return json.dumps(data, indent=2)
+    return _json_text(data)
 
 
 def render(sections: Sequence[Section], fmt: str) -> str:
@@ -378,7 +434,7 @@ def render(sections: Sequence[Section], fmt: str) -> str:
         out: dict = {}
         for key, _, value, _ in sections:
             out.update(value if key is None else {key: value})
-        return json.dumps(out, indent=2)
+        return _json_text(out)
     lines = []
     for _, title, value, text in sections:
         if title is not None:
@@ -502,12 +558,11 @@ def _certificate_only(cert: dict) -> tuple[list[Section], int]:
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[list[Section], int]:
-    points, weights = _need_points(load_instance(args.input))
+    # a search past its cap is refused before any Gram is built
+    points, weights = _need_points(load_instance(args.input, search=args.partition is None))
     partition = None
     if args.partition is not None:
         partition = parse_partition_flag(args.partition, points.shape.k)
-    else:
-        bipartition_masks(points.shape.k)  # a search past the cap is refused before any rank
     nr = check_non_redundant(points, weights)
     report = bound_cactus_rank(points, weights, partition)
     exact = certify_exact_rank(points, weights, partition)
@@ -530,8 +585,8 @@ def cmd_kruskal(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
-    points, weights = _need_points(load_instance(args.input))
-    bipartition_masks(points.shape.k)  # a search past the cap is refused before any rank
+    # a search past its cap is refused before any Gram is built
+    points, weights = _need_points(load_instance(args.input, search=True))
     out = compare_criteria(points, weights)
     flags = ("flattening_applies", "kruskal_applies", "flattening_without_kruskal")
     sections = [
@@ -546,6 +601,8 @@ def cmd_compare(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
+    from .construct import augment_decomposition
+
     inst = load_instance(args.input)
     points, weights = _need_points(inst)
     _check_printable(points.shape)
@@ -606,6 +663,8 @@ def cmd_span_check(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_survey(args: argparse.Namespace) -> tuple[list[Section], int]:
+    from .construct import survey
+
     shapes = parse_shapes_flag(args.shapes)
     r_values = parse_r_flag(args.r)
     seed = resolve_seed(args)
@@ -614,6 +673,8 @@ def cmd_survey(args: argparse.Namespace) -> tuple[list[Section], int]:
 
 
 def cmd_random(args: argparse.Namespace) -> tuple[list[Section], int]:
+    from .construct import random_decomposition
+
     shapes = parse_shapes_flag(args.shape)
     if len(shapes) != 1:
         raise ValueError("--shape must name exactly one shape")

@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from . import DEFAULT_BOX, AugmentationError
 from .certify import bipartition_masks, check_non_redundant
 from .geometry import (
     MultiPoint,
@@ -29,17 +30,12 @@ from .geometry import (
 from .kruskal import compare_criteria
 from .linalg import _echelon, primitive
 
-DEFAULT_BOX = 9
 _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
 # survey draws every coordinate of every point it samples
 MAX_POINT_COORDINATES = 2**20
 # and builds the k factor Grams, r x r each, of every trial
 MAX_GRAM_ENTRIES = 2**23
-
-
-class AugmentationError(RuntimeError):
-    """Raised when the augmentation retry budget runs out."""
 
 
 def derive_seed(seed: int, index: int) -> int:

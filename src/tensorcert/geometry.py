@@ -42,7 +42,6 @@ unasked prefix is eliminated only when it has at least #S coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import prod
@@ -53,14 +52,47 @@ from .linalg import gram_rank, integer_gram, multiple, primitive
 _EXACT = (int, Fraction)
 
 
-@dataclass(frozen=True)
-class MultiShape:
+class _Value:
+    """A read-only value: equality, hash, repr and pickling go by the
+    attributes named in ``_fields``, in order, and assigning to any
+    attribute raises AttributeError.  ``__init__`` sets its slots with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MultiShape(_Value):
     """Tuple of projective dimensions, one per factor."""
 
-    dims: tuple[int, ...]
+    __slots__ = _fields = ("dims",)
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(n) for n in self.dims)
+    def __init__(self, dims: Iterable[int]) -> None:
+        dims = tuple(int(n) for n in dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("a shape needs at least one factor")
@@ -97,8 +129,7 @@ def bipartition(mask: int, k: int) -> dict:
     return {"E": E, "F": [i for i in factors if not mask >> (i - 1) & 1]}
 
 
-@dataclass(frozen=True, eq=False)
-class MultiPoint:
+class MultiPoint(_Value):
     """A point of the product, one nonzero coordinate vector per factor.
 
     Equality is projective: points compare equal when every factor pair
@@ -107,12 +138,13 @@ class MultiPoint:
     scaling, so weighted sums over them are meaningful.
     """
 
-    factors: tuple[tuple[int | Fraction, ...], ...]
+    __slots__ = ("factors", "_ints")
+    _fields = ("factors",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: Iterable[Iterable]) -> None:
         # int and Fraction entries are kept; anything else (a float, say)
         # becomes the Fraction of its exact value
-        factors = tuple(tuple(x if type(x) in _EXACT else Fraction(x) for x in f) for f in self.factors)
+        factors = tuple(tuple(x if type(x) in _EXACT else Fraction(x) for x in f) for f in factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("a point needs at least one factor")
@@ -122,7 +154,7 @@ class MultiPoint:
         object.__setattr__(self, "_ints", tuple(primitive(f) for f in factors))
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
-        return self._ints  # type: ignore[attr-defined]
+        return self._ints
 
     def replace_factor(self, index: int, vector: Iterable) -> "MultiPoint":
         """New point with 1-based factor ``index`` swapped out."""
@@ -143,23 +175,24 @@ class MultiPoint:
         return "MultiPoint[" + " x ".join(parts) + "]"
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Value):
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
     ``memo`` holds what has been computed for this set (integer Grams by
     factor, the full set's Segre Gram, and flattening ranks by factor
     subset bitmask from ``subset_ranks``), so repeated questions within
-    one run are answered once and the memory goes with the set.
+    one run are answered once and the memory goes with the set.  It is
+    not part of the set's value: equality, hash and repr leave it out.
     """
 
-    shape: MultiShape
-    points: tuple[MultiPoint, ...]
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("shape", "points", "memo")
+    _fields = ("shape", "points")
 
-    def __post_init__(self) -> None:
-        points = tuple(self.points)
+    def __init__(self, shape: MultiShape, points: Iterable[MultiPoint]) -> None:
+        points = tuple(points)
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "memo", {})
         if not points:
             raise ValueError("a point set must be nonempty")
         sizes = self.shape.sizes
@@ -318,12 +351,16 @@ def weighted_sum(weights: Sequence, s: PointSet) -> tuple[Fraction, tuple[int, .
     return (multiple(coeffs, u) if any(u) else Fraction(0)), total
 
 
-def assemble_tensor(weights: Sequence, s: PointSet) -> tuple[Fraction, ...]:
-    """Coordinates of the weighted sum of the Segre vectors of S.
+def assemble_tensor(weights: Sequence, s: PointSet) -> tuple[int | Fraction, ...]:
+    """Coordinates of the weighted sum of the Segre vectors of S, ``int``s
+    when the sum is integral (as from integer points and weights) and
+    ``Fraction``s otherwise.
 
     M = prod(sizes) long; only ``random`` and ``augment`` need it, since
     their output carries the tensor.  Certificates work from the points
     and weights alone.
     """
     c, total = weighted_sum(weights, s)
+    if c.denominator == 1:
+        return tuple(map(c.numerator.__mul__, total))
     return tuple(c * x for x in total)

@@ -272,6 +272,42 @@ def test_certificate_json_round_trip(name):
     assert json.loads(json.dumps(out)) == out
 
 
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x7F))
+    | st.floats()
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none(), st.text()), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"a": [], "b": {}, "c": (), "é\n\"\\": ["\U0001f600", -1, True, None]})
+def test_json_text_is_json_dumps_with_indent(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_an_int_past_the_digit_limit_as_json_dumps_does():
+    limit = sys.get_int_max_str_digits()
+    for value in (10**limit, {"tensor": ["1", -(10**limit)]}):
+        with pytest.raises(ValueError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(value)
+        assert str(got.value) == str(expected.value)
+
+
 def test_format_certificate_text_lines():
     data, s, weights = seeded_instance((1, 1), 2, seed=3)
     cert = check_non_redundant(s, weights)
@@ -531,7 +567,7 @@ def test_random_refuses_a_tensor_too_wide_to_print(capsys):
 def test_random_refuses_more_point_coordinates_than_it_prints(capsys, monkeypatch):
     # 10^6 tensor coordinates pass the shape check, but 10^9 points of
     # 2000 coordinates each do not, and nothing is drawn
-    monkeypatch.setattr(cli, "random_decomposition", None)
+    monkeypatch.setattr(construct, "random_decomposition", None)
     start = time.perf_counter()
     assert run(["random", "--shape", "1000x1000", "--r", "1000000000"]) == EXIT_INVALID
     assert time.perf_counter() - start < 2
@@ -611,23 +647,42 @@ def test_survey_refuses_more_than_16_factors_before_any_draw(capsys, monkeypatch
     assert captured.err == SEVENTEEN_FACTORS_REFUSED
 
 
+@pytest.mark.parametrize("r", [2, 400])
 @pytest.mark.parametrize("command", ["certify", "compare"])
 def test_certify_and_compare_refuse_more_than_16_factors_before_any_rank(
-    command, tmp_path, capsys, monkeypatch
+    command, r, tmp_path, capsys, monkeypatch
 ):
-    # every flattening rank is a gram_rank call in geometry, every Kruskal rank one in kruskal
-    def gram_rank(gram):
-        raise AssertionError("ranked a Gram")
+    # every flattening rank is a gram_rank call in geometry, every Kruskal
+    # rank one in kruskal, and every Gram is built from integer_gram's
+    # factor Grams: the parser's vanishing-sum check builds none of them
+    def refuse(*args):
+        raise AssertionError("built or ranked a Gram")
 
-    monkeypatch.setattr(geometry, "gram_rank", gram_rank)
-    monkeypatch.setattr(kruskal, "gram_rank", gram_rank)
-    path = write_instance(tmp_path, {"dims": [2] * 17, "points": [[["1", "0"]] * 17, [["0", "1"]] * 17]})
+    for module, name in [
+        (geometry, "gram_rank"),
+        (kruskal, "gram_rank"),
+        (geometry, "integer_gram"),
+        (geometry, "segre_gram"),
+        (cli, "segre_gram"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    points = [[["1", str(j)]] + [["1", "0"]] * 16 for j in range(r)]
+    path = write_instance(tmp_path, {"dims": [2] * 17, "points": points})
     start = time.perf_counter()
     assert run([command, "--input", path]) == EXIT_INVALID
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == SEVENTEEN_FACTORS_REFUSED
+
+
+@pytest.mark.parametrize("command", ["certify", "compare"])
+def test_a_17_factor_file_that_does_not_parse_is_a_parse_error_first(command, tmp_path, capsys):
+    # the search's refusal waits for the whole file: a bad symmetric stanza still exits 3
+    points = [[["1", "0"]] * 17, [["0", "1"]] * 17]
+    path = write_instance(tmp_path, {"dims": [2] * 17, "points": points, "symmetric": []})
+    assert run([command, "--input", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: symmetric stanza must be an object\n"
 
 
 def test_survey_factor_gram_entry_cap_is_inclusive(capsys, monkeypatch):
@@ -644,7 +699,7 @@ def test_survey_factor_gram_entry_cap_is_inclusive(capsys, monkeypatch):
 
 def test_augment_refuses_a_tensor_too_wide_to_print(tmp_path, capsys, monkeypatch):
     # 2^21 coordinates, one more factor than the cap allows; augmenting is never reached
-    monkeypatch.setattr(cli, "augment_decomposition", None)
+    monkeypatch.setattr(construct, "augment_decomposition", None)
     path = write_instance(tmp_path, {"dims": [2] * 21, "points": [[["1", "0"]] * 21], "weights": ["1"]})
     assert run(["augment", "--input", path]) == EXIT_INVALID
     captured = capsys.readouterr()
@@ -1236,6 +1291,78 @@ def test_running_the_package_as_a_module_prints_the_cli_help():
     proc = run_module_help("tensorcert")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: tensorcert")
+
+
+# the names the package root exports, by the module that defines or
+# re-exports each
+ROOT_EXPORTS = {
+    "certify": (
+        "ASSERTED", "CLAIM_CACTUS_BOUND", "CLAIM_EXACT_RANK", "CLAIM_IDENTIFIABLE",
+        "CLAIM_MINIMAL_RANK", "CLAIM_NON_REDUNDANT", "CLAIM_OBSTRUCTION", "CLAIM_PINNING",
+        "CLAIM_SPAN_IDENTITY", "FAIL", "PASS", "bound_cactus_rank", "certify_exact_rank",
+        "certify_identifiability", "check_non_redundant", "check_span_intersection_identity",
+        "obstruct_alt_decompositions", "pin_projections",
+    ),
+    "construct": (
+        "AugmentationError", "DEFAULT_BOX", "augment_decomposition", "derive_seed",
+        "random_decomposition", "survey",
+    ),
+    "geometry": (
+        "MultiPoint", "MultiShape", "PointSet", "assemble_tensor", "factor_projection_sizes",
+        "flattening_rank",
+    ),
+    "kruskal": ("compare_criteria", "kruskal_certificate", "kruskal_rank"),
+    "linalg": ("format_rational", "parse_rational"),
+    "symmetric": ("comon_certify", "is_exceptional", "symmetric_bounds"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(ROOT_EXPORTS))
+def test_the_package_root_resolves_each_export_to_its_module_object(module):
+    import importlib
+
+    import tensorcert
+
+    home = importlib.import_module(f"tensorcert.{module}")
+    assert getattr(tensorcert, module) is home
+    for name in ROOT_EXPORTS[module]:
+        assert getattr(tensorcert, name) is getattr(home, name), name
+    assert tensorcert.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        tensorcert.no_such_name
+
+
+# a fresh interpreter reports which heavy modules it has loaded after
+# importing the CLI, after an in-process certify run and after an augment
+STARTUP_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+heavy = ("dataclasses", "inspect", "tensorcert.construct")
+stages = {}
+import tensorcert.cli
+stages["import"] = [m for m in heavy if m in sys.modules]
+for stage, argv in (("certify", ["certify"]), ("augment", ["augment", "--seed", "7"])):
+    with redirect_stdout(io.StringIO()):
+        code = tensorcert.cli.run([*argv, "--input", sys.argv[1], "--format", "json"])
+    stages[stage] = [code] + [m for m in heavy if m in sys.modules]
+print(json.dumps(stages))
+"""
+
+
+def test_the_cli_loads_neither_dataclasses_nor_construct_until_a_command_needs_it(tmp_path):
+    data, _, _ = seeded_instance((2, 3, 5), 6, seed=11)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, write_instance(tmp_path, data)],
+        capture_output=True,
+        env=module_env(),
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout)
+    assert stages["import"] == []
+    assert stages["certify"] == [EXIT_CERTIFIED]
+    assert stages["augment"] == [EXIT_CERTIFIED, "tensorcert.construct"]
 
 
 def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():

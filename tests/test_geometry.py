@@ -1,6 +1,7 @@
 """Multiprojective geometry: embeddings, flattenings and their ranks."""
 
 import copy
+import pickle
 import random
 import re
 import tracemalloc
@@ -149,6 +150,32 @@ def test_points_and_tensors_keep_equality_and_hash_under_signed_rescaling(seed, 
     assert inst.weights == tuple(scales[-1] * w for w in weights)
     # and the Segre vector is its point's scale times the primitive one
     assert outer_product_flat(q.factors) == [segre_scale(q) * x for x in outer_product_flat(q.canonical())]
+
+
+def test_shapes_points_and_point_sets_are_read_only_values():
+    shape = MultiShape(dims=[1, 2])
+    assert shape.dims == (1, 2)
+    assert shape == MultiShape((1, 2)) and hash(shape) == hash(MultiShape((1, 2)))
+    assert shape != MultiShape((2, 1)) and shape != (1, 2)
+    assert repr(shape) == "MultiShape(dims=(1, 2))"
+    p, q = MultiPoint(factors=((1, 0), (0, 1, 0))), pt((0, 1), (1, 0, 0))
+    assert p == pt((2, 0), (0, -3, 0)) and p != q
+    s = PointSet(shape=shape, points=[p, q])
+    same = PointSet(shape, (p, q))
+    assert s.points == (p, q)
+    # the memo is what has been computed for the set, not part of its value
+    s.memo["asked"] = True
+    assert same.memo == {}
+    assert s == same and hash(s) == hash(same)
+    assert s != PointSet(shape, (q, p))
+    assert repr(s) == f"PointSet(shape={shape!r}, points={(p, q)!r})"
+    for value in (shape, p, s):
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    for value, name in ((shape, "dims"), (p, "factors"), (s, "shape"), (s, "points"), (s, "memo")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    assert s.shape is shape and s.points == (p, q)
 
 
 def test_replace_factor():
@@ -467,9 +494,10 @@ def test_factor_projection_sizes_counts_projective_classes():
 def test_assemble_tensor_weighted_sum():
     s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
     assert assemble_tensor((2, Fraction(-1, 3)), s) == (2, 0, 0, Fraction(-1, 3))
-    # zero weights sum to the zero tensor, in Fractions
+    # an integral sum comes back in ints, zero weights' zero tensor too
+    assert all(type(x) is int for x in assemble_tensor((2, -3), s))
     zero = assemble_tensor((0, 0), s)
-    assert zero == (0, 0, 0, 0) and all(type(x) is Fraction for x in zero)
+    assert zero == (0, 0, 0, 0) and all(type(x) is int for x in zero)
 
 
 def test_decomposition_weights_round_trip():
