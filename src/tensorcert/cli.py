@@ -1,10 +1,14 @@
 """Command line interface.
 
-Subcommands: certify, identifiability, kruskal, compare, augment,
-obstruct, pin, comon, span-check, survey.  Input is a JSON instance
-file; rationals are strings "p" or "p/q" with the sign on the numerator.
-Exit codes: 0 claim certified, 1 hypotheses not satisfied, 2 validation
-or precondition failure, 3 parse error.  The default seed comes from the
+Subcommands, in the order of the ``SUBCOMMANDS`` table (name -> help,
+handler, flags): certify, identifiability, kruskal, compare, augment,
+obstruct, pin, comon, span-check, survey, random.  ``run`` builds only
+the subparser that its first argument names; any other first argument,
+or none, builds all eleven, the parser that prints the top-level help
+and the invalid-choice error.  Input is a JSON instance file; rationals
+are strings "p" or "p/q" with the sign on the numerator.  Exit codes:
+0 claim certified, 1 hypotheses not satisfied, 2 validation or
+precondition failure, 3 parse error.  The default seed comes from the
 TENSORCERT_SEED environment variable when set.
 
 Each subcommand returns its result as sections (JSON key, text title,
@@ -184,14 +188,17 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
                 bipartition_masks(shape.k)
             except ValueError as exc:
                 refusal = exc
-        if refusal is None:
+        if refusal is None and tensor is None:
             _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
-            if tensor is not None:
-                c, total = weighted_sum(weights, points)
-                if primitive(tensor) != primitive(total):
-                    raise ValueError("tensor disagrees with the weighted sum of the points")
-                scale = multiple(tensor, total) / c
-                weights = tuple(scale * w for w in weights)
+        elif refusal is None:
+            # total is sum_j u_j P_j with _check_sum's u, so it settles H u = 0
+            c, total = weighted_sum(weights, points)
+            if not any(total):
+                raise ValueError("the weighted sum of the decomposition vanishes")
+            if primitive(tensor) != primitive(total):
+                raise ValueError("tensor disagrees with the weighted sum of the points")
+            scale = multiple(tensor, total) / c
+            weights = tuple(scale * w for w in weights)
     else:
         _read_tensor(data, shape)
     symmetric = None
@@ -702,90 +709,66 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
-def _add_common(sub: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        sub.add_argument("--input", required=True, help="instance JSON file")
-    sub.add_argument("--format", choices=("json", "text"), default="text")
+_INPUT = ("--input", {"required": True, "help": "instance JSON file"})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
+_SEED = ("--seed", {"type": int, "default": None})
+_BOX = ("--box", {"type": int, "default": DEFAULT_BOX})
+
+# name -> (help, handler, flags), in help order; each flag is the
+# (name, keywords) of one add_argument call
+SUBCOMMANDS: dict = {
+    "certify": ("non-redundancy, cactus bound and exact rank", cmd_certify, (
+        _INPUT, _FORMAT, ("--partition", {"help": "bipartition of the factors, e.g. 1,2/3"}))),
+    "identifiability": ("minimality and uniqueness certificate", cmd_identifiability, (_INPUT, _FORMAT)),
+    "kruskal": ("k-way Kruskal baseline", cmd_kruskal, (_INPUT, _FORMAT)),
+    "compare": ("flattening criteria next to the Kruskal baseline", cmd_compare, (_INPUT, _FORMAT)),
+    "augment": ("extend the decomposition by one point", cmd_augment, (_INPUT, _FORMAT, _SEED, _BOX)),
+    "obstruct": ("rule out small alternatives with injective projections", cmd_obstruct, (
+        _INPUT, _FORMAT,
+        ("--x", {"type": int, "required": True, "help": "cardinality budget for alternatives"}))),
+    "pin": ("pin factor projections of small alternatives", cmd_pin, (
+        _INPUT, _FORMAT,
+        ("--families", {"required": True, "help": "one factor subset per factor, colon separated, e.g. 1,2:1,2:3"}),
+        ("--assert-quasi-general", {
+            "action": "store_true",
+            "help": "assert quasi-generality of the family projections (never verified)",
+        }))),
+    "comon": ("symmetric rank agreement certificate", cmd_comon, (_INPUT, _FORMAT)),
+    "span-check": ("span intersection identity on two subsets", cmd_span_check, (
+        _INPUT, _FORMAT,
+        ("--a", {"required": True, "help": "comma separated 0-based point indices"}),
+        ("--b", {"required": True, "help": "comma separated 0-based point indices"}))),
+    "survey": ("criterion tallies over random decompositions", cmd_survey, (
+        _FORMAT,
+        ("--shapes", {"required": True, "help": "comma separated sizes, e.g. 3x4x6,2x2"}),
+        ("--r", {"required": True, "help": "cardinalities, e.g. 6 or 2-4 or 1,3"}),
+        ("--trials", {"type": int, "default": 20}), _SEED, _BOX)),
+    # the instance file it writes is JSON, so random takes no --format and
+    # run prints it as JSON
+    "random": ("sample a seeded random instance file", cmd_random, (
+        ("--shape", {"required": True, "help": "sizes, e.g. 3x4x6"}),
+        ("--r", {"type": int, "required": True}), _SEED, _BOX)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the one subparser ``command`` names, or all of them."""
     parser = _Parser(prog="tensorcert", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("certify", help="non-redundancy, cactus bound and exact rank")
-    _add_common(p)
-    p.add_argument("--partition", help="bipartition of the factors, e.g. 1,2/3")
-    p.set_defaults(handler=cmd_certify)
-
-    p = subs.add_parser("identifiability", help="minimality and uniqueness certificate")
-    _add_common(p)
-    p.set_defaults(handler=cmd_identifiability)
-
-    p = subs.add_parser("kruskal", help="k-way Kruskal baseline")
-    _add_common(p)
-    p.set_defaults(handler=cmd_kruskal)
-
-    p = subs.add_parser("compare", help="flattening criteria next to the Kruskal baseline")
-    _add_common(p)
-    p.set_defaults(handler=cmd_compare)
-
-    p = subs.add_parser("augment", help="extend the decomposition by one point")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--box", type=int, default=DEFAULT_BOX)
-    p.set_defaults(handler=cmd_augment)
-
-    p = subs.add_parser("obstruct", help="rule out small alternatives with injective projections")
-    _add_common(p)
-    p.add_argument("--x", type=int, required=True, help="cardinality budget for alternatives")
-    p.set_defaults(handler=cmd_obstruct)
-
-    p = subs.add_parser("pin", help="pin factor projections of small alternatives")
-    _add_common(p)
-    p.add_argument(
-        "--families",
-        required=True,
-        help="one factor subset per factor, colon separated, e.g. 1,2:1,2:3",
-    )
-    p.add_argument(
-        "--assert-quasi-general",
-        action="store_true",
-        help="assert quasi-generality of the family projections (never verified)",
-    )
-    p.set_defaults(handler=cmd_pin)
-
-    p = subs.add_parser("comon", help="symmetric rank agreement certificate")
-    _add_common(p)
-    p.set_defaults(handler=cmd_comon)
-
-    p = subs.add_parser("span-check", help="span intersection identity on two subsets")
-    _add_common(p)
-    p.add_argument("--a", required=True, help="comma separated 0-based point indices")
-    p.add_argument("--b", required=True, help="comma separated 0-based point indices")
-    p.set_defaults(handler=cmd_span_check)
-
-    p = subs.add_parser("survey", help="criterion tallies over random decompositions")
-    _add_common(p, needs_input=False)
-    p.add_argument("--shapes", required=True, help="comma separated sizes, e.g. 3x4x6,2x2")
-    p.add_argument("--r", required=True, help="cardinalities, e.g. 6 or 2-4 or 1,3")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--box", type=int, default=DEFAULT_BOX)
-    p.set_defaults(handler=cmd_survey)
-
-    p = subs.add_parser("random", help="sample a seeded random instance file")
-    p.add_argument("--shape", required=True, help="sizes, e.g. 3x4x6")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--box", type=int, default=DEFAULT_BOX)
-    # the instance file it writes is JSON; random takes no --format
-    p.set_defaults(handler=cmd_random, format="json")
-
+    for name in SUBCOMMANDS if command is None else (command,):
+        help_text, handler, flags = SUBCOMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse hands every token after a subcommand's name to that
+    # subparser alone, so the others need not exist
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         # argparse reads --flag=-- as an empty list, and no flag here takes a list
@@ -806,7 +789,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        print(render(sections, args.format))
+        print(render(sections, getattr(args, "format", "json")))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away; send what is left to devnull so that the

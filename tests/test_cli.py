@@ -1,5 +1,6 @@
 """Command line interface: instance files, serialization, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -53,6 +54,8 @@ from tensorcert.geometry import (
 from tensorcert.kruskal import MAX_WALK_BLOCKS, compare_criteria
 from tensorcert.linalg import format_rational
 from tensorcert.symmetric import symmetric_bounds
+from test_golden import DATA as GOLDEN
+from test_golden import transcript
 
 
 def write_instance(tmp_path, data, name="instance.json"):
@@ -717,6 +720,68 @@ def test_unknown_subcommand_is_invalid(capsys):
     capsys.readouterr()
 
 
+def _with_every_subparser(monkeypatch, run_one):
+    """What ``run_one()`` gives when ``run`` builds all eleven subparsers."""
+    full = cli.build_parser
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda command=None: full())
+        return run_one()
+
+
+HELP_AND_ERROR_ARGVS = [
+    [],
+    ["--help"],
+    ["-h", "certify"],
+    *([name, "--help"] for name in cli.SUBCOMMANDS),
+    ["bogus"],
+    ["cert"],
+    ["--format", "json", "certify"],
+    ["pin", "--input", "x"],
+    ["certify", "--input", "x", "--bogus"],
+    ["kruskal", "--in", "x"],
+    ["certify", "--input=--"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERROR_ARGVS, ids=" ".join)
+def test_the_one_subparser_parses_as_all_eleven_do(argv, tmp_path, monkeypatch):
+    # run builds only the subparser argv[0] names; exit code, stdout and
+    # stderr must be those of the parser that holds every subcommand
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # no file named x
+    got = transcript(None, argv, tmp_path)
+    assert got == _with_every_subparser(monkeypatch, lambda: transcript(None, argv, tmp_path))
+
+
+def test_every_golden_run_parses_as_with_all_eleven_subparsers(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for entry in GOLDEN["runs"]:
+        instance = GOLDEN["instances"].get(entry.get("instance"))
+        got = transcript(instance, entry["argv"], tmp_path)
+        full = _with_every_subparser(monkeypatch, lambda: transcript(instance, entry["argv"], tmp_path))
+        assert (entry["argv"], got) == (entry["argv"], full)
+
+
+def test_a_named_subcommand_builds_its_subparser_alone(three_factor_file, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction,
+        "add_parser",
+        lambda self, name, **options: built.append(name) or add_parser(self, name, **options),
+    )
+    assert run(["certify", "--input", three_factor_file]) == EXIT_CERTIFIED
+    assert built == ["certify"]
+    # without argv, run reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["tensorcert", "kruskal", "--input", three_factor_file])
+    assert run() == EXIT_NOT_CERTIFIED
+    assert built == ["certify", "kruskal"]
+    built.clear()
+    assert run(["--help"]) == EXIT_CERTIFIED
+    assert built == list(cli.SUBCOMMANDS) and len(built) == 11
+    capsys.readouterr()
+
+
 def test_identifiability_subcommand(tmp_path, capsys):
     data, _, _ = seeded_instance((2, 1, 1, 1), 2, seed=21)
     code = run(["identifiability", "--input", write_instance(tmp_path, data)])
@@ -1022,6 +1087,22 @@ def test_certify_builds_the_full_set_segre_gram_once(tmp_path, capsys, monkeypat
     assert "non-redundant decomposition of cardinality 5" in capsys.readouterr().out
     assert len(grams) == 2
     assert grams[0] is grams[1]
+
+
+def test_a_given_tensor_settles_the_vanishing_sum_without_a_gram(monkeypatch):
+    # the weighted sum that checks the tensor is the sum the Gram test asks
+    # about, so no Gram is built while parsing
+    def refuse(*args):
+        raise AssertionError("built a Gram")
+
+    monkeypatch.setattr(cli, "segre_gram", refuse)
+    monkeypatch.setattr(cli, "_check_sum", refuse)
+    points = [[["1", "0"], ["1", "0"]], [["1", "0"], ["0", "1"]], [["1", "0"], ["1", "1"]]]
+    data = {"dims": [2, 2], "points": points, "weights": ["1", "1", "-1"], "tensor": ["1", "0", "0", "0"]}
+    with pytest.raises(ValueError, match="^the weighted sum of the decomposition vanishes$"):
+        instance_from_json(data)
+    inst = instance_from_json(dict(data, weights=["1", "1", "1"], tensor=["4", "4", "0", "0"]))
+    assert inst.weights == (2, 2, 2)
 
 
 def test_comon_needs_a_symmetric_stanza(three_factor_file, capsys):
