@@ -5,11 +5,7 @@ handler, flags): certify, identifiability, kruskal, compare, augment,
 obstruct, pin, comon, span-check, survey, random.  ``run`` builds only
 the subparser that its first argument names; any other first argument,
 or none, builds all eleven, the parser that prints the top-level help
-and the invalid-choice error.  Input is a JSON instance file; rationals
-are strings "p" or "p/q" with the sign on the numerator.  Exit codes:
-0 claim certified, 1 hypotheses not satisfied, 2 validation or
-precondition failure, 3 parse error.  The default seed comes from the
-TENSORCERT_SEED environment variable when set.
+and the invalid-choice error.  No parser takes an abbreviated flag.
 
 Each subcommand returns its result as sections (JSON key, text title,
 value, text formatter), and ``render`` turns them into the one requested
@@ -753,11 +749,23 @@ SUBCOMMANDS: dict = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with the one subparser ``command`` names, or all of them."""
-    parser = _Parser(prog="tensorcert", description=__doc__)
+    parser = _Parser(
+        prog="tensorcert",
+        description="""\
+Exact rank certificates for tensor decompositions.
+
+Input is a JSON instance file; rationals are strings "p" or "p/q" with
+the sign on the numerator.  The default seed comes from the
+TENSORCERT_SEED environment variable when set.
+
+exit codes: 0 certified, 1 not certified, 2 invalid input, 3 parse error""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS if command is None else (command,):
         help_text, handler, flags = SUBCOMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, keywords in flags:
             sub.add_argument(flag, **keywords)
         sub.set_defaults(handler=handler)

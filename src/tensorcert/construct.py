@@ -28,7 +28,7 @@ from .geometry import (
     segre_scale,
 )
 from .kruskal import compare_criteria
-from .linalg import _echelon, primitive
+from .linalg import gram_solve, multiple, primitive
 
 _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
@@ -174,21 +174,20 @@ def _new_weights(s: PointSet, a: PointSet, weights: Sequence) -> tuple[Fraction,
     span holds the A_l.  With S'_i = c'_i P'_i and A_l = c_l Q_l for
     primitive Segre rows, inner products with each P'_j give H' v = C u:
     H' and C are blocks of the Gram of S' and A together, u_l = w_l c_l
-    and v_i = w'_i c'_i.  H' is nonsingular because S' is independent."""
+    and v_i = w'_i c'_i.  H', the Gram of the independent S', is positive
+    definite, and u is one rational times an integer vector, as in
+    ``geometry.weighted_sum``."""
     union = {p: i for i, p in enumerate(s.points)}
     for p in a.points:
         union.setdefault(p, len(union))
     gram = segre_gram(PointSet(s.shape, tuple(union)))
-    u = [w * segre_scale(p) for w, p in zip(weights, a.points)]
+    coeffs = [w * segre_scale(p) for w, p in zip(weights, a.points)]
+    u = primitive(coeffs)
     n = len(s)
     cu = [sum(row[union[p]] * x for p, x in zip(a.points, u)) for row in gram[:n]]
-    work = _echelon([primitive(row[:n] + [y]) for row, y in zip(gram, cu)])
-    # back substitution in Fractions: an int / int would give a float
-    v = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        row = work[i]
-        v[i] = Fraction(row[n] - sum(row[j] * v[j] for j in range(i + 1, n)), row[i])
-    return tuple(x / segre_scale(p) for x, p in zip(v, s.points))
+    v = gram_solve([row[:n] for row in gram[:n]], cu)
+    c = multiple(coeffs, u) if any(u) else 0
+    return tuple(c * x / segre_scale(p) for x, p in zip(v, s.points))
 
 
 def augment_decomposition(

@@ -25,9 +25,9 @@ so its pivots are the greedy independent prefix of the points, each
 point in turn that is independent of the ones before it.  Kruskal column
 subsets are the principal minors of one Gram, which
 ``kruskal.kruskal_rank`` reaches by the same Bareiss step,
-``_pivot_step``, one per subset.  ``_echelon``, the general kernel with
-first-nonzero pivoting, serves only augment's solve, whose rows are not
-symmetric.
+``_pivot_step``, one per subset.  Augment's solve, whose matrix is the
+Gram of an independent set, is ``gram_solve``: the same pivot loop with
+the right-hand side carried as one more column.
 """
 
 from __future__ import annotations
@@ -130,33 +130,6 @@ def integer_gram(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     return [[sum(map(mul, a, b)) for b in ints] for a in ints]
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The nonzero rows of an echelon form of integer ``rows``, which are
-    left as they are; row i has its pivot right of row i - 1's.  Only
-    augment's solve needs it: its rows are not symmetric, so they are not
-    ``gram_rank``'s to rank.
-
-    Bareiss (Math. Comp. 22, 1968): a row below pivot row p becomes
-    (p[col] * row - row[col] * p) // prev, prev the previous pivot.  Every
-    entry is then a minor of the input, so the division is exact.
-    """
-    work = [list(row) for row in rows]
-    rank, prev = 0, 1
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        pv = prow[col]
-        # a row with a zero at col is scaled too, or the next // would floor
-        for i in range(rank + 1, len(work)):
-            xi = work[i][col]
-            work[i] = [(pv * a - xi * b) // prev for a, b in zip(work[i], prow)]
-        rank, prev = rank + 1, pv
-    return work[:rank]
-
-
 def _pivot_step(rows: Sequence[Sequence[int]], p: int, prev: int) -> list[list[int]]:
     """One Bareiss step on the upper triangle ``rows`` of a symmetric
     block (row a holds the entries from column a on), with principal
@@ -169,18 +142,35 @@ def _pivot_step(rows: Sequence[Sequence[int]], p: int, prev: int) -> list[list[i
     ]
 
 
-def gram_rank(gram: Sequence[Sequence[int]]) -> int:
-    """Rank of a positive semidefinite integer matrix, which is left as it is.
-
-    Bareiss with principal pivots on the upper triangle: the pivot is the
-    first nonzero diagonal entry, because in a PSD matrix a zero diagonal
-    entry has a zero row, and each principal step leaves a PSD block
-    (the last pivot times a Schur complement), so the rows before the
-    pivot drop out.  About n^3/6 updates where a general elimination of
-    the whole matrix takes n^3/2.
-    """
-    rows = [row[a:] for a, row in enumerate(gram)]
-    rank, prev = 0, 1
+def _pivot_rows(rows: list[list[int]]):
+    """The pivot rows, in order, of Bareiss with principal pivots on the
+    upper triangle ``rows``; each starts at its pivot, and whatever the
+    rows carry past the triangle rides along.  The pivot is the first
+    nonzero diagonal entry, because in a PSD block a zero diagonal entry
+    has a zero row, and each principal step leaves a PSD block (the last
+    pivot times a Schur complement), so the rows before it drop out."""
+    prev = 1
     while (p := next((a for a, row in enumerate(rows) if row[0]), None)) is not None:
-        rank, prev, rows = rank + 1, rows[p][0], _pivot_step(rows, p, prev)
-    return rank
+        yield rows[p]
+        prev, rows = rows[p][0], _pivot_step(rows, p, prev)
+
+
+def gram_rank(gram: Sequence[Sequence[int]]) -> int:
+    """Rank of a positive semidefinite integer matrix, which is left as it
+    is: about n^3/6 updates, where eliminating the whole matrix takes n^3/2."""
+    return sum(1 for _ in _pivot_rows([row[a:] for a, row in enumerate(gram)]))
+
+
+def gram_solve(gram: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:
+    """The v with gram v = rhs, for a positive definite integer matrix and
+    an integer ``rhs``, both left as they are; ``ValueError`` if singular.
+    ``rhs`` borders the upper triangle as one more column, which
+    ``_pivot_step`` carries as it is: every entry is still a minor of
+    [gram | rhs], so every division is exact."""
+    pivots = list(_pivot_rows([[*row[a:], y] for a, (row, y) in enumerate(zip(gram, rhs))]))
+    if len(pivots) < len(gram):  # else all n pivots came in order: a triangular system
+        raise ValueError(f"singular Gram matrix: rank {len(pivots)} of {len(gram)}")
+    v: list[Fraction] = []  # back substitution, v[i] last: an int / int would give a float
+    for row in reversed(pivots):
+        v.append(Fraction(row[-1] - sum(map(mul, row[1:-1], reversed(v))), row[0]))
+    return tuple(reversed(v))

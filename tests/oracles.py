@@ -276,3 +276,39 @@ def permuted_point_set(s, perm):
         MultiPoint(tuple(p.factors[q - 1] for q in perm)) for p in s.points
     ]
     return PointSet(shape, tuple(points))
+
+
+def changed_basis_point_set(s, matrices):
+    """The point set with each factor vector multiplied by the integer
+    matrix of its factor, one invertible matrix per factor: the action of
+    GL(n_1 + 1) x ... x GL(n_k + 1), under which every flattening rank,
+    Kruskal rank and equality of projective points is invariant.  Each
+    matrix is checked to have full rank by ``gauss_rank``."""
+    from tensorcert import MultiPoint, PointSet
+
+    for i, (g, size) in enumerate(zip(matrices, s.shape.sizes), start=1):
+        if len(g) != size or gauss_rank(g) != size:
+            raise ValueError(f"factor {i} needs an invertible {size} x {size} matrix")
+    points = [
+        MultiPoint(tuple(
+            tuple(sum(x * y for x, y in zip(row, f)) for row in g) for g, f in zip(matrices, p.factors)
+        ))
+        for p in s.points
+    ]
+    return PointSet(s.shape, tuple(points))
+
+
+def changed_basis_tensor(coords, sizes, matrices):
+    """Flat tensor coordinates (last factor fastest) times the Kronecker
+    product of the factor matrices, applied one factor at a time by
+    explicit stride arithmetic: the tensor of the changed-basis points
+    under the same weights."""
+    out = list(coords)
+    stride = prod(sizes)
+    for g, n in zip(matrices, sizes):
+        stride //= n
+        out = [
+            sum(g[a][b] * out[i + (b - a) * stride] for b in range(n))
+            for i, a in ((i, i // stride % n) for i in range(len(out)))
+        ]
+    return out

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from certs import certified, factor_mask, find, subset_rank
 from oracles import (
     all_partitions,
+    changed_basis_point_set,
     exponents_desc_lex,
     gauss_rank,
     hadamard_gram_rank,
@@ -53,6 +54,7 @@ from tensorcert.geometry import (
     assemble_tensor,
     bipartition,
 )
+from tensorcert.kruskal import kruskal_certificate
 from tensorcert.linalg import primitive
 from tensorcert.symmetric import comon_certify
 
@@ -812,6 +814,49 @@ def test_bound_and_obstruction_certify_as_their_own_hypotheses_say(inst):
     for cert in certs:
         assert cert["hypotheses"][0]["name"] == "evaluation_vectors_independent"
         assert all(h["status"] != ASSERTED for h in cert["hypotheses"])
+
+
+def certificate_texts(s, weights):
+    """The JSON text of every library certificate on (s, weights), or the
+    message of the ValueError a certifier raises instead."""
+    calls = [
+        (check_non_redundant, (s, weights)),
+        (bound_cactus_rank, (s, weights)),
+        (certify_exact_rank, (s, weights)),
+        (certify_identifiability, (s, weights)),
+        (kruskal_certificate, (s,)),
+        *((obstruct_alt_decompositions, (s, weights, x)) for x in range(1, s.shape.k)),
+    ]
+    texts = []
+    for certifier, args in calls:
+        try:
+            texts.append(json.dumps(certifier(*args)))
+        except ValueError as exc:
+            texts.append(f"ValueError: {exc}")
+    return texts
+
+
+def invertible_matrices(n):
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    return square.filter(lambda g: gauss_rank(g) == n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_instances().flatmap(
+    lambda inst: st.tuples(st.just(inst), st.tuples(*map(invertible_matrices, inst.points.shape.sizes)))
+))
+@example((
+    # both points agree in their first coordinate of factor 1, until the swap
+    instance_from_json({"dims": [2, 2], "points": [[["1", "0"], ["1", "2"]], [["1", "1"], ["1", "2"]]]}),
+    ([[0, 1], [1, 0]], [[1, 0], [1, 1]]),
+))
+def test_certificates_are_invariant_under_a_change_of_basis_in_each_factor(case):
+    # flattening ranks, Kruskal ranks and the equality of projective points
+    # are invariants of GL(n_1 + 1) x ... x GL(n_k + 1); the weights stay,
+    # since the action is linear on the tensor they sum to
+    inst, matrices = case
+    moved = changed_basis_point_set(inst.points, matrices)
+    assert certificate_texts(moved, inst.weights) == certificate_texts(inst.points, inst.weights)
 
 
 def test_a_zero_weight_fails_the_bound_and_the_obstruction():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -54,6 +55,7 @@ from tensorcert.geometry import (
 from tensorcert.kruskal import MAX_WALK_BLOCKS, compare_criteria
 from tensorcert.linalg import format_rational
 from tensorcert.symmetric import symmetric_bounds
+from oracles import changed_basis_point_set, changed_basis_tensor, gauss_rank
 from test_golden import DATA as GOLDEN
 from test_golden import transcript
 
@@ -428,6 +430,29 @@ def test_certify_subcommand_json(three_factor_file, capsys):
     assert payload["cactus_bound"]["best_bound"] == 6
 
 
+@pytest.mark.parametrize("dims, r, seed", [((2, 3, 5), 6, 11), ((1, 2, 2), 7, 4), ((1, 1, 1, 1), 5, 2)])
+def test_certify_prints_the_same_after_a_change_of_basis(dims, r, seed, tmp_path, capsys):
+    # an invertible integer matrix acts on each factor of every point, and
+    # their Kronecker product on the given tensor
+    data, s, weights = seeded_instance(dims, r, seed)
+    rng = random.Random(seed)
+    matrices = []
+    for n in s.shape.sizes:
+        g = [[0]]
+        while gauss_rank(g) < n:
+            g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        matrices.append(g)
+    moved = pointset_to_json(changed_basis_point_set(s, matrices), weights)
+    tensor = assemble_tensor(weights, s)
+    data["tensor"] = [format_rational(x) for x in tensor]
+    moved["tensor"] = [format_rational(x) for x in changed_basis_tensor(tensor, s.shape.sizes, matrices)]
+    runs = []
+    for name, instance in (("given.json", data), ("moved.json", moved)):
+        code = run(["certify", "--input", write_instance(tmp_path, instance, name), "--format", "json"])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
 def test_certify_inconsistent_tensor_is_invalid(tmp_path, capsys):
     data = {
         "dims": [2, 2],
@@ -718,6 +743,28 @@ def test_unknown_subcommand_is_invalid(capsys):
     assert run([]) == EXIT_INVALID
     assert run(["certify"]) == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["survey", "--shapes", "2x2", "--r", "1", "--tri", "2"], "unrecognized arguments: --tri 2"),
+        (["certify", "--input", "FILE", "--form", "json"], "unrecognized arguments: --form json"),
+        (["kruskal", "--in", "x"], "the following arguments are required: --input"),
+    ],
+)
+def test_an_abbreviated_flag_is_not_read_as_the_full_one(argv, message, three_factor_file, capsys):
+    assert run([three_factor_file if a == "FILE" else a for a in argv]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_top_level_help_is_written_for_users(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"]) == EXIT_CERTIFIED
+    out = capsys.readouterr().out
+    assert "\nexit codes: 0 certified, 1 not certified, 2 invalid input, 3 parse error\n" in out
+    assert "TENSORCERT_SEED" in out
+    assert "SUBCOMMANDS" not in out and "render" not in out
 
 
 def _with_every_subparser(monkeypatch, run_one):

@@ -14,9 +14,9 @@ from tensorcert.certify import check_span_intersection_identity
 from tensorcert.cli import InstanceParseError, _parse_vector
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, segre_scale
 from tensorcert.linalg import (
-    _echelon,
     format_rational,
     gram_rank,
+    gram_solve,
     integer_gram,
     multiple,
     parse_rational,
@@ -152,17 +152,11 @@ def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
-# -- rank by the two elimination kernels
+# -- rank and solve by the one elimination kernel
 #
-# Each kernel is run the way the package runs it: _echelon on the
-# primitive rows themselves (augment's normal equations, its one
-# caller), gram_rank on their integer Gram (every point-set rank: the
-# Grams are PSD, and its pivots are the greedy independent prefix of
-# the rows).
-
-
-def rows_rank(rows):
-    return len(_echelon([primitive(row) for row in rows]))
+# gram_rank is run the way the package runs it, on the integer Gram of
+# the rows (every point-set rank: the Grams are PSD, and its pivots are
+# the greedy independent prefix of the rows).
 
 
 def rows_gram_rank(rows):
@@ -170,19 +164,8 @@ def rows_gram_rank(rows):
 
 
 def test_empty_matrix_has_rank_zero():
-    assert rows_rank([]) == 0
-    assert _echelon([[], []]) == []
     assert rows_gram_rank([]) == 0
-
-
-def leading_columns(rows):
-    return [next(j for j, x in enumerate(row) if x) for row in rows]
-
-
-def oracle_pivot_columns(rows):
-    """The columns where the rank of the leading columns rises."""
-    ranks = [gauss_rank([row[:j] for row in rows]) for j in range(len(rows[0]) + 1)]
-    return [j for j in range(len(rows[0])) if ranks[j + 1] > ranks[j]]
+    assert gram_solve([], []) == ()
 
 
 @st.composite
@@ -202,20 +185,6 @@ def degenerate_integer_matrices(draw):
         combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width)]
         rows.insert(draw(st.integers(0, len(rows))), combo)
     return rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(degenerate_integer_matrices())
-@example([[0, 1, 2], [0, 2, 4], [0, 0, 3]])
-@example([[1, 2, 3], [0, 0, 5], [2, 4, 7], [0, 0, 0]])
-def test_echelon_matches_the_oracle_and_leaves_its_input(rows):
-    before = [row[:] for row in rows]
-    echelon = _echelon(rows)
-    assert rows == before
-    assert len(echelon) == gauss_rank(rows)
-    assert leading_columns(echelon) == oracle_pivot_columns(rows)
-    # the echelon rows lie in the row space: a floored division would leave it
-    assert gauss_rank(rows + echelon) == len(echelon)
 
 
 @st.composite
@@ -248,6 +217,67 @@ def test_gram_rank_matches_the_oracle_and_leaves_its_input(gram):
     assert gram == before
 
 
+def independent_rows(rows):
+    """Each row in turn that is independent of the rows kept before it."""
+    kept = []
+    for row in rows:
+        if gauss_rank(kept + [row]) > len(kept):
+            kept.append(row)
+    return kept
+
+
+@st.composite
+def pd_grams_and_rhs(draw):
+    """A positive definite Gram the way augment solves one, with an integer
+    right-hand side: the Gram of the independent rows of a degenerate
+    matrix, or its Hadamard product with the Gram of another one's
+    nonzero rows (picked with repeats), positive definite by Schur's
+    product theorem, since that factor's diagonal is positive."""
+    rows = independent_rows(draw(degenerate_integer_matrices()))
+    gram = integer_gram(rows)
+    if gram and draw(st.booleans()):
+        other = [row for row in draw(degenerate_integer_matrices()) if any(row)] or rows
+        picks = draw(st.lists(st.integers(0, len(other) - 1), min_size=len(gram), max_size=len(gram)))
+        factor = integer_gram([other[i] for i in picks])
+        gram = [[x * y for x, y in zip(u, v)] for u, v in zip(gram, factor)]
+    return gram, draw(st.lists(st.integers(-60, 60), min_size=len(gram), max_size=len(gram)))
+
+
+def times(gram, v):
+    return [sum(g * x for g, x in zip(row, v)) for row in gram]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pd_grams_and_rhs())
+@example(([[2, 1], [1, 2]], [1, 0]))
+@example(([[1, 0, 0], [0, 4, 2], [0, 2, 5]], [0, 0, 7]))
+def test_gram_solve_solves_exactly_and_leaves_its_input(case):
+    gram, rhs = case
+    before = [row[:] for row in gram], rhs[:]
+    assert gauss_rank(gram) == len(gram)
+    v = gram_solve(gram, rhs)
+    assert (gram, rhs) == before
+    assert all(type(x) is Fraction for x in v)
+    assert times(gram, v) == rhs
+
+
+@pytest.mark.parametrize("gram", [[[1, 1], [1, 1]], [[0]], [[4, 0, 2], [0, 0, 0], [2, 0, 1]]])
+def test_gram_solve_refuses_a_singular_gram(gram):
+    with pytest.raises(ValueError, match=r"^singular Gram matrix: rank \d of \d$"):
+        gram_solve(gram, [1] * len(gram))
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_grams())
+def test_gram_solve_raises_exactly_when_the_gram_is_singular(gram):
+    rhs = list(range(1, len(gram) + 1))
+    if gauss_rank(gram) < len(gram):
+        with pytest.raises(ValueError):
+            gram_solve(gram, rhs)
+    else:
+        assert times(gram, gram_solve(gram, rhs)) == rhs
+
+
 def test_rank_hand_cases():
     for rows, rank in (
         ([[1, 0], [0, 1]], 2),
@@ -255,7 +285,7 @@ def test_rank_hand_cases():
         ([[0, 0], [0, 0]], 0),
         ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
     ):
-        assert rows_rank(rows) == rows_gram_rank(rows) == gauss_rank(rows) == rank
+        assert rows_gram_rank(rows) == gauss_rank(rows) == rank
 
 
 def test_rank_with_fractional_entries():
@@ -264,20 +294,19 @@ def test_rank_with_fractional_entries():
         [Fraction(3, 2), Fraction(5, 1)],
         [Fraction(1, 4), Fraction(1, 6)],
     ]
-    assert rows_rank(rows) == rows_gram_rank(rows) == gauss_rank(rows) == 2
+    assert rows_gram_rank(rows) == gauss_rank(rows) == 2
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_matrices())
 def test_rank_matches_gaussian_oracle(rows):
-    assert rows_rank(rows) == rows_gram_rank(rows) == gauss_rank(rows)
+    assert rows_gram_rank(rows) == gauss_rank(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_is_transpose_invariant(rows):
     transposed = list(zip(*rows))
-    assert rows_rank(rows) == rows_rank(transposed)
     assert rows_gram_rank(rows) == rows_gram_rank(transposed)
 
 
@@ -285,7 +314,6 @@ def test_rank_is_transpose_invariant(rows):
 @given(small_matrices(), st.integers(-9, 9).filter(bool))
 def test_rank_is_invariant_under_row_scaling(rows, scale):
     scaled = [[scale * Fraction(x) for x in rows[0]]] + rows[1:]
-    assert rows_rank(scaled) == rows_rank(rows)
     assert rows_gram_rank(scaled) == rows_gram_rank(rows)
 
 
@@ -379,7 +407,6 @@ def test_solve_row_combination_recombines_to_the_target(data):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_bounded_by_dimensions(rows):
-    assert 0 <= rows_rank(rows) <= min(len(rows), len(rows[0]))
     assert 0 <= rows_gram_rank(rows) <= min(len(rows), len(rows[0]))
 
 
