@@ -443,7 +443,7 @@ def pin_projections(
     F_i-projection as S, hence the same factor-j projections for j in
     F_i.  Equality of the decompositions themselves is not implied.
     """
-    k, full = s.shape.k, (1 << s.shape.k) - 1
+    k, sizes, full = s.shape.k, s.shape.sizes, (1 << s.shape.k) - 1
     fams = []
     for members in (tuple(int(i) for i in f) for f in families):
         if not members:
@@ -467,7 +467,7 @@ def pin_projections(
     usable = []
     for i, mask in enumerate(fams, start=1):
         fam, comp = bipartition(mask, k).values()
-        m_f, m_e = (prod(s.shape.sizes[j - 1] for j in side) for side in (fam, comp))
+        m_f, m_e = (prod(sizes[j - 1] for j in side) for side in (fam, comp))
         rank_f, rank_e = ranks[mask], ranks[full ^ mask]
         numeric_ok = r < m_f and r <= m_e
         ranks_ok = rank_f == r and rank_e == r

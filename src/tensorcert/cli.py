@@ -110,19 +110,6 @@ def load_instance(path: str, search: bool = False) -> Instance:
     return instance_from_json(data, search)
 
 
-def _read_tensor(data: dict, shape: MultiShape | None) -> tuple[int | Fraction, ...] | None:
-    if "tensor" not in data:
-        return None
-    if shape is None:
-        raise InstanceParseError("tensor given without dims")
-    coords = _parse_vector(data["tensor"], "tensor")
-    if len(coords) != (m := shape.segre_length()):
-        raise ValueError(f"tensor has {len(coords)} coordinates, shape wants {m}")
-    if not any(coords):
-        raise ValueError("the zero tensor has no projective class")
-    return coords
-
-
 def _check_sum(weights: Sequence[Fraction], gram: list[list[int]], scales: Sequence[Fraction]) -> None:
     """Reject a vanishing weighted sum of rows row_j = scales_j * P_j.
 
@@ -136,19 +123,40 @@ def _check_sum(weights: Sequence[Fraction], gram: list[list[int]], scales: Seque
         raise ValueError("the weighted sum of the decomposition vanishes")
 
 
+def _read_decomposition(stanza: dict, shape: MultiShape | None, name: str) -> tuple[PointSet, tuple]:
+    """The points of a stanza, every literal parsed, in index order, before
+    any point is built, and its weights, all ones by default.  ``name`` is
+    "" for the Segre stanza, whose points have ``shape``, or "symmetric "
+    for the symmetric stanza (``shape`` None), whose points are vectors of
+    P^n, read as one-factor points once the first has n + 1 coordinates."""
+    raw = stanza["points"]
+    if not isinstance(raw, list) or not raw:
+        raise InstanceParseError(f"{name}points must be a nonempty array")
+    vectors = []
+    for idx, entry in enumerate(([p] for p in raw) if shape is None else raw):
+        if not isinstance(entry, list):
+            raise InstanceParseError(f"point {idx} must be an array of coordinate arrays")
+        vectors.append(tuple(_parse_vector(f, f"{name}point {idx}") for f in entry))
+    if shape is None:
+        if (m := len(vectors[0][0])) != (n := stanza["n"]) + 1:
+            raise ValueError(f"symmetric points have {m} coordinates, n={n} wants {n + 1}")
+        shape = MultiShape((n,))
+    points = PointSet(shape, map(MultiPoint, vectors))
+    if "weights" not in stanza:
+        return points, (Fraction(1),) * len(points)
+    return points, tuple(map(Fraction, _parse_vector(stanza["weights"], f"{name}weights")))
+
+
 def instance_from_json(data: dict, search: bool = False) -> Instance:
     """Parse and check an instance file's JSON object.
 
-    With ``search`` (a command that searches the bipartitions of the
-    factors), a Segre stanza past the search's cap is refused once the
-    whole object has parsed, and its r x r Gram and M-wide sum, which
-    only check it, are never built.
+    Both stanzas are read and their values checked, Segre then symmetric,
+    before any sum.  Then, with ``search`` (a command that searches the
+    bipartitions of the factors), a Segre stanza past the search's cap is
+    refused, so the r x r Gram and M-wide sum that only check it are never
+    built; then the Segre sum is checked, and last the symmetric one.
     """
-    shape = None
-    points = None
-    weights = None
-    tensor = None
-    refusal = None
+    shape = points = weights = tensor = symmetric = None
     if "dims" in data:
         dims = data["dims"]
         # bool is a subclass of int, so JSON true/false would pass isinstance
@@ -160,33 +168,43 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
     if "points" in data:
         if shape is None:
             raise InstanceParseError("points given without dims")
-        raw = data["points"]
-        if not isinstance(raw, list) or not raw:
-            raise InstanceParseError("points must be a nonempty array")
-        parsed_points = []
-        for idx, entry in enumerate(raw):
-            if not isinstance(entry, list):
-                raise InstanceParseError(f"point {idx} must be an array of coordinate arrays")
-            factors = tuple(_parse_vector(f, f"point {idx}") for f in entry)
-            parsed_points.append(MultiPoint(factors))
-        points = PointSet(shape, tuple(parsed_points))
-        if "weights" in data:
-            weights = tuple(map(Fraction, _parse_vector(data["weights"], "weights")))
-        else:
-            weights = tuple(Fraction(1) for _ in range(len(points)))
+        points, weights = _read_decomposition(data, shape, "")
         if len(weights) != len(points):
             raise ValueError(f"{len(weights)} weights for {len(points)} points")
-        tensor = _read_tensor(data, shape)
-        if not all(weights):
-            raise ValueError("weights must be nonzero")
+    if "tensor" in data:
+        if shape is None:
+            raise InstanceParseError("tensor given without dims")
+        tensor = _parse_vector(data["tensor"], "tensor")
+        if len(tensor) != (m := shape.segre_length()):
+            raise ValueError(f"tensor has {len(tensor)} coordinates, shape wants {m}")
+        if not any(tensor):
+            raise ValueError("the zero tensor has no projective class")
+    if points is None:
+        tensor = None  # checked, but without points it stands for nothing
+    elif not all(weights):
+        raise ValueError("weights must be nonzero")
+    if "symmetric" in data:
+        sym = data["symmetric"]
+        if not isinstance(sym, dict):
+            raise InstanceParseError("symmetric stanza must be an object")
+        for key in ("n", "k", "points"):
+            if key not in sym:
+                raise InstanceParseError(f"symmetric stanza is missing {key!r}")
+        if type(sym["n"]) is not int or type(sym["k"]) is not int:
+            raise InstanceParseError("symmetric n and k must be integers")
+        if sym["k"] < 1:
+            raise ValueError("symmetric k must be at least 1")
+        symmetric = SymmetricInstance(sym["k"], *_read_decomposition(sym, None, "symmetric "))
+        if len(symmetric.weights) != len(symmetric.points):
+            raise ValueError("symmetric weights and points disagree in length")
+        if not all(symmetric.weights):
+            raise ValueError("symmetric weights must be nonzero")
+    if points is not None:
         if search:
-            try:
-                bipartition_masks(shape.k)
-            except ValueError as exc:
-                refusal = exc
-        if refusal is None and tensor is None:
+            bipartition_masks(shape.k)
+        if tensor is None:
             _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
-        elif refusal is None:
+        else:
             # total is sum_j u_j P_j with _check_sum's u, so it settles H u = 0
             c, total = weighted_sum(weights, points)
             if not any(total):
@@ -195,46 +213,11 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
                 raise ValueError("tensor disagrees with the weighted sum of the points")
             scale = multiple(tensor, total) / c
             weights = tuple(scale * w for w in weights)
-    else:
-        _read_tensor(data, shape)
-    symmetric = None
-    if "symmetric" in data:
-        sym = data["symmetric"]
-        if not isinstance(sym, dict):
-            raise InstanceParseError("symmetric stanza must be an object")
-        for key in ("n", "k", "points"):
-            if key not in sym:
-                raise InstanceParseError(f"symmetric stanza is missing {key!r}")
-        n, degree = sym["n"], sym["k"]
-        if type(n) is not int or type(degree) is not int:
-            raise InstanceParseError("symmetric n and k must be integers")
-        if degree < 1:
-            raise ValueError("symmetric k must be at least 1")
-        raw_pts = sym["points"]
-        if not isinstance(raw_pts, list) or not raw_pts:
-            raise InstanceParseError("symmetric points must be a nonempty array")
-        vectors = [_parse_vector(p, f"symmetric point {i}") for i, p in enumerate(raw_pts)]
-        if len(vectors[0]) != n + 1:
-            raise ValueError(
-                f"symmetric points have {len(vectors[0])} coordinates, n={n} wants {n + 1}"
-            )
-        sym_points = PointSet(MultiShape((n,)), tuple(MultiPoint((p,)) for p in vectors))
-        if "weights" in sym:
-            sym_weights = tuple(map(Fraction, _parse_vector(sym["weights"], "symmetric weights")))
-        else:
-            sym_weights = tuple(Fraction(1) for _ in range(len(sym_points)))
-        if len(sym_weights) != len(sym_points):
-            raise ValueError("symmetric weights and points disagree in length")
-        if not all(sym_weights):
-            raise ValueError("symmetric weights must be nonzero")
-        # distinct points have independent Veronese rows from degree r - 1
-        # on, and independent rows with nonzero weights cannot sum to zero
-        if degree < len(sym_points) - 1:
-            scales = [segre_scale(p) ** degree for p in sym_points.points]
-            _check_sum(sym_weights, veronese_gram(sym_points, degree), scales)
-        symmetric = SymmetricInstance(degree, sym_points, sym_weights)
-    if refusal is not None:
-        raise refusal
+    # distinct points have independent Veronese rows from degree r - 1
+    # on, and independent rows with nonzero weights cannot sum to zero
+    if symmetric is not None and (degree := symmetric.degree) < len(symmetric.points) - 1:
+        scales = [segre_scale(p) ** degree for p in symmetric.points.points]
+        _check_sum(symmetric.weights, veronese_gram(symmetric.points, degree), scales)
     return Instance(points, weights, symmetric, tensor)
 
 

@@ -294,13 +294,16 @@ def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
     bits = [1 << i for i in range(k)]
     size, grams = 0, {0: (None, 1)}  # (Gram, M_u) by dependent subset
     for mask in sorted(walk, key=int.bit_count):
-        if mask not in ranks and r in [ranks.get(mask ^ b) for b in bits if mask & b]:
+        parent = mask ^ (1 << (top := mask.bit_length() - 1))
+        # the parent is one of the subsets one factor short, and asked first
+        if mask not in ranks and (
+            ranks.get(parent) == r or r in [ranks.get(mask ^ b) for b in bits if mask & b]
+        ):
             ranks[mask] = r
             continue
         if mask.bit_count() > size:
             size, parents, grams = mask.bit_count(), grams, {}
-        top = mask.bit_length() - 1
-        gram, m_u = parents[mask ^ (1 << top)]
+        gram, m_u = parents[parent]
         if mask == (1 << k) - 1:
             gram = segre_gram(s)
         else:

@@ -816,9 +816,9 @@ def test_bound_and_obstruction_certify_as_their_own_hypotheses_say(inst):
         assert all(h["status"] != ASSERTED for h in cert["hypotheses"])
 
 
-def certificate_texts(s, weights):
-    """The JSON text of every library certificate on (s, weights), or the
-    message of the ValueError a certifier raises instead."""
+def certificates(s, weights):
+    """Every library certificate on (s, weights), or the message of the
+    ValueError a certifier raises instead."""
     calls = [
         (check_non_redundant, (s, weights)),
         (bound_cactus_rank, (s, weights)),
@@ -827,13 +827,13 @@ def certificate_texts(s, weights):
         (kruskal_certificate, (s,)),
         *((obstruct_alt_decompositions, (s, weights, x)) for x in range(1, s.shape.k)),
     ]
-    texts = []
+    out = []
     for certifier, args in calls:
         try:
-            texts.append(json.dumps(certifier(*args)))
+            out.append(certifier(*args))
         except ValueError as exc:
-            texts.append(f"ValueError: {exc}")
-    return texts
+            out.append(f"ValueError: {exc}")
+    return out
 
 
 def invertible_matrices(n):
@@ -856,7 +856,52 @@ def test_certificates_are_invariant_under_a_change_of_basis_in_each_factor(case)
     # since the action is linear on the tensor they sum to
     inst, matrices = case
     moved = changed_basis_point_set(inst.points, matrices)
-    assert certificate_texts(moved, inst.weights) == certificate_texts(inst.points, inst.weights)
+    before, after = ([json.dumps(c) for c in certificates(s, inst.weights)] for s in (inst.points, moved))
+    assert after == before
+
+
+def with_points_moved(value, position):
+    """``value`` with each point index j that a certificate in it names
+    moved to position[j], every list of hypotheses sorted, and the pair of
+    points a different_coordinates witness names (the first colliding
+    pair, which depends on the order) left out."""
+    if isinstance(value, list):
+        return [with_points_moved(v, position) for v in value]
+    if not isinstance(value, dict):
+        return value
+    out = {key: with_points_moved(v, position) for key, v in value.items()}
+    if "point_removed" in out:
+        out["point_removed"] = position[out["point_removed"]]
+    if out.get("name") == "different_coordinates":
+        out["witness"].pop("points", None)
+    if "hypotheses" in out:
+        out["hypotheses"].sort(key=json.dumps)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_instances().flatmap(lambda inst: st.tuples(
+    st.just(inst),
+    st.permutations(range(len(inst.points))),
+    # a zero weight fails the non-redundancy hypothesis of its point alone
+    st.sampled_from([None, *range(len(inst.points))]),
+)))
+@example((
+    # the zero-weight point moves from first to last
+    instance_from_json({"dims": [2, 2], "points": [[["1", "0"], ["1", "2"]], [["1", "1"], ["0", "1"]]]}),
+    [1, 0],
+    0,
+))
+def test_certificates_are_invariant_under_a_permutation_of_the_points(case):
+    # every claim, status and conclusion is a property of the set; only the
+    # point indices the hypotheses name move with the points
+    inst, order, zero = case
+    weights = [0 if j == zero else w for j, w in enumerate(inst.weights)]
+    moved = PointSet(inst.points.shape, [inst.points.points[j] for j in order])
+    position = {j: i for i, j in enumerate(order)}
+    before = [with_points_moved(cert, position) for cert in certificates(inst.points, weights)]
+    after = [with_points_moved(cert, range(len(order))) for cert in certificates(moved, [weights[j] for j in order])]
+    assert after == before
 
 
 def test_a_zero_weight_fails_the_bound_and_the_obstruction():

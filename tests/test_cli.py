@@ -234,6 +234,57 @@ def test_instance_weight_checks_run_in_input_order():
             instance_from_json(data)
 
 
+BAD_LITERAL = "invalid rational literal 'x' (expected 'p' or 'p/q')"
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        # point 0 has a zero factor, but point 1's literal is read first
+        ("certify", {"dims": [2, 2], "points": [[["0", "0"], ["1", "0"]], [["1", "x"], ["1", "1"]]]},
+         f"point 1: {BAD_LITERAL}"),
+        ("comon", {"symmetric": {"n": 1, "k": 2, "points": [["0", "0"], ["1", "x"]]}},
+         f"symmetric point 1: {BAD_LITERAL}"),
+        ("certify", {"dims": [2], "points": [[["0", "0"]], "x"]}, "point 1 must be an array of coordinate arrays"),
+        ("comon", {"symmetric": {"n": 1, "k": 2, "points": [["0", "0"], "x"]}},
+         "symmetric point 1 must be an array of rational strings"),
+    ],
+)
+def test_a_stanza_parses_every_literal_before_it_builds_a_point(command, data, message, tmp_path, capsys):
+    assert run([command, "--input", write_instance(tmp_path, data)]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# the third point's Segre vector is the sum of the first two's
+DEPENDENT_POINTS = [[["1", "0"], ["1", "0"]], [["1", "0"], ["0", "1"]], [["1", "0"], ["1", "1"]]]
+
+
+@pytest.mark.parametrize(
+    "segre, segre_error",
+    [
+        ({"weights": ["1", "1", "-1"]}, "the weighted sum of the decomposition vanishes"),
+        ({"weights": ["1", "1", "-1"], "tensor": ["1", "0", "0", "0"]}, "the weighted sum of the decomposition vanishes"),
+        ({"tensor": ["1", "0", "0", "0"]}, "tensor disagrees with the weighted sum of the points"),
+    ],
+)
+@pytest.mark.parametrize(
+    "sym, code, message",
+    [
+        ({"n": 1, "k": 1, "points": "x"}, EXIT_PARSE, "symmetric points must be a nonempty array"),
+        ({"n": 1, "k": 1, "points": [["1", "0"], ["0", "0"]]}, EXIT_INVALID, "factor 1 of a point must be a nonzero vector"),
+        ({"n": 1, "k": 1, "points": [["1", "0"], ["0", "1"]], "weights": ["1", "0"]}, EXIT_INVALID,
+         "symmetric weights must be nonzero"),
+    ],
+)
+def test_a_symmetric_stanza_error_comes_before_the_segre_sums(segre, segre_error, sym, code, message, tmp_path, capsys):
+    # every stanza is read and checked before any sum
+    data = {"dims": [2, 2], "points": DEPENDENT_POINTS, **segre}
+    with pytest.raises(ValueError, match=f"^{segre_error}$"):
+        instance_from_json(data)
+    assert run(["certify", "--input", write_instance(tmp_path, dict(data, symmetric=sym))]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_load_instance_missing_file_and_bad_json(tmp_path):
     with pytest.raises(InstanceParseError):
         load_instance(str(tmp_path / "absent.json"))
@@ -713,6 +764,19 @@ def test_a_17_factor_file_that_does_not_parse_is_a_parse_error_first(command, tm
     assert capsys.readouterr().err == "error: symmetric stanza must be an object\n"
 
 
+@pytest.mark.parametrize(
+    "command, err",
+    [("certify", SEVENTEEN_FACTORS_REFUSED), ("comon", "error: the weighted sum of the decomposition vanishes\n")],
+)
+def test_the_search_refusal_comes_before_the_symmetric_sum(command, err, tmp_path, capsys):
+    # the symmetric weighted sum vanishes, but certify refuses the search first
+    sym = {"n": 1, "k": 1, "points": [["1", "0"], ["0", "1"], ["1", "1"]], "weights": ["1", "1", "-1"]}
+    points = [[["1", "0"]] * 17, [["0", "1"]] * 17]
+    path = write_instance(tmp_path, {"dims": [2] * 17, "points": points, "symmetric": sym})
+    assert run([command, "--input", path]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", err)
+
+
 def test_survey_factor_gram_entry_cap_is_inclusive(capsys, monkeypatch):
     # 2 factor Grams of 2048 x 2048 reach the cap exactly and go on to the
     # first draw, so 2000 points of 2x2 are surveyed
@@ -1012,6 +1076,33 @@ def test_pin_subcommand(tmp_path, capsys):
     code = run(["pin", "--input", path, "--families", "1,2:1,2"])
     assert code == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "families, message",
+    [
+        (":2:3", "factor subset must be nonempty"),
+        ("1,1:2:3", "factor subset (1, 1) has repeated indices"),
+        ("4:2:3", "factor subset (4,) out of range for k=3"),
+    ],
+)
+def test_pin_refuses_a_bad_family_with_one_line(families, message, three_factor_file, capsys):
+    assert run(["pin", "--input", three_factor_file, "--families", families]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_walks_over_many_factors_finish_in_time(tmp_path, capsys):
+    # 2 points on (P^1)^300: obstruct --x 1 walks about 45,000 factor
+    # subsets, and pin asks for 600; every subset asks its parent first
+    k = 300
+    points = [[["1", "0"]] * k, [["0", "1"]] + [["1", str(j + 1)] for j in range(k - 1)]]
+    path = write_instance(tmp_path, {"dims": [2] * k, "points": points})
+    families = ":".join(map(str, range(1, k + 1)))
+    for argv, code in [(["obstruct", "--x", "1"], EXIT_CERTIFIED), (["pin", "--families", families], EXIT_NOT_CERTIFIED)]:
+        start = time.perf_counter()
+        assert run([argv[0], "--input", path, *argv[1:]]) == code
+        assert time.perf_counter() - start < 1.5
+        assert capsys.readouterr().err == ""
 
 
 def test_comon_subcommand(tmp_path, capsys):
