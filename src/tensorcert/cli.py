@@ -409,11 +409,6 @@ def _json_text(value: object, newline: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
-def format_json_text(data: dict) -> str:
-    """An instance file prints as JSON in both formats."""
-    return _json_text(data)
-
-
 def render(sections: Sequence[Section], fmt: str) -> str:
     """Build only the requested format of the sections."""
     if fmt == "json":
@@ -598,7 +593,7 @@ def cmd_augment(args: argparse.Namespace) -> tuple[list[Section], int]:
     tensor = assemble_tensor(weights, points) if inst.tensor is None else inst.tensor
     decomposition = _printed_instance("the decomposition augment prints", bigger, new_weights, tensor)
     sections = [
-        ("decomposition", None, decomposition, format_json_text),
+        ("decomposition", None, decomposition, _json_text),
         ("certificate", None, cert, format_certificate_text),
     ]
     return sections, EXIT_CERTIFIED
@@ -675,7 +670,7 @@ def cmd_random(args: argparse.Namespace) -> tuple[list[Section], int]:
         raise ValueError(f"{args.r} points of shape {shape} have {m} coordinates, {cap}")
     s, weights = random_decomposition(shape, args.r, box=args.box, seed=seed)
     instance = _printed_instance("the instance random prints", s, weights, assemble_tensor(weights, s))
-    return [(None, None, instance, format_json_text)], EXIT_CERTIFIED
+    return [(None, None, instance, _json_text)], EXIT_CERTIFIED
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ from the primitive factor forms and shared by every subset u.
 
 Every flattening rank comes from one walk, ``subset_ranks``, given the
 bitmasks of the subsets a caller needs.  It walks them with their
-prefixes, each subset's Gram being its parent prefix's Gram times one
-factor Gram, not a product rebuilt from the start.  No Gram is written
-to: ``_hadamard`` builds a new matrix and ``linalg.gram_rank``, which
-ranks every one of these PSD Grams, reads only the upper triangle of its
-input and writes to none of it.
+prefixes, each subset's Gram, the full set's too, being its parent
+prefix's Gram times one factor Gram, not a product rebuilt from the
+start; of the Grams, only the factor Grams stay on the set.  No Gram is
+written to: ``_hadamard`` builds a new matrix and ``linalg.gram_rank``,
+which ranks every one of these PSD Grams, reads only the upper triangle
+of its input and writes to none of it.
 Ranks only grow with the subset, so a subset one factor larger than a
 subset known to be independent has rank #S with no elimination, and an
 unasked prefix is eliminated only when it has at least #S coordinates.
@@ -179,10 +180,10 @@ class PointSet(_Value):
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
     ``memo`` holds what has been computed for this set (integer Grams by
-    factor, the full set's Segre Gram, and flattening ranks by factor
-    subset bitmask from ``subset_ranks``), so repeated questions within
-    one run are answered once and the memory goes with the set.  It is
-    not part of the set's value: equality, hash and repr leave it out.
+    factor, and flattening ranks by factor subset bitmask from
+    ``subset_ranks``), so repeated questions within one run are answered
+    once and the memory goes with the set.  It is not part of the set's
+    value: equality, hash and repr leave it out.
     """
 
     __slots__ = ("shape", "points", "memo")
@@ -247,16 +248,14 @@ def _hadamard(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def segre_gram(s: PointSet) -> list[list[int]]:
     """Integer Gram of the primitive Segre rows of S: the Hadamard product
-    of all its factor Grams (with one factor, that factor's Gram),
-    memoized on S, so callers must not modify it."""
-    key = ("segre_gram",)
-    if key not in s.memo:
-        first, *rest = range(1, s.shape.k + 1)
-        out = _factor_gram(s, first)
-        for i in rest:
-            out = _hadamard(out, _factor_gram(s, i))
-        s.memo[key] = out
-    return s.memo[key]
+    of all its factor Grams, built on each call and not kept.  With one
+    factor it is that factor's memoized Gram, so callers must not modify
+    it."""
+    first, *rest = range(1, s.shape.k + 1)
+    out = _factor_gram(s, first)
+    for i in rest:
+        out = _hadamard(out, _factor_gram(s, i))
+    return out
 
 
 def flattening_rank(s: PointSet) -> int:
@@ -276,13 +275,13 @@ def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
     rank_u <= rank_u': rows independent on u stay independent on u' (on
     the Gram side, the Schur product theorem).  So a subset one factor
     short of which is known to be independent has rank #S with no
-    elimination.  Any other subset's Gram is its parent's (the subset
-    without its top factor, one size earlier) times one factor Gram, and
-    the full set's is ``segre_gram``.  It is eliminated when asked, or
-    when M_u >= #S, so that it may settle what contains it; below #S an
-    unasked prefix is dependent anyway.  Only the Grams of the dependent
-    subsets of the last size are kept, as parents, and they go with the
-    walk; only the ranks stay on S.
+    elimination.  Any other subset's Gram, the full set's too, is its
+    parent's (the subset without its top factor, one size earlier) times
+    one factor Gram.  It is eliminated when asked, or when M_u >= #S, so
+    that it may settle what contains it; below #S an unasked prefix is
+    dependent anyway.  Only the Grams of the dependent subsets of the
+    last size are kept, as parents, and they go with the walk; only the
+    ranks stay on S.
     """
     ranks = s.memo.setdefault("ranks", {})
     k, r, sizes = s.shape.k, len(s), s.shape.sizes
@@ -304,10 +303,7 @@ def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
         if mask.bit_count() > size:
             size, parents, grams = mask.bit_count(), grams, {}
         gram, m_u = parents[parent]
-        if mask == (1 << k) - 1:
-            gram = segre_gram(s)
-        else:
-            gram = _factor_gram(s, top + 1) if gram is None else _hadamard(gram, _factor_gram(s, top + 1))
+        gram = _factor_gram(s, top + 1) if gram is None else _hadamard(gram, _factor_gram(s, top + 1))
         m_u *= sizes[top]
         if mask not in ranks and (mask in asked or m_u >= r):
             ranks[mask] = gram_rank(gram)

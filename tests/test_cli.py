@@ -1210,21 +1210,21 @@ def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch
     assert len(built) == 1
 
 
-def test_certify_builds_the_full_set_segre_gram_once(tmp_path, capsys, monkeypatch):
-    # the parser's vanishing test and the full-set flattening rank both ask
-    # for the Hadamard product of all factor Grams; the product is built
-    # once.  Five points on 2x2x4 exceed the 4 coordinates of the prefix
-    # {1, 2}, so the walk needs the full set's own Gram to rank it
+def test_certify_calls_segre_gram_from_the_parser_only(tmp_path, capsys, monkeypatch):
+    # the parser's vanishing test on a file with no tensor asks for the
+    # Hadamard product of all factor Grams; the walk builds the full set's
+    # Gram from its parent's instead.  Five points on 2x2x4 exceed the 4
+    # coordinates of the prefix {1, 2}, so the walk needs the full set's
+    # own Gram to rank it
     data, _, _ = seeded_instance((1, 1, 3), 5, seed=3)
-    grams = []
+    calls = []
     real = geometry.segre_gram
-    monkeypatch.setattr(geometry, "segre_gram", lambda s: grams.append(real(s)) or grams[-1])
-    monkeypatch.setattr(cli, "segre_gram", geometry.segre_gram)
+    monkeypatch.setattr(cli, "segre_gram", lambda s: calls.append("parser") or real(s))
+    monkeypatch.setattr(geometry, "segre_gram", lambda s: calls.append("walk") or real(s))
     # no bipartition has both flattenings independent
     assert run(["certify", "--input", write_instance(tmp_path, data)]) == EXIT_NOT_CERTIFIED
     assert "non-redundant decomposition of cardinality 5" in capsys.readouterr().out
-    assert len(grams) == 2
-    assert grams[0] is grams[1]
+    assert calls == ["parser"]
 
 
 def test_a_given_tensor_settles_the_vanishing_sum_without_a_gram(monkeypatch):
@@ -1241,6 +1241,24 @@ def test_a_given_tensor_settles_the_vanishing_sum_without_a_gram(monkeypatch):
         instance_from_json(data)
     inst = instance_from_json(dict(data, weights=["1", "1", "1"], tensor=["4", "4", "0", "0"]))
     assert inst.weights == (2, 2, 2)
+
+
+@pytest.mark.parametrize("shape, r", [("3x4x6", 6), ("2x2x4", 5), ("2x2x2x2x2", 3)])
+@pytest.mark.parametrize("command", ["certify", "compare"])
+def test_a_file_prints_the_same_with_or_without_its_tensor(command, shape, r, tmp_path, capsys):
+    # without a tensor the parser checks the sum with a Gram, with one on
+    # the weighted sum; on 2x2x4 r=5 the full set also needs its own Gram
+    assert run(["random", "--shape", shape, "--r", str(r), "--seed", "1"]) == EXIT_CERTIFIED
+    data = json.loads(capsys.readouterr().out)
+    assert "tensor" in data
+    outputs = []
+    for name, instance in [("with.json", data), ("without.json", {k: v for k, v in data.items() if k != "tensor"})]:
+        assert run([command, "--input", write_instance(tmp_path, instance, name), "--format", "json"]) in (
+            EXIT_CERTIFIED,
+            EXIT_NOT_CERTIFIED,
+        )
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_comon_needs_a_symmetric_stanza(three_factor_file, capsys):

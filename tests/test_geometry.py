@@ -468,6 +468,20 @@ def test_subset_ranks_walk_only_the_prefixes_of_the_asked_subsets(monkeypatch):
     assert len(products) <= 209
 
 
+def test_the_full_set_gram_is_its_parents_times_one_factor_gram(monkeypatch):
+    # every proper prefix of 5 points on 2x2x2 has at most 4 coordinates,
+    # so the walk ranks only the full set, on its parent's Gram times the
+    # third factor Gram: k - 1 = 2 products, none rebuilt from the start
+    s, _ = random_decomposition(MultiShape((1, 1, 1)), 5, seed=2)
+    products = []
+    hadamard = geometry._hadamard
+    monkeypatch.setattr(geometry, "_hadamard", lambda a, b: products.append(a) or hadamard(a, b))
+    rows = [outer_product_flat(p.factors) for p in s.points]
+    assert flattening_rank(s) == gauss_rank(rows)
+    assert len(products) == 2
+    assert set(s.memo) == {("gram", 1), ("gram", 2), ("gram", 3), "ranks"}
+
+
 # -- factor projections
 
 
