@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import DEFAULT_BOX, AugmentationError
 from .certify import (
@@ -42,7 +42,7 @@ from .geometry import (
     MultiShape,
     PointSet,
     assemble_tensor,
-    segre_gram,
+    segre_gram_row,
     segre_scale,
     weighted_sum,
 )
@@ -110,13 +110,14 @@ def load_instance(path: str, search: bool = False) -> Instance:
     return instance_from_json(data, search)
 
 
-def _check_sum(weights: Sequence[Fraction], gram: list[list[int]], scales: Sequence[Fraction]) -> None:
+def _check_sum(weights: Sequence[Fraction], gram: Iterable[list[int]], scales: Sequence[Fraction]) -> None:
     """Reject a vanishing weighted sum of rows row_j = scales_j * P_j.
 
     For the primitive rows P_j the sum is sum_j u_j P_j, u_j = w_j *
     scales_j up to one common factor.  Its squared length is u^T H u for
     the Gram H of the P_j, and H is positive semidefinite, so the sum
-    vanishes exactly when H u = 0.
+    vanishes exactly when H u = 0.  A lazy ``gram`` is read only up to
+    the first nonzero entry of H u.
     """
     u = primitive([w * c for w, c in zip(weights, scales)])
     if not any(sum(h * x for h, x in zip(row, u)) for row in gram):
@@ -153,7 +154,7 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
     Both stanzas are read and their values checked, Segre then symmetric,
     before any sum.  Then, with ``search`` (a command that searches the
     bipartitions of the factors), a Segre stanza past the search's cap is
-    refused, so the r x r Gram and M-wide sum that only check it are never
+    refused, so the Gram rows and M-wide sum that only check it are never
     built; then the Segre sum is checked, and last the symmetric one.
     """
     shape = points = weights = tensor = symmetric = None
@@ -203,7 +204,8 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
         if search:
             bipartition_masks(shape.k)
         if tensor is None:
-            _check_sum(weights, segre_gram(points), [segre_scale(p) for p in points.points])
+            rows = (segre_gram_row(p, points.points) for p in points.points)
+            _check_sum(weights, rows, [segre_scale(p) for p in points.points])
         else:
             # total is sum_j u_j P_j with _check_sum's u, so it settles H u = 0
             c, total = weighted_sum(weights, points)

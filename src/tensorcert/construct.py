@@ -9,12 +9,16 @@ draws a factor again, alone, while its projective point is already
 taken in that factor, so no factor repeats a point and nothing is
 rejected as a whole.  A capacity check before any draw makes sure every
 factor's box holds r projective points, which is what bounds the loop.
+
+Augmentation takes one solve per draw on the Gram of its current points;
+it ranks only its input and, for the certificate, the grown set.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import DEFAULT_BOX, AugmentationError
@@ -24,11 +28,11 @@ from .geometry import (
     MultiShape,
     PointSet,
     flattening_rank,
-    segre_gram,
+    segre_gram_row,
     segre_scale,
 )
 from .kruskal import compare_criteria
-from .linalg import gram_solve, multiple, primitive
+from .linalg import gram_solve, primitive
 
 _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
@@ -123,71 +127,58 @@ def random_decomposition(
     return PointSet(shape, tuple(points)), weights
 
 
-def _try_augment(a: PointSet, rng: random.Random, box: int) -> PointSet | None:
-    """One pass of the augmentation construction; None when sampling fails.
+def _try_augment(a: PointSet, rng: random.Random, box: int) -> tuple[PointSet, tuple[Fraction, ...]] | None:
+    """One pass of the augmentation construction: the grown set S' and the
+    y with Segre(a_0) = sum_i y_i Segre(S'_i), or None when sampling fails.
 
-    Walks the factors with positive dimension.  At each one it perturbs
-    the working point P in that factor alone; if the perturbed point
-    leaves the current span, P splits into two points on the line of the
-    perturbation and the new set is returned.  Otherwise the perturbed
-    point replaces P (the span is unchanged) and the walk continues.
-    The current points stay independent, so the perturbed point leaves
-    their span exactly when adding it keeps them independent.
+    Walks the factors with positive dimension, perturbing the working
+    point P in each one alone.  The current points stay independent, and
+    the Gram H of their primitive Segre rows is kept, so a draw is one
+    solve H xi = h for the perturbed point C's row h.  C leaves the span
+    exactly when <C, C> != xi . h, the squared length of its projection;
+    then P splits into C and a point D on the line of the perturbation.
+    Otherwise Segre(C) = sum_j x_j Segre(current_j), x_j = scale(C) xi_j /
+    scale(current_j), and C takes P's place exactly when x_0 != 0, which
+    rewrites row and column 0 of H and y, a_0 in the current points.
 
-    The split takes one draw of t.  The perturbed point C differs from P,
-    so b is not proportional to P_i and c = P_i - t b is nonzero and not
-    proportional to b: the split point D differs from C.  And Segre(P) =
-    Segre(D) + t Segre(C), so D among the other points would put C in the
-    span it has just been shown to leave.
+    The split takes one draw of t.  C differs from P, so b is not
+    proportional to P_i and c = P_i - t b is nonzero and not proportional
+    to b: D differs from C.  And Segre(P) = Segre(D) + t Segre(C), so D
+    among the other points would put C in the span it has just left, and
+    y_0 Segre(P) goes to C and D as t y_0 and y_0.
     """
     shape = a.shape
     current = list(a.points)
+    gram = [segre_gram_row(p, current) for p in current]
+    y = [Fraction(1)] + [Fraction(0)] * (len(current) - 1)
     eligible = [i for i in range(1, shape.k + 1) if shape.dims[i - 1] > 0]
     for i in eligible:
         pivot, others = current[0], current[1:]
-        stepped = False
         for _ in range(_FACTOR_DRAWS):
             b = _random_factor(rng, shape.sizes[i - 1], box)
             candidate = pivot.replace_factor(i, b)
             if candidate == pivot or candidate in others:
                 continue
-            if flattening_rank(PointSet(shape, tuple(current + [candidate]))) == len(current) + 1:
-                # split: pivot sits on the line between the perturbed factor
-                # vector b and c = pivot_i - t * b, so its Segre vector is an
-                # exact combination of the two new points
+            norm, *h = segre_gram_row(candidate, [candidate, *current])
+            xi = gram_solve(gram, h)
+            if norm != sum(map(mul, xi, h)):
                 t = Fraction(_nonzero_int(rng, box))
                 c = tuple(pc - t * bc for pc, bc in zip(pivot.factors[i - 1], b))
                 split = pivot.replace_factor(i, c)
-                return PointSet(shape, tuple(others + [candidate, split]))
-            replacement = [candidate] + others
-            if flattening_rank(PointSet(shape, tuple(replacement))) == len(current):
-                current = replacement
-                stepped = True
+                return PointSet(shape, tuple(others + [candidate, split])), (*y[1:], t * y[0], y[0])
+            if xi[0]:
+                # Segre(P) = (Segre(C) - sum_{j > 0} x_j Segre(current_j)) / x_0
+                x = [segre_scale(candidate) * v / segre_scale(p) for v, p in zip(xi, current)]
+                y0 = y[0] / x[0]
+                y = [y0] + [yj - y0 * xj for yj, xj in zip(y[1:], x[1:])]
+                gram[0] = [norm, *h[1:]]
+                for row, g in zip(gram[1:], h[1:]):
+                    row[0] = g
+                current[0] = candidate
                 break
-        if not stepped:
+        else:
             return None
     return None
-
-
-def _new_weights(s: PointSet, a: PointSet, weights: Sequence) -> tuple[Fraction, ...]:
-    """The w' with sum_i w'_i S'_i = sum_l w_l A_l, for independent S' whose
-    span holds the A_l.  With S'_i = c'_i P'_i and A_l = c_l Q_l for
-    primitive Segre rows, inner products with each P'_j give H' v = C u:
-    H' and C are blocks of the Gram of S' and A together, u_l = w_l c_l
-    and v_i = w'_i c'_i.  H', the Gram of the independent S', is positive
-    definite, and u is one rational times an integer vector, as in
-    ``geometry.weighted_sum``."""
-    union = {p: i for i, p in enumerate(s.points)}
-    for p in a.points:
-        union.setdefault(p, len(union))
-    gram = segre_gram(PointSet(s.shape, tuple(union)))
-    coeffs = [w * segre_scale(p) for w, p in zip(weights, a.points)]
-    u = primitive(coeffs)
-    n = len(s)
-    cu = [sum(row[union[p]] * x for p, x in zip(a.points, u)) for row in gram[:n]]
-    v = gram_solve([row[:n] for row in gram[:n]], cu)
-    c = multiple(coeffs, u) if any(u) else 0
-    return tuple(c * x / segre_scale(p) for x, p in zip(v, s.points))
 
 
 def augment_decomposition(
@@ -200,11 +191,13 @@ def augment_decomposition(
     """Extend a non-redundant decomposition by one point.
 
     Requires #A <= M, independent Segre vectors and at least one factor
-    of positive dimension.  Returns the new points, their weights (the
-    new decomposition sums to the same tensor, sum_l w_l A_l, solved for
-    in r + 1 unknowns by ``_new_weights``) and the check_non_redundant
-    certificate of the two; AugmentationError when the budget of
-    _AUGMENT_PASSES construction passes runs out.
+    of positive dimension.  Returns the new points, their weights and the
+    check_non_redundant certificate of the two; AugmentationError when
+    the budget of _AUGMENT_PASSES construction passes runs out.  The new
+    weights, (w_1, .., w_{r-1}, 0, 0) + w_0 y for S' = (a_1, .., a_{r-1},
+    C, D) and a_0 = y . S' from ``_try_augment``, sum to the same tensor.
+    The certificate ranks S' itself, by design: it checks the printed
+    decomposition, not the construction.
     """
     shape = a.shape
     if box < 1:
@@ -217,10 +210,10 @@ def augment_decomposition(
         raise ValueError("the Segre vectors of the input points must be independent")
     rng = random.Random(seed)
     for _ in range(_AUGMENT_PASSES):
-        s = _try_augment(a, rng, box)
-        if s is None:
+        if (grown := _try_augment(a, rng, box)) is None:
             continue
-        new_weights = _new_weights(s, a, weights)
+        s, y = grown
+        new_weights = tuple(w + weights[0] * c for w, c in zip((*weights[1:], 0, 0), y))
         cert = check_non_redundant(s, new_weights)
         if cert["conclusion"] is not None:
             return s, new_weights, cert

@@ -39,6 +39,9 @@ of its input and writes to none of it.
 Ranks only grow with the subset, so a subset one factor larger than a
 subset known to be independent has rank #S with no elimination, and an
 unasked prefix is eliminated only when it has at least #S coordinates.
+
+``segre_gram_row`` builds one row of the full set's Gram outside the
+walk, for the parser's vanishing-sum check and augment's solves.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import gram_rank, integer_gram, multiple, primitive
@@ -246,16 +250,11 @@ def _hadamard(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[x * y for x, y in zip(u, v)] for u, v in zip(a, b)]
 
 
-def segre_gram(s: PointSet) -> list[list[int]]:
-    """Integer Gram of the primitive Segre rows of S: the Hadamard product
-    of all its factor Grams, built on each call and not kept.  With one
-    factor it is that factor's memoized Gram, so callers must not modify
-    it."""
-    first, *rest = range(1, s.shape.k + 1)
-    out = _factor_gram(s, first)
-    for i in rest:
-        out = _hadamard(out, _factor_gram(s, i))
-    return out
+def segre_gram_row(p: MultiPoint, points: Iterable[MultiPoint]) -> list[int]:
+    """p's row of the integer Gram of primitive Segre rows: prod_i <p_i, q_i>
+    over the primitive factor forms for each q in ``points``, built on each
+    call from no factor Gram and no Segre coordinate."""
+    return [prod(sum(map(mul, a, b)) for a, b in zip(p.canonical(), q.canonical())) for q in points]
 
 
 def flattening_rank(s: PointSet) -> int:

@@ -741,8 +741,8 @@ def test_certify_and_compare_refuse_more_than_16_factors_before_any_rank(
         (geometry, "gram_rank"),
         (kruskal, "gram_rank"),
         (geometry, "integer_gram"),
-        (geometry, "segre_gram"),
-        (cli, "segre_gram"),
+        (geometry, "segre_gram_row"),
+        (cli, "segre_gram_row"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     points = [[["1", str(j)]] + [["1", "0"]] * 16 for j in range(r)]
@@ -1210,17 +1210,17 @@ def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch
     assert len(built) == 1
 
 
-def test_certify_calls_segre_gram_from_the_parser_only(tmp_path, capsys, monkeypatch):
-    # the parser's vanishing test on a file with no tensor asks for the
-    # Hadamard product of all factor Grams; the walk builds the full set's
-    # Gram from its parent's instead.  Five points on 2x2x4 exceed the 4
-    # coordinates of the prefix {1, 2}, so the walk needs the full set's
-    # own Gram to rank it
+def test_certify_calls_segre_gram_row_from_the_parser_only(tmp_path, capsys, monkeypatch):
+    # the parser's vanishing test on a file with no tensor reads Gram rows
+    # up to the first nonzero entry of H u, here row 0; the walk builds the
+    # full set's Gram from its parent's instead.  Five points on 2x2x4
+    # exceed the 4 coordinates of the prefix {1, 2}, so the walk needs the
+    # full set's own Gram to rank it
     data, _, _ = seeded_instance((1, 1, 3), 5, seed=3)
     calls = []
-    real = geometry.segre_gram
-    monkeypatch.setattr(cli, "segre_gram", lambda s: calls.append("parser") or real(s))
-    monkeypatch.setattr(geometry, "segre_gram", lambda s: calls.append("walk") or real(s))
+    real = geometry.segre_gram_row
+    monkeypatch.setattr(cli, "segre_gram_row", lambda p, q: calls.append("parser") or real(p, q))
+    monkeypatch.setattr(geometry, "segre_gram_row", lambda p, q: calls.append("walk") or real(p, q))
     # no bipartition has both flattenings independent
     assert run(["certify", "--input", write_instance(tmp_path, data)]) == EXIT_NOT_CERTIFIED
     assert "non-redundant decomposition of cardinality 5" in capsys.readouterr().out
@@ -1233,7 +1233,7 @@ def test_a_given_tensor_settles_the_vanishing_sum_without_a_gram(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a Gram")
 
-    monkeypatch.setattr(cli, "segre_gram", refuse)
+    monkeypatch.setattr(cli, "segre_gram_row", refuse)
     monkeypatch.setattr(cli, "_check_sum", refuse)
     points = [[["1", "0"], ["1", "0"]], [["1", "0"], ["0", "1"]], [["1", "0"], ["1", "1"]]]
     data = {"dims": [2, 2], "points": points, "weights": ["1", "1", "-1"], "tensor": ["1", "0", "0", "0"]}

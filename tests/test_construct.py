@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import decomposition_weights, in_span, outer_product_flat, rescaled_point_set
 from certs import certified
+from tensorcert import construct
 from tensorcert.certify import check_non_redundant
 from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import (
@@ -168,6 +170,28 @@ def test_augment_the_seeded_three_factor_sample():
     # the walk only ever splits the working point, the others survive
     survivors = canonical_set(a) & canonical_set(s)
     assert len(survivors) >= len(a) - 1
+
+
+def test_augment_solves_once_per_draw_and_ranks_only_its_input(monkeypatch):
+    # random --shape 3x4x6 --r 6 --seed 1, augmented with seed 1: the pass
+    # keeps the current points' Gram, so each new candidate is one
+    # gram_solve on its row, no draw builds a PointSet or takes a rank, and
+    # the only rank in construct is the input check.  Both generators are
+    # seeded 1, so the first draw is the pivot's own first factor, skipped
+    # before any solve; the second leaves the span
+    a, weights = random_decomposition(MultiShape((2, 3, 5)), 6, seed=1)
+    calls = Counter()
+
+    def count(name):
+        real = getattr(construct, name)
+        monkeypatch.setattr(construct, name, lambda *args, **kw: calls.update([name]) or real(*args, **kw))
+
+    for name in ("flattening_rank", "gram_solve", "_random_factor", "PointSet"):
+        count(name)
+    s, _, cert = augment_decomposition(a, weights, seed=1)
+    assert certified(cert)
+    # one PointSet: the grown set, which the one pass returns
+    assert calls == {"flattening_rank": 1, "_random_factor": 2, "gram_solve": 1, "PointSet": 1}
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -101,6 +101,8 @@ def as_instance(sizes, factors, weights, given):
 @given(pooled_decompositions())
 # (1,0)(x)(1,0) + (1,0)(x)(0,1) - (1,0)(x)(1,1), with rescaled factors
 @example(([2, 2], [[[1, 0], [2, 0]], [[-1, 0], [0, 1]], [[3, 0], [1, 1]]], [Fraction(1, 2), -1, Fraction(-1, 3)], None, [0] * 4))
+# (1,0)(x)(1,0) - (1,1)(x)(1,0) = -e2(x)e1: row 0 of H u is 0, row 1 is not
+@example(([2, 2], [[[1, 0], [1, 0]], [[1, 1], [1, 0]]], [1, -1], None, [0, 0, -1, 0]))
 # a single point of P^0 x P^1 and a given negative multiple of it
 @example(([1, 2], [[[2], [1, -1]]], [Fraction(1, 2)], [-3, 3], [1, -1]))
 def test_parse_checks_agree_with_the_explicit_weighted_sum(case):
