@@ -10,29 +10,21 @@ taken in that factor, so no factor repeats a point and nothing is
 rejected as a whole.  A capacity check before any draw makes sure every
 factor's box holds r projective points, which is what bounds the loop.
 
-Augmentation takes one solve per draw on the Gram of its current points;
-it ranks only its input and, for the certificate, the grown set.
+Augmentation factors the Gram of its input once, and each draw borders
+that factorization with one point; only the certificate ranks anew.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from . import DEFAULT_BOX, AugmentationError
 from .certify import bipartition_masks, check_non_redundant
-from .geometry import (
-    MultiPoint,
-    MultiShape,
-    PointSet,
-    flattening_rank,
-    segre_gram_row,
-    segre_scale,
-)
+from .geometry import MultiPoint, MultiShape, PointSet, segre_gram_row, segre_scale
 from .kruskal import compare_criteria
-from .linalg import gram_solve, primitive
+from .linalg import _back_substitute, _border, _pivot_rows, primitive
 
 _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
@@ -127,54 +119,49 @@ def random_decomposition(
     return PointSet(shape, tuple(points)), weights
 
 
-def _try_augment(a: PointSet, rng: random.Random, box: int) -> tuple[PointSet, tuple[Fraction, ...]] | None:
+def _try_augment(
+    a: PointSet, pivots: list[list[int]], rng: random.Random, box: int
+) -> tuple[PointSet, tuple[Fraction, ...]] | None:
     """One pass of the augmentation construction: the grown set S' and the
     y with Segre(a_0) = sum_i y_i Segre(S'_i), or None when sampling fails.
 
-    Walks the factors with positive dimension, perturbing the working
-    point P in each one alone.  The current points stay independent, and
-    the Gram H of their primitive Segre rows is kept, so a draw is one
-    solve H xi = h for the perturbed point C's row h.  C leaves the span
-    exactly when <C, C> != xi . h, the squared length of its projection;
-    then P splits into C and a point D on the line of the perturbation.
-    Otherwise Segre(C) = sum_j x_j Segre(current_j), x_j = scale(C) xi_j /
-    scale(current_j), and C takes P's place exactly when x_0 != 0, which
-    rewrites row and column 0 of H and y, a_0 in the current points.
+    ``pivots`` are the pivot rows of the Gram H of the primitive Segre
+    rows of (a_1, .., a_{r-1}, P), the working point P = a_0 last.  Walks
+    the factors with positive dimension, perturbing P in each one alone.
+    The other points never change, so a draw borders H with the perturbed
+    point C.  C leaves the span exactly when its last pivot, the bordered
+    determinant, is nonzero; then P splits into C and a point D on the
+    line of the perturbation.  Otherwise C takes P's place exactly when
+    its entry in P's row, over P's pivot its coefficient on P, is
+    nonzero: the rows drop P's row and column, and C is bordered onto them.
 
     The split takes one draw of t.  C differs from P, so b is not
     proportional to P_i and c = P_i - t b is nonzero and not proportional
     to b: D differs from C.  And Segre(P) = Segre(D) + t Segre(C), so D
     among the other points would put C in the span it has just left, and
-    y_0 Segre(P) goes to C and D as t y_0 and y_0.
+    y_P Segre(P) goes to C and D as t y_P and y_P.  H bordered by a_0 has
+    a_0's coefficients xi on primitive rows: y_j = scale(a_0) xi_j / scale(p_j).
     """
     shape = a.shape
-    current = list(a.points)
-    gram = [segre_gram_row(p, current) for p in current]
-    y = [Fraction(1)] + [Fraction(0)] * (len(current) - 1)
+    pivot, others = a.points[0], list(a.points[1:])
     eligible = [i for i in range(1, shape.k + 1) if shape.dims[i - 1] > 0]
     for i in eligible:
-        pivot, others = current[0], current[1:]
         for _ in range(_FACTOR_DRAWS):
             b = _random_factor(rng, shape.sizes[i - 1], box)
             candidate = pivot.replace_factor(i, b)
             if candidate == pivot or candidate in others:
                 continue
-            norm, *h = segre_gram_row(candidate, [candidate, *current])
-            xi = gram_solve(gram, h)
-            if norm != sum(map(mul, xi, h)):
+            bordered = _border(pivots, h := segre_gram_row(candidate, [*others, pivot, candidate]))
+            if bordered[-1][0]:
                 t = Fraction(_nonzero_int(rng, box))
                 c = tuple(pc - t * bc for pc, bc in zip(pivot.factors[i - 1], b))
                 split = pivot.replace_factor(i, c)
-                return PointSet(shape, tuple(others + [candidate, split])), (*y[1:], t * y[0], y[0])
-            if xi[0]:
-                # Segre(P) = (Segre(C) - sum_{j > 0} x_j Segre(current_j)) / x_0
-                x = [segre_scale(candidate) * v / segre_scale(p) for v, p in zip(xi, current)]
-                y0 = y[0] / x[0]
-                y = [y0] + [yj - y0 * xj for yj, xj in zip(y[1:], x[1:])]
-                gram[0] = [norm, *h[1:]]
-                for row, g in zip(gram[1:], h[1:]):
-                    row[0] = g
-                current[0] = candidate
+                xi = _back_substitute(_border(pivots, segre_gram_row(a.points[0], [*others, pivot, a.points[0]])))
+                y = [segre_scale(a.points[0]) * v / segre_scale(p) for v, p in zip(xi, [*others, pivot])]
+                return PointSet(shape, (*others, candidate, split)), (*y[:-1], t * y[-1], y[-1])
+            if bordered[-2][-1]:
+                pivots = _border([row[:-1] for row in pivots[:-1]], [*h[:-2], h[-1]])
+                pivot = candidate
                 break
         else:
             return None
@@ -190,14 +177,14 @@ def augment_decomposition(
 ) -> tuple[PointSet, tuple[Fraction, ...], dict]:
     """Extend a non-redundant decomposition by one point.
 
-    Requires #A <= M, independent Segre vectors and at least one factor
-    of positive dimension.  Returns the new points, their weights and the
-    check_non_redundant certificate of the two; AugmentationError when
-    the budget of _AUGMENT_PASSES construction passes runs out.  The new
-    weights, (w_1, .., w_{r-1}, 0, 0) + w_0 y for S' = (a_1, .., a_{r-1},
-    C, D) and a_0 = y . S' from ``_try_augment``, sum to the same tensor.
-    The certificate ranks S' itself, by design: it checks the printed
-    decomposition, not the construction.
+    Requires #A <= M, independent Segre vectors and a factor of positive
+    dimension: A's Gram, factored once with a_0 last, must keep r pivot
+    rows, which every pass borders.  Returns the new points, their weights
+    and their check_non_redundant certificate; AugmentationError when
+    _AUGMENT_PASSES passes fail.  The new weights (w_1, .., w_{r-1}, 0, 0)
+    + w_0 y, for S' = (a_1, .., a_{r-1}, C, D) and a_0 = y . S' from
+    ``_try_augment``, sum to the same tensor.  The certificate ranks S'
+    itself by design, to check the printed decomposition, not the construction.
     """
     shape = a.shape
     if box < 1:
@@ -206,11 +193,13 @@ def augment_decomposition(
         raise ValueError("augmentation needs a factor of positive dimension")
     if len(a) >= (m := shape.segre_length()):
         raise ValueError(f"cannot augment {len(a)} points in ambient dimension {m - 1}")
-    if flattening_rank(a) != len(a):
+    order = [*a.points[1:], a.points[0]]
+    pivots = list(_pivot_rows([segre_gram_row(p, order[j:]) for j, p in enumerate(order)]))
+    if len(pivots) != len(a):
         raise ValueError("the Segre vectors of the input points must be independent")
     rng = random.Random(seed)
     for _ in range(_AUGMENT_PASSES):
-        if (grown := _try_augment(a, rng, box)) is None:
+        if (grown := _try_augment(a, pivots, rng, box)) is None:
             continue
         s, y = grown
         new_weights = tuple(w + weights[0] * c for w, c in zip((*weights[1:], 0, 0), y))

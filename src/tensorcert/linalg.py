@@ -25,9 +25,9 @@ so its pivots are the greedy independent prefix of the points, each
 point in turn that is independent of the ones before it.  Kruskal column
 subsets are the principal minors of one Gram, which
 ``kruskal.kruskal_rank`` reaches by the same Bareiss step,
-``_pivot_step``, one per subset.  Augment's solve, whose matrix is the
-Gram of an independent set, is ``gram_solve``: the same pivot loop with
-the right-hand side carried as one more column.
+``_pivot_step``, one per subset.  Augment keeps the pivot rows of one
+positive definite Gram and borders them with one more point at a time
+(``_border``); a solve is a bordering plus ``_back_substitute``.
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ def _pivot_step(rows: Sequence[Sequence[int]], p: int, prev: int) -> list[list[i
 
 def _pivot_rows(rows: list[list[int]]):
     """The pivot rows, in order, of Bareiss with principal pivots on the
-    upper triangle ``rows``; each starts at its pivot, and whatever the
-    rows carry past the triangle rides along.  The pivot is the first
-    nonzero diagonal entry, because in a PSD block a zero diagonal entry
-    has a zero row, and each principal step leaves a PSD block (the last
-    pivot times a Schur complement), so the rows before it drop out."""
+    upper triangle ``rows``; each starts at its pivot.  The pivot is the
+    first nonzero diagonal entry, because in a PSD block a zero diagonal
+    entry has a zero row, and each principal step leaves a PSD block (the
+    last pivot times a Schur complement), so the rows before it drop out."""
     prev = 1
     while (p := next((a for a, row in enumerate(rows) if row[0]), None)) is not None:
         yield rows[p]
@@ -161,16 +160,27 @@ def gram_rank(gram: Sequence[Sequence[int]]) -> int:
     return sum(1 for _ in _pivot_rows([row[a:] for a, row in enumerate(gram)]))
 
 
-def gram_solve(gram: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...]:
-    """The v with gram v = rhs, for a positive definite integer matrix and
-    an integer ``rhs``, both left as they are; ``ValueError`` if singular.
-    ``rhs`` borders the upper triangle as one more column, which
-    ``_pivot_step`` carries as it is: every entry is still a minor of
-    [gram | rhs], so every division is exact."""
-    pivots = list(_pivot_rows([[*row[a:], y] for a, (row, y) in enumerate(zip(gram, rhs))]))
-    if len(pivots) < len(gram):  # else all n pivots came in order: a triangular system
-        raise ValueError(f"singular Gram matrix: rank {len(pivots)} of {len(gram)}")
-    v: list[Fraction] = []  # back substitution, v[i] last: an int / int would give a float
-    for row in reversed(pivots):
+def _border(pivots: Sequence[Sequence[int]], column: Sequence[int]) -> list[list[int]]:
+    """The pivot rows of a positive definite Gram H bordered by one more
+    point, from H's n ``pivots`` and the point's ``column``: its Gram
+    entries against H's points, in order, then its own.  Each row gets the
+    point's entry as ``_pivot_step`` leaves it, and the point's row comes
+    last: [the bordered determinant], zero exactly when that is singular.
+    About n^2/2 updates, every entry a minor, so every division is exact."""
+    col, prev, rows = list(column), 1, []
+    for k, row in enumerate(pivots):
+        rows.append([*row, y := col[k]])
+        col[k + 1:] = [(row[0] * x - g * y) // prev for x, g in zip(col[k + 1:], rows[-1][1:])]
+        prev = row[0]
+    rows.append([col[-1]])
+    return rows
+
+
+def _back_substitute(bordered: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
+    """The v with H v = b, from ``_border`` of a positive definite H's
+    pivot rows by [b, anything]: each row but the last ends in b's entry,
+    and the rows form a triangular system."""
+    v: list[Fraction] = []  # v[i] last: an int / int would give a float
+    for row in reversed(bordered[:-1]):
         v.append(Fraction(row[-1] - sum(map(mul, row[1:-1], reversed(v))), row[0]))
     return tuple(reversed(v))

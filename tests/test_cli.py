@@ -999,7 +999,7 @@ def test_augment_subcommand(three_factor_file, capsys):
 
 
 def test_augment_out_of_passes_exits_1(three_factor_file, capsys, monkeypatch):
-    monkeypatch.setattr(construct, "_try_augment", lambda a, rng, box: None)
+    monkeypatch.setattr(construct, "_try_augment", lambda a, pivots, rng, box: None)
     code = run(["augment", "--input", three_factor_file, "--seed", "7"])
     assert code == EXIT_NOT_CERTIFIED
     assert capsys.readouterr() == ("", "error: augmentation failed after 32 attempts\n")
@@ -1412,6 +1412,12 @@ PINNED_STDOUTS = {
         12,
         "9ef850f63df88b20402f36801873c3a6bfedc423ed554a5e559c6f71a6afe674",
         "24abcff0c9d56e83f3e85ae62ea4adfa99d5ff1af1677803d2370f0f9c7b50f8",
+    ),
+    # 60 points, so augment's Bareiss entries grow large
+    "x".join(["7"] * 3): (
+        60,
+        "c4a4dac6d3da94c9404ec83b0163804db19ed74ff2d2bd185bb89641a739cb00",
+        "ed7c5df6ef022844c4b12e8263947b91e0203c12c6f3f064275ededdb825a7b1",
     ),
 }
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import decomposition_weights, in_span, outer_product_flat, rescaled_point_set
 from certs import certified
-from tensorcert import construct
+from tensorcert import construct, linalg
 from tensorcert.certify import check_non_redundant
 from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import (
@@ -172,26 +172,33 @@ def test_augment_the_seeded_three_factor_sample():
     assert len(survivors) >= len(a) - 1
 
 
-def test_augment_solves_once_per_draw_and_ranks_only_its_input(monkeypatch):
-    # random --shape 3x4x6 --r 6 --seed 1, augmented with seed 1: the pass
-    # keeps the current points' Gram, so each new candidate is one
-    # gram_solve on its row, no draw builds a PointSet or takes a rank, and
-    # the only rank in construct is the input check.  Both generators are
-    # seeded 1, so the first draw is the pivot's own first factor, skipped
-    # before any solve; the second leaves the span
+def test_augment_eliminates_two_grams_and_borders_each_draw(monkeypatch):
+    # random --shape 3x4x6 --r 6 --seed 1, augmented with seed 1: augment
+    # factors its input's 6 x 6 Gram once, and the certificate's gram_rank
+    # ranks the grown set's 7 x 7 one; no pass or draw starts an
+    # elimination.  Both generators are seeded 1, so the first draw is the
+    # pivot's own first factor, skipped before any bordering; the second
+    # is bordered and leaves the span, and the split borders a_0's row once
     a, weights = random_decomposition(MultiShape((2, 3, 5)), 6, seed=1)
-    calls = Counter()
+    calls, eliminated = Counter(), []
 
     def count(name):
         real = getattr(construct, name)
         monkeypatch.setattr(construct, name, lambda *args, **kw: calls.update([name]) or real(*args, **kw))
 
-    for name in ("flattening_rank", "gram_solve", "_random_factor", "PointSet"):
+    def pivot_rows(rows, real=linalg._pivot_rows):
+        eliminated.append(len(rows))
+        return real(rows)
+
+    for name in ("_border", "_random_factor", "PointSet"):
         count(name)
+    monkeypatch.setattr(construct, "_pivot_rows", pivot_rows)
+    monkeypatch.setattr(linalg, "_pivot_rows", pivot_rows)
     s, _, cert = augment_decomposition(a, weights, seed=1)
     assert certified(cert)
+    assert eliminated == [6, 7]
     # one PointSet: the grown set, which the one pass returns
-    assert calls == {"flattening_rank": 1, "_random_factor": 2, "gram_solve": 1, "PointSet": 1}
+    assert calls == {"_random_factor": 2, "_border": 2, "PointSet": 1}
 
 
 @pytest.mark.parametrize("seed", range(20))

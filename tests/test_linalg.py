@@ -14,9 +14,11 @@ from tensorcert.certify import check_span_intersection_identity
 from tensorcert.cli import InstanceParseError, _parse_vector
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, segre_scale
 from tensorcert.linalg import (
+    _back_substitute,
+    _border,
+    _pivot_rows,
     format_rational,
     gram_rank,
-    gram_solve,
     integer_gram,
     multiple,
     parse_rational,
@@ -152,20 +154,30 @@ def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
-# -- rank and solve by the one elimination kernel
+# -- rank, bordering and solve by the one elimination kernel
 #
 # gram_rank is run the way the package runs it, on the integer Gram of
 # the rows (every point-set rank: the Grams are PSD, and its pivots are
-# the greedy independent prefix of the rows).
+# the greedy independent prefix of the rows).  A solve is run the way
+# augment runs one: the kept pivot rows of a positive definite Gram,
+# bordered by the right-hand side, then back substitution.
 
 
 def rows_gram_rank(rows):
     return gram_rank(integer_gram(rows))
 
 
+def kept_rows(gram):
+    return list(_pivot_rows([row[a:] for a, row in enumerate(gram)]))
+
+
+def solve(gram, rhs):
+    return _back_substitute(_border(kept_rows(gram), [*rhs, 0]))
+
+
 def test_empty_matrix_has_rank_zero():
     assert rows_gram_rank([]) == 0
-    assert gram_solve([], []) == ()
+    assert solve([], []) == ()
 
 
 @st.composite
@@ -251,31 +263,72 @@ def times(gram, v):
 @given(pd_grams_and_rhs())
 @example(([[2, 1], [1, 2]], [1, 0]))
 @example(([[1, 0, 0], [0, 4, 2], [0, 2, 5]], [0, 0, 7]))
-def test_gram_solve_solves_exactly_and_leaves_its_input(case):
+def test_bordering_and_back_substitution_solve_exactly_and_leave_their_input(case):
     gram, rhs = case
-    before = [row[:] for row in gram], rhs[:]
     assert gauss_rank(gram) == len(gram)
-    v = gram_solve(gram, rhs)
-    assert (gram, rhs) == before
+    pivots, column = kept_rows(gram), [*rhs, 0]
+    before = [row[:] for row in gram], [row[:] for row in pivots], column[:]
+    v = _back_substitute(_border(pivots, column))
+    assert (gram, pivots, column) == before
     assert all(type(x) is Fraction for x in v)
     assert times(gram, v) == rhs
 
 
-@pytest.mark.parametrize("gram", [[[1, 1], [1, 1]], [[0]], [[4, 0, 2], [0, 0, 0], [2, 0, 1]]])
-def test_gram_solve_refuses_a_singular_gram(gram):
-    with pytest.raises(ValueError, match=r"^singular Gram matrix: rank \d of \d$"):
-        gram_solve(gram, [1] * len(gram))
+@pytest.mark.parametrize(
+    "gram, kept",
+    [([[1, 1], [1, 1]], [[1, 1]]), ([[0]], []), ([[4, 0, 2], [0, 0, 0], [2, 0, 1]], [[4, 0, 2]])],
+)
+def test_a_singular_gram_keeps_fewer_rows_than_points(gram, kept):
+    assert kept_rows(gram) == kept
 
 
 @settings(max_examples=200, deadline=None)
 @given(psd_grams())
-def test_gram_solve_raises_exactly_when_the_gram_is_singular(gram):
+def test_the_kept_rows_number_n_exactly_when_the_gram_has_rank_n(gram):
     rhs = list(range(1, len(gram) + 1))
-    if gauss_rank(gram) < len(gram):
-        with pytest.raises(ValueError):
-            gram_solve(gram, rhs)
+    assert (len(kept_rows(gram)) == len(gram)) == (gauss_rank(gram) == len(gram))
+    if gauss_rank(gram) == len(gram):
+        assert times(gram, solve(gram, rhs)) == rhs
+
+
+@st.composite
+def bordered_grams(draw):
+    """The Gram of the independent rows of a degenerate matrix and one
+    more row, last: a free row, or an integer combination of the others,
+    which leaves it in their span.  Half the time it is multiplied
+    entrywise by the Gram of another matrix's nonzero rows, as
+    pd_grams_and_rhs does, which keeps it PSD and its leading block
+    positive definite."""
+    matrix = draw(degenerate_integer_matrices())
+    rows, entry = independent_rows(matrix), st.integers(-6, 6)
+    if draw(st.booleans()):
+        point = draw(st.lists(entry, min_size=len(matrix[0]), max_size=len(matrix[0])))
     else:
-        assert times(gram, gram_solve(gram, rhs)) == rhs
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        point = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(matrix[0]))]
+    gram = integer_gram([*rows, point])
+    if draw(st.booleans()):
+        other = [row for row in draw(degenerate_integer_matrices()) if any(row)] or [[1]]
+        picks = draw(st.lists(st.integers(0, len(other) - 1), min_size=len(gram), max_size=len(gram)))
+        factor = integer_gram([other[i] for i in picks])
+        gram = [[x * y for x, y in zip(u, v)] for u, v in zip(gram, factor)]
+    return gram
+
+
+@settings(max_examples=300, deadline=None)
+@given(bordered_grams())
+@example([[0]])
+@example([[1, 1], [1, 1]])
+@example([[2, 1], [1, 2]])
+@example([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+def test_bordering_the_kept_rows_matches_a_fresh_elimination_with_the_point_last(gram):
+    n = len(gram) - 1
+    pivots = kept_rows([row[:n] for row in gram[:n]])
+    assert len(pivots) == n
+    bordered = _border(pivots, gram[n])
+    singular = gauss_rank(gram) == n
+    assert (bordered[-1] == [0]) == singular
+    assert kept_rows(gram) == (bordered[:-1] if singular else bordered)
 
 
 def test_rank_hand_cases():
