@@ -41,14 +41,15 @@ from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
+    _factor_gram,
     assemble_tensor,
     segre_gram_row,
     segre_scale,
     weighted_sum,
 )
 from .kruskal import MAX_WALK_BLOCKS, compare_criteria, kruskal_certificate
-from .linalg import format_rational, multiple, parse_rationals, primitive
-from .symmetric import comon_certify, symmetric_bounds, veronese_gram
+from .linalg import _at, format_rational, multiple, parse_rationals, primitive
+from .symmetric import comon_certify, symmetric_bounds
 
 ENV_SEED = "TENSORCERT_SEED"
 
@@ -219,7 +220,9 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
     # on, and independent rows with nonzero weights cannot sum to zero
     if symmetric is not None and (degree := symmetric.degree) < len(symmetric.points) - 1:
         scales = [segre_scale(p) ** degree for p in symmetric.points.points]
-        _check_sum(symmetric.weights, veronese_gram(symmetric.points, degree), scales)
+        gram, r = _factor_gram(symmetric.points, 1), len(symmetric.points)  # comon reuses it
+        rows = ([gram[_at(r, i, j)] ** degree for i in range(r)] for j in range(r))  # G^degree, lazily
+        _check_sum(symmetric.weights, rows, scales)
     return Instance(points, weights, symmetric, tensor)
 
 

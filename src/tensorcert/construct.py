@@ -30,7 +30,7 @@ _AUGMENT_PASSES = 32
 _FACTOR_DRAWS = 24
 # survey draws every coordinate of every point it samples
 MAX_POINT_COORDINATES = 2**20
-# and builds the k factor Grams, r x r each, of every trial
+# and builds k factor Grams a trial: counted as k r^2, kept as triangles
 MAX_GRAM_ENTRIES = 2**23
 
 
@@ -194,7 +194,8 @@ def augment_decomposition(
     if len(a) >= (m := shape.segre_length()):
         raise ValueError(f"cannot augment {len(a)} points in ambient dimension {m - 1}")
     order = [*a.points[1:], a.points[0]]
-    pivots = list(_pivot_rows([segre_gram_row(p, order[j:]) for j, p in enumerate(order)]))
+    gram = [h for j, p in enumerate(order) for h in segre_gram_row(p, order[j:])]
+    pivots = list(_pivot_rows(gram, len(order)))
     if len(pivots) != len(a):
         raise ValueError("the Segre vectors of the input points must be independent")
     rng = random.Random(seed)

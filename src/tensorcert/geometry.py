@@ -26,16 +26,16 @@ instead (see ``linalg``), which is the elementwise (Hadamard) product of
 the per-factor Grams A_i A_i^T over the factors i in u, because
 <a (x) b, c (x) d> = <a, c><b, d> (the face-splitting identity of the
 Khatri-Rao product).  The per-factor Grams are built once per point set
-from the primitive factor forms and shared by every subset u.
+from the primitive factor forms, flat upper triangles all, and shared by
+every subset u.
 
 Every flattening rank comes from one walk, ``subset_ranks``, given the
 bitmasks of the subsets a caller needs.  It walks them with their
 prefixes, each subset's Gram, the full set's too, being its parent
 prefix's Gram times one factor Gram, not a product rebuilt from the
 start; of the Grams, only the factor Grams stay on the set.  No Gram is
-written to: ``_hadamard`` builds a new matrix and ``linalg.gram_rank``,
-which ranks every one of these PSD Grams, reads only the upper triangle
-of its input and writes to none of it.
+written to: ``_hadamard`` builds a new list and ``linalg.gram_rank``,
+which ranks every one of these PSD Grams, writes to none of its input.
 Ranks only grow with the subset, so a subset one factor larger than a
 subset known to be independent has rank #S with no elimination, and an
 unasked prefix is eliminated only when it has at least #S coordinates.
@@ -236,18 +236,18 @@ def segre_scale(point: MultiPoint) -> Fraction:
     return prod(multiple(f, q) for f, q in zip(point.factors, point.canonical()))
 
 
-def _factor_gram(s: PointSet, index: int) -> list[list[int]]:
+def _factor_gram(s: PointSet, index: int) -> list[int]:
     """Integer Gram matrix A_i A_i^T of the primitive factor-``index``
-    vectors of S, memoized on S; callers must not modify it."""
+    vectors of S, a flat triangle memoized on S; callers must not modify it."""
     key = ("gram", index)
     if key not in s.memo:
         s.memo[key] = integer_gram(p.canonical()[index - 1] for p in s.points)
     return s.memo[key]
 
 
-def _hadamard(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Elementwise product of two square matrices, as a new matrix."""
-    return [[x * y for x, y in zip(u, v)] for u, v in zip(a, b)]
+def _hadamard(a: list[int], b: list[int]) -> list[int]:
+    """Elementwise product of two flat triangles of one order, as a new one."""
+    return list(map(mul, a, b))
 
 
 def segre_gram_row(p: MultiPoint, points: Iterable[MultiPoint]) -> list[int]:

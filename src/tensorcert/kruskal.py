@@ -7,7 +7,7 @@ kappa principal submatrix of the integer column Gram is nonsingular, so
 columns), ranks it with ``linalg.gram_rank`` and walks its principal
 minors depth first, one ``linalg._pivot_step`` per column subset: the
 Bareiss step with a principal pivot that ``gram_rank`` takes too, on
-upper triangles as there.  For a point set, the Kruskal rank of a factor
+flat triangles as there.  For a point set, the Kruskal rank of a factor
 is taken on the memoized factor Gram that the set's flattening ranks use.
 The baseline uniqueness condition for a decomposition with r points
 compares the sum of the factor-matrix Kruskal ranks against 2r + k - 1.
@@ -17,24 +17,25 @@ flattening certificates.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
 from .certify import bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
 from .geometry import PointSet, _factor_gram
-from .linalg import _pivot_step, gram_rank
+from .linalg import _at, _order, _pivot_step, gram_rank
 
 MAX_WALK_BLOCKS = 2**20
 KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
 
 
-def kruskal_rank(gram: list[list[int]]) -> int:
-    """Kruskal rank of the columns whose integer Gram matrix is ``gram``,
-    which is left as it is.
+def kruskal_rank(gram: list[int]) -> int:
+    """Kruskal rank of the columns whose integer Gram matrix is ``gram``, as
+    ``linalg.integer_gram``'s flat upper triangle, which is left as it is.
 
     A depth-first walk over independent column sets S in index order,
-    Bareiss elimination with principal pivots: a node holds the upper
-    triangle of the block det G[S + a, S + b] over the columns a <= b
+    Bareiss elimination with principal pivots: a node holds the flat
+    upper triangle of the block det G[S + a, S + b] over the columns a <= b
     after S (Sylvester's identity), so a zero diagonal entry is a
     dependent set S + a, and a child is one ``_pivot_step`` on its
     parent's block.  kappa starts at the rank, from ``gram_rank``; a
@@ -43,12 +44,11 @@ def kruskal_rank(gram: list[list[int]]) -> int:
     Raises on no columns, on a zero column and, before walking, when the
     walk could build more than MAX_WALK_BLOCKS blocks.
     """
-    n = len(gram)
+    n = _order(gram)
     if n == 0:
         raise ValueError("Kruskal rank of a matrix with no columns is undefined")
-    for j in range(n):
-        if not gram[j][j]:
-            raise ValueError(f"column {j} is zero, Kruskal rank undefined")
+    if (j := next((j for j in range(n) if not gram[_at(n, j, j)]), None)) is not None:
+        raise ValueError(f"column {j} is zero, Kruskal rank undefined")
     kappa = gram_rank(gram)
     if kappa == n:
         return n
@@ -59,24 +59,27 @@ def kruskal_rank(gram: list[list[int]]) -> int:
             f"more than the {MAX_WALK_BLOCKS} that kruskal builds"
         )
 
-    def walk(block: list[list[int]], prev: int, size: int) -> None:
-        # block[a] = det G[S + a, S + b] for b >= a over the columns after
-        # S, from b = a on; |S| = size and prev = det G[S]
+    def walk(block: list[int], n: int, prev: int, size: int) -> None:
+        # block: det G[S + a, S + b] for a <= b over the n columns after S,
+        # a flat triangle, row p from s to t; |S| = size and prev = det G[S]
         nonlocal kappa
-        for p, row in enumerate(block):
-            d = row[0]
-            if not d:
+        s = 0
+        for p in range(n):
+            if not (d := block[s]):
                 kappa = size
                 return
+            t = s + n - p
             if size + 2 < kappa:
-                walk(_pivot_step(block, p, prev), d, size + 1)
+                walk(_pivot_step(block, n, p, prev), n - p - 1, d, size + 1)
             elif size + 2 == kappa:
                 # S + p is the last node on its path: only the zero pattern of
                 # its block's diagonal counts, and that needs no division
-                if any(d * r[0] == y * y for r, y in zip(block[p + 1:], row[1:])):
+                diagonal = accumulate(range(n - p - 1, 1, -1), initial=t)
+                if any(d * block[u] == y * y for u, y in zip(diagonal, block[s + 1:t])):
                     kappa = size + 1
+            s = t
 
-    walk([row[a:] for a, row in enumerate(gram)], 1, 0)
+    walk(gram, n, 1, 0)
     return kappa
 
 

@@ -20,13 +20,13 @@ rank(A), and rows are independent exactly when their principal Gram
 submatrix is nonsingular.  Such a Gram, and every Hadamard product or
 power of such Grams, is positive semidefinite, and ``gram_rank`` ranks
 every one of them: Segre flattenings, Veronese degrees and Kruskal
-factors.  It keeps only the upper triangle and pivots on the diagonal,
-so its pivots are the greedy independent prefix of the points, each
-point in turn that is independent of the ones before it.  Kruskal column
-subsets are the principal minors of one Gram, which
-``kruskal.kruskal_rank`` reaches by the same Bareiss step,
-``_pivot_step``, one per subset.  Augment keeps the pivot rows of one
-positive definite Gram and borders them with one more point at a time
+factors.  Each is one flat list, its upper triangle row after row, so
+the rows after a pivot are the list's tail, laid out as the block that
+the Bareiss step ``_pivot_step`` leaves.  The pivots, on the diagonal,
+are the greedy independent prefix of the points.  Kruskal column subsets
+are the principal minors of one Gram, which ``kruskal.kruskal_rank``
+reaches by the same step, one per subset.  Augment borders the pivot
+rows (lists) of one positive definite Gram with one point at a time
 (``_border``); a solve is a bordering plus ``_back_substitute``.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -119,45 +119,58 @@ def multiple(row: Sequence[Fraction | int], prim: Sequence[int]) -> Fraction:
     return Fraction(row[i], prim[i])  # an int row / prim would be a float
 
 
-def integer_gram(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
-    """Gram matrix of the primitive integer forms of ``rows``.
+def integer_gram(rows: Iterable[Sequence[Fraction | int]]) -> list[int]:
+    """Gram matrix of the primitive integer forms of ``rows``, as its flat
+    upper triangle: row a from column a on, the rows one after another.
 
     Making a row primitive multiplies it by a nonzero rational, which
     scales one row and the matching column of the Gram, so neither its
     rank nor the rank of any principal submatrix changes.
     """
     ints = [primitive(row) for row in rows]
-    return [[sum(map(mul, a, b)) for b in ints] for a in ints]
+    return [sum(map(mul, a, b)) for i, a in enumerate(ints) for b in ints[i:]]
 
 
-def _pivot_step(rows: Sequence[Sequence[int]], p: int, prev: int) -> list[list[int]]:
-    """One Bareiss step on the upper triangle ``rows`` of a symmetric
-    block (row a holds the entries from column a on), with principal
-    pivot p and previous pivot prev: the upper triangle of the block over
-    the columns after p.  Rows before p are left out."""
-    d, *tail = rows[p]
-    return [
-        [(d * x - g * y) // prev for x, y in zip(row, tail[a:])]
-        for a, (row, g) in enumerate(zip(rows[p + 1:], tail))
-    ]
+def _order(tri: Sequence[int]) -> int:
+    """The order n of the matrix whose flat upper triangle is ``tri``."""
+    return (isqrt(8 * len(tri) + 1) - 1) // 2
 
 
-def _pivot_rows(rows: list[list[int]]):
-    """The pivot rows, in order, of Bareiss with principal pivots on the
-    upper triangle ``rows``; each starts at its pivot.  The pivot is the
-    first nonzero diagonal entry, because in a PSD block a zero diagonal
-    entry has a zero row, and each principal step leaves a PSD block (the
-    last pivot times a Schur complement), so the rows before it drop out."""
+def _at(n: int, i: int, j: int) -> int:
+    """Where entry (i, j) of an order-n symmetric matrix sits in its flat triangle."""
+    return (a := min(i, j)) * n - a * (a - 1) // 2 + abs(i - j)
+
+
+def _pivot_step(tri: Sequence[int], n: int, p: int, prev: int) -> list[int]:
+    """One Bareiss step with principal pivot p and previous pivot prev on
+    the flat upper triangle ``tri`` of a symmetric block of order n: the
+    flat upper triangle over the columns after p, one pass over the tail
+    of ``tri`` (the rows after p) against the pivot row's outer product."""
+    s = p * n - p * (p - 1) // 2  # row p starts, as in _at
+    t = s + n - p  # and row p + 1
+    d, tail = tri[s], tri[s + 1:t]
+    outer = [g * h for a, g in enumerate(tail) for h in tail[a:]]
+    return [(d * x - u) // prev for x, u in zip(tri[t:], outer)]
+
+
+def _pivot_rows(tri: Sequence[int], n: int):
+    """The pivot rows (lists, each from its pivot on), in order, of Bareiss
+    with principal pivots on the flat upper triangle ``tri`` of order n.
+    A PSD block's zero diagonal entry has a zero row, which drops out, and
+    each step leaves a PSD block, so the pivot is the first nonzero one."""
     prev = 1
-    while (p := next((a for a, row in enumerate(rows) if row[0]), None)) is not None:
-        yield rows[p]
-        prev, rows = rows[p][0], _pivot_step(rows, p, prev)
+    while tri:
+        if not tri[0]:
+            tri, n = tri[n:], n - 1
+        else:
+            yield tri[:n]
+            prev, tri, n = tri[0], _pivot_step(tri, n, 0, prev), n - 1
 
 
-def gram_rank(gram: Sequence[Sequence[int]]) -> int:
-    """Rank of a positive semidefinite integer matrix, which is left as it
-    is: about n^3/6 updates, where eliminating the whole matrix takes n^3/2."""
-    return sum(1 for _ in _pivot_rows([row[a:] for a, row in enumerate(gram)]))
+def gram_rank(gram: Sequence[int]) -> int:
+    """Rank of a PSD integer matrix, given as its flat upper triangle and left
+    as it is: about n^3/6 updates, where eliminating all of it takes n^3/2."""
+    return sum(1 for _ in _pivot_rows(gram, _order(gram)))
 
 
 def _border(pivots: Sequence[Sequence[int]], column: Sequence[int]) -> list[list[int]]:

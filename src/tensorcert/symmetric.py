@@ -13,7 +13,7 @@ Independence at degree e is not read off the C(n + e, e)-wide Veronese
 rows V: weighted by multinomial coefficients, their Gram is <p, q>^e, so
 the Hadamard power G^e of the point Gram G is V W V^T with W positive
 diagonal and has the rank of V (at e = 0 it is all ones, of rank 1).
-G is the point set's memoized factor Gram, built once per set.
+G is the point set's memoized factor Gram, a flat upper triangle.
 
 No power above r - 2 is ever taken: r distinct points impose independent
 conditions in every degree e >= r - 1 (for each p_j, multiply r - 1
@@ -49,10 +49,10 @@ from .linalg import gram_rank
 TAG_SYMMETRIC = "symmetric-rank-agreement"
 
 
-def veronese_gram(a: PointSet, degree: int) -> list[list[int]]:
-    """G^degree, elementwise, for the integer Gram G of the primitive points:
-    up to positive multinomial weights, the Gram of their Veronese rows."""
-    return [[g**degree for g in row] for row in _factor_gram(a, 1)]
+def veronese_gram(a: PointSet, degree: int) -> list[int]:
+    """G^degree, elementwise, for the integer Gram G of the primitive points,
+    flat: up to positive multinomial weights, the Gram of their Veronese rows."""
+    return [g**degree for g in _factor_gram(a, 1)]
 
 
 def veronese_rank(a: PointSet, degree: int) -> int:

@@ -312,3 +312,71 @@ def changed_basis_tensor(coords, sizes, matrices):
             for i, a in ((i, i // stride % n) for i in range(len(out)))
         ]
     return out
+
+
+# The Bareiss kernel and the Kruskal walk on Grams held as lists of rows,
+# row a kept from column a on, as the package ran them before it stored
+# each Gram as one flat upper triangle.  Not a different algorithm: the
+# same steps in the other layout, so the flat one must give the same
+# ranks, the same pivot rows and the same Kruskal ranks.
+
+
+def full_gram(rows) -> list[list[int]]:
+    """The square Gram matrix of integer rows."""
+    return [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+
+
+def triangle(gram) -> list[int]:
+    """The flat upper triangle of a square matrix, the layout of every Gram
+    the package ranks: row a from column a on, the rows one after another."""
+    return [x for a, row in enumerate(gram) for x in row[a:]]
+
+
+def row_list_pivot_step(rows, p: int, prev: int) -> list[list[int]]:
+    """One Bareiss step with principal pivot p on the upper triangle
+    ``rows``: the upper triangle over the columns after p."""
+    d, *tail = rows[p]
+    return [
+        [(d * x - g * y) // prev for x, y in zip(row, tail[a:])]
+        for a, (row, g) in enumerate(zip(rows[p + 1:], tail))
+    ]
+
+
+def row_list_pivot_rows(rows):
+    """The pivot rows, in order, of Bareiss with principal pivots on the
+    upper triangle ``rows`` of a PSD matrix: the first nonzero diagonal
+    entry is the pivot."""
+    prev = 1
+    while (p := next((a for a, row in enumerate(rows) if row[0]), None)) is not None:
+        yield rows[p]
+        prev, rows = rows[p][0], row_list_pivot_step(rows, p, prev)
+
+
+def row_list_gram_rank(gram) -> int:
+    """Rank of a square PSD integer matrix by ``row_list_pivot_rows``."""
+    return sum(1 for _ in row_list_pivot_rows([row[a:] for a, row in enumerate(gram)]))
+
+
+def row_list_kruskal_rank(gram) -> int:
+    """Kruskal rank of the nonzero columns whose square integer Gram is
+    ``gram``, by the depth-first walk over independent column sets with
+    one ``row_list_pivot_step`` per set, starting from the rank."""
+    kappa = row_list_gram_rank(gram)
+    if kappa == len(gram):
+        return kappa
+
+    def walk(block, prev, size):
+        nonlocal kappa
+        for p, row in enumerate(block):
+            d = row[0]
+            if not d:
+                kappa = size
+                return
+            if size + 2 < kappa:
+                walk(row_list_pivot_step(block, p, prev), d, size + 1)
+            elif size + 2 == kappa:
+                if any(d * r[0] == y * y for r, y in zip(block[p + 1:], row[1:])):
+                    kappa = size + 1
+
+    walk([row[a:] for a, row in enumerate(gram)], 1, 0)
+    return kappa

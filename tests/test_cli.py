@@ -574,6 +574,20 @@ def test_certify_ranks_only_subsets_without_an_independent_subset(
     assert len(calls) == ranked
 
 
+def test_compare_takes_one_kruskal_step_per_walked_column_set(tmp_path, monkeypatch, capsys):
+    # generic points on 5x5x5 r=11: each factor's 11 columns have rank 5 and
+    # Kruskal rank 5, and its walk takes one _pivot_step per column set of
+    # 1 to 3 columns, 11 + 55 + 165 = 231, whatever layout its blocks have
+    data, _, _ = seeded_instance((4, 4, 4), 11, seed=1)
+    calls = []
+    pivot_step = kruskal._pivot_step
+    monkeypatch.setattr(kruskal, "_pivot_step", lambda *args: calls.append(args) or pivot_step(*args))
+    code = run(["compare", "--input", write_instance(tmp_path, data), "--format", "json"])
+    assert code == EXIT_NOT_CERTIFIED
+    assert json.loads(capsys.readouterr().out)["kruskal"]["per_factor_kruskal_rank"] == [5, 5, 5]
+    assert len(calls) == 693
+
+
 def test_certify_empty_partition_is_invalid(three_factor_file, capsys):
     # an empty value is a partition that does not parse, not a missing flag
     assert run(["certify", "--input", three_factor_file, "--partition="]) == EXIT_INVALID

@@ -186,9 +186,9 @@ def test_augment_eliminates_two_grams_and_borders_each_draw(monkeypatch):
         real = getattr(construct, name)
         monkeypatch.setattr(construct, name, lambda *args, **kw: calls.update([name]) or real(*args, **kw))
 
-    def pivot_rows(rows, real=linalg._pivot_rows):
-        eliminated.append(len(rows))
-        return real(rows)
+    def pivot_rows(tri, n, real=linalg._pivot_rows):
+        eliminated.append(n)  # the order of the flat triangle
+        return real(tri, n)
 
     for name in ("_border", "_random_factor", "PointSet"):
         count(name)

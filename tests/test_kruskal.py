@@ -11,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certs import certified
-from oracles import gauss_rank, kruskal_rank_exhaustive
+from oracles import (
+    full_gram,
+    gauss_rank,
+    kruskal_rank_exhaustive,
+    outer_product_flat,
+    row_list_kruskal_rank,
+    triangle,
+)
 from tensorcert.certify import check_non_redundant
 from tensorcert.construct import random_decomposition
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet
@@ -21,7 +28,7 @@ from tensorcert.kruskal import (
     kruskal_certificate,
     kruskal_rank,
 )
-from tensorcert.linalg import integer_gram
+from tensorcert.linalg import integer_gram, primitive
 
 
 def random_columns(rng, rows, cols, box=4):
@@ -189,6 +196,34 @@ def check_against_the_oracle(columns, scales):
     assert kruskal_certificate(s)["per_factor_kruskal_rank"][0] == oracle
     for i in (1, 2):
         assert s.memo[("gram", i)] == integer_gram(p.canonical()[i - 1] for p in s.points)
+
+
+@st.composite
+def product_columns(draw):
+    """Nonzero primitive integer columns, 2-12 of them: pooled columns, so
+    often dependent in small sets; or their Khatri-Rao product with
+    columns of a second pool, whose Gram is the Hadamard product of the
+    two Grams; or a Khatri-Rao power 0-3, whose Gram is a Hadamard power."""
+    columns = [primitive(col) for col in draw(pooled_columns(max_height=5, max_pool=5, max_columns=12))[0]]
+    kind = draw(st.sampled_from(["gram", "product", "power"]))
+    if kind == "product":
+        other = draw(pooled_columns(max_height=3, max_pool=3))[0]
+        picks = draw(st.lists(st.integers(0, len(other) - 1), min_size=len(columns), max_size=len(columns)))
+        columns = [primitive(outer_product_flat([col, other[i]])) for col, i in zip(columns, picks)]
+    elif kind == "power":
+        e = draw(st.integers(0, 3))
+        columns = [primitive(outer_product_flat([col] * e)) for col in columns]
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_columns())
+@example([[1, 0], [0, 1], [1, 1], [1, 2]])
+@example([[1]] * 12)
+def test_the_flat_walk_keeps_the_kruskal_rank_of_the_row_list_one(columns):
+    gram = full_gram(columns)
+    oracle = kruskal_rank_exhaustive(columns)
+    assert kruskal_rank(triangle(gram)) == row_list_kruskal_rank(gram) == oracle
 
 
 # -- the k-way baseline

@@ -9,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certs import find
-from oracles import decomposition_weights, gauss_rank, parse_rational_regex
+from oracles import (
+    decomposition_weights,
+    full_gram,
+    gauss_rank,
+    parse_rational_regex,
+    row_list_gram_rank,
+    row_list_pivot_rows,
+    triangle,
+)
 from tensorcert.certify import check_span_intersection_identity
 from tensorcert.cli import InstanceParseError, _parse_vector
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, segre_scale
@@ -160,7 +168,9 @@ def test_format_parse_round_trip(x):
 # the rows (every point-set rank: the Grams are PSD, and its pivots are
 # the greedy independent prefix of the rows).  A solve is run the way
 # augment runs one: the kept pivot rows of a positive definite Gram,
-# bordered by the right-hand side, then back substitution.
+# bordered by the right-hand side, then back substitution.  The
+# strategies draw square Grams, which the oracle ranks; the kernel takes
+# their flat upper triangles.
 
 
 def rows_gram_rank(rows):
@@ -168,7 +178,7 @@ def rows_gram_rank(rows):
 
 
 def kept_rows(gram):
-    return list(_pivot_rows([row[a:] for a, row in enumerate(gram)]))
+    return list(_pivot_rows(triangle(gram), len(gram)))
 
 
 def solve(gram, rhs):
@@ -205,12 +215,12 @@ def psd_grams(draw):
     matrix, its Hadamard product with the Gram of another one's rows
     (picked with repeats, to as many rows), or its Hadamard power (the
     veronese_gram case, the all-ones matrix at exponent 0)."""
-    gram = integer_gram(draw(degenerate_integer_matrices()))
+    gram = full_gram(draw(degenerate_integer_matrices()))
     kind = draw(st.sampled_from(["gram", "product", "power"]))
     if kind == "product":
         other = draw(degenerate_integer_matrices())
         picks = draw(st.lists(st.integers(0, len(other) - 1), min_size=len(gram), max_size=len(gram)))
-        factor = integer_gram([other[i] for i in picks])
+        factor = full_gram([other[i] for i in picks])
         gram = [[x * y for x, y in zip(u, v)] for u, v in zip(gram, factor)]
     elif kind == "power":
         e = draw(st.integers(0, 4))
@@ -224,9 +234,10 @@ def psd_grams(draw):
 @example([[0, 0, 0], [0, 1, 2], [0, 2, 4]])
 @example([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
 def test_gram_rank_matches_the_oracle_and_leaves_its_input(gram):
-    before = [row[:] for row in gram]
-    assert gram_rank(gram) == gauss_rank(gram)
-    assert gram == before
+    tri = triangle(gram)
+    before = tri[:]
+    assert gram_rank(tri) == gauss_rank(gram)
+    assert tri == before
 
 
 def independent_rows(rows):
@@ -246,11 +257,11 @@ def pd_grams_and_rhs(draw):
     nonzero rows (picked with repeats), positive definite by Schur's
     product theorem, since that factor's diagonal is positive."""
     rows = independent_rows(draw(degenerate_integer_matrices()))
-    gram = integer_gram(rows)
+    gram = full_gram(rows)
     if gram and draw(st.booleans()):
         other = [row for row in draw(degenerate_integer_matrices()) if any(row)] or rows
         picks = draw(st.lists(st.integers(0, len(other) - 1), min_size=len(gram), max_size=len(gram)))
-        factor = integer_gram([other[i] for i in picks])
+        factor = full_gram([other[i] for i in picks])
         gram = [[x * y for x, y in zip(u, v)] for u, v in zip(gram, factor)]
     return gram, draw(st.lists(st.integers(-60, 60), min_size=len(gram), max_size=len(gram)))
 
@@ -306,11 +317,11 @@ def bordered_grams(draw):
     else:
         coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
         point = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(matrix[0]))]
-    gram = integer_gram([*rows, point])
+    gram = full_gram([*rows, point])
     if draw(st.booleans()):
         other = [row for row in draw(degenerate_integer_matrices()) if any(row)] or [[1]]
         picks = draw(st.lists(st.integers(0, len(other) - 1), min_size=len(gram), max_size=len(gram)))
-        factor = integer_gram([other[i] for i in picks])
+        factor = full_gram([other[i] for i in picks])
         gram = [[x * y for x, y in zip(u, v)] for u, v in zip(gram, factor)]
     return gram
 
@@ -329,6 +340,53 @@ def test_bordering_the_kept_rows_matches_a_fresh_elimination_with_the_point_last
     singular = gauss_rank(gram) == n
     assert (bordered[-1] == [0]) == singular
     assert kept_rows(gram) == (bordered[:-1] if singular else bordered)
+
+
+# -- the flat kernel against the row-list one it replaced (oracles.row_list_*)
+
+
+@st.composite
+def deficient_grams(draw):
+    """Square PSD integer Grams of order 0-12: of integer rows, each one
+    drawn, zero (a zero diagonal entry, so a later pivot sits at p > 0) or
+    a combination of the rows before it (a rank-deficient Gram); then
+    maybe multiplied entrywise by another such Gram or raised entrywise
+    to a power 0-3, as the flattening walk and veronese_gram do."""
+    order, width = draw(st.integers(0, 12)), draw(st.integers(1, 8))
+    entry = st.integers(-3, 3)
+
+    def rows():
+        drawn = []
+        for _ in range(order):
+            kind = draw(st.sampled_from(["drawn", "zero", "combination"]))
+            if kind == "zero":
+                drawn.append([0] * width)
+            elif kind == "combination" and drawn:
+                coeffs = draw(st.lists(entry, min_size=len(drawn), max_size=len(drawn)))
+                drawn.append([sum(c * row[j] for c, row in zip(coeffs, drawn)) for j in range(width)])
+            else:
+                drawn.append(draw(st.lists(entry, min_size=width, max_size=width)))
+        return drawn
+
+    gram = full_gram(rows())
+    kind = draw(st.sampled_from(["gram", "product", "power"]))
+    if kind == "product":
+        gram = [[x * y for x, y in zip(u, v)] for u, v in zip(gram, full_gram(rows()))]
+    elif kind == "power":
+        e = draw(st.integers(0, 3))
+        gram = [[x**e for x in row] for row in gram]
+    return gram
+
+
+@settings(max_examples=300, deadline=None)
+@given(deficient_grams())
+@example([])
+@example([[0, 0, 0], [0, 1, 2], [0, 2, 4]])
+@example([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 3]])
+def test_the_flat_kernel_keeps_the_ranks_and_pivot_rows_of_the_row_list_one(gram):
+    reference = list(row_list_pivot_rows([row[a:] for a, row in enumerate(gram)]))
+    assert kept_rows(gram) == reference
+    assert gram_rank(triangle(gram)) == row_list_gram_rank(gram) == len(reference) == gauss_rank(gram)
 
 
 def test_rank_hand_cases():
@@ -468,17 +526,18 @@ def test_rank_bounded_by_dimensions(rows):
 
 def test_integer_gram_of_primitive_rows():
     # (2/3, 4/3) and (0, -6) become (1, 2) and (0, 1); the zero row stays zero
+    # Gram [[5, 2, 0], [2, 1, 0], [0, 0, 0]], as its flat upper triangle
     gram = integer_gram([(Fraction(2, 3), Fraction(4, 3)), (0, -6), (0, 0)])
-    assert gram == [[5, 2, 0], [2, 1, 0], [0, 0, 0]]
+    assert gram == [5, 2, 0, 1, 0, 0]
     assert integer_gram([]) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_integer_gram_has_the_rank_of_its_rows(rows):
-    gram = integer_gram(rows)
-    assert all(gram[i][j] == gram[j][i] for i in range(len(rows)) for j in range(len(rows)))
-    assert gauss_rank(gram) == gauss_rank(rows)
+    square = full_gram([primitive(row) for row in rows])
+    assert integer_gram(rows) == triangle(square)
+    assert gauss_rank(square) == gauss_rank(rows)
 
 
 # -- primitive integer forms
