@@ -140,7 +140,8 @@ def _try_augment(
     to b: D differs from C.  And Segre(P) = Segre(D) + t Segre(C), so D
     among the other points would put C in the span it has just left, and
     y_P Segre(P) goes to C and D as t y_P and y_P.  H bordered by a_0 has
-    a_0's coefficients xi on primitive rows: y_j = scale(a_0) xi_j / scale(p_j).
+    a_0's coefficients xi on primitive rows, det H xi from the back
+    substitution: y_j = scale(a_0) xi_j / scale(p_j).
     """
     shape = a.shape
     pivot, others = a.points[0], list(a.points[1:])
@@ -156,8 +157,9 @@ def _try_augment(
                 t = Fraction(_nonzero_int(rng, box))
                 c = tuple(pc - t * bc for pc, bc in zip(pivot.factors[i - 1], b))
                 split = pivot.replace_factor(i, c)
-                xi = _back_substitute(_border(pivots, segre_gram_row(a.points[0], [*others, pivot, a.points[0]])))
-                y = [segre_scale(a.points[0]) * v / segre_scale(p) for v, p in zip(xi, [*others, pivot])]
+                z = _back_substitute(_border(pivots, segre_gram_row(a.points[0], [*others, pivot, a.points[0]])))
+                scale = segre_scale(a.points[0]) / pivots[-1][0]
+                y = [scale * v / segre_scale(p) for v, p in zip(z, [*others, pivot])]
                 return PointSet(shape, (*others, candidate, split)), (*y[:-1], t * y[-1], y[-1])
             if bordered[-2][-1]:
                 pivots = _border([row[:-1] for row in pivots[:-1]], [*h[:-2], h[-1]])

@@ -10,9 +10,11 @@ are the entries of the outer product of the selected factor vectors,
 flattened row-major so the last selected factor's index varies fastest.
 
 A factor subset u is held as its bitmask, bit i - 1 standing for factor
-i.  For a finite set S, the u-flattening rank is the exact rank of the
-#S x M_u evaluation matrix (``flattening_rank`` is that of the full
-set).  Certificates name the two numbers it gives as
+i; past 61 factors, where Python's int hashes collide, the walk below
+keys it by the mask's bytes (``_mask_codec``).  For a finite set S, the
+u-flattening rank is the exact rank of the #S x M_u evaluation matrix
+(``flattening_rank`` is that of the full set).  Certificates name the
+two numbers it gives as
 
     h0 = (number of Segre coordinates for u) - rank,
     h1 = #S - rank.
@@ -34,11 +36,30 @@ bitmasks of the subsets a caller needs.  It walks them with their
 prefixes, each subset's Gram, the full set's too, being its parent
 prefix's Gram times one factor Gram, not a product rebuilt from the
 start; of the Grams, only the factor Grams stay on the set.  No Gram is
-written to: ``_hadamard`` builds a new list and ``linalg.gram_rank``,
-which ranks every one of these PSD Grams, writes to none of its input.
-Ranks only grow with the subset, so a subset one factor larger than a
-subset known to be independent has rank #S with no elimination, and an
-unasked prefix is eliminated only when it has at least #S coordinates.
+written to: ``_hadamard`` builds a new list and ``linalg._pivot_rows``,
+the Bareiss elimination that ranks every one of these PSD Grams, writes
+to none of its input.  Ranks only grow with the subset, so a subset one
+factor larger than a subset known to be independent has rank #S with
+no elimination, and an unasked prefix is eliminated only when it has at
+least #S coordinates.
+
+A subset of corank one settles its children, too (the Khatri-Rao rank
+argument of Sidiropoulos and Bro, J. Chemometrics 14 (2000), cut down to
+its exact case).  Let v have rank #S - 1, with c != 0 and
+sum_j c_j A_v[j] = 0 over its rows A_v[j], and let t be a factor not in
+v.  Then u = v + {t} has rank #S - 1 exactly when every point j with
+c_j != 0 has the same factor-t projection, and rank #S otherwise; in
+the first case c is u's kernel too, so the rule goes on to u's
+children.  Proof: the rows of u are A_v[j] (x) a^t_j, over the
+primitive factor forms.  If the a^t_j agree on the support of c, c is a
+dependency of u's rows, and rank_u >= rank_v.  Conversely, id (x) phi
+maps a dependency d != 0 of u's rows to the dependency
+(d_j phi(a^t_j))_j of v's rows, so d_j phi(a^t_j) = lambda(phi) c_j
+for every linear form phi.  A phi nonzero on every a^t_j gives d the
+support of c, so phi(d_j a^t_j / c_j) = lambda(phi) for every phi and
+every j in it: the vectors d_j a^t_j / c_j are one vector, and the
+a^t_j one projective point.  The elimination's pivot rows give c
+(``linalg._kernel_vector``), and only its support is kept.
 
 ``segre_gram_row`` builds one row of the full set's Gram outside the
 walk, for the parser's vanishing-sum check and augment's solves.
@@ -50,9 +71,9 @@ from fractions import Fraction
 from itertools import islice
 from math import prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .linalg import gram_rank, integer_gram, multiple, primitive
+from .linalg import _kernel_vector, _pivot_rows, integer_gram, multiple, primitive
 
 _EXACT = (int, Fraction)
 
@@ -184,9 +205,9 @@ class PointSet(_Value):
     """Finite set of distinct points of a fixed shape, in a fixed order.
 
     ``memo`` holds what has been computed for this set (integer Grams by
-    factor, and flattening ranks by factor subset bitmask from
-    ``subset_ranks``), so repeated questions within one run are answered
-    once and the memory goes with the set.  It is not part of the set's
+    factor, and flattening ranks by factor subset from ``subset_ranks``),
+    so repeated questions within one run are answered once and the
+    memory goes with the set.  It is not part of the set's
     value: equality, hash and repr leave it out.
     """
 
@@ -263,10 +284,21 @@ def flattening_rank(s: PointSet) -> int:
     return subset_ranks(s, (full,))[full]
 
 
+def _mask_codec(k: int) -> tuple[Callable[[int], int | bytes], Callable]:
+    """The key of a k-factor bitmask in the walk and the ``ranks`` memo,
+    and the bitmask of a key.  Python hashes an int as its value mod
+    2^61 - 1, so past 61 factors masks collide and every dict holding
+    them slows to a scan; their bytes hash whole."""
+    if k < 62:
+        return int, int
+    length = (k + 7) // 8
+    return (lambda mask: mask.to_bytes(length, "little")), (lambda m: int.from_bytes(m, "little"))
+
+
 def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
-    """The flattening ranks of S known so far, by factor-subset bitmask
-    (bit i - 1 for factor i), once the nonempty subsets in ``masks`` are
-    among them: memoized on S, so callers must not modify the result.
+    """The flattening ranks of S for the nonempty factor subsets in
+    ``masks``, by bitmask (bit i - 1 for factor i).  Every rank the walk
+    learns is memoized on S, keyed by ``_mask_codec``.
 
     The walk takes each asked subset with its prefixes, a prefix being
     the subset without its top factors, and stops at a prefix known to
@@ -274,41 +306,67 @@ def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
     rank_u <= rank_u': rows independent on u stay independent on u' (on
     the Gram side, the Schur product theorem).  So a subset one factor
     short of which is known to be independent has rank #S with no
-    elimination.  Any other subset's Gram, the full set's too, is its
-    parent's (the subset without its top factor, one size earlier) times
-    one factor Gram.  It is eliminated when asked, or when M_u >= #S, so
-    that it may settle what contains it; below #S an unasked prefix is
-    dependent anyway.  Only the Grams of the dependent subsets of the
-    last size are kept, as parents, and they go with the walk; only the
-    ranks stay on S.
+    elimination.  A subset whose parent (the subset without its top
+    factor t, one size earlier) has corank one and a kernel support C
+    has rank #S - 1 when the points of C share their factor-t
+    projection, and #S otherwise (the rule in the module docstring); it
+    keeps C in the first case.  Any other subset's Gram, the full set's
+    too, is its parent's times one factor Gram.  It is eliminated when
+    asked, or when M_u >= #S, so that it may settle what contains it;
+    below #S an unasked prefix is dependent anyway.  An elimination that
+    finds corank one keeps the support of the kernel vector of its
+    pivot rows in place of the Gram.  Only the Grams and supports of the
+    dependent subsets of the last size are kept, as parents, and they go
+    with the walk; only the ranks stay on S.
     """
     ranks = s.memo.setdefault("ranks", {})
     k, r, sizes = s.shape.k, len(s), s.shape.sizes
-    asked, walk = set(masks), set()
-    for mask in asked.difference(ranks):
-        while mask and mask not in walk and ranks.get(mask) != r:
-            walk.add(mask)
-            mask ^= 1 << (mask.bit_length() - 1)
-    bits = [1 << i for i in range(k)]
-    size, grams = 0, {0: (None, 1)}  # (Gram, M_u) by dependent subset
-    for mask in sorted(walk, key=int.bit_count):
-        parent = mask ^ (1 << (top := mask.bit_length() - 1))
-        # the parent is one of the subsets one factor short, and asked first
-        if mask not in ranks and (
-            ranks.get(parent) == r or r in [ranks.get(mask ^ b) for b in bits if mask & b]
-        ):
-            ranks[mask] = r
+    key, mask_of = _mask_codec(k)
+    # the walk, each subset's key to its parent's, and its keys by size, from 1
+    asked, walk, layers = {key(mask): mask for mask in masks}, {}, [[] for _ in range(k)]
+    for m, mask in asked.items():
+        if m in ranks:
             continue
-        if mask.bit_count() > size:
-            size, parents, grams = mask.bit_count(), grams, {}
-        gram, m_u = parents[parent]
-        gram = _factor_gram(s, top + 1) if gram is None else _hadamard(gram, _factor_gram(s, top + 1))
-        m_u *= sizes[top]
-        if mask not in ranks and (mask in asked or m_u >= r):
-            ranks[mask] = gram_rank(gram)
-        if ranks.get(mask, 0) < r:
-            grams[mask] = gram, m_u
-    return ranks
+        while mask and m not in walk and ranks.get(m) != r:
+            layers[mask.bit_count() - 1].append(m)
+            mask ^= 1 << (mask.bit_length() - 1)
+            walk[m] = parent = key(mask)
+            m = parent
+    bits = [1 << i for i in range(k)]
+    canon = [p.canonical() for p in s.points]
+    # (Gram, kernel support, M_u) by dependent subset of the last size: the
+    # Gram is None for the empty set and for a subset with a kernel support
+    grams = {key(0): (None, None, 1)}
+    for layer in layers:
+        parents, grams = grams, {}
+        for m in layer:
+            # a subset with an independent parent is independent, and so
+            # is one with any independent subset one factor short, all
+            # of them walked first
+            parent = walk[m]
+            if m not in ranks and ranks.get(parent) == r:
+                ranks[m] = r
+                continue
+            mask = mask_of(m)
+            top = mask.bit_length() - 1
+            if m not in ranks and r in [ranks.get(key(mask ^ b)) for b in bits if mask & b]:
+                ranks[m] = r
+                continue
+            gram, support, m_u = parents[parent]
+            m_u *= sizes[top]
+            if support:
+                ranks[m] = r - 1 if len({canon[j][top] for j in support}) == 1 else r
+            else:
+                gram = _factor_gram(s, top + 1) if gram is None else _hadamard(gram, _factor_gram(s, top + 1))
+                if m not in ranks and (m in asked or m_u >= r):
+                    rows = list(_pivot_rows(gram, r))
+                    ranks[m] = len(rows)
+                    if len(rows) == r - 1:
+                        support = [j for j, c in enumerate(_kernel_vector(rows, r)) if c]
+                        gram = None
+            if ranks.get(m, 0) < r:
+                grams[m] = gram, support, m_u
+    return {mask: ranks[m] for m, mask in asked.items()}
 
 
 def different_coordinates_violation(s: PointSet) -> tuple[int, int, int] | None:

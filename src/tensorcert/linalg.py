@@ -27,7 +27,12 @@ are the greedy independent prefix of the points.  Kruskal column subsets
 are the principal minors of one Gram, which ``kruskal.kruskal_rank``
 reaches by the same step, one per subset.  Augment borders the pivot
 rows (lists) of one positive definite Gram with one point at a time
-(``_border``); a solve is a bordering plus ``_back_substitute``.
+(``_border``); a solve is a bordering plus ``_back_substitute``, which
+stays in the integers: it returns D v for the determinant D of the
+system, and the caller divides by D once.  The pivot rows of a singular
+Gram also give an integer kernel vector (``_kernel_vector``): the rows
+before its first dependent point, cut at that point's column, are a
+bordering, and one back substitution solves it.
 """
 
 from __future__ import annotations
@@ -189,11 +194,28 @@ def _border(pivots: Sequence[Sequence[int]], column: Sequence[int]) -> list[list
     return rows
 
 
-def _back_substitute(bordered: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
-    """The v with H v = b, from ``_border`` of a positive definite H's
-    pivot rows by [b, anything]: each row but the last ends in b's entry,
-    and the rows form a triangular system."""
-    v: list[Fraction] = []  # v[i] last: an int / int would give a float
+def _back_substitute(bordered: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """D v for the v with H v = b, from ``_border`` of a positive definite
+    H's pivot rows by [b, anything]: each row but the last ends in b's
+    entry, and the rows form a triangular system.  D is H's last pivot,
+    det H (1 when H is empty), so D v is the integer vector of Cramer's
+    rule and each of its entries divides out exactly."""
+    d = bordered[-2][0] if len(bordered) > 1 else 1
+    z: list[int] = []
     for row in reversed(bordered[:-1]):
-        v.append(Fraction(row[-1] - sum(map(mul, row[1:-1], reversed(v))), row[0]))
-    return tuple(reversed(v))
+        z.append((d * row[-1] - sum(map(mul, row[1:-1], reversed(z)))) // row[0])
+    return tuple(reversed(z))
+
+
+def _kernel_vector(rows: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """An integer c != 0 with G c = 0, from the pivot rows (``_pivot_rows``)
+    of an order-n PSD G of rank below n.  Point i's row has n - i entries
+    while no point before it has dropped out, so the first row that is
+    shorter, or the end of the rows, names the first dependent point j.
+    The rows before j, cut at column j, are the points before j bordered
+    by j's column, and c is D (-v, 1, 0, ..., 0) for the D v of their
+    back substitution: G c = 0, since G is PSD and c^T G c = 0."""
+    j = next((i for i, row in enumerate(rows) if len(row) != n - i), len(rows))
+    d = rows[j - 1][0] if j else 1
+    z = _back_substitute([row[: j - i + 1] for i, row in enumerate(rows[:j])] + [[0]])
+    return (*(-x for x in z), d, *[0] * (n - 1 - j))

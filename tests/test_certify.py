@@ -759,8 +759,8 @@ def test_obstruct_eliminates_only_subsets_without_an_independent_prefix(monkeypa
     # subsets of the first 12 factors; the whole set's prefix is one
     s, weights = random_decomposition(MultiShape((1,) * 16), 12, seed=1)
     calls = []
-    gram_rank = geometry.gram_rank
-    monkeypatch.setattr(geometry, "gram_rank", lambda gram: calls.append(gram) or gram_rank(gram))
+    pivot_rows = geometry._pivot_rows
+    monkeypatch.setattr(geometry, "_pivot_rows", lambda gram, n: calls.append(gram) or pivot_rows(gram, n))
     cert = obstruct_alt_decompositions(s, weights, 8)
     assert certified(cert)
     assert len(find(cert, "independent_conditions_on_all_subsets")[0]["witness"]["checks"]) == 12870

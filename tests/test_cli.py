@@ -555,16 +555,20 @@ def test_certify_partition_names_each_of_the_k_factors_once(three_factor_file, c
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("dims, r, ranked", [((1,) * 8, 9, 162), ((2,) * 10, 12, 175)])
+@pytest.mark.parametrize("dims, r, ranked", [((1,) * 8, 9, 93), ((2,) * 10, 12, 175)])
 def test_certify_ranks_only_subsets_without_an_independent_subset(
     tmp_path, monkeypatch, capsys, dims, r, ranked
 ):
-    # generic points: on 2^8 r=9 every subset of at most 4 factors is
-    # ranked (2^3 < 9 <= 2^4), on 3^10 r=12 every one of at most 3
+    # generic points: on 2^8 r=9 every subset of at most 3 factors is
+    # eliminated (2^3 = r - 1), and so is the whole set's prefix of 4,
+    # first, for non-redundancy: 8 + 28 + 56 + 1; each 3-factor subset has
+    # corank one, so its kernel support settles the other 69 subsets of 4
+    # factors.  On 3^10 r=12 every subset of at most 3 factors is
+    # eliminated (3^2 < 12 <= 3^3), and none has corank one
     data, _, _ = seeded_instance(dims, r, seed=1)
     calls = []
-    gram_rank = geometry.gram_rank
-    monkeypatch.setattr(geometry, "gram_rank", lambda gram: calls.append(gram) or gram_rank(gram))
+    pivot_rows = geometry._pivot_rows
+    monkeypatch.setattr(geometry, "_pivot_rows", lambda gram, n: calls.append(gram) or pivot_rows(gram, n))
     code = run(["certify", "--input", write_instance(tmp_path, data), "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_CERTIFIED
@@ -745,14 +749,14 @@ def test_survey_refuses_more_than_16_factors_before_any_draw(capsys, monkeypatch
 def test_certify_and_compare_refuse_more_than_16_factors_before_any_rank(
     command, r, tmp_path, capsys, monkeypatch
 ):
-    # every flattening rank is a gram_rank call in geometry, every Kruskal
-    # rank one in kruskal, and every Gram is built from integer_gram's
+    # every flattening rank is a _pivot_rows call in geometry, every Kruskal
+    # rank a gram_rank call in kruskal, and every Gram is built from integer_gram's
     # factor Grams: the parser's vanishing-sum check builds none of them
     def refuse(*args):
         raise AssertionError("built or ranked a Gram")
 
     for module, name in [
-        (geometry, "gram_rank"),
+        (geometry, "_pivot_rows"),
         (kruskal, "gram_rank"),
         (geometry, "integer_gram"),
         (geometry, "segre_gram_row"),
@@ -1107,16 +1111,18 @@ def test_pin_refuses_a_bad_family_with_one_line(families, message, three_factor_
 
 def test_walks_over_many_factors_finish_in_time(tmp_path, capsys):
     # 2 points on (P^1)^300: obstruct --x 1 walks about 45,000 factor
-    # subsets, and pin asks for 600; every subset asks its parent first
-    k = 300
-    points = [[["1", "0"]] * k, [["0", "1"]] + [["1", str(j + 1)] for j in range(k - 1)]]
-    path = write_instance(tmp_path, {"dims": [2] * k, "points": points})
-    families = ":".join(map(str, range(1, k + 1)))
-    for argv, code in [(["obstruct", "--x", "1"], EXIT_CERTIFIED), (["pin", "--families", families], EXIT_NOT_CERTIFIED)]:
-        start = time.perf_counter()
-        assert run([argv[0], "--input", path, *argv[1:]]) == code
-        assert time.perf_counter() - start < 1.5
-        assert capsys.readouterr().err == ""
+    # subsets, and pin asks for 600; every subset asks its parent first.
+    # On (P^1)^1000 the walk holds 499,500 subsets, whose bitmasks would
+    # share 1,891 int hashes: keyed by their bytes, they take seconds, not minutes
+    for k, bound in [(300, 1.5), (1000, 4)]:
+        points = [[["1", "0"]] * k, [["0", "1"]] + [["1", str(j + 1)] for j in range(k - 1)]]
+        path = write_instance(tmp_path, {"dims": [2] * k, "points": points})
+        families = ":".join(map(str, range(1, k + 1)))
+        for argv, code in [(["obstruct", "--x", "1"], EXIT_CERTIFIED), (["pin", "--families", families], EXIT_NOT_CERTIFIED)]:
+            start = time.perf_counter()
+            assert run([argv[0], "--input", path, *argv[1:]]) == code
+            assert time.perf_counter() - start < bound, (k, argv[0])
+            assert capsys.readouterr().err == ""
 
 
 def test_comon_subcommand(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import decomposition_weights, in_span, outer_product_flat, rescaled_point_set
 from certs import certified
-from tensorcert import construct, linalg
+from tensorcert import construct, geometry, linalg
 from tensorcert.certify import check_non_redundant
 from tensorcert.cli import instance_from_json, pointset_to_json
 from tensorcert.construct import (
@@ -174,8 +174,8 @@ def test_augment_the_seeded_three_factor_sample():
 
 def test_augment_eliminates_two_grams_and_borders_each_draw(monkeypatch):
     # random --shape 3x4x6 --r 6 --seed 1, augmented with seed 1: augment
-    # factors its input's 6 x 6 Gram once, and the certificate's gram_rank
-    # ranks the grown set's 7 x 7 one; no pass or draw starts an
+    # factors its input's 6 x 6 Gram once, and the certificate's subset
+    # walk ranks the grown set's 7 x 7 one; no pass or draw starts an
     # elimination.  Both generators are seeded 1, so the first draw is the
     # pivot's own first factor, skipped before any bordering; the second
     # is bordered and leaves the span, and the split borders a_0's row once
@@ -192,8 +192,8 @@ def test_augment_eliminates_two_grams_and_borders_each_draw(monkeypatch):
 
     for name in ("_border", "_random_factor", "PointSet"):
         count(name)
-    monkeypatch.setattr(construct, "_pivot_rows", pivot_rows)
-    monkeypatch.setattr(linalg, "_pivot_rows", pivot_rows)
+    for module in (construct, geometry, linalg):
+        monkeypatch.setattr(module, "_pivot_rows", pivot_rows)
     s, _, cert = augment_decomposition(a, weights, seed=1)
     assert certified(cert)
     assert eliminated == [6, 7]

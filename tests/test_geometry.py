@@ -389,6 +389,25 @@ SHARED_FACTORS = pset(
 WIDE = pset((3, 2), pt((1, 0, -2, 1), (0, 1, 1)), pt((Fraction(1, 2), 1, 0, 3), (2, 0, -1)))
 # factor 1 has rank 2 only through its signs; the second factors are proportional
 SIGNS_ONLY = pset((1, 1), pt((1, 1), (1, 2)), pt((1, -1), (-1, -2)))
+# factor 1 has corank one on r = 4, its kernel supported on the first
+# three points, which share their factor 2 and 3 projections (up to
+# scale) but not their factor 4 ones; the last point has others
+CORANK_ONE_SHARED = pset(
+    (2, 1, 1, 1),
+    pt((1, 0, 0), (1, 0), (1, 0), (1, 0)),
+    pt((0, 1, 0), (2, 0), (-3, 0), (0, 1)),
+    pt((1, 1, 0), (1, 0), (1, 0), (1, 1)),
+    pt((0, 0, 1), (0, 1), (0, 1), (1, 0)),
+)
+# the same kernel support, and factor 2 splits it, though the last point
+# shares the first two points' factor 2
+CORANK_ONE_SPLIT = pset(
+    (2, 1),
+    pt((1, 0, 0), (1, 0)),
+    pt((0, 1, 0), (1, 0)),
+    pt((1, 1, 0), (0, 1)),
+    pt((0, 0, 1), (1, 0)),
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,6 +453,10 @@ def walk_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(walk_cases())
 @example((SHARED_FACTORS, [[1, 2, 4], [3, 5, 6], [7], list(range(1, 7))]))
+# {1} has corank one: {1, 2}, {1, 3} and the grandchild {1, 2, 3} keep it,
+# {1, 4} and the full set have rank r
+@example((CORANK_ONE_SHARED, [[1, 3, 5, 7, 9, 15]]))
+@example((CORANK_ONE_SPLIT, [[1, 3]]))
 def test_subset_ranks_match_the_per_subset_hadamard_rank(case):
     s, families = case
     k = s.shape.k
@@ -449,6 +472,24 @@ def test_subset_ranks_match_the_per_subset_hadamard_rank(case):
         assert all(ranks[mask] == reference(mask) for mask in masks), masks
     # the prefixes the walk ranked or settled on the way are exact too
     assert all(rank == reference(mask) for mask, rank in s.memo["ranks"].items())
+
+
+@pytest.mark.parametrize(
+    "s, ranks",
+    [
+        (CORANK_ONE_SHARED, {1: 3, 3: 3, 5: 3, 7: 3, 9: 4, 15: 4}),
+        (CORANK_ONE_SPLIT, {1: 3, 3: 4}),
+    ],
+)
+def test_a_corank_one_subset_ranks_its_children_without_an_elimination(monkeypatch, s, ranks):
+    # only {1} is eliminated; its kernel support settles every subset
+    # that has it as prefix, at r - 1 or at r (a fresh set: no memo)
+    s = PointSet(s.shape, s.points)
+    calls = []
+    pivot_rows = geometry._pivot_rows
+    monkeypatch.setattr(geometry, "_pivot_rows", lambda gram, n: calls.append(gram) or pivot_rows(gram, n))
+    assert subset_ranks(s, ranks) == ranks
+    assert len(calls) == 1
 
 
 def test_subset_ranks_walk_only_the_prefixes_of_the_asked_subsets(monkeypatch):

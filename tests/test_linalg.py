@@ -24,6 +24,7 @@ from tensorcert.geometry import MultiPoint, MultiShape, PointSet, segre_scale
 from tensorcert.linalg import (
     _back_substitute,
     _border,
+    _kernel_vector,
     _pivot_rows,
     format_rational,
     gram_rank,
@@ -279,10 +280,13 @@ def test_bordering_and_back_substitution_solve_exactly_and_leave_their_input(cas
     assert gauss_rank(gram) == len(gram)
     pivots, column = kept_rows(gram), [*rhs, 0]
     before = [row[:] for row in gram], [row[:] for row in pivots], column[:]
-    v = _back_substitute(_border(pivots, column))
+    z = _back_substitute(_border(pivots, column))
     assert (gram, pivots, column) == before
-    assert all(type(x) is Fraction for x in v)
-    assert times(gram, v) == rhs
+    # D z for the solution z / D, D = det H the last pivot: integers throughout
+    d = pivots[-1][0] if pivots else 1
+    assert d > 0
+    assert all(type(x) is int for x in z)
+    assert times(gram, z) == [d * b for b in rhs]
 
 
 @pytest.mark.parametrize(
@@ -299,7 +303,8 @@ def test_the_kept_rows_number_n_exactly_when_the_gram_has_rank_n(gram):
     rhs = list(range(1, len(gram) + 1))
     assert (len(kept_rows(gram)) == len(gram)) == (gauss_rank(gram) == len(gram))
     if gauss_rank(gram) == len(gram):
-        assert times(gram, solve(gram, rhs)) == rhs
+        d = kept_rows(gram)[-1][0] if gram else 1
+        assert times(gram, solve(gram, rhs)) == [d * b for b in rhs]
 
 
 @st.composite
@@ -387,6 +392,25 @@ def test_the_flat_kernel_keeps_the_ranks_and_pivot_rows_of_the_row_list_one(gram
     reference = list(row_list_pivot_rows([row[a:] for a, row in enumerate(gram)]))
     assert kept_rows(gram) == reference
     assert gram_rank(triangle(gram)) == row_list_gram_rank(gram) == len(reference) == gauss_rank(gram)
+
+
+@settings(max_examples=300, deadline=None)
+@given(deficient_grams())
+@example([[0, 0], [0, 1]])
+@example([[1, 1], [1, 1]])
+@example([[2, 1, 2, 0], [1, 2, 1, 0], [2, 1, 2, 0], [0, 0, 0, 3]])
+@example([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 2, 1], [1, 0, 1, 5]])
+def test_the_kernel_vector_from_the_pivot_rows_is_exact(gram):
+    n = len(gram)
+    rows = kept_rows(gram)
+    if len(rows) == n:
+        return
+    c = _kernel_vector(rows, n)
+    assert all(type(x) is int for x in c) and any(c)
+    assert times(gram, c) == [0] * n
+    # nonzero only on the first dependent point and the independent ones before it
+    j = max(i for i, x in enumerate(c) if x)
+    assert gauss_rank(gram[:j]) == j and gauss_rank(gram[: j + 1]) == j
 
 
 def test_rank_hand_cases():
