@@ -10,11 +10,12 @@ are the entries of the outer product of the selected factor vectors,
 flattened row-major so the last selected factor's index varies fastest.
 
 A factor subset u is held as its bitmask, bit i - 1 standing for factor
-i; past 61 factors, where Python's int hashes collide, the walk below
-keys it by the mask's bytes (``_mask_codec``).  For a finite set S, the
-u-flattening rank is the exact rank of the #S x M_u evaluation matrix
-(``flattening_rank`` is that of the full set).  Certificates name the
-two numbers it gives as
+i.  The walk below keys it by the mask's little-endian bytes: Python
+hashes an int as its value mod 2^61 - 1, so past 61 factors int masks
+collide and every dict holding them slows to a scan, while bytes hash
+whole.  For a finite set S, the u-flattening rank is the exact rank of
+the #S x M_u evaluation matrix (``flattening_rank`` is that of the full
+set).  Certificates name the two numbers it gives as
 
     h0 = (number of Segre coordinates for u) - rank,
     h1 = #S - rank.
@@ -71,7 +72,7 @@ from fractions import Fraction
 from itertools import islice
 from math import prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import _kernel_vector, _pivot_rows, integer_gram, multiple, primitive
 
@@ -284,21 +285,10 @@ def flattening_rank(s: PointSet) -> int:
     return subset_ranks(s, (full,))[full]
 
 
-def _mask_codec(k: int) -> tuple[Callable[[int], int | bytes], Callable]:
-    """The key of a k-factor bitmask in the walk and the ``ranks`` memo,
-    and the bitmask of a key.  Python hashes an int as its value mod
-    2^61 - 1, so past 61 factors masks collide and every dict holding
-    them slows to a scan; their bytes hash whole."""
-    if k < 62:
-        return int, int
-    length = (k + 7) // 8
-    return (lambda mask: mask.to_bytes(length, "little")), (lambda m: int.from_bytes(m, "little"))
-
-
 def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
     """The flattening ranks of S for the nonempty factor subsets in
     ``masks``, by bitmask (bit i - 1 for factor i).  Every rank the walk
-    learns is memoized on S, keyed by ``_mask_codec``.
+    learns is memoized on S, keyed by the mask's little-endian bytes.
 
     The walk takes each asked subset with its prefixes, a prefix being
     the subset without its top factors, and stops at a prefix known to
@@ -321,7 +311,11 @@ def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
     """
     ranks = s.memo.setdefault("ranks", {})
     k, r, sizes = s.shape.k, len(s), s.shape.sizes
-    key, mask_of = _mask_codec(k)
+    length = (k + 7) // 8
+
+    def key(mask: int) -> bytes:
+        return mask.to_bytes(length, "little")
+
     # the walk, each subset's key to its parent's, and its keys by size, from 1
     asked, walk, layers = {key(mask): mask for mask in masks}, {}, [[] for _ in range(k)]
     for m, mask in asked.items():
@@ -340,22 +334,23 @@ def subset_ranks(s: PointSet, masks: Iterable[int]) -> dict[int, int]:
     for layer in layers:
         parents, grams = grams, {}
         for m in layer:
-            # a subset with an independent parent is independent, and so
-            # is one with any independent subset one factor short, all
-            # of them walked first
+            # a subset with an independent parent is independent, one
+            # with a kernel support on its parent follows the rule, and
+            # any other is independent when a subset one factor short
+            # is, all of them walked first
             parent = walk[m]
             if m not in ranks and ranks.get(parent) == r:
                 ranks[m] = r
                 continue
-            mask = mask_of(m)
-            top = mask.bit_length() - 1
-            if m not in ranks and r in [ranks.get(key(mask ^ b)) for b in bits if mask & b]:
-                ranks[m] = r
-                continue
             gram, support, m_u = parents[parent]
+            mask = int.from_bytes(m, "little")
+            top = mask.bit_length() - 1
             m_u *= sizes[top]
             if support:
                 ranks[m] = r - 1 if len({canon[j][top] for j in support}) == 1 else r
+            elif m not in ranks and r in [ranks.get(key(mask ^ b)) for b in bits if mask & b]:
+                ranks[m] = r
+                continue
             else:
                 gram = _factor_gram(s, top + 1) if gram is None else _hadamard(gram, _factor_gram(s, top + 1))
                 if m not in ranks and (m in asked or m_u >= r):

@@ -409,6 +409,26 @@ CORANK_ONE_SPLIT = pset(
     pt((0, 0, 1), (1, 0)),
 )
 
+# CORANK_ONE_SHARED on 70 factors, where the walk's keys span 9 bytes:
+# its factors 1-4 sit at factors 1, 10, 63 and 70, and every other
+# factor is (1 : 0) for all points, so a subset has the rank of its
+# factors among those four and {1} keeps its corank one through them
+WIDE_AT = (0, 9, 62, 69)
+CORANK_ONE_WIDE = PointSet(
+    MultiShape(CORANK_ONE_SHARED.shape.dims[WIDE_AT.index(i)] if i in WIDE_AT else 1 for i in range(70)),
+    [pt(*(p.factors[WIDE_AT.index(i)] if i in WIDE_AT else (1, 0) for i in range(70))) for p in CORANK_ONE_SHARED.points],
+)
+
+
+def wide(*factors):
+    """The bitmask in CORANK_ONE_WIDE of factors of CORANK_ONE_SHARED."""
+    return sum(1 << WIDE_AT[i - 1] for i in factors)
+
+
+def memo_ranks(s):
+    """The ranks memoized on S, by bitmask."""
+    return {int.from_bytes(m, "little"): rank for m, rank in s.memo["ranks"].items()}
+
 
 @settings(max_examples=60, deadline=None)
 @given(point_sets(), st.randoms(use_true_random=False))
@@ -457,6 +477,21 @@ def walk_cases(draw):
 # {1, 4} and the full set have rank r
 @example((CORANK_ONE_SHARED, [[1, 3, 5, 7, 9, 15]]))
 @example((CORANK_ONE_SPLIT, [[1, 3]]))
+# past 61 factors: {1, 2, 4} is settled by the independent {1, 4} one
+# factor short of it ({1, 2}, known from the first call, keeps its Gram),
+# the prefixes of the first 62 factors keep factor 1's kernel support
+# (factors 2-9 and 11-62 are constant, factor 10 shares it), and factor
+# 70 splits it
+@example(
+    (
+        CORANK_ONE_WIDE,
+        [
+            [wide(1, 4), wide(1, 2)],
+            [wide(1, 2, 4), wide(1, 3), wide(1, 2, 3), (1 << 62) - 1, (1 << 70) - 1],
+            [((1 << 70) - 1) ^ wide(4), (1 << 9) - 2, wide(4), wide(2, 3)],
+        ],
+    )
+)
 def test_subset_ranks_match_the_per_subset_hadamard_rank(case):
     s, families = case
     k = s.shape.k
@@ -471,7 +506,7 @@ def test_subset_ranks_match_the_per_subset_hadamard_rank(case):
         ranks = subset_ranks(s, masks)
         assert all(ranks[mask] == reference(mask) for mask in masks), masks
     # the prefixes the walk ranked or settled on the way are exact too
-    assert all(rank == reference(mask) for mask, rank in s.memo["ranks"].items())
+    assert all(rank == reference(mask) for mask, rank in memo_ranks(s).items())
 
 
 @pytest.mark.parametrize(
@@ -479,6 +514,10 @@ def test_subset_ranks_match_the_per_subset_hadamard_rank(case):
     [
         (CORANK_ONE_SHARED, {1: 3, 3: 3, 5: 3, 7: 3, 9: 4, 15: 4}),
         (CORANK_ONE_SPLIT, {1: 3, 3: 4}),
+        (
+            CORANK_ONE_WIDE,
+            {wide(1): 3, wide(1, 3): 3, wide(1, 2, 3): 3, (1 << 62) - 1: 3, wide(1, 4): 4, (1 << 70) - 1: 4},
+        ),
     ],
 )
 def test_a_corank_one_subset_ranks_its_children_without_an_elimination(monkeypatch, s, ranks):
@@ -505,7 +544,7 @@ def test_subset_ranks_walk_only_the_prefixes_of_the_asked_subsets(monkeypatch):
     monkeypatch.setattr(geometry, "_hadamard", lambda a, b: products.append(a) or hadamard(a, b))
     ranks = subset_ranks(s, masks)
     assert all(ranks[mask] == 6 for mask in masks)
-    assert set(s.memo["ranks"]) <= prefixes
+    assert set(memo_ranks(s)) <= prefixes
     assert len(products) <= 209
 
 
