@@ -398,7 +398,11 @@ def obstruct_alt_decompositions(s: PointSet, weights: Sequence, x: int) -> dict:
         )
     )
     subsets = list(combinations(range(1, k + 1), k - x))
-    masks = [sum(1 << (i - 1) for i in members) for members in subsets]
+    # each subset's mask is all k factors but its x left out: the left-out
+    # sets in reversed combinations order are the complements in order
+    full = (1 << k) - 1
+    left_out = reversed(list(combinations(range(1, k + 1), x)))
+    masks = [full ^ sum(1 << (i - 1) for i in out) for out in left_out]
     ranks = subset_ranks(s, masks)
     subset_checks = [{"subset": list(u), "h1": r - ranks[mask]} for u, mask in zip(subsets, masks)]
     all_zero = all(check["h1"] == 0 for check in subset_checks)

@@ -19,14 +19,18 @@ evaluation vectors (``integer_gram``): over Q, inside R, rank(A A^T) =
 rank(A), and rows are independent exactly when their principal Gram
 submatrix is nonsingular.  Such a Gram, and every Hadamard product or
 power of such Grams, is positive semidefinite, and ``gram_rank`` ranks
-every one of them: Segre flattenings, Veronese degrees and Kruskal
-factors.  Each is one flat list, its upper triangle row after row, so
-the rows after a pivot are the list's tail, laid out as the block that
-the Bareiss step ``_pivot_step`` leaves.  The pivots, on the diagonal,
-are the greedy independent prefix of the points.  Kruskal column subsets
-are the principal minors of one Gram, which ``kruskal.kruskal_rank``
-reaches by the same step, one per subset.  Augment borders the pivot
-rows (lists) of one positive definite Gram with one point at a time
+every one of them: Segre flattenings and Veronese degrees.  Each is one
+flat list, its upper triangle row after row, so the rows after a pivot
+are the list's tail, laid out as the block that the Bareiss step
+``_pivot_step`` leaves.  The pivots, on the diagonal, are the greedy
+independent prefix of the points.  A general integer matrix, such as a
+Kruskal factor's, is reduced by ``gauss_jordan``, the same fraction-free
+step on every row but the pivot's: its pivot columns and D times its
+reduced row echelon form, for D the determinant of the pivot block.
+When a Kruskal factor is not settled there, its column subsets are the
+principal minors of its Gram, which ``kruskal.kruskal_rank`` walks by
+``_pivot_step``, one per subset.  Augment borders the pivot rows
+(lists) of one positive definite Gram with one point at a time
 (``_border``); a solve is a bordering plus ``_back_substitute``, which
 stays in the integers: it returns D v for the determinant D of the
 system, and the caller divides by D once.  The pivot rows of a singular
@@ -176,6 +180,38 @@ def gram_rank(gram: Sequence[int]) -> int:
     """Rank of a PSD integer matrix, given as its flat upper triangle and left
     as it is: about n^3/6 updates, where eliminating all of it takes n^3/2."""
     return sum(1 for _ in _pivot_rows(gram, _order(gram)))
+
+
+def gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of a general integer matrix,
+    given as its ``rows``, which are left as they are: its pivot columns,
+    in order, and the nonzero rows of D R, for R its reduced row echelon
+    form and D the determinant of its pivot block (up to sign), so each
+    pivot row holds D at its pivot and zeros at the other pivots.
+
+    Each step with pivot d rewrites every other row as (d a - x b) / prev,
+    Bareiss's step with the previous pivot prev: every entry it writes is
+    a minor of the input, so each division is exact, and the earlier
+    pivots all become d.  A column with no pivot left below is skipped."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        if (p := next((i for i in range(k, len(rows)) if rows[i][col]), None)) is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        d = pivot[col]
+        for i, row in enumerate(rows):
+            if i != k:
+                x = row[col]
+                rows[i] = [(d * a - x * b) // prev for a, b in zip(row, pivot)]
+        prev = d
+        pivots.append(col)
+        if k + 1 == len(rows):
+            break
+    return pivots, rows[: len(pivots)]
 
 
 def _border(pivots: Sequence[Sequence[int]], column: Sequence[int]) -> list[list[int]]:

@@ -4,6 +4,7 @@ span identities, obstructions and pinning."""
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -750,6 +751,21 @@ def test_obstruct_ranks_up_to_the_subset_cap(monkeypatch):
     monkeypatch.setattr(certify, "MAX_RANKED_SUBSETS", 2)
     with pytest.raises(ValueError, match="asks for 3 factor subsets of size 2, more than the 2"):
         obstruct_alt_decompositions(s, weights, 1)
+
+
+@pytest.mark.parametrize("k, x", [(5, 1), (6, 2), (7, 3), (8, 5)])
+def test_obstruct_asks_each_subset_by_its_own_mask(k, x, monkeypatch):
+    # the masks are built as complements of the x left-out factors; each
+    # must still be its printed subset's mask, in the printed order
+    s, weights = random_decomposition(MultiShape((1,) * k), 3, seed=k)
+    asked = []
+    ranks = certify.subset_ranks
+    monkeypatch.setattr(certify, "subset_ranks", lambda s, masks: asked.append(list(masks)) or ranks(s, masks))
+    cert = obstruct_alt_decompositions(s, weights, x)
+    (checks,) = find(cert, "independent_conditions_on_all_subsets")
+    subsets = [check["subset"] for check in checks["witness"]["checks"]]
+    assert subsets == [list(u) for u in combinations(range(1, k + 1), k - x)]
+    assert asked[-1] == [factor_mask(u) for u in subsets]
 
 
 def test_obstruct_eliminates_only_subsets_without_an_independent_prefix(monkeypatch):

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ from tensorcert.cli import (
 from tensorcert.construct import random_decomposition
 from tensorcert.geometry import (
     MultiShape,
+    PointSet,
     assemble_tensor,
 )
 from tensorcert.kruskal import MAX_WALK_BLOCKS, compare_criteria
@@ -580,16 +582,28 @@ def test_certify_ranks_only_subsets_without_an_independent_subset(
 
 def test_compare_takes_one_kruskal_step_per_walked_column_set(tmp_path, monkeypatch, capsys):
     # generic points on 5x5x5 r=11: each factor's 11 columns have rank 5 and
-    # Kruskal rank 5, and its walk takes one _pivot_step per column set of
-    # 1 to 3 columns, 11 + 55 + 165 = 231, whatever layout its blocks have
-    data, _, _ = seeded_instance((4, 4, 4), 11, seed=1)
+    # Kruskal rank 5, which the minors of its reduced matrix settle, so no
+    # factor walks
+    data, s, weights = seeded_instance((4, 4, 4), 11, seed=1)
     calls = []
     pivot_step = kruskal._pivot_step
     monkeypatch.setattr(kruskal, "_pivot_step", lambda *args: calls.append(args) or pivot_step(*args))
     code = run(["compare", "--input", write_instance(tmp_path, data), "--format", "json"])
     assert code == EXIT_NOT_CERTIFIED
     assert json.loads(capsys.readouterr().out)["kruskal"]["per_factor_kruskal_rank"] == [5, 5, 5]
-    assert len(calls) == 693
+    assert len(calls) == 0
+    # with point 5's first factor the sum of the first four, that factor has
+    # a dependent set of 5 columns, so a minor vanishes and it walks: from
+    # rank 5 it steps to each set of 1 and 2 columns and to {1, 2, 3}, whose
+    # last node meets the dependent set and lowers kappa to 4, so
+    # 11 + 55 + 1 = 67 steps; the other two factors still walk none
+    points = list(s.points)
+    points[4] = points[4].replace_factor(1, [sum(p.factors[0][i] for p in points[:4]) for i in range(5)])
+    pooled = pointset_to_json(PointSet(s.shape, tuple(points)), weights)
+    code = run(["compare", "--input", write_instance(tmp_path, pooled, "pooled.json"), "--format", "json"])
+    assert code in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED)
+    assert json.loads(capsys.readouterr().out)["kruskal"]["per_factor_kruskal_rank"] == [4, 5, 5]
+    assert len(calls) == 67
 
 
 def test_certify_empty_partition_is_invalid(three_factor_file, capsys):
@@ -750,14 +764,16 @@ def test_certify_and_compare_refuse_more_than_16_factors_before_any_rank(
     command, r, tmp_path, capsys, monkeypatch
 ):
     # every flattening rank is a _pivot_rows call in geometry, every Kruskal
-    # rank a gram_rank call in kruskal, and every Gram is built from integer_gram's
-    # factor Grams: the parser's vanishing-sum check builds none of them
+    # rank starts with a gauss_jordan call in kruskal, and every Gram is built
+    # from integer_gram's factor Grams or, for a Kruskal walk, by integer_gram
+    # in kruskal: the parser's vanishing-sum check builds none of them
     def refuse(*args):
         raise AssertionError("built or ranked a Gram")
 
     for module, name in [
         (geometry, "_pivot_rows"),
-        (kruskal, "gram_rank"),
+        (kruskal, "gauss_jordan"),
+        (kruskal, "integer_gram"),
         (geometry, "integer_gram"),
         (geometry, "segre_gram_row"),
         (cli, "segre_gram_row"),
@@ -988,6 +1004,25 @@ def test_compare_past_the_kruskal_walk_budget_skips_only_the_baseline(tmp_path, 
         f"error: {r} columns of rank 12 ask for up to 1221246132 Kruskal walk blocks, "
         f"more than the {MAX_WALK_BLOCKS} that kruskal builds\n"
     )
+
+
+def test_kruskal_settles_by_minors_what_the_walk_budget_refuses(tmp_path, capsys, monkeypatch):
+    # 22 points of 20x20x20 would ask each factor's walk for 4192510 blocks,
+    # past the budget, but the C(22, 20) = 231 column sets of size 20 are
+    # few: every minor of each reduced factor matrix is nonzero, so every
+    # factor has Kruskal rank 20, with no walk, and 60 >= 2 * 22 + 2 holds
+    data, _, _ = seeded_instance((19, 19, 19), 22, seed=1)
+    path = write_instance(tmp_path, data)
+    assert sum(comb(22, j) for j in range(20 - 1)) == 4192510 > MAX_WALK_BLOCKS
+    monkeypatch.setattr(kruskal, "_kruskal_walk", None)
+    start = time.perf_counter()
+    assert run(["kruskal", "--input", path, "--format", "json"]) == EXIT_CERTIFIED
+    assert time.perf_counter() - start < 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["per_factor_kruskal_rank"] == [20, 20, 20]
+    assert (report["condition_lhs"], report["condition_rhs"], report["applies"]) == (60, 46, True)
+    assert run(["compare", "--input", path, "--format", "json"]) in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED)
+    assert json.loads(capsys.readouterr().out)["kruskal"]["per_factor_kruskal_rank"] == [20, 20, 20]
 
 
 def test_kruskal_walks_more_than_20_points_within_its_budget(tmp_path, capsys):

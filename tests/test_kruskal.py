@@ -4,6 +4,7 @@ comparison record."""
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -19,16 +20,19 @@ from oracles import (
     row_list_kruskal_rank,
     triangle,
 )
+from tensorcert import kruskal
 from tensorcert.certify import check_non_redundant
 from tensorcert.construct import random_decomposition
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet
 from tensorcert.kruskal import (
     MAX_WALK_BLOCKS,
+    _every_minor_nonzero,
+    _kruskal_walk,
     compare_criteria,
     kruskal_certificate,
     kruskal_rank,
 )
-from tensorcert.linalg import integer_gram, primitive
+from tensorcert.linalg import gauss_jordan, integer_gram, primitive
 
 
 def random_columns(rng, rows, cols, box=4):
@@ -43,40 +47,40 @@ def random_columns(rng, rows, cols, box=4):
 
 
 def test_kruskal_rank_identity():
-    assert kruskal_rank(integer_gram([(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == 3
+    assert kruskal_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
 
 
 def test_kruskal_rank_proportional_columns():
-    assert kruskal_rank(integer_gram([(1, 2), (2, 4), (0, 1)])) == 1
+    assert kruskal_rank([(1, 2), (2, 4), (0, 1)]) == 1
 
 
 def test_kruskal_rank_generic_wide_matrix():
     rng = random.Random(7)
     columns = random_columns(rng, 3, 6)
-    assert kruskal_rank(integer_gram(columns)) == kruskal_rank_exhaustive(columns)
+    assert kruskal_rank(columns) == kruskal_rank_exhaustive(columns)
 
 
 def test_kruskal_rank_full_spark_short_of_rank():
     # four columns in general position in the plane: every 2 independent,
     # some 3 dependent, so kappa = 2 = rank
-    assert kruskal_rank(integer_gram([(1, 0), (0, 1), (1, 1), (1, 2)])) == 2
+    assert kruskal_rank([(1, 0), (0, 1), (1, 1), (1, 2)]) == 2
 
 
 def test_kruskal_rank_rejects_zero_columns():
     with pytest.raises(ValueError, match="column 1 is zero"):
-        kruskal_rank(integer_gram([(1, 0), (0, 0)]))
+        kruskal_rank([(1, 0), (0, 0)])
 
 
 def test_kruskal_rank_rejects_empty_matrices():
     with pytest.raises(ValueError, match="no columns"):
-        kruskal_rank(integer_gram([]))
+        kruskal_rank([])
 
 
 def test_kruskal_rank_enforces_the_walk_budget():
     # 40 generic columns of rank 12: the walk could build one block per
     # set of at most 10 columns, sum_{j <= 10} C(40, j) of them
     rng = random.Random(3)
-    wide = integer_gram(random_columns(rng, 12, 40, box=9))
+    wide = random_columns(rng, 12, 40, box=9)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"1221246132 Kruskal walk blocks, more than the {MAX_WALK_BLOCKS}"):
         kruskal_rank(wide)
@@ -85,17 +89,20 @@ def test_kruskal_rank_enforces_the_walk_budget():
 
 def test_kruskal_rank_of_independent_columns_needs_no_walk():
     # past 20 columns too: independent columns make every subset independent
-    assert kruskal_rank(integer_gram([[int(i == j) for i in range(25)] for j in range(25)])) == 25
+    assert kruskal_rank([[int(i == j) for i in range(25)] for j in range(25)]) == 25
 
 
 def test_the_walk_budget_admits_every_dependent_set_of_20_columns():
     # the largest count of 20 columns, at rank 19, is 2^20 - 211 blocks
     assert sum(comb(20, j) for j in range(19 - 1)) == 2**20 - 211 <= MAX_WALK_BLOCKS
-    # such a Gram is walked: e_1..e_19 and e_1 again have Kruskal rank 1
-    columns = [[int(i == j) for i in range(19)] for j in range(19)] + [[1] + [0] * 18]
-    assert kruskal_rank(integer_gram(columns)) == 1
-    # and past 20 columns as well, where a dependency stops the walk early
-    assert kruskal_rank(integer_gram([(1,)] * 21)) == 1
+    # such a Gram is walked: e_1..e_19 and e_1 + e_2 have Kruskal rank 2,
+    # and the zero entries of e_1 + e_2 send them past the minors to the walk
+    columns = [[int(i == j) for i in range(19)] for j in range(19)] + [[1, 1] + [0] * 17]
+    assert kruskal_rank(columns) == 2
+    # and past 20 columns as well, where a dependency stops the walk early:
+    # e_1, e_2 and e_1 + e_2 of the plane z = 0, then 18 points of a conic
+    columns = [(1, 0, 0), (0, 1, 0), (1, 1, 0)] + [(1, t, t * t) for t in range(2, 20)]
+    assert kruskal_rank(columns) == 2 == kruskal_rank_exhaustive(columns)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,7 +110,7 @@ def test_the_walk_budget_admits_every_dependent_set_of_20_columns():
 def test_kruskal_rank_matches_the_exhaustive_oracle(seed):
     rng = random.Random(seed)
     columns = random_columns(rng, rng.randint(1, 4), rng.randint(1, 6))
-    assert kruskal_rank(integer_gram(columns)) == kruskal_rank_exhaustive(columns)
+    assert kruskal_rank(columns) == kruskal_rank_exhaustive(columns)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,7 +122,7 @@ def test_kruskal_rank_invariant_under_column_scaling_and_order(seed):
     rng.shuffle(cols)
     scales = [Fraction(rng.choice([1, 2, -3, 5])) for _ in cols]
     scaled = [[scale * x for x in col] for scale, col in zip(scales, cols)]
-    assert kruskal_rank(integer_gram(scaled)) == kruskal_rank(integer_gram(columns))
+    assert kruskal_rank(scaled) == kruskal_rank(columns)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,7 +130,7 @@ def test_kruskal_rank_invariant_under_column_scaling_and_order(seed):
 def test_kruskal_rank_never_exceeds_the_rank(seed):
     rng = random.Random(seed)
     columns = random_columns(rng, rng.randint(1, 4), rng.randint(1, 5))
-    assert 1 <= kruskal_rank(integer_gram(columns)) <= gauss_rank(columns)
+    assert 1 <= kruskal_rank(columns) <= gauss_rank(columns)
 
 
 pool_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -185,17 +192,141 @@ def test_kruskal_walk_matches_the_oracle_on_wide_pools(data):
 
 def check_against_the_oracle(columns, scales):
     oracle = kruskal_rank_exhaustive(columns)
-    assert kruskal_rank(integer_gram(columns)) == oracle
+    assert kruskal_rank(columns) == oracle
     rescaled = [[scale * x for x in col] for scale, col in zip(scales, columns)]
-    assert kruskal_rank(integer_gram(rescaled)) == oracle
-    # the same columns as the first factor of a point set, ranked from
-    # the factor Gram that kruskal_certificate reads from the set's memo
-    # and must leave as it found it
+    assert kruskal_rank(rescaled) == oracle
+    # the same columns as the first factor of a point set, ranked from its
+    # canonical factor vectors; a factor Gram memoized on the set, wherever
+    # one is built, is left as it was
     points = tuple(MultiPoint((col, (1, j))) for j, col in enumerate(rescaled))
     s = PointSet(MultiShape((len(columns[0]) - 1, 1)), points)
     assert kruskal_certificate(s)["per_factor_kruskal_rank"][0] == oracle
     for i in (1, 2):
-        assert s.memo[("gram", i)] == integer_gram(p.canonical()[i - 1] for p in s.points)
+        if ("gram", i) in s.memo:
+            assert s.memo[("gram", i)] == integer_gram(p.canonical()[i - 1] for p in s.points)
+
+
+def counted_walks(monkeypatch) -> list:
+    """The calls that kruskal_rank makes to the Gram walk, from now on."""
+    calls = []
+    walk = kruskal._kruskal_walk
+    monkeypatch.setattr(kruskal, "_kruskal_walk", lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
+def reduced_block(columns) -> tuple[list, int]:
+    """The columns of D B' that kruskal_rank checks, the non-pivot columns
+    of the reduced matrix, and D."""
+    pivots, rows = gauss_jordan(list(zip(*(primitive(col) for col in columns))))
+    return [col for j, col in enumerate(zip(*rows)) if j not in pivots], rows[0][pivots[0]]
+
+
+def vanishing_minors(block, rho) -> list:
+    """The (size, rows, columns) of every singular square submatrix, one by one."""
+    return [
+        (c, rows, cols)
+        for c in range(1, min(rho, len(block)) + 1)
+        for cols in combinations(range(len(block)), c)
+        for rows in combinations(range(rho), c)
+        if gauss_rank([[block[j][i] for j in cols] for i in rows]) < c
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rho: st.tuples(
+            st.just(rho),
+            st.lists(
+                st.lists(st.sampled_from((-2, -1, 1, 1, 2, 3)), min_size=rho, max_size=rho),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    )
+)
+# every 2 x 2 minor vanishes, and only the sign of the expansion makes it zero
+@example((2, [[1, 1], [1, 1]]))
+@example((3, [[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
+def test_the_minor_pass_matches_the_minors_one_by_one(data):
+    rho, block = data
+    assert _every_minor_nonzero(block, 1) == (not vanishing_minors(block, rho))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_the_minor_pass_on_a_reduced_block_divides_exactly_by_d(seed):
+    # the pass holds each c x c minor of D B' over D^(c - 1): a division
+    # that left a remainder would show as a wrong zero or a wrong nonzero
+    rng = random.Random(seed)
+    height = rng.randint(2, 5)
+    columns = random_columns(rng, height, rng.randint(height + 1, 9), box=rng.choice((2, 9)))
+    block, d = reduced_block(columns)
+    if block:
+        assert _every_minor_nonzero(block, d) == (not vanishing_minors(block, len(block[0])))
+
+
+# one dependent set of four columns in Q^4, each time with c of its columns
+# past the pivots that the elimination picks: exactly one c x c minor of
+# D B' vanishes, the pass stops there, and the walk finds kappa 3
+PLANTED = {
+    1: [[1, 0, 0, 1], [0, -1, 1, 0], [1, 1, 0, 0], [-5, -5, 4, -1],
+        [0, 3, -5, -7], [6, 5, -3, 1], [0, 0, 1, 2], [1, -1, -3, -1]],
+    2: [[2, 2, -1, 7], [0, 0, 1, 2], [1, -1, 0, 5], [-3, 0, -2, 2],
+        [1, -1, 6, 5], [0, -1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]],
+    3: [[0, -1, 1, 0], [0, 0, 1, 2], [-1, -4, 0, 0], [2, 4, -1, 5],
+        [1, 0, 0, 1], [-1, -1, -4, -5], [-5, -3, 0, -5], [1, 1, 0, 0]],
+    4: [[1, 1, 0, 0], [-2, -2, -1, -5], [0, 0, 1, 2], [5, 1, 5, 8],
+        [1, 0, 0, 1], [0, -1, 1, 0], [3, 5, -5, -3], [1, 2, -2, 4]],
+}
+
+
+@pytest.mark.parametrize("level", sorted(PLANTED))
+def test_a_vanishing_minor_of_each_size_sends_the_columns_to_the_walk(level, monkeypatch):
+    columns = PLANTED[level]
+    block, d = reduced_block(columns)
+    assert [c for c, _, _ in vanishing_minors(block, 4)] == [level]
+    assert not _every_minor_nonzero(block, d)
+    walks = counted_walks(monkeypatch)
+    assert kruskal_rank(columns) == 3 == kruskal_rank_exhaustive(columns)
+    assert len(walks) == 1
+    check_against_the_oracle(columns, [Fraction(-1, 2), 3, 1, Fraction(5, 3), -1, 2, Fraction(1, 7), 1])
+
+
+def test_rank_two_is_settled_by_the_proportional_pairs(monkeypatch):
+    walks = counted_walks(monkeypatch)
+    # four columns in a plane of Q^3, the last a multiple of the first
+    plane = [(1, 0, 1), (0, 1, 1), (1, 1, 2), (Fraction(-1, 2), 0, Fraction(-1, 2))]
+    assert kruskal_rank(plane) == 1 == kruskal_rank_exhaustive(plane)
+    # and with the last moved off that line, no two are proportional
+    plane[-1] = (Fraction(1, 2), 1, Fraction(3, 2))
+    assert kruskal_rank(plane) == 2 == kruskal_rank_exhaustive(plane)
+    # a proportional pair among columns of rank 3 gives 1 too
+    assert kruskal_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, -3, 0)]) == 1
+    assert walks == []
+
+
+def test_fraction_scaled_columns_are_settled_by_their_minors(monkeypatch):
+    # nine points of the moment curve in Q^6, each scaled by a fraction:
+    # every 6 are independent, so no minor of D B' vanishes and kappa = 6
+    walks = counted_walks(monkeypatch)
+    columns = [[Fraction(t**e, 2 * t - 1) for e in range(6)] for t in range(-4, 5)]
+    assert all(x.denominator > 1 for col in columns[:4] for x in col)
+    assert kruskal_rank(columns) == 6 == kruskal_rank_exhaustive(columns)
+    assert walks == []
+
+
+def test_a_minor_count_past_the_budget_falls_back_to_the_walk(monkeypatch):
+    # 186 points of the conic (1, t, t^2): C(186, 3) column sets of size 3
+    # are past MAX_WALK_BLOCKS, but the walk from rank 3 builds 187 blocks
+    # and finds every 3 independent; with (2, 3, 5) = (1, 1, 1) + (1, 2, 4)
+    # added, a dependent triple gives 2
+    columns = [(1, t, t * t) for t in range(1, 187)]
+    assert comb(186, 3) > MAX_WALK_BLOCKS >= 1 + 186
+    walks = counted_walks(monkeypatch)
+    assert kruskal_rank(columns) == 3
+    assert kruskal_rank(columns + [(2, 3, 5)]) == 2
+    assert len(walks) == 2
 
 
 @st.composite
@@ -223,7 +354,7 @@ def product_columns(draw):
 def test_the_flat_walk_keeps_the_kruskal_rank_of_the_row_list_one(columns):
     gram = full_gram(columns)
     oracle = kruskal_rank_exhaustive(columns)
-    assert kruskal_rank(triangle(gram)) == row_list_kruskal_rank(gram) == oracle
+    assert _kruskal_walk(triangle(gram), gauss_rank(columns)) == row_list_kruskal_rank(gram) == oracle
 
 
 # -- the k-way baseline

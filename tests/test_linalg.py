@@ -27,6 +27,7 @@ from tensorcert.linalg import (
     _kernel_vector,
     _pivot_rows,
     format_rational,
+    gauss_jordan,
     gram_rank,
     integer_gram,
     multiple,
@@ -411,6 +412,44 @@ def test_the_kernel_vector_from_the_pivot_rows_is_exact(gram):
     # nonzero only on the first dependent point and the independent ones before it
     j = max(i for i, x in enumerate(c) if x)
     assert gauss_rank(gram[:j]) == j and gauss_rank(gram[: j + 1]) == j
+
+
+@st.composite
+def pooled_matrices(draw):
+    """Integer matrices of 1-5 rows and 1-7 columns whose rows are small
+    combinations of a few pool rows, so often of lower rank than either
+    dimension, with zero rows and zero columns among them."""
+    width = draw(st.integers(1, 7))
+    entry = st.integers(-4, 4)
+    pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=3))
+    coefficients = st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), min_size=len(pool), max_size=len(pool))
+    return [
+        [sum(c * row[j] for c, row in zip(cs, pool)) for j in range(width)]
+        for cs in draw(st.lists(coefficients, min_size=1, max_size=5))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 2, 4, 1], [0, 1, 2, 3], [0, 3, 6, 4]])
+@example([[7]])
+def test_gauss_jordan_is_d_times_the_reduced_echelon_form(rows):
+    # the reduced row echelon form is the one matrix of the row space with
+    # these pivots whose pivot columns are the identity and whose rows each
+    # start at their pivot; D times it has D in place of each 1
+    before = [list(row) for row in rows]
+    pivots, reduced = gauss_jordan(rows)
+    assert rows == before
+    assert len(pivots) == len(reduced) == gauss_rank(rows) == gauss_rank(rows + reduced)
+    assert pivots == sorted(set(pivots))
+    assert all(type(x) is int for row in reduced for x in row)
+    if pivots:
+        d = reduced[0][pivots[0]]
+        assert d != 0
+        for i, row in enumerate(reduced):
+            assert [row[p] for p in pivots] == [d * (a == i) for a in range(len(pivots))]
+            assert not any(row[: pivots[i]])
 
 
 def test_rank_hand_cases():
