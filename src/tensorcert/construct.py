@@ -189,6 +189,8 @@ def augment_decomposition(
     itself by design, to check the printed decomposition, not the construction.
     """
     shape = a.shape
+    if len(weights) != len(a):
+        raise ValueError(f"{len(weights)} weights for {len(a)} points")
     if box < 1:
         raise ValueError(f"box must be at least 1, got {box}")
     if all(n == 0 for n in shape.dims):

@@ -389,8 +389,10 @@ def weighted_sum(weights: Sequence, s: PointSet) -> tuple[Fraction, tuple[int, .
     sum_j (w_j c_j) P_j.  T sums the P_j with the primitive integer form
     of those coefficients, each folded into its row's first factor, so
     the M coordinates are built and summed in integers in one pass, and c
-    is the one rational between the two.
+    is the one rational between the two.  Raises unless #weights = #S.
     """
+    if len(weights) != len(s):
+        raise ValueError(f"{len(weights)} weights for {len(s)} points")
     coeffs = [w * segre_scale(p) for w, p in zip(weights, s.points)]
     u = primitive(coeffs)
     rows = (_outer(p.canonical(), x) for x, p in zip(u, s.points))

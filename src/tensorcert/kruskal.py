@@ -12,12 +12,11 @@ and without such a pair rho = 2 is kappa.  Otherwise every rho columns
 of [I | B'] are independent exactly when every square submatrix of B' is
 nonsingular, so a depth-first pass over the column sets of D B' checks
 its minors, each one a Laplace expansion of its parent's along its last
-column; if none vanishes, kappa = rho.  Only when one does, the integer
-column Gram (``linalg.integer_gram``) is built and its principal minors
-are walked depth first, one ``linalg._pivot_step`` per column subset:
-the Bareiss step with a principal pivot that ``gram_rank`` takes too, on
-flat triangles as there.  For a point set, the Kruskal rank of a factor
-is taken on its canonical factor vectors.
+column; if none vanishes, kappa = rho.  Only when one does, or when
+there are too many column sets of size rho to check, the rows of the
+factor matrix are walked depth first over its independent column sets,
+one fraction-free elimination step per set.  For a point set, the
+Kruskal rank of a factor is taken on its canonical factor vectors.
 The baseline uniqueness condition for a decomposition with r points
 compares the sum of the factor-matrix Kruskal ranks against 2r + k - 1.
 This module also bundles the side-by-side comparison against the
@@ -27,14 +26,14 @@ flattening certificates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, repeat
+from itertools import combinations, repeat
 from math import comb
 from operator import floordiv, mul
 from typing import Sequence
 
 from .certify import bound_cactus_rank, certify_exact_rank, certify_identifiability, check_non_redundant
 from .geometry import PointSet
-from .linalg import _order, _pivot_step, gauss_jordan, integer_gram, primitive
+from .linalg import gauss_jordan, primitive
 
 MAX_WALK_BLOCKS = 2**20
 KRUSKAL_BASELINE = "sum of factor Kruskal ranks >= 2r + k - 1"
@@ -48,18 +47,22 @@ def kruskal_rank(columns: Sequence[Sequence[Fraction | int]]) -> int:
     1, and without them rho = 2 gives 2; when there are at most
     MAX_WALK_BLOCKS column sets of size rho, every minor of the reduced
     block D B' is checked (``_every_minor_nonzero``), and all nonzero
-    gives rho.  Anything else is walked on the integer Gram of the
-    columns, built only then (``_kruskal_walk``).  Raises on no columns,
-    on a zero column and, before walking, when the walk could build more
-    than MAX_WALK_BLOCKS blocks.
+    gives rho.  Anything else is walked on the rows of the columns'
+    matrix (``_kruskal_walk``), from rho - 1 after a vanishing minor and
+    from rho when the minors were not checked.  Raises on no columns, on
+    columns of different lengths, on a zero column and, before walking,
+    when the walk could build more than MAX_WALK_BLOCKS blocks.
     """
     cols = [primitive(col) for col in columns]
     if not cols:
         raise ValueError("Kruskal rank of a matrix with no columns is undefined")
+    if (j := next((j for j, col in enumerate(cols) if len(col) != len(cols[0])), None)) is not None:
+        raise ValueError(f"column {j} has {len(cols[j])} entries, column 0 has {len(cols[0])}")
     if (j := next((j for j, col in enumerate(cols) if not any(col)), None)) is not None:
         raise ValueError(f"column {j} is zero, Kruskal rank undefined")
     r = len(cols)
-    pivots, rows = gauss_jordan(list(zip(*cols)))
+    matrix = list(zip(*cols))
+    pivots, rows = gauss_jordan(matrix)
     rho = len(pivots)
     if rho == r:
         return r
@@ -68,19 +71,21 @@ def kruskal_rank(columns: Sequence[Sequence[Fraction | int]]) -> int:
         return 1
     if rho == 2:
         return 2
+    kappa = rho
     if comb(r, rho) <= MAX_WALK_BLOCKS:
         d = rows[0][pivots[0]]
         settled = set(pivots)
         block = [col for j, col in enumerate(zip(*rows)) if j not in settled]
         if _every_minor_nonzero(block, d):
             return rho
+        kappa = rho - 1  # the vanishing minor is a dependent set of rho columns
     # one block per independent set of fewer than rho - 1 columns, at most
     if (blocks := sum(comb(r, j) for j in range(rho - 1))) > MAX_WALK_BLOCKS:
         raise ValueError(
             f"{r} columns of rank {rho} ask for up to {blocks} Kruskal walk blocks, "
             f"more than the {MAX_WALK_BLOCKS} that kruskal builds"
         )
-    return _kruskal_walk(integer_gram(cols), rho)
+    return _kruskal_walk(matrix, kappa)
 
 
 def _every_minor_nonzero(block: Sequence[Sequence[int]], d: int) -> bool:
@@ -133,43 +138,41 @@ def _every_minor_nonzero(block: Sequence[Sequence[int]], d: int) -> bool:
     return descend([d], 0, 1)
 
 
-def _kruskal_walk(gram: list[int], kappa: int) -> int:
-    """Kruskal rank of the nonzero columns whose integer Gram matrix is
-    ``gram``, as ``linalg.integer_gram``'s flat upper triangle, which is
-    left as it is, and whose rank is ``kappa``.
+def _kruskal_walk(rows: Sequence[Sequence[int]], kappa: int) -> int:
+    """Kruskal rank of the nonzero columns of the integer matrix whose
+    rows are ``rows``, left as they are, given that it is at most kappa.
 
-    A depth-first walk over independent column sets S in index order,
-    Bareiss elimination with principal pivots: a node holds the flat
-    upper triangle of the block det G[S + a, S + b] over the columns a <= b
-    after S (Sylvester's identity), so a zero diagonal entry is a
-    dependent set S + a, and a child is one ``_pivot_step`` on its
-    parent's block.  kappa starts at the rank; a dependent set of size j
-    lowers it to j - 1, and no set of size j or more is looked at after
-    that.
+    A depth-first walk over independent column sets S in index order: a
+    node holds the rows that Bareiss elimination of S's columns leaves,
+    over the columns after S, so a zero column a is a dependent set S + a.
+    A child S + p is one fraction-free step with the first row nonzero in
+    column p as pivot, divided by its parent's pivot (1 at the root), so
+    every entry is a minor of the input and every division exact.  On the
+    last level, columns p and a with one ``primitive`` form are the
+    dependent set S + p + a.  A dependent set of size j lowers kappa to
+    j - 1, and no set of size j or more is looked at after that.
     """
-    n = _order(gram)
 
-    def walk(block: list[int], n: int, prev: int, size: int) -> None:
-        # block: det G[S + a, S + b] for a <= b over the n columns after S,
-        # a flat triangle, row p from s to t; |S| = size and prev = det G[S]
+    def walk(rows: Sequence[Sequence[int]], prev: int, size: int) -> None:
+        # rows: what eliminating S, of size columns, leaves; prev: its last pivot
         nonlocal kappa
-        s = 0
-        for p in range(n):
-            if not (d := block[s]):
-                kappa = size
-                return
-            t = s + n - p
+        columns = list(zip(*rows))
+        if not all(map(any, columns)):
+            kappa = size
+            return
+        for p, col in enumerate(columns[:-1]):
             if size + 2 < kappa:
-                walk(_pivot_step(block, n, p, prev), n - p - 1, d, size + 1)
-            elif size + 2 == kappa:
-                # S + p is the last node on its path: only the zero pattern of
-                # its block's diagonal counts, and that needs no division
-                diagonal = accumulate(range(n - p - 1, 1, -1), initial=t)
-                if any(d * block[u] == y * y for u, y in zip(diagonal, block[s + 1:t])):
+                i = next(i for i, x in enumerate(col) if x)
+                d, pivot = col[i], rows[i][p + 1:]
+                others = zip(rows[:i] + rows[i + 1:], col[:i] + col[i + 1:])
+                child = [[(d * a - x * b) // prev for a, b in zip(row[p + 1:], pivot)] for row, x in others]
+                walk(child, d, size + 1)
+            else:
+                if size + 2 == kappa and len(set(map(primitive, columns[p:]))) < len(columns) - p:
                     kappa = size + 1
-            s = t
+                return
 
-    walk(gram, n, 1, 0)
+    walk(rows, 1, 0)
     return kappa
 
 

@@ -21,19 +21,16 @@ submatrix is nonsingular.  Such a Gram, and every Hadamard product or
 power of such Grams, is positive semidefinite, and ``gram_rank`` ranks
 every one of them: Segre flattenings and Veronese degrees.  Each is one
 flat list, its upper triangle row after row, so the rows after a pivot
-are the list's tail, laid out as the block that the Bareiss step
-``_pivot_step`` leaves.  The pivots, on the diagonal, are the greedy
+are the list's tail, laid out as the block that a Bareiss step of
+``_pivot_rows`` leaves.  The pivots, on the diagonal, are the greedy
 independent prefix of the points.  A general integer matrix, such as a
 Kruskal factor's, is reduced by ``gauss_jordan``, the same fraction-free
 step on every row but the pivot's: its pivot columns and D times its
 reduced row echelon form, for D the determinant of the pivot block.
-When a Kruskal factor is not settled there, its column subsets are the
-principal minors of its Gram, which ``kruskal.kruskal_rank`` walks by
-``_pivot_step``, one per subset.  Augment borders the pivot rows
-(lists) of one positive definite Gram with one point at a time
-(``_border``); a solve is a bordering plus ``_back_substitute``, which
-stays in the integers: it returns D v for the determinant D of the
-system, and the caller divides by D once.  The pivot rows of a singular
+Augment borders the pivot rows (lists) of one positive definite Gram
+with one point at a time (``_border``); a solve is a bordering plus
+``_back_substitute``, which stays in the integers: it returns D v for
+the determinant D of the system, and the caller divides by D once.  The pivot rows of a singular
 Gram also give an integer kernel vector (``_kernel_vector``): the rows
 before its first dependent point, cut at that point's column, are a
 bordering, and one back substitution solves it.
@@ -150,30 +147,22 @@ def _at(n: int, i: int, j: int) -> int:
     return (a := min(i, j)) * n - a * (a - 1) // 2 + abs(i - j)
 
 
-def _pivot_step(tri: Sequence[int], n: int, p: int, prev: int) -> list[int]:
-    """One Bareiss step with principal pivot p and previous pivot prev on
-    the flat upper triangle ``tri`` of a symmetric block of order n: the
-    flat upper triangle over the columns after p, one pass over the tail
-    of ``tri`` (the rows after p) against the pivot row's outer product."""
-    s = p * n - p * (p - 1) // 2  # row p starts, as in _at
-    t = s + n - p  # and row p + 1
-    d, tail = tri[s], tri[s + 1:t]
-    outer = [g * h for a, g in enumerate(tail) for h in tail[a:]]
-    return [(d * x - u) // prev for x, u in zip(tri[t:], outer)]
-
-
 def _pivot_rows(tri: Sequence[int], n: int):
     """The pivot rows (lists, each from its pivot on), in order, of Bareiss
     with principal pivots on the flat upper triangle ``tri`` of order n.
     A PSD block's zero diagonal entry has a zero row, which drops out, and
-    each step leaves a PSD block, so the pivot is the first nonzero one."""
+    each step leaves a PSD block, so the pivot is the first nonzero one.
+    A step is one pass over the rows after the pivot's, the list's tail,
+    against the pivot row's outer product."""
     prev = 1
     while tri:
         if not tri[0]:
             tri, n = tri[n:], n - 1
         else:
             yield tri[:n]
-            prev, tri, n = tri[0], _pivot_step(tri, n, 0, prev), n - 1
+            d, tail = tri[0], tri[1:n]
+            outer = [g * h for a, g in enumerate(tail) for h in tail[a:]]
+            prev, tri, n = d, [(d * x - u) // prev for x, u in zip(tri[n:], outer)], n - 1
 
 
 def gram_rank(gram: Sequence[int]) -> int:
@@ -218,7 +207,7 @@ def _border(pivots: Sequence[Sequence[int]], column: Sequence[int]) -> list[list
     """The pivot rows of a positive definite Gram H bordered by one more
     point, from H's n ``pivots`` and the point's ``column``: its Gram
     entries against H's points, in order, then its own.  Each row gets the
-    point's entry as ``_pivot_step`` leaves it, and the point's row comes
+    point's entry as a step of ``_pivot_rows`` leaves it, and its row comes
     last: [the bordered determinant], zero exactly when that is singular.
     About n^2/2 updates, every entry a minor, so every division is exact."""
     col, prev, rows = list(column), 1, []

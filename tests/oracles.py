@@ -318,7 +318,8 @@ def changed_basis_tensor(coords, sizes, matrices):
 # row a kept from column a on, as the package ran them before it stored
 # each Gram as one flat upper triangle.  Not a different algorithm: the
 # same steps in the other layout, so the flat one must give the same
-# ranks, the same pivot rows and the same Kruskal ranks.
+# ranks and the same pivot rows.  The package's Kruskal walk steps the
+# rows of the factor matrix instead, and must give the same Kruskal ranks.
 
 
 def full_gram(rows) -> list[list[int]]:

@@ -557,7 +557,10 @@ def test_certify_partition_names_each_of_the_k_factors_once(three_factor_file, c
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("dims, r, ranked", [((1,) * 8, 9, 93), ((2,) * 10, 12, 175)])
+@pytest.mark.parametrize(
+    "dims, r, ranked",
+    [((1,) * 8, 9, 93), ((2,) * 10, 12, 175), ((2, 3, 5), 6, 4), ((1, 1, 1, 7), 7, 8)],
+)
 def test_certify_ranks_only_subsets_without_an_independent_subset(
     tmp_path, monkeypatch, capsys, dims, r, ranked
 ):
@@ -566,7 +569,11 @@ def test_certify_ranks_only_subsets_without_an_independent_subset(
     # first, for non-redundancy: 8 + 28 + 56 + 1; each 3-factor subset has
     # corank one, so its kernel support settles the other 69 subsets of 4
     # factors.  On 3^10 r=12 every subset of at most 3 factors is
-    # eliminated (3^2 < 12 <= 3^3), and none has corank one
+    # eliminated (3^2 < 12 <= 3^3), and none has corank one.  On 3x4x6 r=6
+    # and 2x2x2x8 r=7 the last factor alone is independent, and a subset
+    # that holds it has a dependent parent, its prefix without the last
+    # factor: only an independent subset one factor short settles it, so
+    # 4 and 8 subsets are eliminated (6 and 14 without that lookup)
     data, _, _ = seeded_instance(dims, r, seed=1)
     calls = []
     pivot_rows = geometry._pivot_rows
@@ -580,30 +587,30 @@ def test_certify_ranks_only_subsets_without_an_independent_subset(
     assert len(calls) == ranked
 
 
-def test_compare_takes_one_kruskal_step_per_walked_column_set(tmp_path, monkeypatch, capsys):
+def test_compare_walks_only_the_factor_whose_minor_vanishes(tmp_path, monkeypatch, capsys):
     # generic points on 5x5x5 r=11: each factor's 11 columns have rank 5 and
     # Kruskal rank 5, which the minors of its reduced matrix settle, so no
     # factor walks
     data, s, weights = seeded_instance((4, 4, 4), 11, seed=1)
     calls = []
-    pivot_step = kruskal._pivot_step
-    monkeypatch.setattr(kruskal, "_pivot_step", lambda *args: calls.append(args) or pivot_step(*args))
+    walk = kruskal._kruskal_walk
+    monkeypatch.setattr(kruskal, "_kruskal_walk", lambda *args: calls.append(args) or walk(*args))
     code = run(["compare", "--input", write_instance(tmp_path, data), "--format", "json"])
     assert code == EXIT_NOT_CERTIFIED
     assert json.loads(capsys.readouterr().out)["kruskal"]["per_factor_kruskal_rank"] == [5, 5, 5]
     assert len(calls) == 0
     # with point 5's first factor the sum of the first four, that factor has
-    # a dependent set of 5 columns, so a minor vanishes and it walks: from
-    # rank 5 it steps to each set of 1 and 2 columns and to {1, 2, 3}, whose
-    # last node meets the dependent set and lowers kappa to 4, so
-    # 11 + 55 + 1 = 67 steps; the other two factors still walk none
+    # a dependent set of 5 columns, so a minor vanishes and it walks, on the
+    # rows of its factor matrix, from kappa = 4; the other two factors
+    # still walk none
     points = list(s.points)
     points[4] = points[4].replace_factor(1, [sum(p.factors[0][i] for p in points[:4]) for i in range(5)])
-    pooled = pointset_to_json(PointSet(s.shape, tuple(points)), weights)
-    code = run(["compare", "--input", write_instance(tmp_path, pooled, "pooled.json"), "--format", "json"])
+    pooled = PointSet(s.shape, tuple(points))
+    path = write_instance(tmp_path, pointset_to_json(pooled, weights), "pooled.json")
+    code = run(["compare", "--input", path, "--format", "json"])
     assert code in (EXIT_CERTIFIED, EXIT_NOT_CERTIFIED)
     assert json.loads(capsys.readouterr().out)["kruskal"]["per_factor_kruskal_rank"] == [4, 5, 5]
-    assert len(calls) == 67
+    assert calls == [(list(zip(*(p.canonical()[0] for p in pooled.points))), 4)]
 
 
 def test_certify_empty_partition_is_invalid(three_factor_file, capsys):
@@ -764,16 +771,16 @@ def test_certify_and_compare_refuse_more_than_16_factors_before_any_rank(
     command, r, tmp_path, capsys, monkeypatch
 ):
     # every flattening rank is a _pivot_rows call in geometry, every Kruskal
-    # rank starts with a gauss_jordan call in kruskal, and every Gram is built
-    # from integer_gram's factor Grams or, for a Kruskal walk, by integer_gram
-    # in kruskal: the parser's vanishing-sum check builds none of them
+    # rank starts with a gauss_jordan call in kruskal and may go on to its
+    # walk, and every Gram is built from integer_gram's factor Grams: the
+    # parser's vanishing-sum check builds none of them
     def refuse(*args):
         raise AssertionError("built or ranked a Gram")
 
     for module, name in [
         (geometry, "_pivot_rows"),
         (kruskal, "gauss_jordan"),
-        (kruskal, "integer_gram"),
+        (kruskal, "_kruskal_walk"),
         (geometry, "integer_gram"),
         (geometry, "segre_gram_row"),
         (cli, "segre_gram_row"),

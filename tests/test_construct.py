@@ -244,6 +244,14 @@ def test_augment_rejects_an_overfull_set():
         augment_decomposition(a, (1, 1, 1, 1))
 
 
+def test_augment_needs_one_weight_per_point(monkeypatch):
+    # checked before the input's Gram is factored, not on the grown set
+    s, _ = random_decomposition(MultiShape((1, 1, 1)), 2, seed=1)
+    monkeypatch.setattr(construct, "_pivot_rows", None)
+    with pytest.raises(ValueError, match="^1 weights for 2 points$"):
+        augment_decomposition(s, (1,), seed=1)
+
+
 def test_augment_needs_a_positive_dimension_somewhere():
     shape = MultiShape((0, 0))
     a = PointSet(shape, (MultiPoint(((1,), (2,))),))

@@ -594,6 +594,14 @@ def test_assemble_tensor_weighted_sum():
     assert zero == (0, 0, 0, 0) and all(type(x) is int for x in zero)
 
 
+@pytest.mark.parametrize("weights", [(1,), (1, 2, 3)])
+def test_assemble_tensor_needs_one_weight_per_point(weights):
+    # zip would sum the first point's tensor alone, or ignore the third weight
+    s = pset((1, 1), pt((1, 0), (1, 0)), pt((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match=f"^{len(weights)} weights for 2 points$"):
+        assemble_tensor(weights, s)
+
+
 def test_decomposition_weights_round_trip():
     s, weights = random_decomposition(MultiShape((1, 2)), 3, seed=5)
     tensor = assemble_tensor(weights, s)

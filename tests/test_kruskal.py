@@ -18,7 +18,6 @@ from oracles import (
     kruskal_rank_exhaustive,
     outer_product_flat,
     row_list_kruskal_rank,
-    triangle,
 )
 from tensorcert import kruskal
 from tensorcert.certify import check_non_redundant
@@ -74,6 +73,19 @@ def test_kruskal_rank_rejects_zero_columns():
 def test_kruskal_rank_rejects_empty_matrices():
     with pytest.raises(ValueError, match="no columns"):
         kruskal_rank([])
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ([(1, 0, 0), (2, 0, 0, 7)], "column 1 has 4 entries, column 0 has 3"),
+        ([(1,), (0, 1)], "column 1 has 2 entries, column 0 has 1"),
+    ],
+)
+def test_kruskal_rank_rejects_columns_of_different_lengths(columns, message, monkeypatch):
+    monkeypatch.setattr(kruskal, "gauss_jordan", None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kruskal_rank(columns)
 
 
 def test_kruskal_rank_enforces_the_walk_budget():
@@ -207,7 +219,7 @@ def check_against_the_oracle(columns, scales):
 
 
 def counted_walks(monkeypatch) -> list:
-    """The calls that kruskal_rank makes to the Gram walk, from now on."""
+    """The calls that kruskal_rank makes to the walk, from now on."""
     calls = []
     walk = kruskal._kruskal_walk
     monkeypatch.setattr(kruskal, "_kruskal_walk", lambda *args: calls.append(args) or walk(*args))
@@ -327,6 +339,13 @@ def test_a_minor_count_past_the_budget_falls_back_to_the_walk(monkeypatch):
     assert kruskal_rank(columns) == 3
     assert kruskal_rank(columns + [(2, 3, 5)]) == 2
     assert len(walks) == 2
+    # the points of `random --shape 3x3 --r 300 --box 1000 --seed 1`: each
+    # factor walks from rank 3 over its sets of one column, in time
+    s, _ = random_decomposition(MultiShape((2, 2)), 300, box=1000, seed=1)
+    start = time.perf_counter()
+    assert kruskal_certificate(s)["per_factor_kruskal_rank"] == [3, 3]
+    assert time.perf_counter() - start < 1
+    assert [rank for _, rank in walks[2:]] == [3, 3]
 
 
 @st.composite
@@ -351,10 +370,16 @@ def product_columns(draw):
 @given(product_columns())
 @example([[1, 0], [0, 1], [1, 1], [1, 2]])
 @example([[1]] * 12)
-def test_the_flat_walk_keeps_the_kruskal_rank_of_the_row_list_one(columns):
-    gram = full_gram(columns)
+# rank 2 in Q^4, every pair independent: the walk checks pairs at its root
+@example([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]])
+# rank 3 in Q^5 and a dependent triple; the first column's pivot row is its second
+@example([[0, 1, 1, 0, 0], [1, 0, 0, 1, 0], [1, 1, 1, 1, 0], [0, 0, 1, 0, 1]])
+def test_the_row_walk_keeps_the_kruskal_rank_of_the_gram_walk(columns):
+    # the walk alone, from the rank, on the rows of the primitive forms of
+    # pooled fractional columns, often of a rank below their height
     oracle = kruskal_rank_exhaustive(columns)
-    assert _kruskal_walk(triangle(gram), gauss_rank(columns)) == row_list_kruskal_rank(gram) == oracle
+    walked = _kruskal_walk(list(zip(*columns)), gauss_rank(columns))
+    assert walked == row_list_kruskal_rank(full_gram(columns)) == oracle
 
 
 # -- the k-way baseline
