@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import DEFAULT_BOX, AugmentationError
 from .certify import (
@@ -41,14 +41,13 @@ from .geometry import (
     MultiPoint,
     MultiShape,
     PointSet,
-    _factor_gram,
     assemble_tensor,
     segre_gram_row,
     segre_scale,
     weighted_sum,
 )
 from .kruskal import MAX_WALK_BLOCKS, compare_criteria, kruskal_certificate
-from .linalg import _at, format_rational, multiple, parse_rationals, primitive
+from .linalg import format_rational, multiple, parse_rationals, primitive
 from .symmetric import comon_certify, symmetric_bounds
 
 ENV_SEED = "TENSORCERT_SEED"
@@ -111,17 +110,21 @@ def load_instance(path: str, search: bool = False) -> Instance:
     return instance_from_json(data, search)
 
 
-def _check_sum(weights: Sequence[Fraction], gram: Iterable[list[int]], scales: Sequence[Fraction]) -> None:
-    """Reject a vanishing weighted sum of rows row_j = scales_j * P_j.
+def _check_sum(weights: Sequence[Fraction], s: PointSet, degree: int) -> None:
+    """Reject a vanishing sum_j w_j p_j^degree over the Segre rows p_j of
+    S's points: degree 1 for the Segre stanza, k for the symmetric one.
 
-    For the primitive rows P_j the sum is sum_j u_j P_j, u_j = w_j *
-    scales_j up to one common factor.  Its squared length is u^T H u for
-    the Gram H of the P_j, and H is positive semidefinite, so the sum
-    vanishes exactly when H u = 0.  A lazy ``gram`` is read only up to
-    the first nonzero entry of H u.
+    With p_j = c_j P_j for the primitive P_j, the sum is sum_j u_j
+    P_j^degree, u_j = w_j c_j^degree up to one common factor.  Its squared
+    length is u^T H u for H = G^degree, elementwise, and G the Gram of the
+    P_j, read row by row from ``segre_gram_row``.  At degree d, G^d = V W
+    V^T for the Veronese rows V and a positive diagonal W of multinomial
+    weights, so H is PSD, the sum vanishes exactly when H u = 0, and the
+    rows are read only up to the first nonzero entry of H u.
     """
-    u = primitive([w * c for w, c in zip(weights, scales)])
-    if not any(sum(h * x for h, x in zip(row, u)) for row in gram):
+    u = primitive([w * segre_scale(p) ** degree for w, p in zip(weights, s.points)])
+    rows = ([g**degree for g in segre_gram_row(p, s.points)] for p in s.points)
+    if not any(sum(h * x for h, x in zip(row, u)) for row in rows):
         raise ValueError("the weighted sum of the decomposition vanishes")
 
 
@@ -205,8 +208,7 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
         if search:
             bipartition_masks(shape.k)
         if tensor is None:
-            rows = (segre_gram_row(p, points.points) for p in points.points)
-            _check_sum(weights, rows, [segre_scale(p) for p in points.points])
+            _check_sum(weights, points, 1)
         else:
             # total is sum_j u_j P_j with _check_sum's u, so it settles H u = 0
             c, total = weighted_sum(weights, points)
@@ -218,11 +220,8 @@ def instance_from_json(data: dict, search: bool = False) -> Instance:
             weights = tuple(scale * w for w in weights)
     # distinct points have independent Veronese rows from degree r - 1
     # on, and independent rows with nonzero weights cannot sum to zero
-    if symmetric is not None and (degree := symmetric.degree) < len(symmetric.points) - 1:
-        scales = [segre_scale(p) ** degree for p in symmetric.points.points]
-        gram, r = _factor_gram(symmetric.points, 1), len(symmetric.points)  # comon reuses it
-        rows = ([gram[_at(r, i, j)] ** degree for i in range(r)] for j in range(r))  # G^degree, lazily
-        _check_sum(symmetric.weights, rows, scales)
+    if symmetric is not None and symmetric.degree < len(symmetric.points) - 1:
+        _check_sum(symmetric.weights, symmetric.points, symmetric.degree)
     return Instance(points, weights, symmetric, tensor)
 
 

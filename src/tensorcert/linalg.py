@@ -18,11 +18,11 @@ Independence of a point set is asked of the integer Gram matrix of its
 evaluation vectors (``integer_gram``): over Q, inside R, rank(A A^T) =
 rank(A), and rows are independent exactly when their principal Gram
 submatrix is nonsingular.  Such a Gram, and every Hadamard product or
-power of such Grams, is positive semidefinite, and ``gram_rank`` ranks
-every one of them: Segre flattenings and Veronese degrees.  Each is one
-flat list, its upper triangle row after row, so the rows after a pivot
-are the list's tail, laid out as the block that a Bareiss step of
-``_pivot_rows`` leaves.  The pivots, on the diagonal, are the greedy
+power of such Grams (Segre flattenings, Veronese degrees), is positive
+semidefinite, and its rank is the number of rows ``_pivot_rows``
+yields, given its flat upper triangle, row after row, and its order n.
+The rows after a pivot are the list's tail, laid out as the block that
+a Bareiss step leaves, and the pivots, on the diagonal, are the greedy
 independent prefix of the points.  A general integer matrix, such as a
 Kruskal factor's, is reduced by ``gauss_jordan``, the same fraction-free
 step on every row but the pivot's: its pivot columns and D times its
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -137,16 +137,6 @@ def integer_gram(rows: Iterable[Sequence[Fraction | int]]) -> list[int]:
     return [sum(map(mul, a, b)) for i, a in enumerate(ints) for b in ints[i:]]
 
 
-def _order(tri: Sequence[int]) -> int:
-    """The order n of the matrix whose flat upper triangle is ``tri``."""
-    return (isqrt(8 * len(tri) + 1) - 1) // 2
-
-
-def _at(n: int, i: int, j: int) -> int:
-    """Where entry (i, j) of an order-n symmetric matrix sits in its flat triangle."""
-    return (a := min(i, j)) * n - a * (a - 1) // 2 + abs(i - j)
-
-
 def _pivot_rows(tri: Sequence[int], n: int):
     """The pivot rows (lists, each from its pivot on), in order, of Bareiss
     with principal pivots on the flat upper triangle ``tri`` of order n.
@@ -163,12 +153,6 @@ def _pivot_rows(tri: Sequence[int], n: int):
             d, tail = tri[0], tri[1:n]
             outer = [g * h for a, g in enumerate(tail) for h in tail[a:]]
             prev, tri, n = d, [(d * x - u) // prev for x, u in zip(tri[n:], outer)], n - 1
-
-
-def gram_rank(gram: Sequence[int]) -> int:
-    """Rank of a PSD integer matrix, given as its flat upper triangle and left
-    as it is: about n^3/6 updates, where eliminating all of it takes n^3/2."""
-    return sum(1 for _ in _pivot_rows(gram, _order(gram)))
 
 
 def gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:

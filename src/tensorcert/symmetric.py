@@ -44,7 +44,7 @@ from .certify import (
     non_redundancy_hypotheses,
 )
 from .geometry import PointSet, _factor_gram
-from .linalg import gram_rank
+from .linalg import _pivot_rows
 
 TAG_SYMMETRIC = "symmetric-rank-agreement"
 
@@ -59,7 +59,7 @@ def veronese_rank(a: PointSet, degree: int) -> int:
     """Rank of the degree-``degree`` Veronese rows of A; r from degree r - 1 on."""
     if degree >= len(a) - 1:
         return len(a)
-    return gram_rank(veronese_gram(a, degree))
+    return len(list(_pivot_rows(veronese_gram(a, degree), len(a))))
 
 
 def comon_certify(a: PointSet, weights: Sequence, degree: int) -> dict:
@@ -118,8 +118,9 @@ def symmetric_bounds(n: int, k: int) -> dict:
     """The pair (r0, rg) with the defective-case flag, as the JSON object
     ``bounds`` prints.
 
-    r0 is the largest cardinality certifiable through half-degree
-    interpolation: C(n + e, e) for k = 2e, one more for k = 2e + 1.
+    r0 is C(n + e, e) for k = 2e, one more for k = 2e + 1.  ``comon``
+    ranks degree e only, where at most C(n + e, e) points are
+    independent, so it certifies at most that many: r0 - 1 at odd k.
     rg is ceil(C(n + k, k) / (n + 1)), the expected generic symmetric
     rank; on the exceptional list the true generic rank differs.
     """

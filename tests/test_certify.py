@@ -768,19 +768,24 @@ def test_obstruct_asks_each_subset_by_its_own_mask(k, x, monkeypatch):
     assert asked[-1] == [factor_mask(u) for u in subsets]
 
 
-def test_obstruct_eliminates_only_subsets_without_an_independent_prefix(monkeypatch):
+@pytest.mark.parametrize("k, r, x, checked, eliminated", [(16, 12, 8, 12870, 495), (4, 4, 1, 4, 3)])
+def test_obstruct_eliminates_only_subsets_without_an_independent_prefix(monkeypatch, k, r, x, checked, eliminated):
     # 12 generic points on 2^16: four factors give 16 >= 12 coordinates
     # and are independent, so of the C(16, 8) = 12870 subsets checked
     # only the four-factor prefixes are eliminated, the C(12, 4) = 495
-    # subsets of the first 12 factors; the whole set's prefix is one
-    s, weights = random_decomposition(MultiShape((1,) * 16), 12, seed=1)
+    # subsets of the first 12 factors; the whole set's prefix is one.
+    # 4 generic points on 2^4 (`random --shape 2x2x2x2 --r 4 --seed 1`):
+    # two factors give 4 = r coordinates, so the unasked prefixes {1, 2},
+    # {1, 3} and {2, 3} are eliminated, and they settle the C(4, 3) = 4
+    # subsets checked, which are never eliminated themselves
+    s, weights = random_decomposition(MultiShape((1,) * k), r, seed=1)
     calls = []
     pivot_rows = geometry._pivot_rows
     monkeypatch.setattr(geometry, "_pivot_rows", lambda gram, n: calls.append(gram) or pivot_rows(gram, n))
-    cert = obstruct_alt_decompositions(s, weights, 8)
+    cert = obstruct_alt_decompositions(s, weights, x)
     assert certified(cert)
-    assert len(find(cert, "independent_conditions_on_all_subsets")[0]["witness"]["checks"]) == 12870
-    assert len(calls) == 495
+    assert len(find(cert, "independent_conditions_on_all_subsets")[0]["witness"]["checks"]) == checked
+    assert len(calls) == eliminated
 
 
 # -- non-redundancy inside the bound and the obstruction

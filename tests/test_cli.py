@@ -1255,8 +1255,9 @@ def test_comon_refuses_no_degree_whose_bounds_print(tmp_path):
 
 
 def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch):
-    # six plane points at degree 4: the parser's vanishing test and comon's
-    # rank at e = 2 both take powers of one point Gram
+    # six plane points at degree 4: the parser's vanishing test reads rows
+    # of the point Gram from segre_gram_row and builds no Gram, and comon's
+    # rank at e = 2 builds the point Gram once and takes its power
     built = []
     real = linalg.integer_gram
 
@@ -1270,6 +1271,25 @@ def test_parse_and_comon_build_the_point_gram_once(tmp_path, capsys, monkeypatch
     path = write_instance(tmp_path, {"symmetric": {"n": 2, "k": 4, "points": points}})
     assert run(["comon", "--input", path]) == EXIT_CERTIFIED
     assert len(built) == 1
+
+
+def test_the_symmetric_sum_check_reads_gram_rows_up_to_a_nonzero_entry(monkeypatch):
+    rows = []
+    real = geometry.segre_gram_row
+    monkeypatch.setattr(cli, "segre_gram_row", lambda p, q: rows.append(p) or real(p, q))
+    # six plane points at degree 4: the first entry of H u is nonzero, so
+    # row 0 is the only row read
+    points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"], ["1", "2", "3"], ["2", "-1", "1"]]
+    instance_from_json({"symmetric": {"n": 2, "k": 4, "points": points}})
+    assert len(rows) == 1
+    # 2x^2 + 2y^2 - (x + y)^2 - (x - y)^2 = 0 at k = 2 < r - 1 = 3: every
+    # one of the 4 rows is read before the sum is refused
+    rows.clear()
+    points = [["1", "0"], ["0", "1"], ["1", "1"], ["1", "-1"]]
+    stanza = {"n": 1, "k": 2, "points": points, "weights": ["2", "2", "-1", "-1"]}
+    with pytest.raises(ValueError, match="^the weighted sum of the decomposition vanishes$"):
+        instance_from_json({"symmetric": stanza})
+    assert len(rows) == 4
 
 
 def test_certify_calls_segre_gram_row_from_the_parser_only(tmp_path, capsys, monkeypatch):

@@ -117,6 +117,31 @@ def test_the_walk_budget_admits_every_dependent_set_of_20_columns():
     assert kruskal_rank(columns) == 2 == kruskal_rank_exhaustive(columns)
 
 
+@pytest.mark.parametrize(
+    "sizes, r, box, budget, expected",
+    [
+        ((3, 3), 6, 9, 15, [4, 4]),
+        ((3, 3), 6, 9, 14, "6 columns of rank 4 ask for up to 22 Kruskal walk blocks"),
+        ((2, 2), 20, 1000, 21, [3, 3]),
+        ((2, 2), 20, 1000, 20, "20 columns of rank 3 ask for up to 21 Kruskal walk blocks"),
+    ],
+)
+def test_the_walk_budget_admits_exactly_its_count_at_both_checks(monkeypatch, sizes, r, box, budget, expected):
+    # the points of `random --shape 4x4 --r 6 --seed 1` have C(6, 4) = 15
+    # column sets of rank size per factor: at a budget of 15 their minors
+    # settle kappa = 4, and at 14 the walk's 1 + 6 + 15 = 22 blocks are
+    # refused instead.  Those of `random --shape 3x3 --r 20 --box 1000
+    # --seed 1` have too many for the minors, and the walk's 1 + 20 blocks
+    # are built at a budget of 21 and refused at 20
+    s, _ = random_decomposition(MultiShape(sizes), r, box=box, seed=1)
+    monkeypatch.setattr(kruskal, "MAX_WALK_BLOCKS", budget)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{expected}, more than the {budget} that kruskal builds$"):
+            kruskal_certificate(s)
+    else:
+        assert kruskal_certificate(s)["per_factor_kruskal_rank"] == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_kruskal_rank_matches_the_exhaustive_oracle(seed):

@@ -24,7 +24,7 @@ from oracles import (
 from tensorcert import symmetric
 from tensorcert.certify import FAIL, PASS
 from tensorcert.geometry import MultiPoint, MultiShape, PointSet, flattening_rank
-from tensorcert.linalg import gram_rank, primitive
+from tensorcert.linalg import _pivot_rows, primitive
 from tensorcert.symmetric import (
     comon_certify,
     is_exceptional,
@@ -172,7 +172,7 @@ def test_a_failed_interpolation_makes_one_elimination():
     # and no smaller e is ranked after that
     pts = sym_points((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
     calls = []
-    with mock.patch.object(symmetric, "gram_rank", lambda gram: calls.append(gram) or gram_rank(gram)):
+    with mock.patch.object(symmetric, "_pivot_rows", lambda gram, n: calls.append(gram) or _pivot_rows(gram, n)):
         cert = comon_certify(pts, [1] * 5, 4)
     assert not certified(cert)
     assert len(calls) == 1
@@ -332,9 +332,24 @@ def test_bounds_are_internally_consistent(n, k):
     bounds = symmetric_bounds(n, k)
     assert 1 <= bounds["r0"]
     assert bounds["rg"] >= 1
-    # odd degrees certify one point beyond the half-degree interpolation cap
+    # at odd degrees r0 is one more than the half-degree interpolation cap
     e = k // 2
     assert bounds["r0"] == comb(n + e, e) + (k % 2)
+
+
+@pytest.mark.parametrize(
+    "points, k",
+    [(((1, 0), (0, 1), (1, 1), (1, 2)), 5), (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 3)],
+)
+def test_r0_points_fail_the_half_degree_rank_at_odd_k(points, k):
+    # comon ranks degree e = floor(k/2) only, where at most C(n + e, e) = 3
+    # points are independent, so the r0 = 4 points that bounds prints for
+    # P^1 at k = 5 and for P^2 at k = 3 fail with rank 3
+    n, e = len(points[0]) - 1, k // 2
+    assert symmetric_bounds(n, k)["r0"] == len(points) == comb(n + e, e) + 1
+    cert = comon_certify(sym_points(*points), [1] * len(points), k)
+    assert not certified(cert)
+    assert find(cert, "half_degree_interpolation")[0]["witness"]["attempts"] == [{"e": e, "rank": 3, "h1": 1}]
 
 
 @settings(max_examples=30, deadline=None)
